@@ -227,14 +227,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         margin=args.margin,
         run_requirement=args.run_requirement,
     )
-    baselines = {}
-    for path in args.baseline:
-        baseline = load_baseline(Path(path))
-        baselines[baseline.motor] = baseline
-    captures = {}
-    for path in args.capture:
-        trace = load_trace(Path(path))
-        captures[trace.motor] = align_to_trigger(trace)
+    baselines = _one_per_motor([load_baseline(Path(p)) for p in args.baseline], "--baseline")
+    captures = _one_per_motor(
+        [align_to_trigger(load_trace(Path(p))) for p in args.capture], "--capture"
+    )
     missing = [m.name for m in captures if m not in baselines]
     if missing:
         print(f"error: no baseline for motor(s) {missing}", file=sys.stderr)
@@ -245,6 +241,16 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             print("report " + " ".join(result.reports[motor].key_value_lines()))
     print(f"report overall={result.overall.value}")
     return EXIT_MALICIOUS if result.overall is Verdict.MALICIOUS else EXIT_OK
+
+
+def _one_per_motor(items: list, flag: str) -> dict:
+    """Key loaded captures or baselines by motor; a second one for a motor is an error."""
+    by_motor = {}
+    for item in items:
+        if item.motor in by_motor:
+            raise DetectionError(f"two {flag} files for motor {item.motor.name}")
+        by_motor[item.motor] = item
+    return by_motor
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -290,6 +296,11 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
             "default_feed",
         ):
             profile_pairs[key] = value
+        elif key == "noise.seed":
+            raise configmod.ConfigError(
+                f"{source}: 'noise.seed' is not used by experiments, which seed every "
+                "print from the top-level 'seed' key; set 'seed' instead"
+            )
         elif key.startswith("noise."):
             noise_pairs[key.removeprefix("noise.")] = value
         elif key.startswith("attack."):

@@ -14,7 +14,6 @@ even when it never crosses the verdict threshold.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -45,6 +44,8 @@ DEFAULT_MARGIN = 0.1
 # 50 samples = 2 ms at 25 kS/s: far below any meaningful command duration,
 # but long enough that isolated noise spikes never form a qualifying run.
 DEFAULT_RUN_REQUIREMENT = 50
+# Rows formatted per write, so a long series never sits in memory as text.
+_EXPORT_CHUNK_ROWS = 1 << 16
 
 
 class DetectionError(ValueError):
@@ -106,32 +107,6 @@ class GoldenBaseline:
     def sample_count(self) -> int:
         return len(self.pointwise_mean)
 
-    def truncated(self, length: int) -> "GoldenBaseline":
-        """View of the baseline cut to ``length`` samples.
-
-        ``peak_sd`` is kept from the full in-print window so a shorter
-        capture never weakens the threshold.
-        """
-        if not 0 < length <= self.sample_count:
-            raise DetectionError(f"cannot truncate baseline to {length} samples")
-        if length == self.sample_count:
-            return self
-        return GoldenBaseline(
-            motor=self.motor,
-            sample_rate=self.sample_rate,
-            pointwise_mean=self.pointwise_mean[:length],
-            pointwise_sd=self.pointwise_sd[:length],
-            peak_sd=self.peak_sd,
-            reference_trace=MotorTrace(
-                motor=self.motor,
-                sample_rate=self.sample_rate,
-                samples=self.reference_trace.samples[:length],
-                trigger_index=0,
-            ),
-            source_count=self.source_count,
-            print_end_index=min(self.print_end_index, length),
-        )
-
 
 @dataclass(frozen=True)
 class DetectionReport:
@@ -176,6 +151,12 @@ def smooth(trace: MotorTrace, window: int = DEFAULT_SMOOTHING_WINDOW) -> MotorTr
     Windows shrink to the available samples near the edges.  For an even
     window the center is biased one sample to the right, i.e. sample i
     averages [i - (window-1)//2, i + window//2].
+
+    Every sample is ``(csum[hi] - csum[lo]) / (hi - lo)`` over the float64
+    running sum ``csum``, rounded to float32.  The ``n - window + 1``
+    interior samples, whose window fits whole, take it as one slice
+    subtraction; only the ``window - 1`` edge samples gather their shrunken
+    bounds.  The output is bit-identical to gathering every sample.
     """
     n = len(trace.samples)
     if window < 1:
@@ -184,16 +165,22 @@ def smooth(trace: MotorTrace, window: int = DEFAULT_SMOOTHING_WINDOW) -> MotorTr
         raise DetectionError(f"window {window} longer than trace of {n} samples")
     if window == 1:
         return trace
-    values = trace.samples.astype(np.float64)
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    idx = np.arange(n)
-    lo = np.maximum(idx - (window - 1) // 2, 0)
-    hi = np.minimum(idx + window // 2 + 1, n)
-    averaged = (csum[hi] - csum[lo]) / (hi - lo)
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.cumsum(trace.samples, dtype=np.float64, out=csum[1:])
+    left, right = (window - 1) // 2, window // 2
+    averaged = np.empty(n, dtype=np.float32)
+    interior = csum[window:] - csum[: n - window + 1]
+    interior /= window
+    averaged[left : n - right] = interior
+    edge = np.r_[0:left, n - right : n]
+    lo = np.maximum(edge - left, 0)
+    hi = np.minimum(edge + right + 1, n)
+    averaged[edge] = (csum[hi] - csum[lo]) / (hi - lo)
     return MotorTrace(
         motor=trace.motor,
         sample_rate=trace.sample_rate,
-        samples=averaged.astype(np.float32),
+        samples=averaged,
         trigger_index=trace.trigger_index,
     )
 
@@ -226,7 +213,7 @@ def build_baseline(
     if not 0 < print_end_index <= length:
         raise DetectionError("print_end_index out of range")
 
-    stack = np.stack([trace.samples.astype(np.float64) for trace in golden])
+    stack = np.stack([trace.samples for trace in golden], dtype=np.float64)
     mean = stack.mean(axis=0)
     sd = stack.std(axis=0, ddof=1)
     return GoldenBaseline(
@@ -250,17 +237,14 @@ def deviation(captured: MotorTrace, baseline: GoldenBaseline) -> np.ndarray:
             f"capture has {len(captured.samples)} samples, baseline "
             f"{baseline.sample_count}"
         )
-    return np.abs(
-        captured.samples.astype(np.float64)
-        - baseline.reference_trace.samples.astype(np.float64)
-    )
+    return _abs_diff(captured.samples, baseline.reference_trace.samples)
 
 
 def excess(deviation_series: np.ndarray, baseline: GoldenBaseline) -> np.ndarray:
     """Deviation reduced by the golden standard deviation, clamped at zero."""
     if len(deviation_series) != baseline.sample_count:
         raise DetectionError("deviation/baseline length mismatch")
-    return np.maximum(0.0, deviation_series - baseline.pointwise_sd)
+    return _excess(deviation_series, baseline.pointwise_sd)
 
 
 def classify(
@@ -279,12 +263,12 @@ def classify(
         raise DetectionError("run_requirement must be >= 1")
     dev = np.asarray(deviation_series, dtype=np.float64)
     threshold = baseline.peak_sd + margin
-    mask = dev > threshold
-    exceed_count = int(mask.sum())
-    max_run = _longest_run(mask)
+    above = np.flatnonzero(dev > threshold)
+    exceed_count = len(above)
+    max_run = _longest_run(above)
     first_time = None
     if exceed_count > 0:
-        first_time = float(np.flatnonzero(mask)[0] / baseline.sample_rate)
+        first_time = float(above[0] / baseline.sample_rate)
     verdict = Verdict.MALICIOUS if max_run >= run_requirement else Verdict.BENIGN
     return DetectionReport(
         motor=baseline.motor,
@@ -314,21 +298,18 @@ def detect_print(
         capture = captures.get(motor)
         if capture is None:
             raise DetectionError(f"missing capture for motor {motor.name}")
-        smoothed = smooth(capture, config.smoothing_window)
-        length = min(len(smoothed.samples), baseline.sample_count)
+        if capture.sample_rate != baseline.sample_rate:
+            raise DetectionError("capture/baseline sample rate mismatch")
+        smoothed = smooth(capture, config.smoothing_window).samples
+        length = min(len(smoothed), baseline.sample_count)
         if length == 0:
             raise DetectionError(f"empty capture for motor {motor.name}")
-        window = baseline.truncated(length)
-        trimmed = MotorTrace(
-            motor=motor,
-            sample_rate=smoothed.sample_rate,
-            samples=smoothed.samples[:length],
-            trigger_index=0,
-        )
-        dev = deviation(trimmed, window)
-        reports[motor] = classify(dev, window, config.margin, config.run_requirement)
+        # The threshold comes from the full baseline's peak_sd, so a
+        # shorter capture never weakens it.
+        dev = _abs_diff(smoothed[:length], baseline.reference_trace.samples[:length])
+        reports[motor] = classify(dev, baseline, config.margin, config.run_requirement)
         deviations[motor] = dev
-        excesses[motor] = excess(dev, window)
+        excesses[motor] = _excess(dev, baseline.pointwise_sd[:length])
     overall = (
         Verdict.MALICIOUS
         if any(r.verdict is Verdict.MALICIOUS for r in reports.values())
@@ -350,18 +331,33 @@ def export_series_csv(
         raise DetectionError("stride must be >= 1")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    n = len(series)
+    step = stride * _EXPORT_CHUNK_ROWS
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", "amps"])
-        for i in range(0, len(series), stride):
-            writer.writerow([f"{i / sample_rate:.6f}", f"{series[i]:.6f}"])
+        handle.write("time_s,amps\r\n")
+        for start in range(0, n, step):
+            values = series[start : start + step : stride].tolist()
+            handle.write(
+                "".join(
+                    f"{i / sample_rate:.6f},{v:.6f}\r\n"
+                    for i, v in zip(range(start, n, stride), values)
+                )
+            )
 
 
-def _longest_run(mask: np.ndarray) -> int:
-    if not mask.any():
+def _abs_diff(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    dev = np.subtract(samples, reference, dtype=np.float64)
+    return np.abs(dev, out=dev)
+
+
+def _excess(dev: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    out = np.subtract(dev, sd)
+    return np.maximum(0.0, out, out=out)
+
+
+def _longest_run(indices: np.ndarray) -> int:
+    """Longest stretch of consecutive values in the increasing ``indices``."""
+    if len(indices) == 0:
         return 0
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return int((ends - starts).max())
+    breaks = np.flatnonzero(np.diff(indices) != 1)
+    return int(np.diff(breaks, prepend=-1, append=len(indices) - 1).max())

@@ -249,6 +249,22 @@ class TestDetect:
         assert main(argv) == 2
         assert "no baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--capture", "--baseline"])
+    def test_second_file_for_a_motor_exits_2(self, gcode_file, tmp_path, capsys, flag):
+        _build_pipeline(gcode_file, tmp_path)
+        _simulate(gcode_file, tmp_path / "probe2", seed=101)
+        argv = ["detect", "--out", str(tmp_path)]
+        for motor in "XY":
+            argv += ["--capture", str(tmp_path / "probe" / f"part_{motor}.ptrc")]
+            argv += ["--baseline", str(tmp_path / f"{motor}.ptrb")]
+        if flag == "--capture":
+            argv += [flag, str(tmp_path / "probe2" / "part_Y.ptrc")]
+        else:
+            argv += [flag, str(tmp_path / "Y.ptrb")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"two {flag} files for motor Y" in err
+
 
 class TestExperimentCommand:
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -261,6 +277,14 @@ class TestExperimentCommand:
         config = tmp_path / "exp.cfg"
         config.write_text("golden_counts = 3\n")
         assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+
+    def test_noise_seed_rejected_in_favour_of_seed(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("golden_count = 2\nnoise.seed = 5\n")
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'noise.seed'" in err and "top-level 'seed'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_small_experiment_via_config_file(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

@@ -1,7 +1,13 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from powertrace import detect
 from powertrace.detect import (
     DetectionConfig,
     DetectionError,
@@ -38,7 +44,41 @@ def brute_force_moving_average(values, window):
     return out
 
 
+def gather_smooth(values, window):
+    """The shrunken moving average gathered at every sample: smooth's reference."""
+    if window == 1:
+        return values
+    n = len(values)
+    csum = np.concatenate(([0.0], np.cumsum(values.astype(np.float64))))
+    idx = np.arange(n)
+    lo = np.maximum(idx - (window - 1) // 2, 0)
+    hi = np.minimum(idx + window // 2 + 1, n)
+    return ((csum[hi] - csum[lo]) / (hi - lo)).astype(np.float32)
+
+
+_FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
 class TestSmooth:
+    def test_bit_identical_to_gather_for_every_length_and_window(self):
+        values = np.random.default_rng(7).normal(0.0, 1.0, 300).astype(np.float32)
+        for n in range(1, 301):
+            prefix = values[:n]
+            for window in range(1, n + 1):
+                got = smooth(_trace(prefix), window).samples
+                assert got.dtype == np.float32
+                assert got.tobytes() == gather_smooth(prefix, window).tobytes(), (n, window)
+
+    @given(
+        arrays(np.float32, st.integers(1, 300), elements=st.floats(-2.0**100, 2.0**100, width=32)),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_gather_on_arbitrary_values(self, values, data):
+        window = data.draw(st.integers(1, len(values)), label="window")
+        got = smooth(_trace(values), window).samples
+        assert got.tobytes() == gather_smooth(values, window).tobytes()
+
     def test_constant_trace_unchanged(self):
         trace = _trace([2.5] * 50)
         assert np.allclose(smooth(trace, 20).samples, 2.5)
@@ -150,6 +190,19 @@ class TestBaseline:
 
 
 class TestDeviationAndExcess:
+    @given(st.integers(1, 200).flatmap(
+        lambda n: st.tuples(arrays(np.float32, n, elements=_FINITE_F32),
+                            arrays(np.float32, n, elements=_FINITE_F32))
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_deviation_bit_identical_to_float64_difference(self, pair):
+        captured, reference = pair
+        baseline = build_baseline([_trace(reference), _trace(reference)])
+        got = deviation(_trace(captured), baseline)
+        expected = np.abs(captured.astype(np.float64) - reference.astype(np.float64))
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
     def test_reference_deviates_zero_from_itself(self):
         traces = [_trace([0.5, 1.5, -0.25]), _trace([0.25, 1.0, 0.0])]
         baseline = build_baseline(traces)
@@ -260,6 +313,33 @@ class TestDetectPrint:
         assert result.reports[Motor.Y].verdict is Verdict.MALICIOUS
         assert result.reports[Motor.X].verdict is Verdict.BENIGN
 
+    @pytest.mark.parametrize("capture_length", [60, 100, 150])
+    def test_matches_public_pipeline_on_the_common_window(self, capture_length):
+        rng = np.random.default_rng(capture_length)
+        golden = [_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)]
+        baseline = build_baseline(golden)
+        capture = _trace(rng.normal(0.0, 0.3, capture_length))
+        config = DetectionConfig(smoothing_window=5, run_requirement=3)
+        result = detect_print({Motor.X: capture}, {Motor.X: baseline}, config)
+        length = min(capture_length, 100)
+        smoothed = smooth(capture, 5).samples[:length]
+        expected_dev = np.abs(
+            smoothed.astype(np.float64) - baseline.reference_trace.samples[:length]
+        )
+        assert result.deviations[Motor.X].tobytes() == expected_dev.tobytes()
+        expected_excess = np.maximum(0.0, expected_dev - baseline.pointwise_sd[:length])
+        assert result.excesses[Motor.X].tobytes() == expected_excess.tobytes()
+        report = result.reports[Motor.X]
+        # A shorter capture keeps the full print window's threshold.
+        assert report == classify(expected_dev, baseline, config.margin, 3)
+        assert report.threshold == baseline.peak_sd + config.margin
+
+    def test_sample_rate_mismatch_is_an_error(self):
+        baseline = _flat_baseline()
+        capture = _trace(np.zeros(500), rate=1000.0)
+        with pytest.raises(DetectionError, match="sample rate"):
+            detect_print({Motor.X: capture}, {Motor.X: baseline})
+
     def test_longer_capture_is_windowed_to_baseline(self):
         baseline = _flat_baseline(n=100)
         capture = _trace(np.zeros(150))
@@ -277,3 +357,34 @@ def test_export_series_csv(tmp_path):
     assert lines[1] == "0.000000,0.000000"
     assert lines[2] == "1.000000,1.000000"
     assert len(lines) == 3
+
+
+def csv_writer_reference(series, sample_rate, stride):
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["time_s", "amps"])
+    for i in range(0, len(series), stride):
+        writer.writerow([f"{i / sample_rate:.6f}", f"{series[i]:.6f}"])
+    return handle.getvalue().encode()
+
+
+@given(
+    arrays(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 40),
+        elements=st.floats(-1e6, 1e6, width=32),
+    ),
+    st.integers(1, 7),
+    st.sampled_from([25_000.0, 3.0, 1e-3]),
+    st.integers(1, 4),
+)
+@example(np.array([]), 1, 25_000.0, 1)
+@example(np.array([0.25]), 3, 25_000.0, 1)
+@example(np.arange(10.0), 3, 2.0, 2)
+@settings(max_examples=150, deadline=None)
+def test_export_series_csv_bytes_match_csv_writer(tmp_path_factory, series, stride, rate, chunk):
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    # A tiny chunk puts chunk boundaries inside short series.
+    with mock.patch.object(detect, "_EXPORT_CHUNK_ROWS", chunk):
+        export_series_csv(series, rate, path, stride=stride)
+    assert path.read_bytes() == csv_writer_reference(series, rate, stride)
