@@ -17,7 +17,6 @@ from .planner import (
     MotionSegment,
     PlanError,
     PrinterProfile,
-    plan_duration,
     plan_motion,
 )
 from .tracesim import (

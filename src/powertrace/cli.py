@@ -9,7 +9,6 @@ as ``report key=value`` lines so scripts can grep them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob as globmod
 import sys
 from pathlib import Path
@@ -21,8 +20,7 @@ from .gcode import GCodeError, parse_gcode, serialize
 from .harness import (
     ExperimentConfig,
     ExperimentError,
-    default_attacks,
-    load_program,
+    load_experiment_config,
     render_matrix,
     run_experiment,
 )
@@ -167,7 +165,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     program = parse_gcode(text)
-    payload = configmod.parse_payload(args.payload, "--payload") if args.payload else None
+    payload = configmod.parse_payload(args.payload) if args.payload else None
     spec = AttackSpec(
         kind=AttackKind(args.kind),
         layer=args.layer,
@@ -254,7 +252,9 @@ def _one_per_motor(items: list, flag: str) -> dict:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    config = ExperimentConfig(seed=args.seed, profile=_load_profile_arg(args))
+    if args.config is not None:
+        config = load_experiment_config(args.config, config)
     _print_config(
         args,
         golden_count=config.golden_count,
@@ -265,109 +265,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(render_matrix(matrix), end="")
     print(f"artifacts written under {args.out}")
     return EXIT_OK
-
-
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    base = ExperimentConfig(seed=args.seed, profile=_load_profile_arg(args))
-    if args.config is None:
-        return base
-    pairs = configmod.read_kv_file(args.config)
-    source = str(args.config)
-    known_scalar = {
-        "program",
-        "golden_count",
-        "malicious_count",
-        "seed",
-        "visible_factor",
-        "series_stride",
-        "save_traces",
-        "smoothing_window",
-        "margin",
-        "run_requirement",
-    }
-    profile_pairs = {}
-    noise_pairs = {}
-    attack_pairs = {}
-    for key, value in pairs.items():
-        if key in known_scalar:
-            continue
-        if key.startswith(("steps_per_mm.", "max_feed.")) or key in (
-            "rated_phase_current",
-            "default_feed",
-        ):
-            profile_pairs[key] = value
-        elif key == "noise.seed":
-            raise configmod.ConfigError(
-                f"{source}: 'noise.seed' is not used by experiments, which seed every "
-                "print from the top-level 'seed' key; set 'seed' instead"
-            )
-        elif key.startswith("noise."):
-            noise_pairs[key.removeprefix("noise.")] = value
-        elif key.startswith("attack."):
-            attack_pairs[key.removeprefix("attack.")] = value
-        else:
-            raise configmod.ConfigError(f"{source}: unknown key {key!r}")
-
-    profile = configmod.profile_from_pairs(profile_pairs, source) if profile_pairs else base.profile
-    noise = configmod.noise_from_pairs(noise_pairs, source) if noise_pairs else base.noise
-    detection = configmod.detection_from_pairs(pairs, source)
-    config = dataclasses.replace(
-        base,
-        program_path=pairs.get("program") or None,
-        profile=profile,
-        noise=noise,
-        detection=detection,
-        golden_count=configmod._get_int(pairs, "golden_count", base.golden_count, source),
-        malicious_count=configmod._get_int(pairs, "malicious_count", base.malicious_count, source),
-        seed=configmod._get_int(pairs, "seed", args.seed, source),
-        visible_factor=configmod._get_float(pairs, "visible_factor", base.visible_factor, source),
-        series_stride=configmod._get_int(pairs, "series_stride", base.series_stride, source),
-        save_traces=configmod._get_bool(pairs, "save_traces", base.save_traces, source),
-    )
-    if attack_pairs:
-        config = dataclasses.replace(config, attacks=_attacks_from_pairs(config, attack_pairs, source))
-    return config
-
-
-def _attacks_from_pairs(
-    config: ExperimentConfig, pairs: dict[str, str], source: str
-) -> dict[str, tuple[AttackSpec, ...]]:
-    """Override individual fields of the default attack specs.
-
-    Keys look like ``attack.insert.layer``; the reorder row accepts
-    ``reorder`` and ``reorder1`` groups for its two swaps.
-    """
-    program = load_program(config)
-    attacks = {row: list(specs) for row, specs in default_attacks(program).items()}
-    group_map = {
-        "insert": ("insert", 0),
-        "delete": ("delete", 0),
-        "void": ("void", 0),
-        "reorder": ("reorder", 0),
-        "reorder0": ("reorder", 0),
-        "reorder1": ("reorder", 1),
-    }
-    for key, value in pairs.items():
-        group, _, field_name = key.partition(".")
-        if group not in group_map or not field_name:
-            raise configmod.ConfigError(f"{source}: unknown attack key {key!r}")
-        row, index = group_map[group]
-        spec = attacks[row][index]
-        try:
-            if field_name == "layer":
-                spec = dataclasses.replace(spec, layer=int(value))
-            elif field_name == "position":
-                spec = dataclasses.replace(spec, position=int(value))
-            elif field_name == "pair_offset":
-                spec = dataclasses.replace(spec, pair_offset=int(value))
-            elif field_name == "payload":
-                spec = dataclasses.replace(spec, payload=configmod.parse_payload(value, source))
-            else:
-                raise configmod.ConfigError(f"{source}: unknown attack field {field_name!r}")
-        except ValueError as exc:
-            raise configmod.ConfigError(f"{source}: bad value for {key!r}: {exc}") from None
-        attacks[row][index] = spec
-    return {row: tuple(specs) for row, specs in attacks.items()}
 
 
 if __name__ == "__main__":

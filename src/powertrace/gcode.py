@@ -21,7 +21,6 @@ __all__ = [
     "GCodeProgram",
     "parse_line",
     "parse_gcode",
-    "detect_layers",
     "make_program",
     "serialize",
     "command_text",
@@ -210,8 +209,8 @@ def make_program(commands: tuple[Command, ...] | list[Command]) -> GCodeProgram:
     return GCodeProgram(commands=commands, layers=_derive_layers(commands))
 
 
-def detect_layers(program: GCodeProgram) -> list[tuple[int, int]]:
-    """Recompute (layer_index, first_command_index) boundaries.
+def _derive_layers(commands: tuple[Command, ...]) -> tuple[tuple[int, int], ...]:
+    """(layer_index, first_command_index) boundaries.
 
     ``;LAYER:n`` comments override the Z-increase heuristic whenever any are
     present.  Under the heuristic a new layer starts at each command that
@@ -219,10 +218,6 @@ def detect_layers(program: GCodeProgram) -> list[tuple[int, int]]:
     single layer covering everything.  Layer indices are assigned by
     enumeration order so both tuple fields are strictly increasing.
     """
-    return list(_derive_layers(program.commands))
-
-
-def _derive_layers(commands: tuple[Command, ...]) -> tuple[tuple[int, int], ...]:
     marker_starts = [
         i
         for i, cmd in enumerate(commands)

@@ -25,6 +25,20 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackKind, AttackSpec, apply_attack
+from .config import (
+    DETECTION_KEYS,
+    NOISE_LEVEL_KEYS,
+    PROFILE_KEYS,
+    ConfigError,
+    Key,
+    apply_pairs,
+    dump_pairs,
+    keys,
+    mount,
+    parse_bool,
+    parse_payload,
+    read_kv_file,
+)
 from .detect import (
     DetectionConfig,
     GoldenBaseline,
@@ -50,6 +64,8 @@ __all__ = [
     "benchmark_object",
     "default_attacks",
     "load_program",
+    "load_experiment_config",
+    "dump_experiment_config",
     "run_experiment",
     "render_matrix",
 ]
@@ -72,7 +88,6 @@ class CellOutcome(Enum):
     DETECTED = "detected"
     NOT_DETECTED = "not-detected"
     VISIBLE = "visible"
-    IRRELEVANT = "irrelevant"
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,14 @@ class DetectabilityMatrix:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to rerun the experiment bit-for-bit."""
+    """Everything needed to rerun the experiment bit-for-bit.
+
+    :func:`run_experiment` writes the config it ran as ``config.txt``, and
+    :func:`load_experiment_config` reads that file back to an equal config,
+    so a run can be repeated from its own artifacts.  ``attacks=None`` means
+    :func:`default_attacks` of the program.  Captures are sampled at
+    ``tracesim.SAMPLE_RATE``.
+    """
 
     program_path: str | None = None  # None: bundled benchmark object
     profile: PrinterProfile = DEFAULT_PROFILE
@@ -106,7 +128,6 @@ class ExperimentConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     visible_factor: float = 2.0
     seed: int = 0
-    sample_rate: float = SAMPLE_RATE
     series_stride: int = 250
     save_traces: bool = False
     attacks: dict[str, tuple[AttackSpec, ...]] | None = None  # None: defaults
@@ -120,6 +141,71 @@ class ExperimentConfig:
             raise ExperimentError("visible_factor must be > 0")
         if self.series_stride < 1:
             raise ExperimentError("series_stride must be >= 1")
+
+
+# ---------------------------------------------------------------------------
+# Config file
+
+_EXPERIMENT_KEYS = (
+    Key("program", lambda text: text or None, ("program_path",)),
+    *keys(int, "golden_count", "malicious_count", "seed"),
+    *mount(DETECTION_KEYS, ("detection",)),
+    *keys(float, "visible_factor"),
+    *keys(int, "series_stride"),
+    *keys(parse_bool, "save_traces"),
+    *mount(PROFILE_KEYS, ("profile",)),
+    *mount(NOISE_LEVEL_KEYS, ("noise",), "noise."),
+)
+_ATTACK_PREFIX = "attack."
+_ATTACK_FIELDS = keys(int, "layer", "position", "pair_offset") + (
+    Key("payload", parse_payload, ("payload",), command_text),
+)
+
+
+def _attack_keys(attacks: dict[str, tuple[AttackSpec, ...]]) -> tuple[Key, ...]:
+    """``attack.<row>[i].<field>`` keys for the specs in ``attacks``.
+
+    The index is written only for rows of several specs; for those, the
+    bare row name is accepted as an alias of index 0.
+    """
+    table: list[Key] = []
+    for row, specs in attacks.items():
+        groups = [f"{row}{i}" for i in range(len(specs))] if len(specs) > 1 else [row]
+        for i, group in enumerate(groups):
+            table += mount(_ATTACK_FIELDS, ("attacks", row, i), f"{_ATTACK_PREFIX}{group}.")
+        if len(specs) > 1:
+            table += mount(_ATTACK_FIELDS, ("attacks", row, 0), f"{_ATTACK_PREFIX}{row}.")
+    return tuple(table)
+
+
+def load_experiment_config(path: str | Path, base: ExperimentConfig) -> ExperimentConfig:
+    """Apply an experiment config file onto ``base``, key by key.
+
+    A key the file does not set keeps its ``base`` value.  Attack keys
+    override single fields of ``base.attacks``, or of the default attacks
+    when that is ``None``.
+    """
+    pairs = read_kv_file(path)
+    source = str(path)
+    if "noise.seed" in pairs:
+        raise ConfigError(
+            f"{source}: 'noise.seed' is not used by experiments, which seed every "
+            "print from the top-level 'seed' key; set 'seed' instead"
+        )
+    attack_pairs = {k: v for k, v in pairs.items() if k.startswith(_ATTACK_PREFIX)}
+    other_pairs = {k: v for k, v in pairs.items() if k not in attack_pairs}
+    config = apply_pairs(base, _EXPERIMENT_KEYS, other_pairs, source)
+    if not attack_pairs:
+        return config
+    attacks = config.attacks if config.attacks is not None else default_attacks(load_program(config))
+    config = dataclasses.replace(config, attacks=attacks)
+    return apply_pairs(config, _attack_keys(attacks), attack_pairs, source)
+
+
+def dump_experiment_config(config: ExperimentConfig) -> str:
+    """The text of ``config.txt``: every key that ``config`` sets."""
+    attack_keys = _attack_keys(config.attacks) if config.attacks is not None else ()
+    return dump_pairs(config, _EXPERIMENT_KEYS + attack_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +372,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
         if row not in attacks:
             raise ExperimentError(f"no attack spec configured for {row!r}")
 
-    _write_config_dump(config, attacks, out / "config.txt")
+    config = dataclasses.replace(config, attacks=attacks)
+    (out / "config.txt").write_text(dump_experiment_config(config))
 
     baselines = _build_baselines(program, config, out)
     windows = _attack_windows(program, attacks, config, baselines)
@@ -374,7 +461,7 @@ def _build_baselines(
     for i in range(config.golden_count):
         seed = config.seed + _GOLDEN_SEED_BASE + i
         traces = simulate_print(
-            program, config.profile, config.noise, seed=seed, sample_rate=config.sample_rate
+            program, config.profile, config.noise, seed=seed
         )
         for motor in MOTORS:
             aligned = align_to_trigger(traces[motor])
@@ -400,7 +487,7 @@ def _run_row(
     results = []
     for run_index, seed in enumerate(seeds):
         traces = simulate_print(
-            program, config.profile, config.noise, seed=seed, sample_rate=config.sample_rate
+            program, config.profile, config.noise, seed=seed
         )
         aligned = {motor: align_to_trigger(traces[motor]) for motor in MOTORS}
         result = detect_print(aligned, baselines, config.detection)
@@ -465,11 +552,11 @@ def _attack_windows(
             indices.append(program.command_index(spec.layer, offset))
         first = min(indices)
         t_start = starts[first] - plan.trigger_time
-        start_idx = max(0, min(int(t_start * config.sample_rate), length - 1))
+        start_idx = max(0, min(int(t_start * SAMPLE_RATE), length - 1))
         end_idx = length
         if all(spec.kind is AttackKind.VOID for spec in specs):
             t_end = starts[max(indices)] - plan.trigger_time + _VOID_SETTLE_S
-            end_idx = max(start_idx + 1, min(int(t_end * config.sample_rate), length))
+            end_idx = max(start_idx + 1, min(int(t_end * SAMPLE_RATE), length))
         windows[row] = (start_idx, end_idx)
     return windows
 
@@ -519,50 +606,10 @@ def _write_run_report(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_config_dump(
-    config: ExperimentConfig, attacks: dict[str, tuple[AttackSpec, ...]], path: Path
-) -> None:
-    profile = config.profile
-    noise = config.noise
-    lines = [
-        f"program = {config.program_path or 'builtin-benchmark'}",
-        f"golden_count = {config.golden_count}",
-        f"malicious_count = {config.malicious_count}",
-        f"seed = {config.seed}",
-        f"sample_rate = {config.sample_rate}",
-        f"smoothing_window = {config.detection.smoothing_window}",
-        f"margin = {config.detection.margin}",
-        f"run_requirement = {config.detection.run_requirement}",
-        f"visible_factor = {config.visible_factor}",
-        f"series_stride = {config.series_stride}",
-        f"save_traces = {config.save_traces}",
-    ]
-    for axis in "xyze":
-        lines.append(f"steps_per_mm.{axis} = {getattr(profile.steps_per_mm, axis)}")
-    for axis in "xyze":
-        lines.append(f"max_feed.{axis} = {getattr(profile.max_feed, axis)}")
-    lines.append(f"rated_phase_current = {profile.rated_phase_current}")
-    lines.append(f"default_feed = {profile.default_feed}")
-    lines.append(f"idle_noise_sd = {noise.idle_noise_sd}")
-    lines.append(f"phase_jitter_sd = {noise.phase_jitter_sd}")
-    lines.append(f"amplitude_noise_sd = {noise.amplitude_noise_sd}")
-    for row, specs in attacks.items():
-        for i, spec in enumerate(specs):
-            prefix = f"attack.{row}{i if len(specs) > 1 else ''}"
-            lines.append(f"{prefix}.layer = {spec.layer}")
-            lines.append(f"{prefix}.position = {spec.position}")
-            if spec.pair_offset is not None:
-                lines.append(f"{prefix}.pair_offset = {spec.pair_offset}")
-            if spec.payload is not None:
-                lines.append(f"{prefix}.payload = {command_text(spec.payload)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 _CELL_TEXT = {
     CellOutcome.DETECTED: "DETECTED",
     CellOutcome.NOT_DETECTED: "not-detected",
     CellOutcome.VISIBLE: "visible",
-    CellOutcome.IRRELEVANT: "irrelevant",
 }
 
 

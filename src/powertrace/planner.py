@@ -26,7 +26,6 @@ __all__ = [
     "MotionSegment",
     "MotionPlan",
     "plan_motion",
-    "plan_duration",
     "command_start_times",
 ]
 
@@ -153,11 +152,6 @@ def plan_motion(program: GCodeProgram, profile: PrinterProfile = DEFAULT_PROFILE
         total_duration=total,
         trigger_time=_trigger_time(program, timings),
     )
-
-
-def plan_duration(plan: MotionPlan) -> float:
-    """Total print duration in seconds (sum of per-command durations)."""
-    return plan.total_duration
 
 
 def command_start_times(program: GCodeProgram, profile: PrinterProfile = DEFAULT_PROFILE) -> list[float]:

@@ -12,7 +12,9 @@ All integers and floats are little-endian; samples are float32.
 from __future__ import annotations
 
 import csv
+import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +43,27 @@ BASELINE_MAGIC = b"PTRB"
 FORMAT_VERSION = 1
 _UNITS_AMPS = 0
 
-# magic, version, motor code, units code, sample_rate, trigger_index, sample_count
-_TRACE_HEADER = struct.Struct("<4sHBBdQQ")
-# magic, version, motor code, units code, sample_rate, source_count,
-# print_end_index, sample_count, peak_sd
-_BASELINE_HEADER = struct.Struct("<4sHBBdQQQd")
+# Every container starts with this prefix: magic, version, motor code,
+# units code, sample_rate.
+_PREFIX = struct.Struct("<4sHBBd")
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A container after the shared prefix: header fields, then one array per
+    per-sample column, each ``sample count`` long."""
+
+    magic: bytes
+    fields: struct.Struct
+    count_field: int  # index of the sample count within ``fields``
+    body: tuple[str, ...]  # dtype of each array, in file order
+
+
+# fields: trigger_index, sample_count; body: samples
+_TRACE = _Layout(TRACE_MAGIC, struct.Struct("<QQ"), 1, ("<f4",))
+# fields: source_count, print_end_index, sample_count, peak_sd;
+# body: pointwise mean, pointwise sd, reference samples
+_BASELINE = _Layout(BASELINE_MAGIC, struct.Struct("<QQQd"), 2, ("<f8", "<f8", "<f4"))
 
 _CSV_UNIFORMITY_TOL = 1e-6  # 1 ppm
 
@@ -60,52 +78,13 @@ class CaptureIOError(OSError):
 
 def save_trace(trace: MotorTrace, path: str | Path) -> None:
     """Write a trace; ``load_trace`` returns it bit-exactly."""
-    path = Path(path)
-    header = _TRACE_HEADER.pack(
-        TRACE_MAGIC,
-        FORMAT_VERSION,
-        trace.motor.code,
-        _UNITS_AMPS,
-        float(trace.sample_rate),
-        int(trace.trigger_index),
-        len(trace.samples),
-    )
-    body = np.ascontiguousarray(trace.samples, dtype="<f4").tobytes()
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(header + body)
-    except OSError as exc:
-        raise CaptureIOError(f"{path}: {exc}") from exc
+    fields = (int(trace.trigger_index), len(trace.samples))
+    _write(path, _TRACE, trace.motor, trace.sample_rate, fields, (trace.samples,))
 
 
 def load_trace(path: str | Path) -> MotorTrace:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise CaptureIOError(f"{path}: {exc}") from exc
-    if len(blob) < _TRACE_HEADER.size:
-        raise CaptureFormatError(f"{path}: truncated header")
-    magic, version, motor_code, units, rate, trigger, count = _TRACE_HEADER.unpack_from(blob)
-    if magic != TRACE_MAGIC:
-        raise CaptureFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise CaptureFormatError(f"{path}: unsupported version {version}")
-    if units != _UNITS_AMPS:
-        raise CaptureFormatError(f"{path}: unknown units code {units}")
-    body = blob[_TRACE_HEADER.size :]
-    expected = count * 4
-    if len(body) < expected:
-        raise CaptureFormatError(f"{path}: unexpected end of samples")
-    if len(body) > expected:
-        raise CaptureFormatError(f"{path}: trailing bytes after samples")
-    samples = np.frombuffer(body, dtype="<f4", count=count)
-    return MotorTrace(
-        motor=_motor_from_code(motor_code, path),
-        sample_rate=rate,
-        samples=samples,
-        trigger_index=trigger,
-    )
+    motor, rate, (trigger, _), (samples,) = _read(path, _TRACE)
+    return MotorTrace(motor=motor, sample_rate=rate, samples=samples, trigger_index=trigger)
 
 
 def import_csv(
@@ -208,68 +187,19 @@ def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
 
 def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
     """Persist a baseline: header, mean (f64), sd (f64), reference (f32)."""
-    path = Path(path)
-    header = _BASELINE_HEADER.pack(
-        BASELINE_MAGIC,
-        FORMAT_VERSION,
-        baseline.motor.code,
-        _UNITS_AMPS,
-        float(baseline.sample_rate),
+    fields = (
         baseline.source_count,
         baseline.print_end_index,
         baseline.sample_count,
         baseline.peak_sd,
     )
-    blob = (
-        header
-        + np.ascontiguousarray(baseline.pointwise_mean, dtype="<f8").tobytes()
-        + np.ascontiguousarray(baseline.pointwise_sd, dtype="<f8").tobytes()
-        + np.ascontiguousarray(baseline.reference_trace.samples, dtype="<f4").tobytes()
-    )
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(blob)
-    except OSError as exc:
-        raise CaptureIOError(f"{path}: {exc}") from exc
+    arrays = (baseline.pointwise_mean, baseline.pointwise_sd, baseline.reference_trace.samples)
+    _write(path, _BASELINE, baseline.motor, baseline.sample_rate, fields, arrays)
 
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise CaptureIOError(f"{path}: {exc}") from exc
-    if len(blob) < _BASELINE_HEADER.size:
-        raise CaptureFormatError(f"{path}: truncated header")
-    (
-        magic,
-        version,
-        motor_code,
-        units,
-        rate,
-        source_count,
-        print_end_index,
-        count,
-        peak_sd,
-    ) = _BASELINE_HEADER.unpack_from(blob)
-    if magic != BASELINE_MAGIC:
-        raise CaptureFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise CaptureFormatError(f"{path}: unsupported version {version}")
-    if units != _UNITS_AMPS:
-        raise CaptureFormatError(f"{path}: unknown units code {units}")
-    offset = _BASELINE_HEADER.size
-    expected = offset + count * 8 * 2 + count * 4
-    if len(blob) < expected:
-        raise CaptureFormatError(f"{path}: unexpected end of samples")
-    if len(blob) > expected:
-        raise CaptureFormatError(f"{path}: trailing bytes after samples")
-    mean = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    offset += count * 8
-    sd = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    offset += count * 8
-    reference = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    motor = _motor_from_code(motor_code, path)
+    motor, rate, fields, (mean, sd, reference) = _read(path, _BASELINE)
+    source_count, print_end_index, _, peak_sd = fields
     return GoldenBaseline(
         motor=motor,
         sample_rate=rate,
@@ -284,10 +214,60 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
     )
 
 
-def _motor_from_code(code: int, path: Path) -> Motor:
-    if not 0 <= code < len(MOTORS):
-        raise CaptureFormatError(f"{path}: unknown motor code {code}")
-    return MOTORS[code]
+def _write(
+    path: str | Path,
+    layout: _Layout,
+    motor: Motor,
+    sample_rate: float,
+    fields: tuple,
+    arrays: tuple[np.ndarray, ...],
+) -> None:
+    path = Path(path)
+    header = _PREFIX.pack(layout.magic, FORMAT_VERSION, motor.code, _UNITS_AMPS, float(sample_rate))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("wb") as handle:
+            handle.write(header + layout.fields.pack(*fields))
+            for array, dtype in zip(arrays, layout.body):
+                handle.write(np.ascontiguousarray(array, dtype=dtype).data)
+    except OSError as exc:
+        raise CaptureIOError(f"{path}: {exc}") from exc
+
+
+def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[np.ndarray]]:
+    """Read and validate a container: motor, sample rate, header fields, arrays."""
+    path = Path(path)
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise CaptureIOError(f"{path}: {exc}") from exc
+    offset = _PREFIX.size + layout.fields.size
+    if len(blob) < offset:
+        raise CaptureFormatError(f"{path}: truncated header")
+    magic, version, motor_code, units, rate = _PREFIX.unpack_from(blob)
+    if magic != layout.magic:
+        raise CaptureFormatError(f"{path}: bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise CaptureFormatError(f"{path}: unsupported version {version}")
+    if units != _UNITS_AMPS:
+        raise CaptureFormatError(f"{path}: unknown units code {units}")
+    if motor_code >= len(MOTORS):
+        raise CaptureFormatError(f"{path}: unknown motor code {motor_code}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise CaptureFormatError(f"{path}: sample rate must be finite and > 0, got {rate}")
+    fields = layout.fields.unpack_from(blob, _PREFIX.size)
+    count = fields[layout.count_field]
+    dtypes = [np.dtype(dtype) for dtype in layout.body]
+    expected = offset + count * sum(dtype.itemsize for dtype in dtypes)
+    if len(blob) < expected:
+        raise CaptureFormatError(f"{path}: unexpected end of samples")
+    if len(blob) > expected:
+        raise CaptureFormatError(f"{path}: trailing bytes after samples")
+    arrays = []
+    for dtype in dtypes:
+        arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=offset))
+        offset += count * dtype.itemsize
+    return MOTORS[motor_code], rate, fields, arrays
 
 
 def _is_numeric_row(row: list[str]) -> bool:

@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from powertrace.cli import main
+from powertrace.config import ConfigError
+from powertrace.harness import ExperimentConfig, ExperimentError, load_experiment_config
 from powertrace.traceio import load_baseline
 
 GCODE = """\
@@ -294,13 +296,24 @@ class TestExperimentCommand:
         assert "DETECTED" in out
         assert (tmp_path / "out" / "matrix.txt").is_file()
 
+    def test_config_txt_reruns_the_experiment_byte_for_byte(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text("golden_count = 2\nmalicious_count = 1\n")
+        first, second = tmp_path / "out", tmp_path / "out2"
+        assert main(["experiment", str(config), "--out", str(first)]) == 0
+        assert main(["experiment", str(first / "config.txt"), "--out", str(second)]) == 0
+        names = ["matrix.txt", "matrix.csv", "config.txt"]
+        names += [f"reports/{p.name}" for p in sorted((first / "reports").iterdir())]
+        names += [f"baselines/{p.name}" for p in sorted((first / "baselines").glob("*.ptrb"))]
+        assert len(names) == 3 + 5 + 4
+        text = (first / "config.txt").read_text()
+        assert "attack.reorder1.pair_offset = 9\n" in text and "attack.reorder." not in text
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
 
 class TestExperimentConfigParsing:
     def test_attack_overrides_parsed(self, tmp_path):
-        import argparse
-
-        from powertrace.cli import _experiment_config
-
         config_file = tmp_path / "exp.cfg"
         config_file.write_text(
             "golden_count = 2\n"
@@ -311,8 +324,7 @@ class TestExperimentConfigParsing:
             "noise.idle_noise_sd = 0.01\n"
             "steps_per_mm.x = 10\n"
         )
-        args = argparse.Namespace(config=config_file, seed=0, profile=None, out=tmp_path)
-        config = _experiment_config(args)
+        config = load_experiment_config(config_file, ExperimentConfig())
         assert config.golden_count == 2
         assert config.noise.idle_noise_sd == 0.01
         assert config.profile.steps_per_mm.x == 10.0
@@ -323,16 +335,34 @@ class TestExperimentConfigParsing:
         assert config.attacks["reorder"][0].pair_offset != 11
 
     def test_unknown_attack_field_rejected(self, tmp_path):
-        import argparse
-
-        from powertrace.cli import _experiment_config
-        from powertrace.config import ConfigError
-
         config_file = tmp_path / "exp.cfg"
         config_file.write_text("attack.insert.speed = 3\n")
-        args = argparse.Namespace(config=config_file, seed=0, profile=None, out=tmp_path)
-        with pytest.raises(ConfigError, match="unknown attack field"):
-            _experiment_config(args)
+        with pytest.raises(ConfigError, match="unknown key 'attack.insert.speed'"):
+            load_experiment_config(config_file, ExperimentConfig())
+
+    def test_profile_and_seed_flags_survive_unless_the_file_sets_the_key(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression: a config setting one profile key used to reset every
+        # other profile key to the default profile, dropping --profile.
+        profile = tmp_path / "printer.cfg"
+        profile.write_text("max_feed.x = 1000\nsteps_per_mm.y = 9\n")
+        config_file = tmp_path / "exp.cfg"
+        config_file.write_text("steps_per_mm.x = 10\nsteps_per_mm.y = 7\n")
+        seen = []
+
+        def fake_run(config, out_dir):
+            seen.append(config)
+            raise ExperimentError("stop before simulating")
+
+        monkeypatch.setattr("powertrace.cli.run_experiment", fake_run)
+        argv = ["experiment", str(config_file), "--profile", str(profile), "--seed", "4"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        (config,) = seen
+        assert config.profile.max_feed.x == 1000.0
+        assert config.profile.steps_per_mm.x == 10.0
+        assert config.profile.steps_per_mm.y == 7.0
+        assert config.seed == 4
 
 
 class TestProfileConfig:

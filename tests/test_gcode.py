@@ -5,7 +5,6 @@ from powertrace.gcode import (
     Command,
     CommandKind,
     GCodeError,
-    detect_layers,
     make_program,
     parse_gcode,
     parse_line,
@@ -93,8 +92,8 @@ class TestLayers:
         assert program.layers == ((0, 1),)
         assert program.layer_slice(0) == (1, 3)
 
-    def test_detect_layers_matches_program(self, tiny_program):
-        assert detect_layers(tiny_program) == list(tiny_program.layers)
+    def test_make_program_rederives_layers(self, tiny_program):
+        assert make_program(tiny_program.commands).layers == tiny_program.layers
 
     def test_command_index_range_checked(self, tiny_program):
         with pytest.raises(GCodeError):

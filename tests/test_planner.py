@@ -13,7 +13,6 @@ from powertrace.planner import (
     PlanError,
     PrinterProfile,
     command_start_times,
-    plan_duration,
     plan_motion,
 )
 
@@ -98,11 +97,11 @@ class TestPlanShape:
     def test_duration_is_additive(self):
         program = parse_gcode("G1 X10 F600\nG1 X20\n")
         plan = plan_motion(program, _profile())
-        assert plan_duration(plan) == pytest.approx(2.0)
+        assert plan.total_duration == pytest.approx(2.0)
 
     def test_empty_program_is_empty_plan(self):
         plan = plan_motion(parse_gcode(""))
-        assert plan_duration(plan) == 0.0
+        assert plan.total_duration == 0.0
         assert all(not segs for segs in plan.segments.values())
 
     def test_segments_tile_the_timeline(self, tiny_program):
@@ -172,7 +171,7 @@ class TestMutationProperties:
             assert attacked_starts[k + 1] - benign_starts[k] == pytest.approx(
                 duration, abs=1e-9
             )
-        assert plan_duration(attacked) - plan_duration(benign) == pytest.approx(
+        assert attacked.total_duration - benign.total_duration == pytest.approx(
             duration, abs=1e-9
         )
 

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -221,3 +224,46 @@ class TestBaselinePersistence:
         save_trace(_trace(list(range(10))), path)
         with pytest.raises(CaptureFormatError, match="bad magic"):
             load_baseline(path)
+
+
+# Each damage: (byte offset, replacement) in the shared prefix, or a cut or
+# extension of the whole file; then the error text that must follow the path.
+_HEADER_DAMAGE = {
+    "truncated header": ("cut header", "truncated header"),
+    "bad magic": ((0, b"NOPE"), "bad magic"),
+    "version": ((4, struct.pack("<H", 2)), "unsupported version 2"),
+    "units": ((7, b"\x01"), "unknown units code 1"),
+    "motor code": ((6, b"\x04"), "unknown motor code 4"),
+    "short body": ("cut body", "unexpected end of samples"),
+    "trailing bytes": ("extend", "trailing bytes after samples"),
+    "nan rate": ((8, struct.pack("<d", float("nan"))), "sample rate must be finite and > 0"),
+    "inf rate": ((8, struct.pack("<d", float("inf"))), "sample rate must be finite and > 0"),
+    "zero rate": ((8, struct.pack("<d", 0.0)), "sample rate must be finite and > 0"),
+    "negative rate": ((8, struct.pack("<d", -1.0)), "sample rate must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_HEADER_DAMAGE))
+@pytest.mark.parametrize("container", ["ptrc", "ptrb"])
+def test_damaged_container_rejected_naming_the_path(tmp_path, container, damage):
+    path = tmp_path / f"x.{container}"
+    if container == "ptrc":
+        save_trace(_trace([0.5, -0.25, 1.0]), path)
+        load, header_size = load_trace, 32
+    else:
+        save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
+        load, header_size = load_baseline, 48
+    blob = bytearray(path.read_bytes())
+    how, message = _HEADER_DAMAGE[damage]
+    if how == "cut header":
+        del blob[header_size - 1 :]
+    elif how == "cut body":
+        del blob[-1:]
+    elif how == "extend":
+        blob += b"x"
+    else:
+        offset, value = how
+        blob[offset : offset + len(value)] = value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
+        load(path)
