@@ -1,10 +1,10 @@
 """Golden-baseline comparison and threshold classification.
 
-The method: smooth every trace with a short moving average, build pointwise
-statistics over a set of known-good traces of the same motor, compute the
-absolute pointwise deviation of a captured trace from a designated reference
-trace, and flag the capture as malicious when the deviation stays above
-``peak_sd + margin`` for a contiguous run of samples.
+The method: smooth every trace with a short moving average, take the
+pointwise standard deviation over a set of known-good traces of the same
+motor, compute the absolute pointwise deviation of a captured trace from a
+designated reference trace, and flag the capture as malicious when the
+deviation stays above ``peak_sd + margin`` for a contiguous run of samples.
 
 The verdict uses the raw deviation against the peak of the golden standard
 deviation; the sd-subtracted excess series is kept for reporting and
@@ -14,6 +14,7 @@ even when it never crosses the verdict threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -66,46 +67,43 @@ class DetectionConfig:
     def __post_init__(self) -> None:
         if self.smoothing_window < 1:
             raise DetectionError("smoothing_window must be >= 1")
-        if self.margin < 0:
-            raise DetectionError("margin must be >= 0")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise DetectionError("margin must be finite and >= 0")
         if self.run_requirement < 1:
             raise DetectionError("run_requirement must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class GoldenBaseline:
-    """Pointwise statistics over aligned, smoothed golden traces.
+    """Pointwise spread of aligned, smoothed golden traces, and the trace
+    captures are compared to.
 
     ``reference_trace`` is the first golden trace; deviations are measured
     against it, per the protocol of comparing a capture to a known-good trace
-    rather than to the pointwise mean.  ``peak_sd`` is the maximum pointwise
-    sample standard deviation inside the in-print window.
+    rather than to the pointwise mean.  ``peak_sd``, the largest pointwise
+    sample standard deviation, is derived from ``pointwise_sd``.
     """
 
     motor: Motor
     sample_rate: float
-    pointwise_mean: np.ndarray  # float64
     pointwise_sd: np.ndarray  # float64
-    peak_sd: float
     reference_trace: MotorTrace
     source_count: int
-    print_end_index: int
+    peak_sd: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("pointwise_mean", "pointwise_sd"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        sd = np.asarray(self.pointwise_sd, dtype=np.float64)
+        sd.setflags(write=False)
+        object.__setattr__(self, "pointwise_sd", sd)
         if self.source_count < 2:
             raise DetectionError("a baseline needs at least 2 golden traces")
-        if len(self.pointwise_mean) != len(self.pointwise_sd):
-            raise DetectionError("mean/sd length mismatch")
-        if np.any(self.pointwise_sd < 0):
-            raise DetectionError("pointwise_sd must be nonnegative")
+        if len(sd) != len(self.reference_trace.samples):
+            raise DetectionError("sd/reference length mismatch")
+        object.__setattr__(self, "peak_sd", float(sd.max()))
 
     @property
     def sample_count(self) -> int:
-        return len(self.pointwise_mean)
+        return len(self.pointwise_sd)
 
 
 @dataclass(frozen=True)
@@ -185,16 +183,13 @@ def smooth(trace: MotorTrace, window: int = DEFAULT_SMOOTHING_WINDOW) -> MotorTr
     )
 
 
-def build_baseline(
-    golden: list[MotorTrace],
-    print_end_index: int | None = None,
-) -> GoldenBaseline:
-    """Pointwise mean and sample standard deviation over golden traces.
+def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
+    """Pointwise sample standard deviation over golden traces.
 
     Traces must already be aligned, smoothed and cut to a common window.
-    ``print_end_index`` bounds the window used for ``peak_sd`` so that a
-    noisy post-print tail in imported captures cannot inflate the threshold;
-    simulated traces end with the print, so the default is the full trace.
+    The sd is computed in place on the float64 stack of the traces, the
+    same operations as ``stack.std(axis=0, ddof=1)`` and bit-identical to
+    it, without that call's second stack-sized temporary.
     """
     if len(golden) < 2:
         raise DetectionError("a baseline needs at least 2 golden traces")
@@ -208,23 +203,21 @@ def build_baseline(
             raise DetectionError("golden traces mix sample rates")
         if len(trace.samples) != length:
             raise DetectionError("golden traces have mismatched lengths")
-    if print_end_index is None:
-        print_end_index = length
-    if not 0 < print_end_index <= length:
-        raise DetectionError("print_end_index out of range")
 
     stack = np.stack([trace.samples for trace in golden], dtype=np.float64)
-    mean = stack.mean(axis=0)
-    sd = stack.std(axis=0, ddof=1)
+    mean = stack.sum(axis=0, keepdims=True)
+    mean /= len(golden)
+    stack -= mean
+    np.square(stack, out=stack)
+    sd = stack.sum(axis=0)
+    sd /= len(golden) - 1
+    np.sqrt(sd, out=sd)
     return GoldenBaseline(
         motor=motor,
         sample_rate=rate,
-        pointwise_mean=mean,
         pointwise_sd=sd,
-        peak_sd=float(sd[:print_end_index].max()),
         reference_trace=golden[0],
         source_count=len(golden),
-        print_end_index=print_end_index,
     )
 
 
@@ -259,8 +252,7 @@ def classify(
     ``run_requirement`` long.  The sd-subtracted excess is reported separately
     for plotting; the verdict always uses the raw deviation.
     """
-    if run_requirement < 1:
-        raise DetectionError("run_requirement must be >= 1")
+    DetectionConfig(margin=margin, run_requirement=run_requirement)  # validates both
     dev = np.asarray(deviation_series, dtype=np.float64)
     threshold = baseline.peak_sd + margin
     above = np.flatnonzero(dev > threshold)

@@ -73,11 +73,11 @@ __all__ = [
 ATTACK_ROWS = ("insert", "delete", "reorder", "void")
 _ROWS = ("normal",) + ATTACK_ROWS
 
-# Seed blocks keep golden, benign-eval and per-attack capture streams disjoint.
+# Seed blocks keep the golden and the per-row capture streams disjoint: the
+# prints of row i of ``_ROWS`` (normal first) start at seed + 2000 + 1000 i.
 _GOLDEN_SEED_BASE = 1000
-_BENIGN_SEED_BASE = 2000
-_ATTACK_SEED_BASE = 3000
-_ATTACK_SEED_STRIDE = 1000
+_ROW_SEED_BASE = 2000
+_ROW_SEED_STRIDE = 1000
 
 
 class ExperimentError(RuntimeError):
@@ -137,8 +137,8 @@ class ExperimentConfig:
             raise ExperimentError("golden_count must be >= 2 (sd undefined below that)")
         if self.malicious_count < 1:
             raise ExperimentError("malicious_count must be >= 1")
-        if self.visible_factor <= 0:
-            raise ExperimentError("visible_factor must be > 0")
+        if not (math.isfinite(self.visible_factor) and self.visible_factor > 0):
+            raise ExperimentError("visible_factor must be finite and > 0")
         if self.series_stride < 1:
             raise ExperimentError("series_stride must be >= 1")
 
@@ -181,9 +181,10 @@ def _attack_keys(attacks: dict[str, tuple[AttackSpec, ...]]) -> tuple[Key, ...]:
 def load_experiment_config(path: str | Path, base: ExperimentConfig) -> ExperimentConfig:
     """Apply an experiment config file onto ``base``, key by key.
 
-    A key the file does not set keeps its ``base`` value.  Attack keys
-    override single fields of ``base.attacks``, or of the default attacks
-    when that is ``None``.
+    A key the file does not set keeps its ``base`` value.  A relative
+    ``program`` is taken relative to the file's directory and made absolute.
+    Attack keys override single fields of ``base.attacks``, or of the
+    default attacks when that is ``None``.
     """
     pairs = read_kv_file(path)
     source = str(path)
@@ -195,6 +196,10 @@ def load_experiment_config(path: str | Path, base: ExperimentConfig) -> Experime
     attack_pairs = {k: v for k, v in pairs.items() if k.startswith(_ATTACK_PREFIX)}
     other_pairs = {k: v for k, v in pairs.items() if k not in attack_pairs}
     config = apply_pairs(base, _EXPERIMENT_KEYS, other_pairs, source)
+    program = config.program_path
+    if "program" in pairs and program is not None and not Path(program).is_absolute():
+        program = str(Path(path).parent.absolute() / program)
+        config = dataclasses.replace(config, program_path=program)
     if not attack_pairs:
         return config
     attacks = config.attacks if config.attacks is not None else default_attacks(load_program(config))
@@ -378,55 +383,37 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     baselines = _build_baselines(program, config, out)
     windows = _attack_windows(program, attacks, config, baselines)
 
-    benign_results = _run_row(
-        "normal", program, config, baselines,
-        seeds=[config.seed + _BENIGN_SEED_BASE + i for i in range(config.malicious_count)],
-        out=out,
-    )
-    benign_window_excess = {
-        row: _mean_window_excess(benign_results, windows[row]) for row in ATTACK_ROWS
-    }
-
+    # The normal row runs first and is measured in every attack's window,
+    # so each attack row's excess ratio compares like with like.
     cells: dict[tuple[str, Motor], MatrixCell] = {}
-    for motor in MOTORS:
-        detected = sum(
-            1 for result in benign_results if result.reports[motor].verdict is Verdict.MALICIOUS
-        )
-        outcome = CellOutcome.DETECTED if detected == len(benign_results) else (
-            CellOutcome.NOT_DETECTED
-        )
-        cells[("normal", motor)] = MatrixCell(
-            outcome=outcome,
-            detected_runs=detected,
-            total_runs=len(benign_results),
-        )
-
-    for attack_index, row in enumerate(ATTACK_ROWS):
+    benign_excess: dict[str, dict[Motor, float]] = {}
+    for index, row in enumerate(_ROWS):
+        benign = row == "normal"
         mutated = program
-        for spec in attacks[row]:
+        for spec in () if benign else attacks[row]:
             mutated = apply_attack(mutated, spec)
-        seeds = [
-            config.seed + _ATTACK_SEED_BASE + attack_index * _ATTACK_SEED_STRIDE + r
-            for r in range(config.malicious_count)
-        ]
-        results = _run_row(row, mutated, config, baselines, seeds=seeds, out=out)
-        attack_excess = _mean_window_excess(results, windows[row])
+        first_seed = config.seed + _ROW_SEED_BASE + index * _ROW_SEED_STRIDE
+        seeds = [first_seed + r for r in range(config.malicious_count)]
+        row_windows = windows if benign else {row: windows[row]}
+        flagged, window_excess = _run_row(row, mutated, config, baselines, seeds, out, row_windows)
+        if benign:
+            benign_excess = window_excess
         for motor in MOTORS:
-            detected = sum(1 for res in results if res.reports[motor].verdict is Verdict.MALICIOUS)
-            ratio = _ratio(attack_excess[motor], benign_window_excess[row][motor])
-            if detected == len(results):
+            ratio = annotation = None
+            if not benign:
+                ratio = _ratio(window_excess[row][motor], benign_excess[row][motor])
+                if motor not in _TOUCHED_MOTORS[row]:
+                    annotation = "no ground-truth disturbance"
+            if flagged[motor] == len(seeds):
                 outcome = CellOutcome.DETECTED
             elif ratio is not None and ratio >= config.visible_factor:
                 outcome = CellOutcome.VISIBLE
             else:
                 outcome = CellOutcome.NOT_DETECTED
-            annotation = None
-            if motor not in _TOUCHED_MOTORS[row]:
-                annotation = "no ground-truth disturbance"
             cells[(row, motor)] = MatrixCell(
                 outcome=outcome,
-                detected_runs=detected,
-                total_runs=len(results),
+                detected_runs=flagged[motor],
+                total_runs=len(seeds),
                 excess_ratio=ratio,
                 annotation=annotation,
             )
@@ -483,8 +470,19 @@ def _run_row(
     baselines: dict[Motor, GoldenBaseline],
     seeds: list[int],
     out: Path,
-) -> list[PrintDetectionResult]:
-    results = []
+    windows: dict[str, tuple[int, int]],
+) -> tuple[dict[Motor, int], dict[str, dict[Motor, float]]]:
+    """Simulate, classify and export one row's prints.
+
+    Each print is reduced to its verdicts and its mean excess inside each of
+    ``windows`` as soon as its series are written; only those reductions are
+    kept.  Returns the number of flagged prints per motor, and per
+    window and motor the mean of those per-print means.
+    """
+    flagged = dict.fromkeys(MOTORS, 0)
+    print_means: dict[str, dict[Motor, list[float]]] = {
+        name: {motor: [] for motor in MOTORS} for name in windows
+    }
     for run_index, seed in enumerate(seeds):
         traces = simulate_print(
             program, config.profile, config.noise, seed=seed
@@ -500,23 +498,31 @@ def _run_row(
                 base.with_name(base.name + "_deviation.csv"),
                 stride=config.series_stride,
             )
+            excess = result.excesses[motor]
             excess_path = base.with_name(base.name + "_excess.csv")
             export_series_csv(
-                result.excesses[motor],
+                excess,
                 baselines[motor].sample_rate,
                 excess_path,
                 stride=config.series_stride,
             )
+            for name, (lo, hi) in windows.items():
+                if min(hi, len(excess)) > lo:
+                    print_means[name][motor].append(float(np.mean(excess[lo:hi])))
             reports[motor] = dataclasses.replace(
                 result.reports[motor],
                 excess_series_path=str(excess_path.relative_to(out)),
             )
+            flagged[motor] += reports[motor].verdict is Verdict.MALICIOUS
             if config.save_traces:
                 save_trace(traces[motor], out / "traces" / f"{row}_run{run_index}_{motor.name}.ptrc")
         result = dataclasses.replace(result, reports=reports)
-        results.append(result)
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
-    return results
+    window_excess = {
+        name: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
+        for name, per_motor in print_means.items()
+    }
+    return flagged, window_excess
 
 
 # A voided command's effect is a bounded transient (the next absolute E word
@@ -566,22 +572,6 @@ def _clamped_position(program: GCodeProgram, spec: AttackSpec) -> int:
     # last existing command in that case.
     start, end = program.layer_slice(spec.layer)
     return min(spec.position, max(end - start - 1, 0))
-
-
-def _mean_window_excess(
-    results: list[PrintDetectionResult], window: tuple[int, int]
-) -> dict[Motor, float]:
-    lo, hi = window
-    means = {}
-    for motor in MOTORS:
-        values = []
-        for result in results:
-            series = result.excesses[motor]
-            hi_eff = min(hi, len(series))
-            if hi_eff > lo:
-                values.append(float(np.mean(series[lo:hi_eff])))
-        means[motor] = float(np.mean(values)) if values else 0.0
-    return means
 
 
 def _ratio(attack: float, benign: float) -> float | None:

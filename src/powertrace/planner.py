@@ -61,8 +61,9 @@ class AxisValues:
 
     def __post_init__(self) -> None:
         for motor in MOTORS:
-            if self.get(motor) <= 0:
-                raise PlanError(f"axis value for {motor.name} must be > 0")
+            value = self.get(motor)
+            if not (math.isfinite(value) and value > 0):
+                raise PlanError(f"axis value for {motor.name} must be finite and > 0")
 
     def get(self, motor: Motor) -> float:
         return getattr(self, motor.value)
@@ -82,10 +83,10 @@ class PrinterProfile:
     default_feed: float = 960.0
 
     def __post_init__(self) -> None:
-        if self.rated_phase_current <= 0:
-            raise PlanError("rated_phase_current must be > 0")
-        if self.default_feed <= 0:
-            raise PlanError("default_feed must be > 0")
+        for name in ("rated_phase_current", "default_feed"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise PlanError(f"{name} must be finite and > 0")
 
 
 # steps_per_mm count microsteps as emitted by the driver; the simulator folds

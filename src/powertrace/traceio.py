@@ -3,8 +3,8 @@
 Defines the binary capture container (magic ``PTRC``) that real oscilloscope
 exports would be converted into, a CSV importer for lab interchange, and the
 trigger-alignment / common-window helpers every comparison relies on.  The
-baseline container (magic ``PTRB``) reuses the same header layout with the
-golden statistics appended.
+baseline container (magic ``PTRB``) starts with the same header prefix and
+holds what the verdict reads: the golden sd column and the reference trace.
 
 All integers and floats are little-endian; samples are float32.
 """
@@ -14,21 +14,21 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .detect import GoldenBaseline
+from .detect import DetectionError, GoldenBaseline
 from .planner import MOTORS, Motor
-from .tracesim import MotorTrace
+from .tracesim import MotorTrace, TraceSimError
 
 __all__ = [
     "CaptureFormatError",
     "CaptureIOError",
     "TRACE_MAGIC",
     "BASELINE_MAGIC",
-    "FORMAT_VERSION",
     "save_trace",
     "load_trace",
     "import_csv",
@@ -40,7 +40,6 @@ __all__ = [
 
 TRACE_MAGIC = b"PTRC"
 BASELINE_MAGIC = b"PTRB"
-FORMAT_VERSION = 1
 _UNITS_AMPS = 0
 
 # Every container starts with this prefix: magic, version, motor code,
@@ -50,20 +49,20 @@ _PREFIX = struct.Struct("<4sHBBd")
 
 @dataclass(frozen=True)
 class _Layout:
-    """A container after the shared prefix: header fields, then one array per
-    per-sample column, each ``sample count`` long."""
+    """A container after the shared prefix: header fields, the last of them
+    the sample count, then one array per per-sample column, each that long."""
 
     magic: bytes
+    version: int
     fields: struct.Struct
-    count_field: int  # index of the sample count within ``fields``
     body: tuple[str, ...]  # dtype of each array, in file order
 
 
 # fields: trigger_index, sample_count; body: samples
-_TRACE = _Layout(TRACE_MAGIC, struct.Struct("<QQ"), 1, ("<f4",))
-# fields: source_count, print_end_index, sample_count, peak_sd;
-# body: pointwise mean, pointwise sd, reference samples
-_BASELINE = _Layout(BASELINE_MAGIC, struct.Struct("<QQQd"), 2, ("<f8", "<f8", "<f4"))
+_TRACE = _Layout(TRACE_MAGIC, 1, struct.Struct("<QQ"), ("<f4",))
+# fields: source_count, sample_count; body: pointwise sd, reference samples.
+# Version 1 also stored the print-end index, the peak sd and a mean column.
+_BASELINE = _Layout(BASELINE_MAGIC, 2, struct.Struct("<QQ"), ("<f8", "<f4"))
 
 _CSV_UNIFORMITY_TOL = 1e-6  # 1 ppm
 
@@ -84,7 +83,8 @@ def save_trace(trace: MotorTrace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> MotorTrace:
     motor, rate, (trigger, _), (samples,) = _read(path, _TRACE)
-    return MotorTrace(motor=motor, sample_rate=rate, samples=samples, trigger_index=trigger)
+    with _as_format_error(path):
+        return MotorTrace(motor=motor, sample_rate=rate, samples=samples, trigger_index=trigger)
 
 
 def import_csv(
@@ -186,32 +186,33 @@ def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
 
 
 def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
-    """Persist a baseline: header, mean (f64), sd (f64), reference (f32)."""
-    fields = (
-        baseline.source_count,
-        baseline.print_end_index,
-        baseline.sample_count,
-        baseline.peak_sd,
-    )
-    arrays = (baseline.pointwise_mean, baseline.pointwise_sd, baseline.reference_trace.samples)
+    """Persist a baseline: header, sd (f64), reference (f32)."""
+    fields = (baseline.source_count, baseline.sample_count)
+    arrays = (baseline.pointwise_sd, baseline.reference_trace.samples)
     _write(path, _BASELINE, baseline.motor, baseline.sample_rate, fields, arrays)
 
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
-    motor, rate, fields, (mean, sd, reference) = _read(path, _BASELINE)
-    source_count, print_end_index, _, peak_sd = fields
-    return GoldenBaseline(
-        motor=motor,
-        sample_rate=rate,
-        pointwise_mean=mean,
-        pointwise_sd=sd,
-        peak_sd=peak_sd,
-        reference_trace=MotorTrace(
-            motor=motor, sample_rate=rate, samples=reference, trigger_index=0
-        ),
-        source_count=source_count,
-        print_end_index=print_end_index,
-    )
+    """Read a baseline; an empty body or an sd cell that is negative or not
+    finite is rejected, since it would corrupt the verdict threshold."""
+    motor, rate, (source_count, count), (sd, reference) = _read(path, _BASELINE)
+    if count == 0:
+        raise CaptureFormatError(f"{path}: empty baseline")
+    bad = np.flatnonzero(~(np.isfinite(sd) & (sd >= 0)))
+    if len(bad):
+        raise CaptureFormatError(
+            f"{path}: sd cell {bad[0]} is {sd[bad[0]]}, must be finite and >= 0"
+        )
+    with _as_format_error(path):
+        return GoldenBaseline(
+            motor=motor,
+            sample_rate=rate,
+            pointwise_sd=sd,
+            reference_trace=MotorTrace(
+                motor=motor, sample_rate=rate, samples=reference, trigger_index=0
+            ),
+            source_count=source_count,
+        )
 
 
 def _write(
@@ -223,7 +224,7 @@ def _write(
     arrays: tuple[np.ndarray, ...],
 ) -> None:
     path = Path(path)
-    header = _PREFIX.pack(layout.magic, FORMAT_VERSION, motor.code, _UNITS_AMPS, float(sample_rate))
+    header = _PREFIX.pack(layout.magic, layout.version, motor.code, _UNITS_AMPS, float(sample_rate))
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("wb") as handle:
@@ -247,7 +248,7 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
     magic, version, motor_code, units, rate = _PREFIX.unpack_from(blob)
     if magic != layout.magic:
         raise CaptureFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
+    if version != layout.version:
         raise CaptureFormatError(f"{path}: unsupported version {version}")
     if units != _UNITS_AMPS:
         raise CaptureFormatError(f"{path}: unknown units code {units}")
@@ -256,7 +257,7 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
     if not (math.isfinite(rate) and rate > 0):
         raise CaptureFormatError(f"{path}: sample rate must be finite and > 0, got {rate}")
     fields = layout.fields.unpack_from(blob, _PREFIX.size)
-    count = fields[layout.count_field]
+    count = fields[-1]
     dtypes = [np.dtype(dtype) for dtype in layout.body]
     expected = offset + count * sum(dtype.itemsize for dtype in dtypes)
     if len(blob) < expected:
@@ -268,6 +269,16 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
         arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=offset))
         offset += count * dtype.itemsize
     return MOTORS[motor_code], rate, fields, arrays
+
+
+@contextmanager
+def _as_format_error(path: str | Path):
+    """Report a loaded value the trace or baseline rejects, such as a NaN
+    sample, as a format error naming ``path``."""
+    try:
+        yield
+    except (TraceSimError, DetectionError) as exc:
+        raise CaptureFormatError(f"{path}: {exc}") from None
 
 
 def _is_numeric_row(row: list[str]) -> bool:

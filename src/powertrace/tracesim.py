@@ -88,8 +88,9 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("idle_noise_sd", "phase_jitter_sd", "amplitude_noise_sd"):
-            if getattr(self, name) < 0:
-                raise TraceSimError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise TraceSimError(f"{name} must be finite and >= 0")
         if self.seed < 0:
             raise TraceSimError("seed must be >= 0")
 
@@ -107,8 +108,8 @@ class MotorTrace:
     trigger_index: int
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise TraceSimError("sample_rate must be > 0")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise TraceSimError("sample_rate must be finite and > 0")
         samples = np.asarray(self.samples, dtype=np.float32)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)

@@ -5,7 +5,13 @@ import pytest
 
 from powertrace.cli import main
 from powertrace.config import ConfigError
-from powertrace.harness import ExperimentConfig, ExperimentError, load_experiment_config
+from powertrace.gcode import serialize
+from powertrace.harness import (
+    ExperimentConfig,
+    ExperimentError,
+    benchmark_object,
+    load_experiment_config,
+)
 from powertrace.traceio import load_baseline
 
 GCODE = """\
@@ -267,6 +273,14 @@ class TestDetect:
         err = capsys.readouterr().err
         assert f"two {flag} files for motor Y" in err
 
+    def test_nan_margin_exits_2(self, gcode_file, tmp_path, capsys):
+        _build_pipeline(gcode_file, tmp_path)
+        argv = ["detect", "--margin", "nan", "--out", str(tmp_path)]
+        argv += ["--capture", str(tmp_path / "probe" / "part_X.ptrc")]
+        argv += ["--baseline", str(tmp_path / "X.ptrb")]
+        assert main(argv) == 2
+        assert "margin must be finite" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -310,6 +324,33 @@ class TestExperimentCommand:
         assert "attack.reorder1.pair_offset = 9\n" in text and "attack.reorder." not in text
         for name in names:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_nan_margin_in_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("golden_count = 2\nmargin = nan\n")
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "margin must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_relative_program_is_read_beside_the_config(self, tmp_path, monkeypatch):
+        # Regression: a relative ``program`` used to be opened from the
+        # working directory, so this run exited 2.
+        (tmp_path / "relcfg").mkdir()
+        (tmp_path / "relcfg" / "part.gcode").write_text(serialize(benchmark_object()))
+        (tmp_path / "relcfg" / "exp.cfg").write_text(
+            "program = part.gcode\ngolden_count = 2\nmalicious_count = 1\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "relcfg/exp.cfg", "--out", "out"]) == 0
+        text = (tmp_path / "out" / "config.txt").read_text()
+        assert f"program = {tmp_path / 'relcfg' / 'part.gcode'}\n" in text
+        # The run's config.txt reruns it from any directory.
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["experiment", str(tmp_path / "out" / "config.txt"), "--out", "out2"]) == 0
+        for name in ("matrix.txt", "matrix.csv", "config.txt"):
+            rerun = tmp_path / "elsewhere" / "out2" / name
+            assert rerun.read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
 
 class TestExperimentConfigParsing:

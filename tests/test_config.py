@@ -1,18 +1,21 @@
 import dataclasses
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from powertrace.detect import DetectionConfig
+from powertrace.detect import DetectionConfig, build_baseline, classify
 from powertrace.gcode import Command, CommandKind, serialize
 from powertrace.harness import (
     ExperimentConfig,
+    ExperimentError,
     benchmark_object,
     default_attacks,
     dump_experiment_config,
     load_experiment_config,
 )
-from powertrace.planner import AxisValues, PrinterProfile
-from powertrace.tracesim import NoiseModel
+from powertrace.planner import DEFAULT_PROFILE, AxisValues, Motor, PrinterProfile
+from powertrace.tracesim import MotorTrace, NoiseModel
 
 DEFAULT_ATTACKS = default_attacks(benchmark_object())
 
@@ -87,3 +90,43 @@ def test_dump_then_load_is_the_identity(tmp_path_factory, own_program, **fields)
     path.write_text(dump_experiment_config(config))
     assert load_experiment_config(path, ExperimentConfig()) == config
 
+
+def _flat_trace(rate=25_000.0):
+    return MotorTrace(
+        motor=Motor.X, sample_rate=rate, samples=np.zeros(200, np.float32), trigger_index=0
+    )
+
+
+# Each field builds its object with one value set; NaN passed the old
+# ``< 0`` / ``<= 0`` checks, and a NaN margin turned every verdict benign.
+_NON_FINITE_TARGETS = {
+    "DetectionConfig.margin": lambda v: DetectionConfig(margin=v),
+    **{
+        f"AxisValues.{axis}": lambda v, axis=axis: AxisValues(
+            **{**dict.fromkeys("xyze", 1.0), axis: v}
+        )
+        for axis in "xyze"
+    },
+    **{
+        f"PrinterProfile.{name}": lambda v, name=name: dataclasses.replace(
+            DEFAULT_PROFILE, **{name: v}
+        )
+        for name in ("rated_phase_current", "default_feed")
+    },
+    **{
+        f"NoiseModel.{name}": lambda v, name=name: NoiseModel(**{name: v})
+        for name in ("idle_noise_sd", "phase_jitter_sd", "amplitude_noise_sd")
+    },
+    "ExperimentConfig.visible_factor": lambda v: ExperimentConfig(visible_factor=v),
+    "MotorTrace.sample_rate": _flat_trace,
+    "classify margin": lambda v: classify(
+        np.full(200, 5.0), build_baseline([_flat_trace(), _flat_trace()]), margin=v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("target", sorted(_NON_FINITE_TARGETS))
+def test_non_finite_value_rejected(target, value):
+    with pytest.raises((ValueError, ExperimentError), match="must be finite"):
+        _NON_FINITE_TARGETS[target](value)

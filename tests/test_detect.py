@@ -179,14 +179,14 @@ class TestBaseline:
         with pytest.raises(DetectionError, match="mix motors"):
             build_baseline([_trace([1.0]), _trace([1.0], motor=Motor.Y)])
 
-    def test_print_end_bounds_peak_sd(self):
-        # The tail disagrees wildly, but peak_sd only looks at the print window.
-        a = _trace([0.0, 0.0, 0.0, 5.0])
-        b = _trace([0.0, 0.0, 0.0, -5.0])
-        bounded = build_baseline([a, b], print_end_index=3)
-        unbounded = build_baseline([a, b])
-        assert bounded.peak_sd == 0.0
-        assert unbounded.peak_sd > 1.0
+    @given(st.integers(2, 12), st.integers(1, 500), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sd_bit_identical_to_numpy_std(self, count, n, data):
+        columns = [data.draw(arrays(np.float32, n, elements=_FINITE_F32)) for _ in range(count)]
+        baseline = build_baseline([_trace(c) for c in columns])
+        expected = np.stack(columns, dtype=np.float64).std(axis=0, ddof=1)
+        assert baseline.pointwise_sd.tobytes() == expected.tobytes()
+        assert baseline.peak_sd == expected.max()
 
 
 class TestDeviationAndExcess:

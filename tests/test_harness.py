@@ -149,6 +149,57 @@ class TestRunExperiment:
             out / "baselines" / "X.ptrb"
         ).read_bytes()
 
+    def test_excess_ratio_is_the_mean_of_per_print_window_means(self, small_run):
+        # Recompute every attack row's ratios the way they were computed while
+        # every print's full excess series was held: per print the mean over
+        # the attack window, then the mean over prints, attack over benign.
+        import numpy as np
+
+        from powertrace import harness
+        from powertrace.detect import detect_print
+        from powertrace.traceio import align_to_trigger, load_baseline
+        from powertrace.tracesim import simulate_print
+
+        matrix, out = small_run
+        baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
+        program = benchmark_object()
+        attacks = default_attacks(program)
+        windows = harness._attack_windows(program, attacks, SMALL, baselines)
+
+        def prints(prog, first_seed):
+            results = []
+            for run in range(SMALL.malicious_count):
+                traces = simulate_print(prog, SMALL.profile, SMALL.noise, seed=first_seed + run)
+                aligned = {m: align_to_trigger(traces[m]) for m in MOTORS}
+                results.append(detect_print(aligned, baselines, SMALL.detection))
+            return results
+
+        def mean_window_excess(results, window):
+            lo, hi = window
+            means = {}
+            for motor in MOTORS:
+                values = []
+                for result in results:
+                    series = result.excesses[motor]
+                    hi_eff = min(hi, len(series))
+                    if hi_eff > lo:
+                        values.append(float(np.mean(series[lo:hi_eff])))
+                means[motor] = float(np.mean(values)) if values else 0.0
+            return means
+
+        first_seed = SMALL.seed + harness._ROW_SEED_BASE
+        benign_prints = prints(program, first_seed)
+        for index, row in enumerate(ATTACK_ROWS, start=1):
+            mutated = program
+            for spec in attacks[row]:
+                mutated = apply_attack(mutated, spec)
+            attacked_prints = prints(mutated, first_seed + index * harness._ROW_SEED_STRIDE)
+            benign = mean_window_excess(benign_prints, windows[row])
+            attacked = mean_window_excess(attacked_prints, windows[row])
+            for motor in MOTORS:
+                expected = harness._ratio(attacked[motor], benign[motor])
+                assert matrix.cell(row, motor).excess_ratio == expected, (row, motor)
+
     def test_missing_attack_row_rejected(self, tmp_path):
         config = dataclasses.replace(SMALL, attacks={"insert": ()})
         with pytest.raises(ExperimentError, match="no attack spec"):

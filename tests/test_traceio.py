@@ -212,8 +212,6 @@ class TestBaselinePersistence:
         assert loaded.motor is baseline.motor
         assert loaded.source_count == 3
         assert loaded.peak_sd == baseline.peak_sd
-        assert loaded.print_end_index == baseline.print_end_index
-        assert np.array_equal(loaded.pointwise_mean, baseline.pointwise_mean)
         assert np.array_equal(loaded.pointwise_sd, baseline.pointwise_sd)
         assert np.array_equal(
             loaded.reference_trace.samples, baseline.reference_trace.samples
@@ -231,7 +229,7 @@ class TestBaselinePersistence:
 _HEADER_DAMAGE = {
     "truncated header": ("cut header", "truncated header"),
     "bad magic": ((0, b"NOPE"), "bad magic"),
-    "version": ((4, struct.pack("<H", 2)), "unsupported version 2"),
+    "version": ((4, struct.pack("<H", 3)), "unsupported version 3"),
     "units": ((7, b"\x01"), "unknown units code 1"),
     "motor code": ((6, b"\x04"), "unknown motor code 4"),
     "short body": ("cut body", "unexpected end of samples"),
@@ -252,7 +250,7 @@ def test_damaged_container_rejected_naming_the_path(tmp_path, container, damage)
         load, header_size = load_trace, 32
     else:
         save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
-        load, header_size = load_baseline, 48
+        load, header_size = load_baseline, 32
     blob = bytearray(path.read_bytes())
     how, message = _HEADER_DAMAGE[damage]
     if how == "cut header":
@@ -267,3 +265,49 @@ def test_damaged_container_rejected_naming_the_path(tmp_path, container, damage)
     path.write_bytes(bytes(blob))
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
         load(path)
+
+
+# A version 1 baseline of three samples: header with source count, print-end
+# index, sample count and peak sd, then mean, sd and reference columns.
+_PTRB_V1 = (
+    struct.pack("<4sHBBd", b"PTRB", 1, 0, 0, 25_000.0)
+    + struct.pack("<QQQd", 2, 3, 3, 0.5)
+    + np.zeros(6).tobytes()
+    + np.zeros(3, dtype=np.float32).tobytes()
+)
+_NAN_F64, _NAN_F32 = struct.pack("<d", float("nan")), struct.pack("<f", float("nan"))
+# Each damage turns the bytes of a saved three-sample baseline (32-byte
+# header, 24 bytes of sd, 12 bytes of reference) into the file to load; then
+# the error text that must follow the path.
+_BASELINE_DAMAGE = {
+    "version 1 file": (lambda blob: _PTRB_V1, "unsupported version 1"),
+    "nan sd cell": (
+        lambda blob: blob[:40] + _NAN_F64 + blob[48:],
+        "sd cell 1 is nan, must be finite and >= 0",
+    ),
+    "negative sd cell": (
+        lambda blob: blob[:32] + struct.pack("<d", -1.0) + blob[40:],
+        "sd cell 0 is -1.0, must be finite and >= 0",
+    ),
+    "nan reference sample": (
+        lambda blob: blob[:60] + _NAN_F32 + blob[64:],
+        "trace samples must be finite",
+    ),
+    "zero sample count": (lambda blob: blob[:24] + struct.pack("<Q", 0), "empty baseline"),
+    "one source trace": (
+        lambda blob: blob[:16] + struct.pack("<Q", 1) + blob[24:],
+        "a baseline needs at least 2 golden traces",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
+def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
+    path = tmp_path / "x.ptrb"
+    save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
+    blob = path.read_bytes()
+    assert len(blob) == 32 + 3 * 12
+    rewrite, message = _BASELINE_DAMAGE[damage]
+    path.write_bytes(rewrite(blob))
+    with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
+        load_baseline(path)
