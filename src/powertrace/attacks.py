@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .gcode import Command, CommandKind, GCodeProgram, make_program
+from .gcode import Command, CommandKind, GCodeError, GCodeProgram, make_program
 
 __all__ = [
     "AttackError",
@@ -144,12 +144,12 @@ def _require_kind(spec: AttackSpec, kind: AttackKind) -> None:
 def _layer_slice(program: GCodeProgram, layer: int) -> tuple[int, int]:
     try:
         return program.layer_slice(layer)
-    except Exception as exc:
+    except GCodeError as exc:
         raise AttackError(str(exc)) from None
 
 
 def _resolve(program: GCodeProgram, layer: int, offset: int) -> int:
     try:
         return program.command_index(layer, offset)
-    except Exception as exc:
+    except GCodeError as exc:
         raise AttackError(str(exc)) from None

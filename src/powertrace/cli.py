@@ -27,7 +27,6 @@ from .harness import (
 from .planner import DEFAULT_PROFILE, MOTORS, PlanError, PrinterProfile
 from .traceio import (
     CaptureFormatError,
-    CaptureIOError,
     align_to_trigger,
     common_window,
     load_baseline,
@@ -48,9 +47,9 @@ _USER_ERRORS = (
     TraceSimError,
     DetectionError,
     CaptureFormatError,
-    CaptureIOError,
     configmod.ConfigError,
     ExperimentError,
+    OSError,  # also CaptureIOError
 )
 
 
@@ -134,12 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     noise = configmod.load_noise(args.noise) if args.noise else DEFAULT_NOISE
     prefix = args.prefix or args.gcode.stem
     _print_config(args, gcode=args.gcode, prefix=prefix)
-    try:
-        text = args.gcode.read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    program = parse_gcode(text)
+    program = parse_gcode(args.gcode.read_text())
     traces = simulate_print(program, profile, noise, seed=args.seed, sample_rate=SAMPLE_RATE)
     for motor in MOTORS:
         path = args.out / f"{prefix}_{motor.name}.ptrc"
@@ -159,12 +153,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         payload=args.payload,
         output=args.output,
     )
-    try:
-        text = args.gcode.read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    program = parse_gcode(text)
+    program = parse_gcode(args.gcode.read_text())
     payload = configmod.parse_payload(args.payload) if args.payload else None
     spec = AttackSpec(
         kind=AttackKind(args.kind),
@@ -191,17 +180,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             paths.append(Path(pattern))
     _print_config(args, captures=len(paths), window=args.window, output=args.output)
     traces = [load_trace(path) for path in paths]
-    if len(traces) < 2:
-        print("error: a baseline needs at least 2 captures", file=sys.stderr)
-        return EXIT_ERROR
-    motors = {trace.motor for trace in traces}
-    if len(motors) != 1:
-        print(
-            f"error: captures mix motors {sorted(m.name for m in motors)}; "
-            "run baseline once per motor",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
     aligned = common_window([smooth(align_to_trigger(t), args.window) for t in traces])
     baseline = build_baseline(aligned)
     out_path = args.out / args.output

@@ -28,7 +28,6 @@ __all__ = [
     "mount",
     "PROFILE_KEYS",
     "NOISE_LEVEL_KEYS",
-    "NOISE_KEYS",
     "DETECTION_KEYS",
     "parse_bool",
     "parse_payload",
@@ -95,8 +94,6 @@ PROFILE_KEYS = keys(
     "default_feed",
 )
 NOISE_LEVEL_KEYS = keys(float, "idle_noise_sd", "phase_jitter_sd", "amplitude_noise_sd")
-# A noise file (``simulate --noise``) also sets the generator seed.
-NOISE_KEYS = NOISE_LEVEL_KEYS + keys(int, "seed")
 DETECTION_KEYS = keys(int, "smoothing_window") + keys(float, "margin") + keys(int, "run_requirement")
 
 
@@ -193,4 +190,5 @@ def load_profile(path: str | Path) -> PrinterProfile:
 
 
 def load_noise(path: str | Path) -> NoiseModel:
-    return apply_pairs(DEFAULT_NOISE, NOISE_KEYS, read_kv_file(path), str(path))
+    """Load noise levels; a simulation's seed comes from ``--seed``, not the file."""
+    return apply_pairs(DEFAULT_NOISE, NOISE_LEVEL_KEYS, read_kv_file(path), str(path))

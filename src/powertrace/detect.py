@@ -7,9 +7,11 @@ designated reference trace, and flag the capture as malicious when the
 deviation stays above ``peak_sd + margin`` for a contiguous run of samples.
 
 The verdict uses the raw deviation against the peak of the golden standard
-deviation; the sd-subtracted excess series is kept for reporting and
-visibility analysis because the attack signature stays clearly visible in it
-even when it never crosses the verdict threshold.
+deviation, so :func:`detect_print` returns only the verdicts and the
+deviations they were judged on.  The sd-subtracted excess series
+(:func:`excess`) is for visibility analysis, where an attack signature stays
+clearly visible even when it never crosses the verdict threshold; the
+experiment harness computes it from a returned deviation.
 """
 
 from __future__ import annotations
@@ -117,11 +119,10 @@ class DetectionReport:
     max_run_length: int
     first_exceed_time: float | None
     peak_excess: float  # max(deviation) - threshold, negative when clear
-    excess_series_path: str | None = None
 
     def key_value_lines(self) -> list[str]:
         first = "none" if self.first_exceed_time is None else f"{self.first_exceed_time:.6f}"
-        lines = [
+        return [
             f"motor={self.motor.name}",
             f"verdict={self.verdict.value}",
             f"threshold_amps={self.threshold:.6f}",
@@ -130,9 +131,6 @@ class DetectionReport:
             f"first_exceed_time_s={first}",
             f"peak_excess_amps={self.peak_excess:.6f}",
         ]
-        if self.excess_series_path is not None:
-            lines.append(f"excess_series={self.excess_series_path}")
-        return lines
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,6 @@ class PrintDetectionResult:
     reports: dict[Motor, DetectionReport]
     overall: Verdict
     deviations: dict[Motor, np.ndarray] = field(repr=False, default_factory=dict)
-    excesses: dict[Motor, np.ndarray] = field(repr=False, default_factory=dict)
 
 
 def smooth(trace: MotorTrace, window: int = DEFAULT_SMOOTHING_WINDOW) -> MotorTrace:
@@ -234,10 +231,18 @@ def deviation(captured: MotorTrace, baseline: GoldenBaseline) -> np.ndarray:
 
 
 def excess(deviation_series: np.ndarray, baseline: GoldenBaseline) -> np.ndarray:
-    """Deviation reduced by the golden standard deviation, clamped at zero."""
-    if len(deviation_series) != baseline.sample_count:
-        raise DetectionError("deviation/baseline length mismatch")
-    return _excess(deviation_series, baseline.pointwise_sd)
+    """Deviation reduced by the golden standard deviation, clamped at zero.
+
+    A deviation shorter than the baseline, as :func:`detect_print` returns
+    for a shorter capture, is compared with the first ``len`` sd cells.
+    """
+    length = len(deviation_series)
+    if length > baseline.sample_count:
+        raise DetectionError(
+            f"deviation has {length} samples, baseline {baseline.sample_count}"
+        )
+    out = np.subtract(deviation_series, baseline.pointwise_sd[:length])
+    return np.maximum(0.0, out, out=out)
 
 
 def classify(
@@ -249,8 +254,7 @@ def classify(
     """Threshold the deviation series at ``peak_sd + margin``.
 
     Malicious iff some contiguous run of above-threshold samples is at least
-    ``run_requirement`` long.  The sd-subtracted excess is reported separately
-    for plotting; the verdict always uses the raw deviation.
+    ``run_requirement`` long.  The verdict always uses the raw deviation.
     """
     DetectionConfig(margin=margin, run_requirement=run_requirement)  # validates both
     dev = np.asarray(deviation_series, dtype=np.float64)
@@ -285,7 +289,6 @@ def detect_print(
     """
     reports: dict[Motor, DetectionReport] = {}
     deviations: dict[Motor, np.ndarray] = {}
-    excesses: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
         capture = captures.get(motor)
         if capture is None:
@@ -301,15 +304,12 @@ def detect_print(
         dev = _abs_diff(smoothed[:length], baseline.reference_trace.samples[:length])
         reports[motor] = classify(dev, baseline, config.margin, config.run_requirement)
         deviations[motor] = dev
-        excesses[motor] = _excess(dev, baseline.pointwise_sd[:length])
     overall = (
         Verdict.MALICIOUS
         if any(r.verdict is Verdict.MALICIOUS for r in reports.values())
         else Verdict.BENIGN
     )
-    return PrintDetectionResult(
-        reports=reports, overall=overall, deviations=deviations, excesses=excesses
-    )
+    return PrintDetectionResult(reports=reports, overall=overall, deviations=deviations)
 
 
 def export_series_csv(
@@ -340,11 +340,6 @@ def export_series_csv(
 def _abs_diff(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
     dev = np.subtract(samples, reference, dtype=np.float64)
     return np.abs(dev, out=dev)
-
-
-def _excess(dev: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    out = np.subtract(dev, sd)
-    return np.maximum(0.0, out, out=out)
 
 
 def _longest_run(indices: np.ndarray) -> int:

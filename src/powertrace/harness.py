@@ -46,6 +46,7 @@ from .detect import (
     Verdict,
     build_baseline,
     detect_print,
+    excess,
     export_series_csv,
     smooth,
 )
@@ -80,7 +81,7 @@ _ROW_SEED_BASE = 2000
 _ROW_SEED_STRIDE = 1000
 
 
-class ExperimentError(RuntimeError):
+class ExperimentError(ValueError):
     """Experiment could not produce a valid matrix."""
 
 
@@ -489,34 +490,22 @@ def _run_row(
         )
         aligned = {motor: align_to_trigger(traces[motor]) for motor in MOTORS}
         result = detect_print(aligned, baselines, config.detection)
-        reports = {}
         for motor in MOTORS:
-            base = out / "series" / f"{row}_run{run_index}_{motor.name}"
-            export_series_csv(
-                result.deviations[motor],
-                baselines[motor].sample_rate,
-                base.with_name(base.name + "_deviation.csv"),
-                stride=config.series_stride,
-            )
-            excess = result.excesses[motor]
-            excess_path = base.with_name(base.name + "_excess.csv")
-            export_series_csv(
-                excess,
-                baselines[motor].sample_rate,
-                excess_path,
-                stride=config.series_stride,
-            )
+            dev = result.deviations[motor]
+            excess_series = excess(dev, baselines[motor])
+            for kind, series in (("deviation", dev), ("excess", excess_series)):
+                export_series_csv(
+                    series,
+                    baselines[motor].sample_rate,
+                    out / _series_path(row, run_index, motor, kind),
+                    stride=config.series_stride,
+                )
             for name, (lo, hi) in windows.items():
-                if min(hi, len(excess)) > lo:
-                    print_means[name][motor].append(float(np.mean(excess[lo:hi])))
-            reports[motor] = dataclasses.replace(
-                result.reports[motor],
-                excess_series_path=str(excess_path.relative_to(out)),
-            )
-            flagged[motor] += reports[motor].verdict is Verdict.MALICIOUS
+                if min(hi, len(excess_series)) > lo:
+                    print_means[name][motor].append(float(np.mean(excess_series[lo:hi])))
+            flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
             if config.save_traces:
                 save_trace(traces[motor], out / "traces" / f"{row}_run{run_index}_{motor.name}.ptrc")
-        result = dataclasses.replace(result, reports=reports)
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
     window_excess = {
         name: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
@@ -591,9 +580,14 @@ def _write_run_report(
         f"overall={result.overall.value}",
     ]
     for motor in MOTORS:
-        report = result.reports[motor]
-        lines.extend(report.key_value_lines())
+        lines.extend(result.reports[motor].key_value_lines())
+        lines.append(f"excess_series={_series_path(row, run_index, motor, 'excess')}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def _series_path(row: str, run_index: int, motor: Motor, kind: str) -> str:
+    """A print's ``deviation`` or ``excess`` series file, relative to the output directory."""
+    return f"series/{row}_run{run_index}_{motor.name}_{kind}.csv"
 
 
 _CELL_TEXT = {

@@ -147,10 +147,6 @@ def import_csv(
 
 def align_to_trigger(trace: MotorTrace) -> MotorTrace:
     """Drop everything before the trigger; the trigger becomes sample 0."""
-    if trace.trigger_index >= len(trace.samples):
-        raise CaptureFormatError(
-            f"trigger index {trace.trigger_index} beyond trace length {len(trace.samples)}"
-        )
     if trace.trigger_index == 0:
         return trace
     return MotorTrace(

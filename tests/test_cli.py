@@ -54,6 +54,15 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.gcode"), "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_seed_in_noise_file_exits_2(self, gcode_file, tmp_path, capsys):
+        # The seed comes from --seed; a noise file's seed would be ignored.
+        noise = tmp_path / "noise.cfg"
+        noise.write_text("idle_noise_sd = 0.01\nseed = 7\n")
+        argv = ["simulate", str(gcode_file), "--noise", str(noise), "--out", str(tmp_path / "caps")]
+        assert main(argv) == 2
+        assert f"error: {noise}: unknown key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "caps").exists()
+
     def test_fixed_seed_reproduces_files(self, gcode_file, tmp_path):
         _simulate(gcode_file, tmp_path / "a", seed=5)
         _simulate(gcode_file, tmp_path / "b", seed=5)
@@ -330,6 +339,20 @@ class TestExperimentCommand:
         config.write_text("golden_count = 2\nmargin = nan\n")
         assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "margin must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("visible_factor = nan", "visible_factor must be finite"),
+            ("golden_count = 1", "golden_count must be >= 2"),
+        ],
+    )
+    def test_experiment_level_error_names_the_config(self, tmp_path, capsys, line, message):
+        config = tmp_path / "exp.cfg"
+        config.write_text(line + "\n")
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {config}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_relative_program_is_read_beside_the_config(self, tmp_path, monkeypatch):

@@ -225,6 +225,19 @@ class TestDeviationAndExcess:
         baseline = build_baseline([_trace([0.0, 1.0]), _trace([1.0, 3.0])])
         assert np.all(excess(baseline.pointwise_sd.copy(), baseline) == 0.0)
 
+    @pytest.mark.parametrize("length", [0, 1, 37, 100])
+    def test_excess_of_a_shorter_deviation_uses_the_leading_sd_cells(self, length):
+        rng = np.random.default_rng(length)
+        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)])
+        dev = np.abs(rng.normal(0.0, 0.3, length))
+        expected = np.maximum(0.0, dev - baseline.pointwise_sd[:length])
+        assert excess(dev, baseline).tobytes() == expected.tobytes()
+
+    def test_excess_of_a_longer_deviation_rejected(self):
+        baseline = build_baseline([_trace([0.0, 1.0]), _trace([1.0, 3.0])])
+        with pytest.raises(DetectionError, match="deviation has 3 samples, baseline 2"):
+            excess(np.zeros(3), baseline)
+
 
 def _flat_baseline(n=500, motor=Motor.X):
     return build_baseline([_trace(np.zeros(n), motor=motor), _trace(np.zeros(n), motor=motor)])
@@ -328,7 +341,7 @@ class TestDetectPrint:
         )
         assert result.deviations[Motor.X].tobytes() == expected_dev.tobytes()
         expected_excess = np.maximum(0.0, expected_dev - baseline.pointwise_sd[:length])
-        assert result.excesses[Motor.X].tobytes() == expected_excess.tobytes()
+        assert excess(result.deviations[Motor.X], baseline).tobytes() == expected_excess.tobytes()
         report = result.reports[Motor.X]
         # A shorter capture keeps the full print window's threshold.
         assert report == classify(expected_dev, baseline, config.margin, 3)

@@ -156,7 +156,7 @@ class TestRunExperiment:
         import numpy as np
 
         from powertrace import harness
-        from powertrace.detect import detect_print
+        from powertrace.detect import detect_print, excess
         from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
 
@@ -180,7 +180,7 @@ class TestRunExperiment:
             for motor in MOTORS:
                 values = []
                 for result in results:
-                    series = result.excesses[motor]
+                    series = excess(result.deviations[motor], baselines[motor])
                     hi_eff = min(hi, len(series))
                     if hi_eff > lo:
                         values.append(float(np.mean(series[lo:hi_eff])))
@@ -241,7 +241,7 @@ class TestPhenomenology:
         # Swapping move targets changes path lengths, so the timeline stays
         # shifted after the commands return to normal; the excess series
         # remains elevated well past the swapped region.
-        from powertrace.detect import detect_print
+        from powertrace.detect import detect_print, excess
         from powertrace.planner import command_start_times
         from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
@@ -274,6 +274,8 @@ class TestPhenomenology:
             baselines,
             config,
         )
-        attacked_mean = float(attacked.excesses[Motor.X][start:].mean())
-        benign_mean = float(benign.excesses[Motor.X][start : len(attacked.excesses[Motor.X])].mean())
+        attacked_excess = excess(attacked.deviations[Motor.X], baselines[Motor.X])
+        benign_excess = excess(benign.deviations[Motor.X], baselines[Motor.X])
+        attacked_mean = float(attacked_excess[start:].mean())
+        benign_mean = float(benign_excess[start : len(attacked_excess)].mean())
         assert attacked_mean > benign_mean
