@@ -25,7 +25,6 @@ from .tracesim import (
     MotorTrace,
     NoiseModel,
     NyquistError,
-    nyquist_check,
     simulate_print,
     synthesize_trace,
 )

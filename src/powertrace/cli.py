@@ -34,7 +34,7 @@ from .traceio import (
     save_baseline,
     save_trace,
 )
-from .tracesim import DEFAULT_NOISE, SAMPLE_RATE, TraceSimError, simulate_print
+from .tracesim import DEFAULT_NOISE, TraceSimError, simulate_print
 
 EXIT_OK = 0
 EXIT_MALICIOUS = 1
@@ -134,7 +134,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     prefix = args.prefix or args.gcode.stem
     _print_config(args, gcode=args.gcode, prefix=prefix)
     program = parse_gcode(args.gcode.read_text())
-    traces = simulate_print(program, profile, noise, seed=args.seed, sample_rate=SAMPLE_RATE)
+    traces = simulate_print(program, profile, noise, seed=args.seed)
     for motor in MOTORS:
         path = args.out / f"{prefix}_{motor.name}.ptrc"
         save_trace(traces[motor], path)
@@ -179,9 +179,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         else:
             paths.append(Path(pattern))
     _print_config(args, captures=len(paths), window=args.window, output=args.output)
-    traces = [load_trace(path) for path in paths]
-    aligned = common_window([smooth(align_to_trigger(t), args.window) for t in traces])
-    baseline = build_baseline(aligned)
+    golden = [smooth(align_to_trigger(load_trace(path)), args.window) for path in paths]
+    baseline = build_baseline(common_window(golden))
     out_path = args.out / args.output
     save_baseline(baseline, out_path)
     print(
@@ -209,8 +208,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     )
     missing = [m.name for m in captures if m not in baselines]
     if missing:
-        print(f"error: no baseline for motor(s) {missing}", file=sys.stderr)
-        return EXIT_ERROR
+        raise DetectionError(f"no baseline for motor(s) {missing}")
     result = detect_print(captures, {m: b for m, b in baselines.items() if m in captures}, detection)
     for motor in MOTORS:
         if motor in result.reports:

@@ -53,7 +53,8 @@ from .detect import (
 from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
 from .planner import DEFAULT_PROFILE, MOTORS, Motor, PrinterProfile, command_start_times, plan_motion
 from .traceio import align_to_trigger, common_window, save_baseline, save_trace
-from .tracesim import DEFAULT_NOISE, SAMPLE_RATE, MotorTrace, NoiseModel, simulate_print
+from . import tracesim
+from .tracesim import DEFAULT_NOISE, SAMPLE_RATE, NoiseModel, simulate_print
 
 __all__ = [
     "ExperimentError",
@@ -445,21 +446,20 @@ def load_program(config: ExperimentConfig) -> GCodeProgram:
 def _build_baselines(
     program: GCodeProgram, config: ExperimentConfig, out: Path
 ) -> dict[Motor, GoldenBaseline]:
-    per_motor: dict[Motor, list[MotorTrace]] = {motor: [] for motor in MOTORS}
-    for i in range(config.golden_count):
-        seed = config.seed + _GOLDEN_SEED_BASE + i
-        traces = simulate_print(
-            program, config.profile, config.noise, seed=seed
-        )
-        for motor in MOTORS:
-            aligned = align_to_trigger(traces[motor])
-            per_motor[motor].append(smooth(aligned, config.detection.smoothing_window))
-            if config.save_traces:
-                save_trace(traces[motor], out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
+    """Build and save each motor's baseline in turn from one plan, holding
+    only that motor's golden traces.  Synthesis is reached through the
+    ``tracesim`` module, where ``perfbench`` trace mode wraps it."""
+    plan = plan_motion(program, config.profile)
     baselines: dict[Motor, GoldenBaseline] = {}
     for motor in MOTORS:
-        golden = common_window(per_motor[motor])
-        baselines[motor] = build_baseline(golden)
+        golden = []
+        for i in range(config.golden_count):
+            noise = dataclasses.replace(config.noise, seed=config.seed + _GOLDEN_SEED_BASE + i)
+            trace = tracesim.synthesize_trace(plan, motor, config.profile, noise)
+            if config.save_traces:
+                save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
+            golden.append(smooth(align_to_trigger(trace), config.detection.smoothing_window))
+        baselines[motor] = build_baseline(common_window(golden))
         save_baseline(baselines[motor], out / "baselines" / f"{motor.name}.ptrb")
     return baselines
 

@@ -99,6 +99,8 @@ def import_csv(
     or the import fails.  For one-column files ``sample_rate`` is required;
     for two-column files it is derived from the time column and, when also
     given, cross-checked against it.  An optional header row is skipped.
+    Non-finite cells, and a rate or trigger index the trace rejects, raise
+    :class:`CaptureFormatError` naming ``path``.
     """
     path = Path(path)
     try:
@@ -118,6 +120,8 @@ def import_csv(
         values = np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
     except ValueError as exc:
         raise CaptureFormatError(f"{path}: non-numeric cell ({exc})") from None
+    if not np.all(np.isfinite(values)):
+        raise CaptureFormatError(f"{path}: non-finite cell")
 
     if values.shape[1] == 1:
         if sample_rate is None:
@@ -133,16 +137,17 @@ def import_csv(
         if dt <= 0 or np.any(np.abs(deltas - dt) > _CSV_UNIFORMITY_TOL * abs(dt)):
             raise CaptureFormatError(f"{path}: time column is not uniform within 1 ppm")
         rate = 1.0 / dt
-        if sample_rate is not None and abs(rate - sample_rate) > _CSV_UNIFORMITY_TOL * sample_rate:
+        if sample_rate is not None and not abs(rate - sample_rate) <= _CSV_UNIFORMITY_TOL * sample_rate:
             raise CaptureFormatError(
                 f"{path}: time column implies {rate:.3f} S/s, expected {sample_rate:.3f}"
             )
-    return MotorTrace(
-        motor=motor,
-        sample_rate=rate,
-        samples=amplitudes.astype(np.float32),
-        trigger_index=trigger_index,
-    )
+    with _as_format_error(path):
+        return MotorTrace(
+            motor=motor,
+            sample_rate=rate,
+            samples=amplitudes.astype(np.float32),
+            trigger_index=trigger_index,
+        )
 
 
 def align_to_trigger(trace: MotorTrace) -> MotorTrace:

@@ -45,7 +45,6 @@ __all__ = [
     "NoiseModel",
     "DEFAULT_NOISE",
     "MotorTrace",
-    "nyquist_check",
     "synthesize_trace",
     "simulate_print",
 ]
@@ -129,30 +128,20 @@ class MotorTrace:
         return len(self.samples) / self.sample_rate
 
 
-def nyquist_check(sample_rate: float, max_frequency: float) -> bool:
-    """True iff ``sample_rate`` is at least double ``max_frequency``."""
-    if sample_rate <= 0 or max_frequency <= 0:
-        raise TraceSimError("sample_rate and max_frequency must be > 0")
-    return sample_rate >= 2.0 * max_frequency
-
-
 def synthesize_trace(
     plan: MotionPlan,
     motor: Motor,
     profile: PrinterProfile = DEFAULT_PROFILE,
     noise: NoiseModel = DEFAULT_NOISE,
-    sample_rate: float = SAMPLE_RATE,
 ) -> MotorTrace:
-    """Render one motor's current trace from a motion plan.
+    """Render one motor's current trace from a motion plan at ``SAMPLE_RATE``.
 
-    Same (plan, profile, noise, sample_rate) always yields bit-identical
-    samples.  Raises :class:`NyquistError` if any segment's electrical
-    frequency is above sample_rate / 2.
+    Same (plan, profile, noise) always yields bit-identical samples.  Raises
+    :class:`NyquistError` if any segment's electrical frequency is above
+    ``SAMPLE_RATE / 2``.
     """
-    if sample_rate <= 0:
-        raise TraceSimError("sample_rate must be > 0")
     segments = plan.segments.get(motor, ())
-    total_samples = int(round(plan.total_duration * sample_rate))
+    total_samples = int(round(plan.total_duration * SAMPLE_RATE))
     out = np.zeros(max(total_samples, 1), dtype=np.float64)
 
     amplitude = profile.rated_phase_current
@@ -165,17 +154,17 @@ def synthesize_trace(
     steps_position = 0.0
     hold = 0.0  # level where the last periodic section ended
     for index, segment in enumerate(segments):
-        lo = int(round(segment.start_time * sample_rate))
-        hi = int(round((segment.start_time + segment.duration) * sample_rate))
+        lo = int(round(segment.start_time * SAMPLE_RATE))
+        hi = int(round((segment.start_time + segment.duration) * SAMPLE_RATE))
         lo, hi = min(lo, total_samples), min(hi, total_samples)
         rng = np.random.default_rng([noise.seed, motor.code, index])
         if segment.step_frequency > 0.0:
             frequency = segment.step_frequency / STEPS_PER_ELECTRICAL_CYCLE
-            if not nyquist_check(sample_rate, frequency):
+            if 2.0 * frequency > SAMPLE_RATE:
                 raise NyquistError(
                     f"{motor.name} segment at {segment.start_time:.3f}s: "
                     f"{frequency:.1f} Hz exceeds Nyquist limit of "
-                    f"{sample_rate / 2:.1f} Hz"
+                    f"{SAMPLE_RATE / 2:.1f} Hz"
                 )
             jitter = rng.normal(0.0, jitter_sd) if jitter_sd > 0 else 0.0
             phase = _TWO_PI * steps_position / STEPS_PER_ELECTRICAL_CYCLE
@@ -183,7 +172,7 @@ def synthesize_trace(
             if hi > lo:
                 # Time is counted from the segment's first sample so that a
                 # whole-sample shift of the plan reproduces samples bit-exactly.
-                t = np.arange(hi - lo, dtype=np.float64) / sample_rate
+                t = np.arange(hi - lo, dtype=np.float64) / SAMPLE_RATE
                 values = amplitude * np.sin(phase + jitter + _TWO_PI * signed_frequency * t)
                 # The winding settles to the latched electrical angle, noise-free;
                 # measurement noise rides on top of the samples only.
@@ -199,10 +188,10 @@ def synthesize_trace(
                     values += rng.normal(0.0, noise.idle_noise_sd, hi - lo)
                 out[lo:hi] = values
 
-    trigger_index = min(int(round(plan.trigger_time * sample_rate)), len(out) - 1)
+    trigger_index = min(int(round(plan.trigger_time * SAMPLE_RATE)), len(out) - 1)
     return MotorTrace(
         motor=motor,
-        sample_rate=sample_rate,
+        sample_rate=SAMPLE_RATE,
         samples=out.astype(np.float32),
         trigger_index=trigger_index,
     )
@@ -213,7 +202,6 @@ def simulate_print(
     profile: PrinterProfile = DEFAULT_PROFILE,
     noise: NoiseModel = DEFAULT_NOISE,
     seed: int | None = None,
-    sample_rate: float = SAMPLE_RATE,
 ) -> dict[Motor, MotorTrace]:
     """Simulate one print: one trace per motor, equal length, shared trigger.
 
@@ -224,6 +212,6 @@ def simulate_print(
         noise = dataclasses.replace(noise, seed=seed)
     plan = plan_motion(program, profile)
     return {
-        motor: synthesize_trace(plan, motor, profile, noise, sample_rate)
+        motor: synthesize_trace(plan, motor, profile, noise)
         for motor in MOTORS
     }

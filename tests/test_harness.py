@@ -149,6 +149,26 @@ class TestRunExperiment:
             out / "baselines" / "X.ptrb"
         ).read_bytes()
 
+    def test_baselines_follow_the_golden_recipe(self, small_run, tmp_path):
+        # Golden print i is a whole print seeded seed + 1000 + i; each
+        # baseline is built from those prints aligned, smoothed and cut to
+        # a common window.
+        from powertrace.detect import build_baseline, smooth
+        from powertrace.traceio import align_to_trigger, common_window, save_baseline
+        from powertrace.tracesim import simulate_print
+
+        _, out = small_run
+        window = SMALL.detection.smoothing_window
+        prints = [
+            simulate_print(benchmark_object(), SMALL.profile, SMALL.noise, seed=SMALL.seed + 1000 + i)
+            for i in range(SMALL.golden_count)
+        ]
+        for motor in MOTORS:
+            golden = [smooth(align_to_trigger(traces[motor]), window) for traces in prints]
+            path = tmp_path / f"{motor.name}.ptrb"
+            save_baseline(build_baseline(common_window(golden)), path)
+            assert path.read_bytes() == (out / "baselines" / f"{motor.name}.ptrb").read_bytes()
+
     def test_excess_ratio_is_the_mean_of_per_print_window_means(self, small_run):
         # Recompute every attack row's ratios the way they were computed while
         # every print's full excess series was held: per print the mean over
@@ -220,6 +240,28 @@ def test_save_traces_flag(tmp_path):
     saved = list((tmp_path / "traces").glob("*.ptrc"))
     # 2 golden + 1 normal + 4 attacks, 4 motors each
     assert len(saved) == (2 + 1 + 4) * 4
+
+
+def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
+    # Each added golden print may cost one float32 smoothed trace and one
+    # float64 stack row per baseline sample (12 bytes); holding every motor's
+    # smoothed traces until the last baseline is built costs 24.
+    import tracemalloc
+
+    from powertrace import harness
+
+    program = benchmark_object()
+    peaks = {}
+    for count in (3, 6):
+        config = dataclasses.replace(SMALL, golden_count=count)
+        tracemalloc.start()
+        try:
+            baselines = harness._build_baselines(program, config, tmp_path / str(count))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    samples = baselines[Motor.X].sample_count
+    assert (peaks[6] - peaks[3]) / 3 / samples <= 13.0
 
 
 class TestPhenomenology:

@@ -130,6 +130,32 @@ class TestCsvImport:
         with pytest.raises(CaptureFormatError, match="implies"):
             import_csv(path, Motor.X, sample_rate=25_000.0)
 
+    @pytest.mark.parametrize(
+        "text, kwargs, message",
+        [
+            ("0,1.0\n4e-5,2.0\nnan,3.0\n1.2e-4,4.0\n", {}, "non-finite cell"),
+            ("0.1\nnan\n0.3\n", {"sample_rate": 25_000.0}, "non-finite cell"),
+            ("0.1\ninf\n0.3\n", {"sample_rate": 25_000.0}, "non-finite cell"),
+            ("0.1\n0.2\n0.3\n", {"sample_rate": float("nan")}, "sample_rate"),
+            ("0,1.0\n4e-5,2.0\n", {"sample_rate": float("nan")}, "implies"),
+            ("0.1\n0.2\n0.3\n", {"sample_rate": 25_000.0, "trigger_index": 3}, "trigger_index"),
+        ],
+        ids=[
+            "nan-time",
+            "nan-amplitude",
+            "inf-amplitude",
+            "nan-rate",
+            "nan-rate-with-time-column",
+            "trigger-out-of-range",
+        ],
+    )
+    def test_bad_values_name_the_path(self, tmp_path, text, kwargs, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(CaptureFormatError, match=message) as excinfo:
+            import_csv(path, Motor.X, **kwargs)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_export_import_round_trip_within_float32(self, tmp_path):
         trace = _trace([0.125, -0.5, 0.75])
         path = tmp_path / "t.csv"

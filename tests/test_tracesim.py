@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from powertrace.tracesim import (
     NoiseModel,
     NyquistError,
     TraceSimError,
-    nyquist_check,
     simulate_print,
     synthesize_trace,
 )
@@ -25,23 +26,13 @@ def _plan(text):
 
 
 class TestNyquist:
-    def test_paper_rates_are_fine(self):
-        assert nyquist_check(25_000, 200) is True
-
-    def test_undersampling_flagged(self):
-        assert nyquist_check(300, 200) is False
-
-    def test_boundary_admitted(self):
-        assert nyquist_check(400, 200) is True
-
-    def test_invalid_inputs(self):
-        with pytest.raises(TraceSimError):
-            nyquist_check(0, 100)
-
     def test_synthesis_rejects_sub_nyquist_rate(self):
-        plan = _plan("G1 X10 F600\n")
-        with pytest.raises(NyquistError):
-            synthesize_trace(plan, Motor.X, noise=QUIET, sample_rate=1.0)
+        # 10 mm/s at 1e6 steps/mm is 156,250 Hz electrical, above 12,500 Hz.
+        steps = dataclasses.replace(DEFAULT_PROFILE.steps_per_mm, x=1e6)
+        profile = dataclasses.replace(DEFAULT_PROFILE, steps_per_mm=steps)
+        plan = plan_motion(parse_gcode("G1 X10 F600\n"), profile)
+        with pytest.raises(NyquistError, match="exceeds Nyquist limit of 12500.0 Hz"):
+            synthesize_trace(plan, Motor.X, profile, noise=QUIET)
 
 
 class TestWaveform:
