@@ -22,13 +22,19 @@ waveform fidelity):
 Randomness is reseeded per (seed, motor, segment index), so a trace prefix is
 bit-identical between a benign and a mutated run up to the first changed
 segment, and the same seed always reproduces the same samples.
+
+A trace's segments render on up to 8 threads, one contiguous block of
+segments per CPU the process may use.  Each segment has its own RNG and its
+own samples, so the output is identical for any CPU count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -61,6 +67,18 @@ PHASE_JITTER_SCALE = {Motor.X: 1.0, Motor.Y: 1.0, Motor.Z: 1.2, Motor.E: 1.5}
 AMPLITUDE_NOISE_SCALE = {Motor.X: 1.0, Motor.Y: 1.0, Motor.Z: 1.0, Motor.E: 2.0}
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Threads that render one trace's segments: the CPUs this process may use,
+# capped because a trace has only a few hundred segments.
+_WORKERS = min(_usable_cpus(), 8)
 
 
 class TraceSimError(ValueError):
@@ -136,9 +154,11 @@ def synthesize_trace(
 ) -> MotorTrace:
     """Render one motor's current trace from a motion plan at ``SAMPLE_RATE``.
 
-    Same (plan, profile, noise) always yields bit-identical samples.  Raises
+    Same (plan, profile, noise) always yields bit-identical samples, whatever
+    the number of threads the segments render on.  Raises
     :class:`NyquistError` if any segment's electrical frequency is above
-    ``SAMPLE_RATE / 2``.
+    ``SAMPLE_RATE / 2``, and :class:`TraceSimError` if a segment's samples
+    overlap an earlier segment's (planned segments tile time).
     """
     segments = plan.segments.get(motor, ())
     total_samples = int(round(plan.total_duration * SAMPLE_RATE))
@@ -148,16 +168,28 @@ def synthesize_trace(
     jitter_sd = noise.phase_jitter_sd * PHASE_JITTER_SCALE[motor]
     amp_sd = noise.amplitude_noise_sd * AMPLITUDE_NOISE_SCALE[motor]
 
-    # The electrical angle tracks the signed shaft position: phase is the
-    # accumulated microstep count over STEPS_PER_ELECTRICAL_CYCLE, so two
-    # prints of the same geometry agree on phase wherever their positions do.
+    # Serial pre-pass: sample ranges, the Nyquist check, and each active
+    # segment's starting phase.  The electrical angle tracks the signed shaft
+    # position: phase is the accumulated microstep count over
+    # STEPS_PER_ELECTRICAL_CYCLE, so two prints of the same geometry agree on
+    # phase wherever their positions do.  Segments without samples render
+    # nothing; an idle segment records which active one it holds the end of.
+    active: list[tuple[int, int, int, float, float]] = []
+    idle: list[tuple[int, int, int, int]] = []
     steps_position = 0.0
-    hold = 0.0  # level where the last periodic section ended
+    rendered_to = 0
     for index, segment in enumerate(segments):
         lo = int(round(segment.start_time * SAMPLE_RATE))
         hi = int(round((segment.start_time + segment.duration) * SAMPLE_RATE))
         lo, hi = min(lo, total_samples), min(hi, total_samples)
-        rng = np.random.default_rng([noise.seed, motor.code, index])
+        if hi > lo:
+            # Segments render concurrently, so each must own its samples.
+            if lo < rendered_to:
+                raise TraceSimError(
+                    f"{motor.name} segment at {segment.start_time:.3f}s "
+                    f"overlaps the segment before it"
+                )
+            rendered_to = hi
         if segment.step_frequency > 0.0:
             frequency = segment.step_frequency / STEPS_PER_ELECTRICAL_CYCLE
             if 2.0 * frequency > SAMPLE_RATE:
@@ -166,27 +198,52 @@ def synthesize_trace(
                     f"{frequency:.1f} Hz exceeds Nyquist limit of "
                     f"{SAMPLE_RATE / 2:.1f} Hz"
                 )
-            jitter = rng.normal(0.0, jitter_sd) if jitter_sd > 0 else 0.0
-            phase = _TWO_PI * steps_position / STEPS_PER_ELECTRICAL_CYCLE
-            signed_frequency = segment.direction * frequency
             if hi > lo:
-                # Time is counted from the segment's first sample so that a
-                # whole-sample shift of the plan reproduces samples bit-exactly.
-                t = np.arange(hi - lo, dtype=np.float64) / SAMPLE_RATE
-                values = amplitude * np.sin(phase + jitter + _TWO_PI * signed_frequency * t)
-                # The winding settles to the latched electrical angle, noise-free;
-                # measurement noise rides on top of the samples only.
-                hold = float(values[-1])
-                if amp_sd > 0:
-                    values = values + rng.normal(0.0, amp_sd, hi - lo)
-                out[lo:hi] = values
+                phase = _TWO_PI * steps_position / STEPS_PER_ELECTRICAL_CYCLE
+                active.append((index, lo, hi, phase, segment.direction * frequency))
             steps_position += segment.direction * segment.step_frequency * segment.duration
+        elif hi > lo:
+            idle.append((index, lo, hi, len(active) - 1))
+
+    # Time is counted from the segment's first sample so that a whole-sample
+    # shift of the plan reproduces samples bit-exactly; every active segment
+    # reads a prefix of one shared time axis.
+    longest = max((hi - lo for _, lo, hi, _, _ in active), default=0)
+    t = np.arange(longest, dtype=np.float64) / SAMPLE_RATE
+
+    def render_active(index: int, lo: int, hi: int, phase: float, signed_frequency: float) -> float:
+        rng = np.random.default_rng([noise.seed, motor.code, index])
+        jitter = rng.normal(0.0, jitter_sd) if jitter_sd > 0 else 0.0
+        # amplitude * sin(phase + jitter + 2*pi*f*t), one operation at a time
+        # in a single buffer.
+        values = t[: hi - lo] * (_TWO_PI * signed_frequency)
+        values += phase + jitter
+        np.sin(values, out=values)
+        values *= amplitude
+        # The winding settles to the latched electrical angle, noise-free;
+        # measurement noise rides on top of the samples only.
+        hold = float(values[-1])
+        if amp_sd > 0:
+            values += rng.normal(0.0, amp_sd, hi - lo)
+        out[lo:hi] = values
+        return hold
+
+    def render_idle(index: int, lo: int, hi: int, hold: float) -> None:
+        if noise.idle_noise_sd > 0:
+            rng = np.random.default_rng([noise.seed, motor.code, index])
+            values = rng.normal(0.0, noise.idle_noise_sd, hi - lo)
+            values += hold
+            out[lo:hi] = values
         else:
-            if hi > lo:
-                values = np.full(hi - lo, hold, dtype=np.float64)
-                if noise.idle_noise_sd > 0:
-                    values += rng.normal(0.0, noise.idle_noise_sd, hi - lo)
-                out[lo:hi] = values
+            out[lo:hi] = hold
+
+    # Idle segments hold the level where the last periodic section before
+    # them ended, so they render once every active segment has.
+    ends = _render_in_blocks(render_active, active)
+    _render_in_blocks(
+        render_idle,
+        [(index, lo, hi, ends[k] if k >= 0 else 0.0) for index, lo, hi, k in idle],
+    )
 
     trigger_index = min(int(round(plan.trigger_time * SAMPLE_RATE)), len(out) - 1)
     return MotorTrace(
@@ -195,6 +252,36 @@ def synthesize_trace(
         samples=out.astype(np.float32),
         trigger_index=trigger_index,
     )
+
+
+def _render_in_blocks(render: Callable, jobs: list[tuple]) -> list:
+    """``[render(*job) for job in jobs]``, on up to ``_WORKERS`` threads.
+
+    Each job is ``(index, lo, hi, ...)`` and writes only its own samples
+    ``lo:hi``, with its own RNG, so any split gives the same samples.  Each
+    thread takes one contiguous block of jobs; blocks hold about equal sample
+    counts.  numpy releases the GIL in ``np.sin`` and ``Generator.normal``,
+    where the time goes.
+    """
+    total = sum(hi - lo for _, lo, hi, *_ in jobs)
+    blocks, start, filled = [], 0, 0
+    for end, (_, lo, hi, *_) in enumerate(jobs, 1):
+        filled += hi - lo
+        if filled * _WORKERS >= total * (len(blocks) + 1):
+            blocks.append(jobs[start:end])
+            start = end
+    if len(blocks) <= 1:
+        return [render(*job) for job in jobs]
+
+    # Imported here: it costs milliseconds in every fresh process.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def render_block(block: list[tuple]) -> list:
+        return [render(*job) for job in block]
+
+    with ThreadPoolExecutor(len(blocks)) as pool:
+        futures = [pool.submit(render_block, block) for block in blocks]
+        return [result for future in futures for result in future.result()]
 
 
 def simulate_print(

@@ -1,15 +1,32 @@
 import dataclasses
+import math
+import sys
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from powertrace import tracesim
 from powertrace.attacks import AttackKind, AttackSpec, inject_insert
 from powertrace.gcode import Command, CommandKind, parse_gcode
-from powertrace.planner import DEFAULT_PROFILE, MOTORS, Motor, plan_motion
+from powertrace.harness import benchmark_object
+from powertrace.planner import (
+    DEFAULT_PROFILE,
+    MOTORS,
+    MotionPlan,
+    MotionSegment,
+    Motor,
+    plan_motion,
+)
 from powertrace.tracesim import (
     AMPLITUDE_NOISE_SCALE,
     DEFAULT_NOISE,
+    PHASE_JITTER_SCALE,
     SAMPLE_RATE,
+    STEPS_PER_ELECTRICAL_CYCLE,
     MotorTrace,
     NoiseModel,
     NyquistError,
@@ -241,3 +258,188 @@ class TestValidation:
                 samples=np.zeros(4, dtype=np.float32),
                 trigger_index=4,
             )
+
+
+def reference_synthesis(plan, motor, profile=DEFAULT_PROFILE, noise=DEFAULT_NOISE):
+    """The serial segment loop that synthesis must reproduce byte for byte.
+
+    Returns ``(float32 samples, trigger_index)``.
+    """
+    segments = plan.segments.get(motor, ())
+    total_samples = int(round(plan.total_duration * SAMPLE_RATE))
+    out = np.zeros(max(total_samples, 1), dtype=np.float64)
+
+    amplitude = profile.rated_phase_current
+    jitter_sd = noise.phase_jitter_sd * PHASE_JITTER_SCALE[motor]
+    amp_sd = noise.amplitude_noise_sd * AMPLITUDE_NOISE_SCALE[motor]
+
+    steps_position = 0.0
+    hold = 0.0
+    for index, segment in enumerate(segments):
+        lo = int(round(segment.start_time * SAMPLE_RATE))
+        hi = int(round((segment.start_time + segment.duration) * SAMPLE_RATE))
+        lo, hi = min(lo, total_samples), min(hi, total_samples)
+        rng = np.random.default_rng([noise.seed, motor.code, index])
+        if segment.step_frequency > 0.0:
+            frequency = segment.step_frequency / STEPS_PER_ELECTRICAL_CYCLE
+            if 2.0 * frequency > SAMPLE_RATE:
+                raise NyquistError(
+                    f"{motor.name} segment at {segment.start_time:.3f}s: "
+                    f"{frequency:.1f} Hz exceeds Nyquist limit of "
+                    f"{SAMPLE_RATE / 2:.1f} Hz"
+                )
+            jitter = rng.normal(0.0, jitter_sd) if jitter_sd > 0 else 0.0
+            phase = 2.0 * math.pi * steps_position / STEPS_PER_ELECTRICAL_CYCLE
+            signed_frequency = segment.direction * frequency
+            if hi > lo:
+                t = np.arange(hi - lo, dtype=np.float64) / SAMPLE_RATE
+                values = amplitude * np.sin(
+                    phase + jitter + 2.0 * math.pi * signed_frequency * t
+                )
+                hold = float(values[-1])
+                if amp_sd > 0:
+                    values = values + rng.normal(0.0, amp_sd, hi - lo)
+                out[lo:hi] = values
+            steps_position += segment.direction * segment.step_frequency * segment.duration
+        else:
+            if hi > lo:
+                values = np.full(hi - lo, hold, dtype=np.float64)
+                if noise.idle_noise_sd > 0:
+                    values += rng.normal(0.0, noise.idle_noise_sd, hi - lo)
+                out[lo:hi] = values
+
+    trigger_index = min(int(round(plan.trigger_time * SAMPLE_RATE)), len(out) - 1)
+    return out.astype(np.float32), trigger_index
+
+
+WORKER_COUNTS = (1, 2, 3)
+
+
+def _plan_of(specs, kept, motor):
+    """One motor's plan from ``(duration, step_frequency, direction)`` specs.
+
+    Segments tile time like the planner's; the plan ends after the fraction
+    ``kept`` of their total, so later segments fall past its last sample.
+    """
+    segments, clock = [], 0.0
+    for duration, step_frequency, direction in specs:
+        segments.append(MotionSegment(clock, duration, step_frequency, motor, direction))
+        clock += duration
+    total = clock * kept
+    return MotionPlan(segments={motor: tuple(segments)}, total_duration=total, trigger_time=total / 2)
+
+
+def _assert_matches_reference(plan, motor, noise):
+    expected, trigger = reference_synthesis(plan, motor, noise=noise)
+    for workers in WORKER_COUNTS:
+        with mock.patch.object(tracesim, "_WORKERS", workers):
+            trace = synthesize_trace(plan, motor, noise=noise)
+        assert trace.samples.tobytes() == expected.tobytes(), f"{workers} workers"
+        assert trace.trigger_index == trigger
+
+
+_SEGMENT = st.tuples(
+    st.one_of(st.floats(1e-6, 3e-5), st.floats(3e-5, 0.06)),
+    st.one_of(st.just(0.0), st.floats(1.0, 20_000.0)),
+    st.sampled_from((1, -1)),
+)
+_NOISE = st.builds(
+    NoiseModel,
+    idle_noise_sd=st.sampled_from((0.0, 0.025)),
+    phase_jitter_sd=st.sampled_from((0.0, 0.002)),
+    amplitude_noise_sd=st.sampled_from((0.0, 0.02)),
+    seed=st.integers(0, 2**32),
+)
+_ACTIVE = 3_000.0
+
+
+class TestThreadedSynthesis:
+    """Segments render on threads; the samples must equal the serial loop's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(_SEGMENT, max_size=12),
+        kept=st.floats(0.3, 1.0),
+        noise=_NOISE,
+        motor=st.sampled_from(MOTORS),
+    )
+    # An idle first segment holds 0.0.
+    @example(specs=[(0.01, 0.0, 1), (0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=1.0, noise=DEFAULT_NOISE, motor=Motor.X)
+    # An active segment that rounds to no samples advances the phase but
+    # leaves the hold level where the earlier active segment ended.
+    @example(specs=[(0.01, _ACTIVE, 1), (1e-5, 5_000.0, 1), (0.01, 0.0, 1), (0.01, _ACTIVE, 1)],
+             kept=1.0, noise=DEFAULT_NOISE, motor=Motor.E)
+    @example(specs=[(0.01, _ACTIVE, -1), (0.01, 0.0, 1), (0.02, 2_000.0, -1)],
+             kept=1.0, noise=DEFAULT_NOISE, motor=Motor.Y)
+    @example(specs=[(0.01, 0.0, 1), (0.01, _ACTIVE, -1), (0.01, 0.0, 1)],
+             kept=1.0, noise=QUIET, motor=Motor.X)
+    # Segments past the plan's last sample render nothing.
+    @example(specs=[(0.01, _ACTIVE, 1), (0.01, 0.0, 1), (0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=0.4, noise=DEFAULT_NOISE, motor=Motor.Z)
+    def test_matches_serial_reference(self, specs, kept, noise, motor):
+        _assert_matches_reference(_plan_of(specs, kept, motor), motor, noise)
+
+    @pytest.mark.parametrize("motor", MOTORS, ids=lambda m: m.name)
+    def test_benchmark_plan_matches_serial_reference(self, motor):
+        plan = plan_motion(benchmark_object(), DEFAULT_PROFILE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _assert_matches_reference(plan, motor, NoiseModel(seed=4))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_first_sub_nyquist_segment_raises_reference_message(self):
+        specs = [(0.01, _ACTIVE, 1), (0.01, 0.0, 1)] * 2
+        specs += [(0.01, 2e6, 1), (0.01, 0.0, 1), (0.01, 3e6, 1)]
+        plan = _plan_of(specs, 1.0, Motor.X)
+        with pytest.raises(NyquistError) as expected:
+            reference_synthesis(plan, Motor.X)
+        for workers in WORKER_COUNTS:
+            with mock.patch.object(tracesim, "_WORKERS", workers):
+                with pytest.raises(NyquistError) as raised:
+                    synthesize_trace(plan, Motor.X)
+            assert str(raised.value) == str(expected.value)
+        assert "segment at 0.040s" in str(expected.value)
+
+    def test_overlapping_segments_rejected(self):
+        segments = (
+            MotionSegment(0.0, 0.02, _ACTIVE, Motor.X),
+            MotionSegment(0.01, 0.02, 0.0, Motor.X),
+        )
+        plan = MotionPlan(segments={Motor.X: segments}, total_duration=0.03, trigger_time=0.0)
+        with pytest.raises(TraceSimError, match="segment at 0.010s overlaps"):
+            synthesize_trace(plan, Motor.X)
+
+    def test_worker_exception_reaches_caller(self):
+        failed_on = []
+
+        def render(index, lo, hi):
+            if index == 2:
+                failed_on.append(threading.current_thread())
+                raise ValueError("segment 2 failed")
+            return index
+
+        jobs = [(index, 10 * index, 10 * index + 10) for index in range(3)]
+        with mock.patch.object(tracesim, "_WORKERS", 3):
+            with pytest.raises(ValueError, match="segment 2 failed"):
+                tracesim._render_in_blocks(render, jobs)
+        assert failed_on and failed_on[0] is not threading.main_thread()
+
+    def test_peak_memory_per_sample(self):
+        # The float64 render buffer and the float32 result are 12 bytes per
+        # sample; segment buffers are small next to them.  One more
+        # full-length float64 array would add 8.
+        # Measured at the largest worker count, after one untraced call so
+        # that one-time imports do not count.
+        plan = plan_motion(benchmark_object(), DEFAULT_PROFILE)
+        with mock.patch.object(tracesim, "_WORKERS", 8):
+            synthesize_trace(plan, Motor.X)
+            tracemalloc.start()
+            try:
+                trace = synthesize_trace(plan, Motor.X)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak / len(trace) <= 14.5
