@@ -233,6 +233,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         config = load_experiment_config(args.config, config)
     _print_config(
         args,
+        seed=config.seed,
         golden_count=config.golden_count,
         malicious_count=config.malicious_count,
         visible_factor=config.visible_factor,

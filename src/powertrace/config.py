@@ -31,7 +31,6 @@ __all__ = [
     "DETECTION_KEYS",
     "parse_bool",
     "parse_payload",
-    "parse_kv_text",
     "read_kv_file",
     "apply_pairs",
     "dump_pairs",
@@ -97,32 +96,28 @@ NOISE_LEVEL_KEYS = keys(float, "idle_noise_sd", "phase_jitter_sd", "amplitude_no
 DETECTION_KEYS = keys(int, "smoothing_window") + keys(float, "margin") + keys(int, "run_requirement")
 
 
-def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("#", ";")):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{line_no}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"{source}:{line_no}: empty key")
-        if key in pairs:
-            raise ConfigError(f"{source}:{line_no}: duplicate key {key!r}")
-        pairs[key] = value
-    return pairs
-
-
 def read_kv_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return parse_kv_text(text, source=str(path))
+    pairs: dict[str, str] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(("#", ";")):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"{path}:{line_no}: empty key")
+        if key in pairs:
+            raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+        pairs[key] = value
+    return pairs
 
 
 def apply_pairs(base: Any, table: tuple[Key, ...], pairs: Mapping[str, str], source: str) -> Any:

@@ -51,7 +51,9 @@ from .detect import (
     smooth,
 )
 from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
-from .planner import DEFAULT_PROFILE, MOTORS, Motor, PrinterProfile, command_start_times, plan_motion
+from .planner import (
+    DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PrinterProfile, command_start_times, plan_motion
+)
 from .traceio import align_to_trigger, common_window, save_baseline, save_trace
 from . import tracesim
 from .tracesim import DEFAULT_NOISE, SAMPLE_RATE, NoiseModel, simulate_print
@@ -65,7 +67,6 @@ __all__ = [
     "ATTACK_ROWS",
     "benchmark_object",
     "default_attacks",
-    "load_program",
     "load_experiment_config",
     "dump_experiment_config",
     "run_experiment",
@@ -143,6 +144,8 @@ class ExperimentConfig:
             raise ExperimentError("visible_factor must be finite and > 0")
         if self.series_stride < 1:
             raise ExperimentError("series_stride must be >= 1")
+        if self.seed < 0:
+            raise ExperimentError("seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def load_experiment_config(path: str | Path, base: ExperimentConfig) -> Experime
         config = dataclasses.replace(config, program_path=program)
     if not attack_pairs:
         return config
-    attacks = config.attacks if config.attacks is not None else default_attacks(load_program(config))
+    attacks = config.attacks if config.attacks is not None else default_attacks(_load_program(config))
     config = dataclasses.replace(config, attacks=attacks)
     return apply_pairs(config, _attack_keys(attacks), attack_pairs, source)
 
@@ -373,7 +376,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    program = load_program(config)
+    program = _load_program(config)
     attacks = config.attacks if config.attacks is not None else default_attacks(program)
     for row in ATTACK_ROWS:
         if row not in attacks:
@@ -382,8 +385,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     config = dataclasses.replace(config, attacks=attacks)
     (out / "config.txt").write_text(dump_experiment_config(config))
 
-    baselines = _build_baselines(program, config, out)
-    windows = _attack_windows(program, attacks, config, baselines)
+    plan = plan_motion(program, config.profile)
+    baselines = _build_baselines(plan, config, out)
+    windows = _attack_windows(program, plan, attacks, config, baselines)
 
     # The normal row runs first and is measured in every attack's window,
     # so each attack row's excess ratio compares like with like.
@@ -433,7 +437,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     return matrix
 
 
-def load_program(config: ExperimentConfig) -> GCodeProgram:
+def _load_program(config: ExperimentConfig) -> GCodeProgram:
     if config.program_path is None:
         return benchmark_object()
     try:
@@ -444,12 +448,11 @@ def load_program(config: ExperimentConfig) -> GCodeProgram:
 
 
 def _build_baselines(
-    program: GCodeProgram, config: ExperimentConfig, out: Path
+    plan: MotionPlan, config: ExperimentConfig, out: Path
 ) -> dict[Motor, GoldenBaseline]:
-    """Build and save each motor's baseline in turn from one plan, holding
-    only that motor's golden traces.  Synthesis is reached through the
-    ``tracesim`` module, where ``perfbench`` trace mode wraps it."""
-    plan = plan_motion(program, config.profile)
+    """Build and save each motor's baseline in turn from the program's plan,
+    holding only that motor's golden traces.  Synthesis is reached through
+    the ``tracesim`` module, where ``perfbench`` trace mode wraps it."""
     baselines: dict[Motor, GoldenBaseline] = {}
     for motor in MOTORS:
         golden = []
@@ -522,6 +525,7 @@ _VOID_SETTLE_S = 3.0
 
 def _attack_windows(
     program: GCodeProgram,
+    plan: MotionPlan,
     attacks: dict[str, tuple[AttackSpec, ...]],
     config: ExperimentConfig,
     baselines: dict[Motor, GoldenBaseline],
@@ -534,7 +538,6 @@ def _attack_windows(
     harness controls ground truth.
     """
     starts = command_start_times(program, config.profile)
-    plan = plan_motion(program, config.profile)
     length = min(b.sample_count for b in baselines.values())
     windows = {}
     for row, specs in attacks.items():

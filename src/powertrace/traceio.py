@@ -1,17 +1,16 @@
 """Capture persistence and alignment.
 
 Defines the binary capture container (magic ``PTRC``) that real oscilloscope
-exports would be converted into, a CSV importer for lab interchange, and the
-trigger-alignment / common-window helpers every comparison relies on.  The
-baseline container (magic ``PTRB``) starts with the same header prefix and
-holds what the verdict reads: the golden sd column and the reference trace.
+exports would be converted into, and the trigger-alignment / common-window
+helpers every comparison relies on.  The baseline container (magic ``PTRB``)
+starts with the same header prefix and holds what the verdict reads: the
+golden sd column and the reference trace.
 
 All integers and floats are little-endian; samples are float32.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from contextlib import contextmanager
@@ -27,19 +26,14 @@ from .tracesim import MotorTrace, TraceSimError
 __all__ = [
     "CaptureFormatError",
     "CaptureIOError",
-    "TRACE_MAGIC",
-    "BASELINE_MAGIC",
     "save_trace",
     "load_trace",
-    "import_csv",
     "align_to_trigger",
     "common_window",
     "save_baseline",
     "load_baseline",
 ]
 
-TRACE_MAGIC = b"PTRC"
-BASELINE_MAGIC = b"PTRB"
 _UNITS_AMPS = 0
 
 # Every container starts with this prefix: magic, version, motor code,
@@ -59,12 +53,10 @@ class _Layout:
 
 
 # fields: trigger_index, sample_count; body: samples
-_TRACE = _Layout(TRACE_MAGIC, 1, struct.Struct("<QQ"), ("<f4",))
+_TRACE = _Layout(b"PTRC", 1, struct.Struct("<QQ"), ("<f4",))
 # fields: source_count, sample_count; body: pointwise sd, reference samples.
 # Version 1 also stored the print-end index, the peak sd and a mean column.
-_BASELINE = _Layout(BASELINE_MAGIC, 2, struct.Struct("<QQ"), ("<f8", "<f4"))
-
-_CSV_UNIFORMITY_TOL = 1e-6  # 1 ppm
+_BASELINE = _Layout(b"PTRB", 2, struct.Struct("<QQ"), ("<f8", "<f4"))
 
 
 class CaptureFormatError(ValueError):
@@ -85,69 +77,6 @@ def load_trace(path: str | Path) -> MotorTrace:
     motor, rate, (trigger, _), (samples,) = _read(path, _TRACE)
     with _as_format_error(path):
         return MotorTrace(motor=motor, sample_rate=rate, samples=samples, trigger_index=trigger)
-
-
-def import_csv(
-    path: str | Path,
-    motor: Motor,
-    sample_rate: float | None = None,
-    trigger_index: int = 0,
-) -> MotorTrace:
-    """Read a one-column (amplitude) or two-column (time, amplitude) CSV.
-
-    No resampling is performed: a time column must be uniform to within 1 ppm
-    or the import fails.  For one-column files ``sample_rate`` is required;
-    for two-column files it is derived from the time column and, when also
-    given, cross-checked against it.  An optional header row is skipped.
-    Non-finite cells, and a rate or trigger index the trace rejects, raise
-    :class:`CaptureFormatError` naming ``path``.
-    """
-    path = Path(path)
-    try:
-        with path.open(newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
-        raise CaptureIOError(f"{path}: {exc}") from exc
-    if rows and not _is_numeric_row(rows[0]):
-        rows = rows[1:]
-    if not rows:
-        raise CaptureFormatError(f"{path}: no data rows")
-    widths = {len(row) for row in rows}
-    if widths not in ({1}, {2}):
-        raise CaptureFormatError(f"{path}: expected 1 or 2 columns, got {sorted(widths)}")
-
-    try:
-        values = np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise CaptureFormatError(f"{path}: non-numeric cell ({exc})") from None
-    if not np.all(np.isfinite(values)):
-        raise CaptureFormatError(f"{path}: non-finite cell")
-
-    if values.shape[1] == 1:
-        if sample_rate is None:
-            raise CaptureFormatError(f"{path}: sample_rate required for amplitude-only CSV")
-        amplitudes = values[:, 0]
-        rate = float(sample_rate)
-    else:
-        times, amplitudes = values[:, 0], values[:, 1]
-        if len(times) < 2:
-            raise CaptureFormatError(f"{path}: need at least 2 rows to derive sample rate")
-        deltas = np.diff(times)
-        dt = deltas[0]
-        if dt <= 0 or np.any(np.abs(deltas - dt) > _CSV_UNIFORMITY_TOL * abs(dt)):
-            raise CaptureFormatError(f"{path}: time column is not uniform within 1 ppm")
-        rate = 1.0 / dt
-        if sample_rate is not None and not abs(rate - sample_rate) <= _CSV_UNIFORMITY_TOL * sample_rate:
-            raise CaptureFormatError(
-                f"{path}: time column implies {rate:.3f} S/s, expected {sample_rate:.3f}"
-            )
-    with _as_format_error(path):
-        return MotorTrace(
-            motor=motor,
-            sample_rate=rate,
-            samples=amplitudes.astype(np.float32),
-            trigger_index=trigger_index,
-        )
 
 
 def align_to_trigger(trace: MotorTrace) -> MotorTrace:
@@ -280,12 +209,3 @@ def _as_format_error(path: str | Path):
         yield
     except (TraceSimError, DetectionError) as exc:
         raise CaptureFormatError(f"{path}: {exc}") from None
-
-
-def _is_numeric_row(row: list[str]) -> bool:
-    try:
-        for cell in row:
-            float(cell)
-    except ValueError:
-        return False
-    return True

@@ -141,10 +141,6 @@ class MotorTrace:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def synthesize_trace(
     plan: MotionPlan,

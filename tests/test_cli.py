@@ -355,6 +355,37 @@ class TestExperimentCommand:
         assert f"error: {config}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys, source):
+        config = tmp_path / "exp.cfg"
+        config.write_text("golden_count = 2\n" + ("seed = -1\n" if source == "file" else ""))
+        argv = ["experiment", str(config), "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err
+        if source == "file":
+            assert f"error: {config}: " in err
+        assert not (tmp_path / "out" / "config.txt").exists()
+
+    def test_printed_seed_is_the_one_the_run_uses(self, tmp_path, capsys, monkeypatch):
+        # Regression: the config line showed --seed while the file's seed ran.
+        config = tmp_path / "exp.cfg"
+        config.write_text("seed = 7\n")
+        seen = []
+
+        def fake_run(config, out_dir):
+            seen.append(config)
+            raise ExperimentError("stop before simulating")
+
+        monkeypatch.setattr("powertrace.cli.run_experiment", fake_run)
+        argv = ["experiment", str(config), "--seed", "3", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert seen[0].seed == 7
+        out = capsys.readouterr().out
+        assert "config seed=7\n" in out and "config seed=3" not in out
+
     def test_relative_program_is_read_beside_the_config(self, tmp_path, monkeypatch):
         # Regression: a relative ``program`` used to be opened from the
         # working directory, so this run exited 2.

@@ -93,6 +93,12 @@ class TestConfigValidation:
         with pytest.raises(ExperimentError, match="malicious_count"):
             ExperimentConfig(malicious_count=0)
 
+    def test_negative_seed_rejected(self):
+        # Every print's noise seed is offset from this one, so a negative seed
+        # used to fail only once a print's noise model rejected its own seed.
+        with pytest.raises(ExperimentError, match="seed must be >= 0"):
+            ExperimentConfig(seed=-1)
+
 
 class TestRunExperiment:
     def test_normal_row_is_clean(self, small_run):
@@ -184,7 +190,8 @@ class TestRunExperiment:
         baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
         program = benchmark_object()
         attacks = default_attacks(program)
-        windows = harness._attack_windows(program, attacks, SMALL, baselines)
+        plan = plan_motion(program, SMALL.profile)
+        windows = harness._attack_windows(program, plan, attacks, SMALL, baselines)
 
         def prints(prog, first_seed):
             results = []
@@ -250,13 +257,13 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
 
     from powertrace import harness
 
-    program = benchmark_object()
+    plan = plan_motion(benchmark_object(), SMALL.profile)
     peaks = {}
     for count in (3, 6):
         config = dataclasses.replace(SMALL, golden_count=count)
         tracemalloc.start()
         try:
-            baselines = harness._build_baselines(program, config, tmp_path / str(count))
+            baselines = harness._build_baselines(plan, config, tmp_path / str(count))
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,0 +1,27 @@
+import subprocess
+import sys
+
+SUBMODULES = ("attacks", "config", "detect", "gcode", "harness", "planner", "traceio", "tracesim")
+
+# Runs in a fresh interpreter: in the test process, importing any submodule
+# binds it on the package, which would hide an ``__init__`` that does not.
+_PROBE = f"""
+import importlib, pkgutil, sys
+import powertrace
+
+unbound = [name for name in {SUBMODULES!r} if not hasattr(powertrace, name)]
+assert not unbound, f"import powertrace does not bind {{unbound}}"
+for info in pkgutil.iter_modules(powertrace.__path__):
+    if info.name == "__main__":
+        continue
+    module = importlib.import_module(f"powertrace.{{info.name}}")
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"powertrace.{{info.name}}.__all__ lists missing {{name!r}}"
+print("ok")
+"""
+
+
+def test_package_binds_submodules_and_every_exported_name_resolves():
+    result = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

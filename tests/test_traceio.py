@@ -11,7 +11,6 @@ from powertrace.traceio import (
     CaptureFormatError,
     align_to_trigger,
     common_window,
-    import_csv,
     load_baseline,
     load_trace,
     save_baseline,
@@ -90,80 +89,6 @@ class TestBinaryFormat:
         trace = _trace(values)
         save_trace(trace, path)
         assert np.array_equal(load_trace(path).samples, trace.samples)
-
-
-class TestCsvImport:
-    def test_amplitude_only_column(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0.1\n0.2\n0.3\n0.4\n0.5\n")
-        trace = import_csv(path, Motor.X, sample_rate=25_000.0)
-        assert len(trace.samples) == 5
-        assert trace.sample_rate == 25_000.0
-
-    def test_amplitude_only_requires_rate(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0.1\n0.2\n")
-        with pytest.raises(CaptureFormatError, match="sample_rate required"):
-            import_csv(path, Motor.X)
-
-    def test_time_column_derives_rate(self, tmp_path):
-        path = tmp_path / "t.csv"
-        rows = "\n".join(f"{i / 25_000.0:.10f},{i * 0.1:.3f}" for i in range(5))
-        path.write_text(rows + "\n")
-        trace = import_csv(path, Motor.Y)
-        assert trace.sample_rate == pytest.approx(25_000.0, rel=1e-6)
-
-    def test_header_row_skipped(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("time_s,amps\n0.0,1.0\n0.00004,2.0\n")
-        assert len(import_csv(path, Motor.X).samples) == 2
-
-    def test_nonuniform_time_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0.0,1.0\n1.0,2.0\n2.5,3.0\n")
-        with pytest.raises(CaptureFormatError, match="not uniform"):
-            import_csv(path, Motor.X)
-
-    def test_rate_cross_check(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0.0,1.0\n0.001,2.0\n0.002,3.0\n")
-        with pytest.raises(CaptureFormatError, match="implies"):
-            import_csv(path, Motor.X, sample_rate=25_000.0)
-
-    @pytest.mark.parametrize(
-        "text, kwargs, message",
-        [
-            ("0,1.0\n4e-5,2.0\nnan,3.0\n1.2e-4,4.0\n", {}, "non-finite cell"),
-            ("0.1\nnan\n0.3\n", {"sample_rate": 25_000.0}, "non-finite cell"),
-            ("0.1\ninf\n0.3\n", {"sample_rate": 25_000.0}, "non-finite cell"),
-            ("0.1\n0.2\n0.3\n", {"sample_rate": float("nan")}, "sample_rate"),
-            ("0,1.0\n4e-5,2.0\n", {"sample_rate": float("nan")}, "implies"),
-            ("0.1\n0.2\n0.3\n", {"sample_rate": 25_000.0, "trigger_index": 3}, "trigger_index"),
-        ],
-        ids=[
-            "nan-time",
-            "nan-amplitude",
-            "inf-amplitude",
-            "nan-rate",
-            "nan-rate-with-time-column",
-            "trigger-out-of-range",
-        ],
-    )
-    def test_bad_values_name_the_path(self, tmp_path, text, kwargs, message):
-        path = tmp_path / "t.csv"
-        path.write_text(text)
-        with pytest.raises(CaptureFormatError, match=message) as excinfo:
-            import_csv(path, Motor.X, **kwargs)
-        assert str(excinfo.value).startswith(f"{path}: ")
-
-    def test_export_import_round_trip_within_float32(self, tmp_path):
-        trace = _trace([0.125, -0.5, 0.75])
-        path = tmp_path / "t.csv"
-        with path.open("w") as fh:
-            for value in trace.samples:
-                fh.write(f"{float(value):.9g}\n")
-        again = import_csv(path, Motor.X, sample_rate=25_000.0)
-        assert np.allclose(again.samples, trace.samples, atol=1e-7)
 
 
 class TestAlignment:
