@@ -42,11 +42,6 @@ __all__ = [
     "export_series_csv",
 ]
 
-DEFAULT_SMOOTHING_WINDOW = 20
-DEFAULT_MARGIN = 0.1
-# 50 samples = 2 ms at 25 kS/s: far below any meaningful command duration,
-# but long enough that isolated noise spikes never form a qualifying run.
-DEFAULT_RUN_REQUIREMENT = 50
 # Rows formatted per write, so a long series never sits in memory as text.
 _EXPORT_CHUNK_ROWS = 1 << 16
 
@@ -62,9 +57,11 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
-    margin: float = DEFAULT_MARGIN
-    run_requirement: int = DEFAULT_RUN_REQUIREMENT
+    smoothing_window: int = 20
+    margin: float = 0.1
+    # 50 samples = 2 ms at 25 kS/s: far below any meaningful command duration,
+    # but long enough that isolated noise spikes never form a qualifying run.
+    run_requirement: int = 50
 
     def __post_init__(self) -> None:
         if self.smoothing_window < 1:
@@ -83,7 +80,7 @@ class GoldenBaseline:
     ``reference_trace`` is the first golden trace; deviations are measured
     against it, per the protocol of comparing a capture to a known-good trace
     rather than to the pointwise mean.  ``peak_sd``, the largest pointwise
-    sample standard deviation, is derived from ``pointwise_sd``.
+    sample standard deviation, is derived from ``pointwise_sd`` and must be finite.
     """
 
     motor: Motor
@@ -101,7 +98,10 @@ class GoldenBaseline:
             raise DetectionError("a baseline needs at least 2 golden traces")
         if len(sd) != len(self.reference_trace.samples):
             raise DetectionError("sd/reference length mismatch")
-        object.__setattr__(self, "peak_sd", float(sd.max()))
+        peak_sd = float(sd.max())
+        if not math.isfinite(peak_sd):
+            raise DetectionError(f"peak sd is {peak_sd}: golden traces must be finite")
+        object.__setattr__(self, "peak_sd", peak_sd)
 
     @property
     def sample_count(self) -> int:
@@ -140,7 +140,7 @@ class PrintDetectionResult:
     deviations: dict[Motor, np.ndarray] = field(repr=False, default_factory=dict)
 
 
-def smooth(trace: MotorTrace, window: int = DEFAULT_SMOOTHING_WINDOW) -> MotorTrace:
+def smooth(trace: MotorTrace, window: int) -> MotorTrace:
     """Centered moving average of ``window`` samples, length preserved.
 
     Windows shrink to the available samples near the edges.  For an even
@@ -248,24 +248,26 @@ def excess(deviation_series: np.ndarray, baseline: GoldenBaseline) -> np.ndarray
 def classify(
     deviation_series: np.ndarray,
     baseline: GoldenBaseline,
-    margin: float = DEFAULT_MARGIN,
-    run_requirement: int = DEFAULT_RUN_REQUIREMENT,
+    config: DetectionConfig = DetectionConfig(),
 ) -> DetectionReport:
     """Threshold the deviation series at ``peak_sd + margin``.
 
     Malicious iff some contiguous run of above-threshold samples is at least
-    ``run_requirement`` long.  The verdict always uses the raw deviation.
+    ``run_requirement`` long.  The verdict always uses the raw deviation,
+    which must be finite: a NaN would compare false and read benign.
     """
-    DetectionConfig(margin=margin, run_requirement=run_requirement)  # validates both
     dev = np.asarray(deviation_series, dtype=np.float64)
-    threshold = baseline.peak_sd + margin
+    peak = float(dev.max()) if len(dev) else 0.0
+    if not math.isfinite(peak):
+        raise DetectionError(f"{baseline.motor.name} deviation is {peak}: samples must be finite")
+    threshold = baseline.peak_sd + config.margin
     above = np.flatnonzero(dev > threshold)
     exceed_count = len(above)
     max_run = _longest_run(above)
     first_time = None
     if exceed_count > 0:
         first_time = float(above[0] / baseline.sample_rate)
-    verdict = Verdict.MALICIOUS if max_run >= run_requirement else Verdict.BENIGN
+    verdict = Verdict.MALICIOUS if max_run >= config.run_requirement else Verdict.BENIGN
     return DetectionReport(
         motor=baseline.motor,
         verdict=verdict,
@@ -273,7 +275,7 @@ def classify(
         exceed_count=exceed_count,
         max_run_length=max_run,
         first_exceed_time=first_time,
-        peak_excess=float(dev.max() - threshold) if len(dev) else -threshold,
+        peak_excess=peak - threshold,
     )
 
 
@@ -302,7 +304,7 @@ def detect_print(
         # The threshold comes from the full baseline's peak_sd, so a
         # shorter capture never weakens it.
         dev = _abs_diff(smoothed[:length], baseline.reference_trace.samples[:length])
-        reports[motor] = classify(dev, baseline, config.margin, config.run_requirement)
+        reports[motor] = classify(dev, baseline, config)
         deviations[motor] = dev
     overall = (
         Verdict.MALICIOUS

@@ -77,18 +77,6 @@ class Command:
     def is_move(self) -> bool:
         return self.kind in (CommandKind.RAPID_MOVE, CommandKind.LINEAR_MOVE)
 
-    def signature(self) -> tuple:
-        """Semantic identity, independent of the original line text."""
-        return (
-            self.kind,
-            self.x,
-            self.y,
-            self.z,
-            self.extrusion,
-            self.feed,
-            self.fan_speed,
-        )
-
 
 @dataclass(frozen=True)
 class GCodeProgram:
@@ -104,9 +92,6 @@ class GCodeProgram:
 
     def __len__(self) -> int:
         return len(self.commands)
-
-    def layer_count(self) -> int:
-        return len(self.layers)
 
     def layer_slice(self, layer_index: int) -> tuple[int, int]:
         """Half-open global command range [start, end) of one layer."""

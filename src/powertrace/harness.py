@@ -237,7 +237,6 @@ _INFILL_X1 = 15.5
 _BAND_BASES = (3.5, 8.5)
 
 # Command offsets within one benchmark layer (every layer has 20 commands).
-LAYER_OFFSET_LIFT = 0
 LAYER_OFFSET_PERIMETER = 2  # first of four perimeter sides
 LAYER_OFFSET_INFILL = 7  # first zigzag segment
 

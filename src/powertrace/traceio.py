@@ -49,14 +49,14 @@ class _Layout:
     magic: bytes
     version: int
     fields: struct.Struct
-    body: tuple[str, ...]  # dtype of each array, in file order
+    body: tuple[tuple[str, str], ...]  # (cell name, dtype) per array, in file order
 
 
 # fields: trigger_index, sample_count; body: samples
-_TRACE = _Layout(b"PTRC", 1, struct.Struct("<QQ"), ("<f4",))
+_TRACE = _Layout(b"PTRC", 1, struct.Struct("<QQ"), (("sample", "<f4"),))
 # fields: source_count, sample_count; body: pointwise sd, reference samples.
 # Version 1 also stored the print-end index, the peak sd and a mean column.
-_BASELINE = _Layout(b"PTRB", 2, struct.Struct("<QQ"), ("<f8", "<f4"))
+_BASELINE = _Layout(b"PTRB", 2, struct.Struct("<QQ"), (("sd cell", "<f8"), ("reference sample", "<f4")))
 
 
 class CaptureFormatError(ValueError):
@@ -95,9 +95,6 @@ def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
     """Truncate aligned traces to the minimum common length."""
     if not traces:
         return []
-    rates = {trace.sample_rate for trace in traces}
-    if len(rates) != 1:
-        raise CaptureFormatError(f"mixed sample rates: {sorted(rates)}")
     shortest = min(len(trace.samples) for trace in traces)
     out = []
     for trace in traces:
@@ -123,16 +120,14 @@ def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
 
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
-    """Read a baseline; an empty body or an sd cell that is negative or not
-    finite is rejected, since it would corrupt the verdict threshold."""
+    """Read a baseline; an empty body or a negative sd cell is rejected,
+    since it would corrupt the verdict threshold."""
     motor, rate, (source_count, count), (sd, reference) = _read(path, _BASELINE)
     if count == 0:
         raise CaptureFormatError(f"{path}: empty baseline")
-    bad = np.flatnonzero(~(np.isfinite(sd) & (sd >= 0)))
+    bad = np.flatnonzero(sd < 0)
     if len(bad):
-        raise CaptureFormatError(
-            f"{path}: sd cell {bad[0]} is {sd[bad[0]]}, must be finite and >= 0"
-        )
+        raise CaptureFormatError(f"{path}: sd cell {bad[0]} is {sd[bad[0]]}, must be >= 0")
     with _as_format_error(path):
         return GoldenBaseline(
             motor=motor,
@@ -159,14 +154,15 @@ def _write(
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("wb") as handle:
             handle.write(header + layout.fields.pack(*fields))
-            for array, dtype in zip(arrays, layout.body):
+            for array, (_, dtype) in zip(arrays, layout.body):
                 handle.write(np.ascontiguousarray(array, dtype=dtype).data)
     except OSError as exc:
         raise CaptureIOError(f"{path}: {exc}") from exc
 
 
 def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[np.ndarray]]:
-    """Read and validate a container: motor, sample rate, header fields, arrays."""
+    """Read and validate a container: motor, sample rate, header fields, arrays.
+    Samples enter the package here, so every cell must be finite."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -188,23 +184,27 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
         raise CaptureFormatError(f"{path}: sample rate must be finite and > 0, got {rate}")
     fields = layout.fields.unpack_from(blob, _PREFIX.size)
     count = fields[-1]
-    dtypes = [np.dtype(dtype) for dtype in layout.body]
-    expected = offset + count * sum(dtype.itemsize for dtype in dtypes)
+    columns = [(name, np.dtype(dtype)) for name, dtype in layout.body]
+    expected = offset + count * sum(dtype.itemsize for _, dtype in columns)
     if len(blob) < expected:
         raise CaptureFormatError(f"{path}: unexpected end of samples")
     if len(blob) > expected:
         raise CaptureFormatError(f"{path}: trailing bytes after samples")
     arrays = []
-    for dtype in dtypes:
-        arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=offset))
+    for name, dtype in columns:
+        column = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        if not np.isfinite(column).all():
+            cell = np.flatnonzero(~np.isfinite(column))[0]
+            raise CaptureFormatError(f"{path}: {name} {cell} is {column[cell]}, must be finite")
+        arrays.append(column)
         offset += count * dtype.itemsize
     return MOTORS[motor_code], rate, fields, arrays
 
 
 @contextmanager
 def _as_format_error(path: str | Path):
-    """Report a loaded value the trace or baseline rejects, such as a NaN
-    sample, as a format error naming ``path``."""
+    """Report a loaded value the trace or baseline rejects, such as a
+    trigger index past the last sample, as a format error naming ``path``."""
     try:
         yield
     except (TraceSimError, DetectionError) as exc:

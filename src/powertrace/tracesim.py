@@ -117,7 +117,7 @@ DEFAULT_NOISE = NoiseModel()
 
 @dataclass(frozen=True, eq=False)
 class MotorTrace:
-    """Uniformly sampled current signal for one motor phase."""
+    """Uniformly sampled current of one motor phase; loaders check samples are finite."""
 
     motor: Motor
     sample_rate: float
@@ -135,8 +135,6 @@ class MotorTrace:
                 f"trigger_index {self.trigger_index} outside trace of "
                 f"{len(samples)} samples"
             )
-        if not np.all(np.isfinite(samples)):
-            raise TraceSimError("trace samples must be finite")
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -1,3 +1,5 @@
+import dataclasses
+import struct
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ from powertrace.harness import (
     benchmark_object,
     load_experiment_config,
 )
-from powertrace.traceio import load_baseline
+from powertrace.traceio import load_baseline, load_trace, save_trace
 
 GCODE = """\
 G1 Z0.2 F37.5
@@ -180,6 +182,16 @@ class TestBaseline:
         assert code == 2
         assert "mix motors" in capsys.readouterr().err
 
+    def test_mixed_rates_exit_2(self, gcode_file, tmp_path, capsys):
+        for seed in range(2):
+            _simulate(gcode_file, tmp_path / f"run{seed}", seed=seed)
+        odd = tmp_path / "run1" / "part_X.ptrc"
+        save_trace(dataclasses.replace(load_trace(odd), sample_rate=10_000.0), odd)
+        captures = [str(tmp_path / f"run{seed}" / "part_X.ptrc") for seed in range(2)]
+        code = main(["baseline", *captures, "--output", "X.ptrb", "--out", str(tmp_path)])
+        assert code == 2
+        assert "mix sample rates" in capsys.readouterr().err
+
     def test_glob_pattern_accepted(self, gcode_file, tmp_path):
         for seed in range(2):
             _simulate(gcode_file, tmp_path / "caps", seed=seed, prefix=f"run{seed}")
@@ -281,6 +293,50 @@ class TestDetect:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"two {flag} files for motor Y" in err
+
+    # Each damage: the column whose cell 100 is overwritten, the value, and the
+    # error text that must follow the damaged file's path.
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            ("capture", float("nan"), "sample 100 is nan, must be finite"),
+            ("capture", float("inf"), "sample 100 is inf, must be finite"),
+            ("capture", float("-inf"), "sample 100 is -inf, must be finite"),
+            ("sd", float("nan"), "sd cell 100 is nan, must be finite"),
+            ("sd", float("inf"), "sd cell 100 is inf, must be finite"),
+            ("sd", -1.0, "sd cell 100 is -1.0, must be >= 0"),
+            ("reference", float("nan"), "reference sample 100 is nan, must be finite"),
+            ("reference", float("-inf"), "reference sample 100 is -inf, must be finite"),
+        ],
+        ids=[
+            "capture-nan",
+            "capture-inf",
+            "capture--inf",
+            "sd-nan",
+            "sd-inf",
+            "sd-negative",
+            "reference-nan",
+            "reference--inf",
+        ],
+    )
+    def test_bad_cell_exits_2_naming_the_file(
+        self, gcode_file, tmp_path, capsys, column, value, message
+    ):
+        _build_pipeline(gcode_file, tmp_path)
+        capture, baseline = tmp_path / "probe" / "part_X.ptrc", tmp_path / "X.ptrb"
+        path = capture if column == "capture" else baseline
+        blob = bytearray(path.read_bytes())
+        sd_bytes = 0 if column == "capture" else 8 * ((len(blob) - 32) // 12)
+        offset, fmt = {
+            "capture": (32 + 4 * 100, "<f"),
+            "sd": (32 + 8 * 100, "<d"),
+            "reference": (32 + sd_bytes + 4 * 100, "<f"),
+        }[column]
+        blob[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        path.write_bytes(bytes(blob))
+        argv = ["detect", "--capture", str(capture), "--baseline", str(baseline)]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_nan_margin_exits_2(self, gcode_file, tmp_path, capsys):
         _build_pipeline(gcode_file, tmp_path)

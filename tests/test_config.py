@@ -120,7 +120,9 @@ _NON_FINITE_TARGETS = {
     "ExperimentConfig.visible_factor": lambda v: ExperimentConfig(visible_factor=v),
     "MotorTrace.sample_rate": _flat_trace,
     "classify margin": lambda v: classify(
-        np.full(200, 5.0), build_baseline([_flat_trace(), _flat_trace()]), margin=v
+        np.full(200, 5.0),
+        build_baseline([_flat_trace(), _flat_trace()]),
+        DetectionConfig(margin=v),
     ),
 }
 

@@ -179,6 +179,20 @@ class TestBaseline:
         with pytest.raises(DetectionError, match="mix motors"):
             build_baseline([_trace([1.0]), _trace([1.0], motor=Motor.Y)])
 
+    def test_mixed_rates_rejected(self):
+        with pytest.raises(DetectionError, match="mix sample rates"):
+            build_baseline([_trace([1.0, 2.0]), _trace([1.0, 2.0], rate=10.0)])
+
+    # inf - inf inside the sd or the smoothing sum is NaN, which numpy warns about.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_golden_sample_rejected(self, value):
+        samples = np.zeros(100)
+        samples[37] = value
+        golden = [_trace(np.zeros(100)), _trace(samples), _trace(np.zeros(100))]
+        with pytest.raises(DetectionError, match="golden traces must be finite"):
+            build_baseline(golden)
+
     @given(st.integers(2, 12), st.integers(1, 500), st.data())
     @settings(max_examples=100, deadline=None)
     def test_sd_bit_identical_to_numpy_std(self, count, n, data):
@@ -246,7 +260,8 @@ def _flat_baseline(n=500, motor=Motor.X):
 class TestClassify:
     def test_benign_when_below_threshold(self):
         baseline = _flat_baseline()
-        report = classify(np.full(500, 0.05), baseline, margin=0.1, run_requirement=50)
+        config = DetectionConfig(margin=0.1, run_requirement=50)
+        report = classify(np.full(500, 0.05), baseline, config)
         assert report.verdict is Verdict.BENIGN
         assert report.exceed_count == 0
         assert report.first_exceed_time is None
@@ -256,11 +271,11 @@ class TestClassify:
         baseline = _flat_baseline()
         dev = np.zeros(500)
         dev[100:149] = 1.0  # 49 samples: one short of the requirement
-        report = classify(dev, baseline, run_requirement=50)
+        report = classify(dev, baseline, DetectionConfig(run_requirement=50))
         assert report.verdict is Verdict.BENIGN
         assert report.max_run_length == 49
         dev[100:150] = 1.0
-        report = classify(dev, baseline, run_requirement=50)
+        report = classify(dev, baseline, DetectionConfig(run_requirement=50))
         assert report.verdict is Verdict.MALICIOUS
         assert report.max_run_length == 50
         assert report.first_exceed_time == pytest.approx(100 / 25_000.0)
@@ -269,7 +284,7 @@ class TestClassify:
         baseline = _flat_baseline()
         dev = np.zeros(500)
         dev[::10] = 5.0  # 50 spikes, never contiguous
-        report = classify(dev, baseline, run_requirement=50)
+        report = classify(dev, baseline, DetectionConfig(run_requirement=50))
         assert report.verdict is Verdict.BENIGN
         assert report.exceed_count == 50
 
@@ -277,8 +292,8 @@ class TestClassify:
         rng = np.random.default_rng(3)
         baseline = _flat_baseline()
         dev = np.abs(rng.normal(0.0, 0.2, 500))
-        low = classify(dev, baseline, margin=0.05, run_requirement=5)
-        high = classify(dev, baseline, margin=0.25, run_requirement=5)
+        low = classify(dev, baseline, DetectionConfig(margin=0.05, run_requirement=5))
+        high = classify(dev, baseline, DetectionConfig(margin=0.25, run_requirement=5))
         if low.verdict is Verdict.BENIGN:
             assert high.verdict is Verdict.BENIGN
         assert high.exceed_count <= low.exceed_count
@@ -288,7 +303,8 @@ class TestClassify:
     def test_run_length_matches_brute_force(self, mask, requirement):
         dev = np.where(mask, 1.0, 0.0)
         baseline = _flat_baseline(n=len(mask))
-        report = classify(dev, baseline, margin=0.5, run_requirement=requirement)
+        config = DetectionConfig(margin=0.5, run_requirement=requirement)
+        report = classify(dev, baseline, config)
         best = current = 0
         for flag in mask:
             current = current + 1 if flag else 0
@@ -344,8 +360,23 @@ class TestDetectPrint:
         assert excess(result.deviations[Motor.X], baseline).tobytes() == expected_excess.tobytes()
         report = result.reports[Motor.X]
         # A shorter capture keeps the full print window's threshold.
-        assert report == classify(expected_dev, baseline, config.margin, 3)
+        assert report == classify(expected_dev, baseline, config)
         assert report.threshold == baseline.peak_sd + config.margin
+
+    # inf - inf inside the sd or the smoothing sum is NaN, which numpy warns about.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("window", [1, 20])
+    def test_non_finite_capture_sample_rejected(self, value, window):
+        baseline = _flat_baseline()
+        samples = np.zeros(500)
+        samples[250] = value
+        with pytest.raises(DetectionError, match="X deviation is .*: samples must be finite"):
+            detect_print(
+                {Motor.X: _trace(samples)},
+                {Motor.X: baseline},
+                DetectionConfig(smoothing_window=window),
+            )
 
     def test_sample_rate_mismatch_is_an_error(self):
         baseline = _flat_baseline()

@@ -31,7 +31,7 @@ def small_run(tmp_path_factory):
 
 class TestBenchmarkObject:
     def test_ten_layers(self):
-        assert benchmark_object().layer_count() == 10
+        assert len(benchmark_object().layers) == 10
 
     def test_prints_in_about_75_seconds(self):
         plan = plan_motion(benchmark_object(), DEFAULT_PROFILE)

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,13 +140,30 @@ class TestCommonWindow:
         out = common_window(traces)
         assert [len(t.samples) for t in out] == [90, 90]
 
-    def test_mixed_rates_rejected(self):
-        traces = [_trace([1, 2]), _trace([1, 2], rate=10.0)]
-        with pytest.raises(CaptureFormatError, match="mixed sample rates"):
-            common_window(traces)
-
     def test_empty_list_ok(self):
         assert common_window([]) == []
+
+
+# Samples are checked where they are loaded, so a view of a loaded trace
+# allocates nothing per sample: neither the aligned view nor the window cut.
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda trace, shorter: align_to_trigger(trace),
+        lambda trace, shorter: common_window([trace, shorter]),
+    ],
+    ids=["align_to_trigger", "common_window"],
+)
+def test_views_do_not_scan_samples(view):
+    trace = _trace(np.zeros(1_000_000), trigger=500)
+    shorter = _trace(np.zeros(999_000))
+    tracemalloc.start()
+    try:
+        view(trace, shorter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 class TestBaselinePersistence:
@@ -234,15 +252,15 @@ _BASELINE_DAMAGE = {
     "version 1 file": (lambda blob: _PTRB_V1, "unsupported version 1"),
     "nan sd cell": (
         lambda blob: blob[:40] + _NAN_F64 + blob[48:],
-        "sd cell 1 is nan, must be finite and >= 0",
+        "sd cell 1 is nan, must be finite",
     ),
     "negative sd cell": (
         lambda blob: blob[:32] + struct.pack("<d", -1.0) + blob[40:],
-        "sd cell 0 is -1.0, must be finite and >= 0",
+        "sd cell 0 is -1.0, must be >= 0",
     ),
     "nan reference sample": (
         lambda blob: blob[:60] + _NAN_F32 + blob[64:],
-        "trace samples must be finite",
+        "reference sample 1 is nan, must be finite",
     ),
     "zero sample count": (lambda blob: blob[:24] + struct.pack("<Q", 0), "empty baseline"),
     "one source trace": (
@@ -262,3 +280,15 @@ def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
     path.write_bytes(rewrite(blob))
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
         load_baseline(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_capture_sample_rejected_naming_the_path(tmp_path, value):
+    path = tmp_path / "x.ptrc"
+    save_trace(_trace([0.5, -0.25, 1.0]), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:36] + struct.pack("<f", value) + blob[40:])
+    with pytest.raises(
+        CaptureFormatError, match=re.escape(f"{path}: sample 1 is {value}, must be finite")
+    ):
+        load_trace(path)

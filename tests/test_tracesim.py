@@ -241,15 +241,6 @@ class TestValidation:
         with pytest.raises(TraceSimError):
             NoiseModel(seed=-1)
 
-    def test_trace_rejects_nonfinite(self):
-        with pytest.raises(TraceSimError):
-            MotorTrace(
-                motor=Motor.X,
-                sample_rate=25_000.0,
-                samples=np.array([1.0, np.nan], dtype=np.float32),
-                trigger_index=0,
-            )
-
     def test_trace_rejects_bad_trigger(self):
         with pytest.raises(TraceSimError):
             MotorTrace(
