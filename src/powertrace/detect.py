@@ -45,6 +45,9 @@ __all__ = [
 # Rows formatted per write, so a long series never sits in memory as text.
 _EXPORT_CHUNK_ROWS = 1 << 16
 
+# Samples per block in smooth and build_baseline: their scratch is fixed-size.
+_BLOCK = 1 << 14
+
 
 class DetectionError(ValueError):
     """Inconsistent detection inputs."""
@@ -148,10 +151,10 @@ def smooth(trace: MotorTrace, window: int) -> MotorTrace:
     averages [i - (window-1)//2, i + window//2].
 
     Every sample is ``(csum[hi] - csum[lo]) / (hi - lo)`` over the float64
-    running sum ``csum``, rounded to float32.  The ``n - window + 1``
-    interior samples, whose window fits whole, take it as one slice
-    subtraction; only the ``window - 1`` edge samples gather their shrunken
-    bounds.  The output is bit-identical to gathering every sample.
+    running sum ``csum``, rounded to float32.  ``csum`` is taken ``_BLOCK``
+    window starts at a time, each block carrying on from the sum the block
+    before ended on, so it adds in the order of one whole-trace ``cumsum``
+    and the output is bit-identical to gathering every sample.
     """
     n = len(trace.samples)
     if window < 1:
@@ -160,18 +163,30 @@ def smooth(trace: MotorTrace, window: int) -> MotorTrace:
         raise DetectionError(f"window {window} longer than trace of {n} samples")
     if window == 1:
         return trace
-    csum = np.empty(n + 1)
-    csum[0] = 0.0
-    np.cumsum(trace.samples, dtype=np.float64, out=csum[1:])
     left, right = (window - 1) // 2, window // 2
     averaged = np.empty(n, dtype=np.float32)
-    interior = csum[window:] - csum[: n - window + 1]
-    interior /= window
-    averaged[left : n - right] = interior
-    edge = np.r_[0:left, n - right : n]
-    lo = np.maximum(edge - left, 0)
-    hi = np.minimum(edge + right + 1, n)
-    averaged[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    csum = np.empty(min(_BLOCK + window, n + 1))
+    diff = np.empty(min(_BLOCK, n - window + 1))
+    # inf - inf is NaN, which classify rejects; numpy need not warn first.
+    with np.errstate(invalid="ignore"):
+        head = np.cumsum(trace.samples[: window - 1], dtype=np.float64)
+        averaged[:left] = head[right:] / np.arange(right + 1, window)
+        for lo in range(0, n - window + 1, _BLOCK):
+            hi = min(lo + _BLOCK + window - 1, n)
+            part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
+            if lo == 0:
+                # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
+                part[0] = 0.0
+                np.cumsum(trace.samples[:hi], dtype=np.float64, out=part[1:])
+            else:
+                csum[0] = csum[_BLOCK]  # csum[lo], from the block before
+                part[1:] = trace.samples[lo:hi]
+                np.cumsum(part, out=part)
+            count = hi - lo - window + 1
+            np.subtract(part[window:], part[:count], out=diff[:count])
+            np.divide(diff[:count], window, out=averaged[lo + left : lo + left + count])
+        tail = part[n - window + 1 - lo : n - left - lo]
+        averaged[n - right :] = (part[-1] - tail) / np.arange(window - 1, left, -1)
     return MotorTrace(
         motor=trace.motor,
         sample_rate=trace.sample_rate,
@@ -184,9 +199,9 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
     """Pointwise sample standard deviation over golden traces.
 
     Traces must already be aligned, smoothed and cut to a common window.
-    The sd is computed in place on the float64 stack of the traces, the
-    same operations as ``stack.std(axis=0, ddof=1)`` and bit-identical to
-    it, without that call's second stack-sized temporary.
+    The sd is computed ``_BLOCK`` samples at a time in one reused float64
+    block, the same operations in the same order as, and bit-identical to,
+    ``np.stack(...).std(axis=0, ddof=1)`` on the whole traces.
     """
     if len(golden) < 2:
         raise DetectionError("a baseline needs at least 2 golden traces")
@@ -201,12 +216,22 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
         if len(trace.samples) != length:
             raise DetectionError("golden traces have mismatched lengths")
 
-    stack = np.stack([trace.samples for trace in golden], dtype=np.float64)
-    mean = stack.sum(axis=0, keepdims=True)
-    mean /= len(golden)
-    stack -= mean
-    np.square(stack, out=stack)
-    sd = stack.sum(axis=0)
+    # Blocks are at least 2 wide, a last single column joining the block
+    # before: numpy sums a one-column block's rows in partial sums, not in order.
+    width = max(_BLOCK, 2)
+    stack = np.empty((len(golden), min(width + 1, length)))
+    sd = np.empty(length)
+    lo = 0
+    # inf - inf is NaN, which GoldenBaseline rejects; numpy need not warn first.
+    with np.errstate(invalid="ignore"):
+        while lo < length:
+            hi = length if length - lo <= width + 1 else lo + width
+            block = stack[:, : hi - lo]
+            np.stack([trace.samples[lo:hi] for trace in golden], out=block)
+            block -= block.mean(axis=0, keepdims=True)
+            np.square(block, out=block)
+            block.sum(axis=0, out=sd[lo:hi])
+            lo = hi
     sd /= len(golden) - 1
     np.sqrt(sd, out=sd)
     return GoldenBaseline(

@@ -509,6 +509,8 @@ def _run_row(
             if config.save_traces:
                 save_trace(traces[motor], out / "traces" / f"{row}_run{run_index}_{motor.name}.ptrc")
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
+        # Free this print's arrays before the next one is simulated.
+        del traces, aligned, result, dev, excess_series, series
     window_excess = {
         name: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
         for name, per_motor in print_means.items()

@@ -156,7 +156,8 @@ def synthesize_trace(
     """
     segments = plan.segments.get(motor, ())
     total_samples = int(round(plan.total_duration * SAMPLE_RATE))
-    out = np.zeros(max(total_samples, 1), dtype=np.float64)
+    # Segments compute in float64 and round once, as they are stored.
+    out = np.zeros(max(total_samples, 1), dtype=np.float32)
 
     amplitude = profile.rated_phase_current
     jitter_sd = noise.phase_jitter_sd * PHASE_JITTER_SCALE[motor]
@@ -243,7 +244,7 @@ def synthesize_trace(
     return MotorTrace(
         motor=motor,
         sample_rate=SAMPLE_RATE,
-        samples=out.astype(np.float32),
+        samples=out,
         trigger_index=trigger_index,
     )
 

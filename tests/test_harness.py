@@ -250,9 +250,10 @@ def test_save_traces_flag(tmp_path):
 
 
 def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
-    # Each added golden print may cost one float32 smoothed trace and one
-    # float64 stack row per baseline sample (12 bytes); holding every motor's
-    # smoothed traces until the last baseline is built costs 24.
+    # Each added golden print may cost one float32 smoothed trace per
+    # baseline sample (4 bytes); build_baseline's float64 scratch is a fixed
+    # block, and holding every motor's smoothed traces until the last
+    # baseline is built would cost 16.
     import tracemalloc
 
     from powertrace import harness
@@ -268,7 +269,31 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
     samples = baselines[Motor.X].sample_count
-    assert (peaks[6] - peaks[3]) / 3 / samples <= 13.0
+    assert (peaks[6] - peaks[3]) / 3 / samples <= 5.0
+
+
+def test_row_holds_one_print_at_a_time(tmp_path):
+    # A print's traces, deviations and excess series are freed before the
+    # next print is simulated, so more prints per row do not raise the peak;
+    # keeping the last print's series would add tens of bytes per sample.
+    import tracemalloc
+
+    from powertrace import harness
+
+    plan = plan_motion(benchmark_object(), SMALL.profile)
+    baselines = harness._build_baselines(plan, SMALL, tmp_path / "golden")
+    peaks = {}
+    for count in (1, 3):
+        tracemalloc.start()
+        try:
+            harness._run_row(
+                "normal", benchmark_object(), SMALL, baselines, list(range(100, 100 + count)),
+                tmp_path / str(count), {},
+            )
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[3] - peaks[1]) / baselines[Motor.X].sample_count <= 1.0
 
 
 class TestPhenomenology:

@@ -419,9 +419,8 @@ class TestThreadedSynthesis:
         assert failed_on and failed_on[0] is not threading.main_thread()
 
     def test_peak_memory_per_sample(self):
-        # The float64 render buffer and the float32 result are 12 bytes per
-        # sample; segment buffers are small next to them.  One more
-        # full-length float64 array would add 8.
+        # The float32 result is 4 bytes per sample; segment buffers are
+        # small next to it.  A full-length float64 render buffer would add 8.
         # Measured at the largest worker count, after one untraced call so
         # that one-time imports do not count.
         plan = plan_motion(benchmark_object(), DEFAULT_PROFILE)
@@ -433,4 +432,4 @@ class TestThreadedSynthesis:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak / len(trace) <= 14.5
+        assert peak / len(trace) <= 6.5
