@@ -12,11 +12,19 @@ deviations they were judged on.  The sd-subtracted excess series
 (:func:`excess`) is for visibility analysis, where an attack signature stays
 clearly visible even when it never crosses the verdict threshold; the
 experiment harness computes it from a returned deviation.
+
+:func:`detect_print` judges each motor in one pass over fixed-size blocks:
+the moving average, the deviation and the threshold run (carried from one
+block to the next) need only a block of scratch besides the returned
+deviation.  Motors are independent, so they are judged on parallel threads,
+with the same bytes for any number of threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -24,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .planner import Motor
-from .tracesim import MotorTrace
+from .tracesim import MotorTrace, _map_on_threads
 
 __all__ = [
     "DetectionError",
@@ -45,7 +53,8 @@ __all__ = [
 # Rows formatted per write, so a long series never sits in memory as text.
 _EXPORT_CHUNK_ROWS = 1 << 16
 
-# Samples per block in smooth and build_baseline: their scratch is fixed-size.
+# Samples per block in smooth, build_baseline, classify and detect_print:
+# their scratch is fixed-size.
 _BLOCK = 1 << 14
 
 
@@ -163,36 +172,64 @@ def smooth(trace: MotorTrace, window: int) -> MotorTrace:
         raise DetectionError(f"window {window} longer than trace of {n} samples")
     if window == 1:
         return trace
-    left, right = (window - 1) // 2, window // 2
     averaged = np.empty(n, dtype=np.float32)
-    csum = np.empty(min(_BLOCK + window, n + 1))
-    diff = np.empty(min(_BLOCK, n - window + 1))
-    # inf - inf is NaN, which classify rejects; numpy need not warn first.
-    with np.errstate(invalid="ignore"):
-        head = np.cumsum(trace.samples[: window - 1], dtype=np.float64)
-        averaged[:left] = head[right:] / np.arange(right + 1, window)
-        for lo in range(0, n - window + 1, _BLOCK):
-            hi = min(lo + _BLOCK + window - 1, n)
-            part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
-            if lo == 0:
-                # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
-                part[0] = 0.0
-                np.cumsum(trace.samples[:hi], dtype=np.float64, out=part[1:])
-            else:
-                csum[0] = csum[_BLOCK]  # csum[lo], from the block before
-                part[1:] = trace.samples[lo:hi]
-                np.cumsum(part, out=part)
-            count = hi - lo - window + 1
-            np.subtract(part[window:], part[:count], out=diff[:count])
-            np.divide(diff[:count], window, out=averaged[lo + left : lo + left + count])
-        tail = part[n - window + 1 - lo : n - left - lo]
-        averaged[n - right :] = (part[-1] - tail) / np.arange(window - 1, left, -1)
+    for start, block in _smoothed_blocks(trace.samples, window):
+        averaged[start : start + len(block)] = block
     return MotorTrace(
         motor=trace.motor,
         sample_rate=trace.sample_rate,
         samples=averaged,
         trigger_index=trace.trigger_index,
     )
+
+
+def _smoothed_blocks(samples: np.ndarray, window: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, block)``, :func:`smooth`'s float32 samples
+    ``start:start + len(block)``, in order and at most ``_BLOCK`` at a time.
+
+    A block lives in a buffer reused for the next one.  ``window`` must be
+    between 1 and ``len(samples)``.
+    """
+    n = len(samples)
+    if window == 1:
+        for lo in range(0, n, _BLOCK):
+            yield lo, samples[lo : lo + _BLOCK]
+        return
+    left, right = (window - 1) // 2, window // 2
+    csum = np.empty(min(_BLOCK + window, n + 1))
+    # The block's samples as float64, summed into the separate csum (numpy
+    # holds the GIL in a cumsum that casts or works in place), then the
+    # window sums.
+    values = np.empty(len(csum))
+    averaged = np.empty(min(_BLOCK, n - window + 1), dtype=np.float32)
+    # inf - inf is NaN, which classify rejects; numpy need not warn first.
+    # The errstate is left before each yield, so the caller never runs in it.
+    if left:
+        with np.errstate(invalid="ignore"):
+            head = np.cumsum(samples[: window - 1], dtype=np.float64)
+            edge = (head[right:] / np.arange(right + 1, window)).astype(np.float32)
+        yield 0, edge
+    for lo in range(0, n - window + 1, _BLOCK):
+        hi = min(lo + _BLOCK + window - 1, n)
+        part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
+        count = hi - lo - window + 1
+        if lo == 0:
+            # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
+            part[0] = 0.0
+            first = 1
+        else:
+            values[0] = csum[_BLOCK]  # csum[lo], from the block before
+            first = 0
+        values[1 : len(part)] = samples[lo:hi]
+        with np.errstate(invalid="ignore"):
+            np.cumsum(values[first : len(part)], out=part[first:])
+            np.subtract(part[window:], part[:count], out=values[:count])
+            np.divide(values[:count], window, out=averaged[:count])
+        yield lo + left, averaged[:count]
+    tail = part[n - window + 1 - lo : n - left - lo]
+    with np.errstate(invalid="ignore"):
+        edge = ((part[-1] - tail) / np.arange(window - 1, left, -1)).astype(np.float32)
+    yield n - right, edge
 
 
 def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
@@ -252,7 +289,8 @@ def deviation(captured: MotorTrace, baseline: GoldenBaseline) -> np.ndarray:
             f"capture has {len(captured.samples)} samples, baseline "
             f"{baseline.sample_count}"
         )
-    return _abs_diff(captured.samples, baseline.reference_trace.samples)
+    dev = np.subtract(captured.samples, baseline.reference_trace.samples, dtype=np.float64)
+    return np.abs(dev, out=dev)
 
 
 def excess(deviation_series: np.ndarray, baseline: GoldenBaseline) -> np.ndarray:
@@ -282,24 +320,51 @@ def classify(
     which must be finite: a NaN would compare false and read benign.
     """
     dev = np.asarray(deviation_series, dtype=np.float64)
-    peak = float(dev.max()) if len(dev) else 0.0
+    blocks = (dev[lo : lo + _BLOCK] for lo in range(0, len(dev), _BLOCK))
+    return _classify_blocks(blocks, baseline, config)
+
+
+def _classify_blocks(
+    blocks: Iterable[np.ndarray], baseline: GoldenBaseline, config: DetectionConfig
+) -> DetectionReport:
+    """:func:`classify` of a deviation series given in order, block by block.
+
+    The run still open at the end of a block carries into the next, so the
+    counts equal those taken over the whole series at once.
+    """
+    threshold = baseline.peak_sd + config.margin
+    peak = -math.inf
+    seen = count = longest = run = 0  # run: the one ending at the last sample seen
+    first = None
+    for block in blocks:
+        peak = np.maximum(peak, block.max())  # NaN propagates
+        above = block > threshold
+        hits = int(np.count_nonzero(above))
+        if hits:
+            if first is None:
+                first = seen + int(above.argmax())
+            count += hits
+            # The block splits into alternating runs where ``above`` changes;
+            # keep the lengths of the runs above the threshold.
+            changes = np.flatnonzero(above[1:] != above[:-1]) + 1
+            runs = np.diff(changes, prepend=0, append=len(block))[0 if above[0] else 1 :: 2]
+            if above[0]:
+                runs[0] += run
+            longest = max(longest, int(runs.max()))
+            run = int(runs[-1]) if above[-1] else 0
+        else:
+            run = 0
+        seen += len(block)
+    peak = float(peak) if seen else 0.0
     if not math.isfinite(peak):
         raise DetectionError(f"{baseline.motor.name} deviation is {peak}: samples must be finite")
-    threshold = baseline.peak_sd + config.margin
-    above = np.flatnonzero(dev > threshold)
-    exceed_count = len(above)
-    max_run = _longest_run(above)
-    first_time = None
-    if exceed_count > 0:
-        first_time = float(above[0] / baseline.sample_rate)
-    verdict = Verdict.MALICIOUS if max_run >= config.run_requirement else Verdict.BENIGN
     return DetectionReport(
         motor=baseline.motor,
-        verdict=verdict,
+        verdict=Verdict.MALICIOUS if longest >= config.run_requirement else Verdict.BENIGN,
         threshold=threshold,
-        exceed_count=exceed_count,
-        max_run_length=max_run,
-        first_exceed_time=first_time,
+        exceed_count=count,
+        max_run_length=longest,
+        first_exceed_time=None if first is None else first / baseline.sample_rate,
         peak_excess=peak - threshold,
     )
 
@@ -313,8 +378,10 @@ def detect_print(
 
     Captures must already be trigger-aligned; smoothing and windowing to the
     baseline length happen here.  The print is malicious iff any motor is.
+    Each motor is smoothed, compared and classified in one pass of
+    ``_BLOCK``-sample blocks, the motors on up to ``tracesim._WORKERS``
+    threads; reports and deviations are the same for any thread count.
     """
-    reports: dict[Motor, DetectionReport] = {}
     deviations: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
         capture = captures.get(motor)
@@ -322,21 +389,42 @@ def detect_print(
             raise DetectionError(f"missing capture for motor {motor.name}")
         if capture.sample_rate != baseline.sample_rate:
             raise DetectionError("capture/baseline sample rate mismatch")
-        smoothed = smooth(capture, config.smoothing_window).samples
-        length = min(len(smoothed), baseline.sample_count)
-        if length == 0:
-            raise DetectionError(f"empty capture for motor {motor.name}")
+        if len(capture.samples) < config.smoothing_window:
+            raise DetectionError(
+                f"{motor.name} capture has {len(capture.samples)} samples, shorter "
+                f"than the smoothing window {config.smoothing_window}"
+            )
         # The threshold comes from the full baseline's peak_sd, so a
         # shorter capture never weakens it.
-        dev = _abs_diff(smoothed[:length], baseline.reference_trace.samples[:length])
-        reports[motor] = classify(dev, baseline, config)
-        deviations[motor] = dev
+        deviations[motor] = np.empty(min(len(capture.samples), baseline.sample_count))
+
+    def judge(motor: Motor) -> DetectionReport:
+        dev = deviations[motor]
+        blocks = _deviation_blocks(captures[motor], baselines[motor], config.smoothing_window, dev)
+        return _classify_blocks(blocks, baselines[motor], config)
+
+    reports = dict(zip(deviations, _map_on_threads(judge, list(deviations))))
     overall = (
         Verdict.MALICIOUS
         if any(r.verdict is Verdict.MALICIOUS for r in reports.values())
         else Verdict.BENIGN
     )
     return PrintDetectionResult(reports=reports, overall=overall, deviations=deviations)
+
+
+def _deviation_blocks(
+    capture: MotorTrace, baseline: GoldenBaseline, window: int, dev: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Fill ``dev`` with the smoothed capture's absolute deviation from the
+    baseline's reference trace, yielding each block of it as it is written."""
+    reference = baseline.reference_trace.samples
+    for start, block in _smoothed_blocks(capture.samples, window):
+        stop = min(start + len(block), len(dev))
+        if stop <= start:  # the capture runs past the baseline
+            return
+        out = dev[start:stop]
+        np.subtract(block[: stop - start], reference[start:stop], out=out, dtype=np.float64)
+        yield np.abs(out, out=out)
 
 
 def export_series_csv(
@@ -355,23 +443,16 @@ def export_series_csv(
     with path.open("w", newline="") as handle:
         handle.write("time_s,amps\r\n")
         for start in range(0, n, step):
-            values = series[start : start + step : stride].tolist()
-            handle.write(
-                "".join(
-                    f"{i / sample_rate:.6f},{v:.6f}\r\n"
-                    for i, v in zip(range(start, n, stride), values)
-                )
-            )
+            stop = min(start + step, n)
+            times = _time_column(sample_rate, stride, start, stop)
+            values = series[start:stop:stride].tolist()
+            handle.write("".join(f"{t}{v:.6f}\r\n" for t, v in zip(times, values)))
 
 
-def _abs_diff(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    dev = np.subtract(samples, reference, dtype=np.float64)
-    return np.abs(dev, out=dev)
+# Every series file of one experiment has the same rate, stride and length,
+# so the last chunk's time text is kept for the next file.
+@functools.lru_cache(maxsize=1)
+def _time_column(sample_rate: float, stride: int, start: int, stop: int) -> tuple[str, ...]:
+    """The ``time_s,`` cells of rows ``start:stop:stride``."""
+    return tuple(f"{i / sample_rate:.6f}," for i in range(start, stop, stride))
 
-
-def _longest_run(indices: np.ndarray) -> int:
-    """Longest stretch of consecutive values in the increasing ``indices``."""
-    if len(indices) == 0:
-        return 0
-    breaks = np.flatnonzero(np.diff(indices) != 1)
-    return int(np.diff(breaks, prepend=-1, append=len(indices) - 1).max())

@@ -76,8 +76,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that render one trace's segments: the CPUs this process may use,
-# capped because a trace has only a few hundred segments.
+# Threads that render one trace's segments or judge one print's motors: the
+# CPUs this process may use, capped because a trace has only a few hundred
+# segments.
 _WORKERS = min(_usable_cpus(), 8)
 
 
@@ -265,18 +266,24 @@ def _render_in_blocks(render: Callable, jobs: list[tuple]) -> list:
         if filled * _WORKERS >= total * (len(blocks) + 1):
             blocks.append(jobs[start:end])
             start = end
-    if len(blocks) <= 1:
-        return [render(*job) for job in jobs]
-
-    # Imported here: it costs milliseconds in every fresh process.
-    from concurrent.futures import ThreadPoolExecutor
 
     def render_block(block: list[tuple]) -> list:
         return [render(*job) for job in block]
 
-    with ThreadPoolExecutor(len(blocks)) as pool:
-        futures = [pool.submit(render_block, block) for block in blocks]
-        return [result for future in futures for result in future.result()]
+    return [result for results in _map_on_threads(render_block, blocks) for result in results]
+
+
+def _map_on_threads(fn: Callable, items: list) -> list:
+    """``[fn(item) for item in items]``, the items spread over up to ``_WORKERS`` threads."""
+    threads = min(_WORKERS, len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+
+    # Imported here: it costs milliseconds in every fresh process.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def simulate_print(

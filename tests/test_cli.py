@@ -346,6 +346,23 @@ class TestDetect:
         assert main(argv) == 2
         assert "margin must be finite" in capsys.readouterr().err
 
+    def test_capture_shorter_than_window_exits_2_naming_the_motor(
+        self, gcode_file, tmp_path, capsys
+    ):
+        _build_pipeline(gcode_file, tmp_path)
+        probe = load_trace(tmp_path / "probe" / "part_Y.ptrc")
+        short = dataclasses.replace(
+            probe, samples=probe.samples[probe.trigger_index : probe.trigger_index + 5],
+            trigger_index=0,
+        )
+        save_trace(short, tmp_path / "short_Y.ptrc")
+        argv = ["detect", "--out", str(tmp_path)]
+        argv += ["--capture", str(tmp_path / "short_Y.ptrc")]
+        argv += ["--baseline", str(tmp_path / "Y.ptrb")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Y capture has 5 samples, shorter than the smoothing window 20" in err
+
 
 class TestExperimentCommand:
     def test_bad_config_exits_2(self, tmp_path, capsys):

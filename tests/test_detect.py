@@ -1,5 +1,7 @@
 import csv
 import io
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from powertrace import detect
+from powertrace import detect, tracesim
 from powertrace.detect import (
     DetectionConfig,
     DetectionError,
+    DetectionReport,
+    GoldenBaseline,
     Verdict,
     build_baseline,
     classify,
@@ -20,8 +24,9 @@ from powertrace.detect import (
     export_series_csv,
     smooth,
 )
-from powertrace.planner import Motor
-from powertrace.tracesim import MotorTrace
+from powertrace.harness import benchmark_object
+from powertrace.planner import DEFAULT_PROFILE, MOTORS, Motor, plan_motion
+from powertrace.tracesim import SAMPLE_RATE, MotorTrace
 
 
 def _trace(values, motor=Motor.X, rate=25_000.0):
@@ -54,6 +59,40 @@ def gather_smooth(values, window):
     lo = np.maximum(idx - (window - 1) // 2, 0)
     hi = np.minimum(idx + window // 2 + 1, n)
     return ((csum[hi] - csum[lo]) / (hi - lo)).astype(np.float32)
+
+
+def longest_run(indices):
+    """Longest stretch of consecutive values in the increasing ``indices``."""
+    if len(indices) == 0:
+        return 0
+    breaks = np.flatnonzero(np.diff(indices) != 1)
+    return int(np.diff(breaks, prepend=-1, append=len(indices) - 1).max())
+
+
+def whole_series_classify(deviation_series, baseline, config):
+    """classify over the whole series at once: the blocked classify's reference."""
+    dev = np.asarray(deviation_series, dtype=np.float64)
+    peak = float(dev.max()) if len(dev) else 0.0
+    threshold = baseline.peak_sd + config.margin
+    above = np.flatnonzero(dev > threshold)
+    max_run = longest_run(above)
+    return DetectionReport(
+        motor=baseline.motor,
+        verdict=Verdict.MALICIOUS if max_run >= config.run_requirement else Verdict.BENIGN,
+        threshold=threshold,
+        exceed_count=len(above),
+        max_run_length=max_run,
+        first_exceed_time=float(above[0] / baseline.sample_rate) if len(above) else None,
+        peak_excess=peak - threshold,
+    )
+
+
+def _runs(n, spans):
+    """A length-``n`` series, 1 inside each ``(lo, hi)`` span and 0 elsewhere."""
+    dev = np.zeros(n)
+    for lo, hi in spans:
+        dev[lo:hi] = 1.0
+    return dev
 
 
 _FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -330,6 +369,31 @@ class TestClassify:
         assert (report.verdict is Verdict.MALICIOUS) == (best >= requirement)
 
 
+    @given(
+        dev=arrays(
+            np.float64,
+            st.integers(0, 300),
+            elements=st.sampled_from([-1.0, 0.0, 0.1, 0.15, 2.0]),
+        ),
+        block=_BLOCKS,
+        requirement=st.integers(1, 80),
+    )
+    # With 64-sample blocks: a run across a block edge; a run longer than a
+    # block; runs that start or end exactly on an edge; a run of 1-sample blocks.
+    @example(dev=_runs(200, [(60, 70)]), block=64, requirement=10)
+    @example(dev=_runs(300, [(10, 200)]), block=64, requirement=50)
+    @example(dev=_runs(256, [(0, 64), (100, 128), (192, 256)]), block=64, requirement=64)
+    @example(dev=_runs(130, [(63, 65), (127, 130)]), block=64, requirement=2)
+    @example(dev=_runs(10, [(0, 4), (5, 10)]), block=1, requirement=5)
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_counts_equal_whole_series(self, dev, block, requirement):
+        baseline = _flat_baseline()
+        config = DetectionConfig(margin=0.1, run_requirement=requirement)
+        with mock.patch.object(detect, "_BLOCK", block):
+            report = classify(dev, baseline, config)
+        assert report == whole_series_classify(dev, baseline, config)
+
+
 class TestDetectPrint:
     def test_missing_capture_is_an_error(self):
         baseline = _flat_baseline()
@@ -393,6 +457,95 @@ class TestDetectPrint:
                 DetectionConfig(smoothing_window=window),
             )
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_non_finite_capture_rejected_on_threads(self, workers):
+        baselines = {m: _flat_baseline(motor=m) for m in Motor}
+        captures = {m: _trace(np.zeros(500), motor=m) for m in Motor}
+        samples = np.zeros(500)
+        samples[250] = np.nan
+        captures[Motor.Z] = _trace(samples, motor=Motor.Z)
+        with mock.patch.object(tracesim, "_WORKERS", workers):
+            with pytest.raises(DetectionError, match="Z deviation is nan: samples must be finite"):
+                detect_print(captures, baselines)
+
+    def test_capture_shorter_than_window_names_the_motor(self):
+        baselines = {m: _flat_baseline(motor=m) for m in Motor}
+        captures = {m: _trace(np.zeros(500), motor=m) for m in Motor}
+        captures[Motor.Y] = _trace(np.zeros(5), motor=Motor.Y)
+        with pytest.raises(
+            DetectionError, match="Y capture has 5 samples, shorter than the smoothing window 20"
+        ):
+            detect_print(captures, baselines)
+
+    @pytest.mark.parametrize("block", [64, detect._BLOCK])
+    def test_equal_for_any_worker_count(self, block):
+        rng = np.random.default_rng(11)
+        n = 40_000
+        baselines = {
+            m: build_baseline([_trace(rng.normal(0.0, 0.05, n), motor=m) for _ in range(3)])
+            for m in Motor
+        }
+        # Shorter, equal and longer captures; runs across block edges and
+        # longer than a default block, and one near the end of the baseline.
+        spans = {Motor.X: (0, 0), Motor.Y: (15_000, 35_000), Motor.Z: (39_900, 44_000),
+                 Motor.E: (100, 130)}
+        lengths = {Motor.X: n, Motor.Y: n - 9_000, Motor.Z: n + 5_000, Motor.E: n}
+        captures = {}
+        for m in Motor:
+            values = rng.normal(0.0, 0.05, lengths[m])
+            values[slice(*spans[m])] += 1.0
+            captures[m] = _trace(values, motor=m)
+        config = DetectionConfig()
+        expected = {}
+        for m in Motor:
+            length = min(lengths[m], n)
+            smoothed = smooth(captures[m], config.smoothing_window).samples[:length]
+            reference = baselines[m].reference_trace.samples[:length]
+            dev = np.abs(smoothed.astype(np.float64) - reference)
+            expected[m] = (whole_series_classify(dev, baselines[m], config), dev.tobytes())
+        assert {r.verdict for r, _ in expected.values()} == {Verdict.BENIGN, Verdict.MALICIOUS}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                with mock.patch.object(tracesim, "_WORKERS", workers), \
+                        mock.patch.object(detect, "_BLOCK", block):
+                    result = detect_print(captures, baselines, config)
+                assert list(result.reports) == list(Motor)
+                for m in Motor:
+                    got = (result.reports[m], result.deviations[m].tobytes())
+                    assert got == expected[m], (workers, m)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_beyond_the_deviations(self):
+        # Each motor is judged in blocks, so beyond the float64 deviations it
+        # returns, detect_print holds only each thread's block scratch (about
+        # 0.25 bytes per baseline sample; a whole-series smoothed copy and mask
+        # would be 5).  Measured on two threads, after one untraced call so
+        # that one-time imports do not count, with a 100,000-sample attack run.
+        n = int(round(plan_motion(benchmark_object(), DEFAULT_PROFILE).total_duration * SAMPLE_RATE))
+        reference = np.sin(np.arange(n) * (2 * np.pi / 2000)).astype(np.float32)
+        sd = np.full(n, 0.02)
+        baselines = {
+            m: GoldenBaseline(m, SAMPLE_RATE, sd, MotorTrace(m, SAMPLE_RATE, reference, 0), 2)
+            for m in MOTORS
+        }
+        samples = reference + np.random.default_rng(5).normal(0.0, 0.05, n).astype(np.float32)
+        samples[500_000:600_000] += 0.5
+        captures = {m: MotorTrace(m, SAMPLE_RATE, samples, 0) for m in MOTORS}
+        with mock.patch.object(tracesim, "_WORKERS", 2):
+            detect_print(captures, baselines)
+            tracemalloc.start()
+            try:
+                result = detect_print(captures, baselines)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert result.overall is Verdict.MALICIOUS
+        returned = sum(dev.nbytes for dev in result.deviations.values())
+        assert (peak - returned) / n <= 1.0
+
     def test_sample_rate_mismatch_is_an_error(self):
         baseline = _flat_baseline()
         capture = _trace(np.zeros(500), rate=1000.0)
@@ -447,3 +600,15 @@ def test_export_series_csv_bytes_match_csv_writer(tmp_path_factory, series, stri
     with mock.patch.object(detect, "_EXPORT_CHUNK_ROWS", chunk):
         export_series_csv(series, rate, path, stride=stride)
     assert path.read_bytes() == csv_writer_reference(series, rate, stride)
+
+
+def test_export_series_csv_back_to_back_lengths_and_strides(tmp_path):
+    # The time column of one (rate, stride, length) is reused by the next
+    # file only when all three match.
+    rng = np.random.default_rng(2)
+    cases = [(rng.normal(size=1_000), 7), (rng.normal(size=700), 3),
+             (rng.normal(size=1_000), 3), (rng.normal(size=1_000), 7)]
+    for index, (series, stride) in enumerate(cases):
+        path = tmp_path / f"series{index}.csv"
+        export_series_csv(series, 25_000.0, path, stride=stride)
+        assert path.read_bytes() == csv_writer_reference(series, 25_000.0, stride), index
