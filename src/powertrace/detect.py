@@ -54,8 +54,12 @@ __all__ = [
 _EXPORT_CHUNK_ROWS = 1 << 16
 
 # Samples per block in smooth, build_baseline, classify and detect_print:
-# their scratch is fixed-size.
-_BLOCK = 1 << 14
+# their scratch is fixed-size.  Each block costs a handful of numpy calls,
+# each releasing and re-taking the GIL, so detect_print's threads overlap
+# better with fewer, larger blocks; but each thread holds about 20 bytes of
+# scratch per block sample.  2**15 is the largest power of two that keeps
+# two threads' scratch within 1 byte per sample of the benchmark print.
+_BLOCK = 1 << 15
 
 
 class DetectionError(ValueError):
@@ -337,13 +341,13 @@ def _classify_blocks(
     seen = count = longest = run = 0  # run: the one ending at the last sample seen
     first = None
     for block in blocks:
-        peak = np.maximum(peak, block.max())  # NaN propagates
-        above = block > threshold
-        hits = int(np.count_nonzero(above))
-        if hits:
+        top = block.max()
+        peak = np.maximum(peak, top)  # NaN propagates
+        if top > threshold:
+            above = block > threshold
             if first is None:
                 first = seen + int(above.argmax())
-            count += hits
+            count += int(np.count_nonzero(above))
             # The block splits into alternating runs where ``above`` changes;
             # keep the lengths of the runs above the threshold.
             changes = np.flatnonzero(above[1:] != above[:-1]) + 1
@@ -352,7 +356,7 @@ def _classify_blocks(
                 runs[0] += run
             longest = max(longest, int(runs.max()))
             run = int(runs[-1]) if above[-1] else 0
-        else:
+        else:  # a clear block, or one holding NaN, which is raised below
             run = 0
         seen += len(block)
     peak = float(peak) if seen else 0.0
@@ -379,8 +383,11 @@ def detect_print(
     Captures must already be trigger-aligned; smoothing and windowing to the
     baseline length happen here.  The print is malicious iff any motor is.
     Each motor is smoothed, compared and classified in one pass of
-    ``_BLOCK``-sample blocks, the motors on up to ``tracesim._WORKERS``
-    threads; reports and deviations are the same for any thread count.
+    ``_BLOCK``-sample (32,768) blocks, the motors on up to
+    ``tracesim._WORKERS`` threads; reports and deviations are the same for
+    any thread count.  A block whose largest deviation is clear of the
+    threshold skips the run search, so a benign block costs the smoothing,
+    the comparison and one ``max``.
     """
     deviations: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
@@ -423,7 +430,10 @@ def _deviation_blocks(
         if stop <= start:  # the capture runs past the baseline
             return
         out = dev[start:stop]
-        np.subtract(block[: stop - start], reference[start:stop], out=out, dtype=np.float64)
+        # Widened first: a float32 - float32 subtract into float64 goes
+        # through numpy's slower buffered casts.
+        out[...] = block[: stop - start]
+        np.subtract(out, reference[start:stop], out=out)
         yield np.abs(out, out=out)
 
 

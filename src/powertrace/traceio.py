@@ -12,10 +12,12 @@ All integers and floats are little-endian; samples are float32.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -162,16 +164,30 @@ def _write(
 
 def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[np.ndarray]]:
     """Read and validate a container: motor, sample rate, header fields, arrays.
-    Samples enter the package here, so every cell must be finite."""
+    Samples enter the package here, so every cell must be finite.
+
+    The body's length is checked against the file's size before any of it is
+    read, and each column is read straight into its own (writable) array.
+    """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with path.open("rb") as handle:
+            return _read_open(path, handle, layout)
     except OSError as exc:
         raise CaptureIOError(f"{path}: {exc}") from exc
+
+
+def _read_open(
+    path: Path, handle: BinaryIO, layout: _Layout
+) -> tuple[Motor, float, tuple, list[np.ndarray]]:
+    """:func:`_read` of ``path``, opened as ``handle``; the caller reports
+    an ``OSError``."""
+    size = os.fstat(handle.fileno()).st_size
     offset = _PREFIX.size + layout.fields.size
-    if len(blob) < offset:
+    header = handle.read(offset)
+    if len(header) < offset:
         raise CaptureFormatError(f"{path}: truncated header")
-    magic, version, motor_code, units, rate = _PREFIX.unpack_from(blob)
+    magic, version, motor_code, units, rate = _PREFIX.unpack_from(header)
     if magic != layout.magic:
         raise CaptureFormatError(f"{path}: bad magic {magic!r}")
     if version != layout.version:
@@ -182,22 +198,24 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
         raise CaptureFormatError(f"{path}: unknown motor code {motor_code}")
     if not (math.isfinite(rate) and rate > 0):
         raise CaptureFormatError(f"{path}: sample rate must be finite and > 0, got {rate}")
-    fields = layout.fields.unpack_from(blob, _PREFIX.size)
+    fields = layout.fields.unpack_from(header, _PREFIX.size)
     count = fields[-1]
     columns = [(name, np.dtype(dtype)) for name, dtype in layout.body]
     expected = offset + count * sum(dtype.itemsize for _, dtype in columns)
-    if len(blob) < expected:
+    if size < expected:
         raise CaptureFormatError(f"{path}: unexpected end of samples")
-    if len(blob) > expected:
+    if size > expected:
         raise CaptureFormatError(f"{path}: trailing bytes after samples")
     arrays = []
     for name, dtype in columns:
-        column = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        column = np.empty(count, dtype=dtype)
+        # The file may have shrunk since it was measured.
+        if handle.readinto(column) != column.nbytes:
+            raise CaptureFormatError(f"{path}: unexpected end of samples")
         if not np.isfinite(column).all():
             cell = np.flatnonzero(~np.isfinite(column))[0]
             raise CaptureFormatError(f"{path}: {name} {cell} is {column[cell]}, must be finite")
         arrays.append(column)
-        offset += count * dtype.itemsize
     return MOTORS[motor_code], rate, fields, arrays
 
 

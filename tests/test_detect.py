@@ -561,6 +561,66 @@ class TestDetectPrint:
         assert len(result.deviations[Motor.X]) == 100
 
 
+class TestProductionBlocks:
+    """Series that cross real ``_BLOCK`` edges: the hypothesis cases above are
+    shorter than one production block.  Threshold 0.12 (sd 0.02 + margin
+    0.1); runs of 80 (straddling blocks 0 and 1), 45 (ending on block 1's
+    end) and 40 (starting block 3), with block 2 clear, so a run not carried
+    across an edge or carried across the clear block changes the report."""
+
+    B = detect._BLOCK
+    N = 4 * B + 1_000
+
+    def _spans(self, edge):
+        """The deviation's runs when block k starts at ``edge + k * B``."""
+        B = self.B
+        return [(edge + B - 40, edge + B + 40), (edge + 2 * B - 45, edge + 2 * B),
+                (edge + 3 * B, edge + 3 * B + 40)]
+
+    def _baseline(self):
+        reference = np.zeros(self.N, dtype=np.float32)
+        return GoldenBaseline(
+            Motor.X, SAMPLE_RATE, np.full(self.N, 0.02),
+            MotorTrace(Motor.X, SAMPLE_RATE, reference, 0), 2,
+        )
+
+    def _assert_layout(self, dev, threshold, edge):
+        B = self.B
+        above = dev > threshold
+        assert above[edge + B - 1] and above[edge + B]
+        assert above[edge + 2 * B - 1] and not above[edge + 2 * B]
+        assert dev[edge + 2 * B : edge + 3 * B].max() <= threshold  # the skip path
+        assert above[edge + 3 * B]
+
+    def test_classify_equals_whole_series(self):
+        dev = _runs(self.N, self._spans(0))
+        dev[4 * self.B + 10] = 0.5
+        baseline, config = self._baseline(), DetectionConfig()
+        self._assert_layout(dev, baseline.peak_sd + config.margin, 0)
+        with mock.patch.object(detect, "_BLOCK", len(dev)):
+            expected = classify(dev, baseline, config)
+        assert expected.max_run_length == 80
+        assert expected.verdict is Verdict.MALICIOUS
+        assert classify(dev, baseline, config) == expected
+
+    def test_detect_print_equals_whole_series(self):
+        # Smoothing's first block is its 9-sample left edge, so the
+        # deviation's blocks start at 9 + k * B.  A raw step of 1.0 over
+        # [a, b) smooths (window 20) to above 0.12 on [a - 8, b + 7).
+        config = DetectionConfig()
+        edge = (config.smoothing_window - 1) // 2
+        samples = _runs(self.N, [(lo + 8, hi - 7) for lo, hi in self._spans(edge)])
+        captures, baselines = {Motor.X: _trace(samples)}, {Motor.X: self._baseline()}
+        with mock.patch.object(detect, "_BLOCK", self.N):
+            expected = detect_print(captures, baselines, config)
+        report = expected.reports[Motor.X]
+        self._assert_layout(expected.deviations[Motor.X], report.threshold, edge)
+        assert report.max_run_length == 80
+        result = detect_print(captures, baselines, config)
+        assert result.reports == expected.reports
+        assert result.deviations[Motor.X].tobytes() == expected.deviations[Motor.X].tobytes()
+
+
 def test_export_series_csv(tmp_path):
     path = tmp_path / "series.csv"
     export_series_csv(np.array([0.0, 0.5, 1.0, 1.5]), 2.0, path, stride=2)

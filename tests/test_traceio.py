@@ -186,6 +186,17 @@ class TestBaselinePersistence:
             loaded.reference_trace.samples, baseline.reference_trace.samples
         )
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        save_trace(_trace([0.5, -0.25, 1.0]), tmp_path / "t.ptrc")
+        save_baseline(build_baseline([_trace([0.5, 1.0]), _trace([0.0, 1.5])]), tmp_path / "b.ptrb")
+        baseline = load_baseline(tmp_path / "b.ptrb")
+        arrays = (
+            load_trace(tmp_path / "t.ptrc").samples,
+            baseline.pointwise_sd,
+            baseline.reference_trace.samples,
+        )
+        assert [array.flags.writeable for array in arrays] == [False, False, False]
+
     def test_wrong_magic_for_baseline_loader(self, tmp_path):
         path = tmp_path / "t.ptrc"
         save_trace(_trace(list(range(10))), path)
