@@ -11,7 +11,10 @@ deviation, so :func:`detect_print` returns only the verdicts and the
 deviations they were judged on.  The sd-subtracted excess series
 (:func:`excess`) is for visibility analysis, where an attack signature stays
 clearly visible even when it never crosses the verdict threshold; the
-experiment harness computes it from a returned deviation.
+experiment harness computes it in place of a returned deviation
+(``out=``), once that deviation is written.  :func:`export_series_csv`
+writes either series as text at numpy speed, byte for byte as Python's
+``'%.6f'`` formats each value.
 
 :func:`detect_print` judges each motor in one pass over fixed-size blocks:
 the moving average, the deviation and the threshold run (carried from one
@@ -23,6 +26,7 @@ with the same bytes for any number of threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -297,18 +301,23 @@ def deviation(captured: MotorTrace, baseline: GoldenBaseline) -> np.ndarray:
     return np.abs(dev, out=dev)
 
 
-def excess(deviation_series: np.ndarray, baseline: GoldenBaseline) -> np.ndarray:
+def excess(
+    deviation_series: np.ndarray, baseline: GoldenBaseline, out: np.ndarray | None = None
+) -> np.ndarray:
     """Deviation reduced by the golden standard deviation, clamped at zero.
 
     A deviation shorter than the baseline, as :func:`detect_print` returns
     for a shorter capture, is compared with the first ``len`` sd cells.
+    As in numpy, ``out`` receives the result; ``out=deviation_series`` turns
+    a deviation into its excess in place, without a second series.
     """
     length = len(deviation_series)
     if length > baseline.sample_count:
         raise DetectionError(
             f"deviation has {length} samples, baseline {baseline.sample_count}"
         )
-    out = np.subtract(deviation_series, baseline.pointwise_sd[:length])
+    out = np.subtract(deviation_series, baseline.pointwise_sd[:length], out=out)
+    # 0.0 first: maximum returns its first argument on a tie, so -0.0 reads 0.0.
     return np.maximum(0.0, out, out=out)
 
 
@@ -443,26 +452,85 @@ def export_series_csv(
     path: str | Path,
     stride: int = 1,
 ) -> None:
-    """Write a (time_s, amps) CSV, optionally decimated for plotting."""
+    """Write a (time_s, amps) CSV, optionally decimated for plotting.
+
+    Every cell is Python's ``f"{value:.6f}"`` and every row ends in CRLF.  Rows
+    are formatted ``_EXPORT_CHUNK_ROWS`` at a time, with numpy: see
+    :func:`_format_chunk` for why that gives the same bytes.
+    """
     if stride < 1:
         raise DetectionError("stride must be >= 1")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = len(series)
     step = stride * _EXPORT_CHUNK_ROWS
-    with path.open("w", newline="") as handle:
-        handle.write("time_s,amps\r\n")
+    with path.open("wb") as handle:
+        handle.write(b"time_s,amps\r\n")
         for start in range(0, n, step):
             stop = min(start + step, n)
-            times = _time_column(sample_rate, stride, start, stop)
-            values = series[start:stop:stride].tolist()
-            handle.write("".join(f"{t}{v:.6f}\r\n" for t, v in zip(times, values)))
+            cells = _time_column(sample_rate, stride, start, stop)
+            handle.writelines(_format_chunk(cells, series[start:stop:stride]))
 
 
 # Every series file of one experiment has the same rate, stride and length,
 # so the last chunk's time text is kept for the next file.
 @functools.lru_cache(maxsize=1)
-def _time_column(sample_rate: float, stride: int, start: int, stop: int) -> tuple[str, ...]:
-    """The ``time_s,`` cells of rows ``start:stop:stride``."""
-    return tuple(f"{i / sample_rate:.6f}," for i in range(start, stop, stride))
+def _time_column(sample_rate: float, stride: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """The ``time_s,`` cells of rows ``start:stop:stride`` as ASCII, one
+    read-only ``(rows, width)`` uint8 array per run of equal width, in row
+    order.  Times only grow, so their widths never decrease within a chunk
+    and a chunk has few runs."""
+    cells = (f"{i / sample_rate:.6f}," for i in range(start, stop, stride))
+    runs = []
+    for width, run in itertools.groupby(cells, len):
+        text = np.frombuffer("".join(run).encode(), dtype=np.uint8)
+        runs.append(text.reshape(-1, width))
+    return tuple(runs)
 
+
+# A fast cell's text, and the place value of each of its digits in micro-units.
+_CELL = np.frombuffer(b"0.000000\r\n", dtype=np.uint8)
+_DIGIT_PLACES = 10 ** np.arange(6, -1, -1)
+
+
+def _format_chunk(cells: tuple[np.ndarray, ...], values: np.ndarray) -> Iterator[np.ndarray | bytes]:
+    """The rows of one chunk: ``cells`` (from :func:`_time_column`), each
+    followed by its value as ``f"{value:.6f}"`` and CRLF.
+
+    A value ``v`` takes the fast path when ``rint(v * 1e6)`` is in
+    ``[0, 1e7)``, ``v`` has no sign bit, and ``v * 1e6`` is more than 1e-7
+    from a half.  Below 1e7 < 2**24 the float64 product is within 2**-30 of
+    the exact one, so its ``rint`` is the correctly rounded integer that
+    ``'%.6f'`` prints, and the cell is the 8 bytes ``d.dddddd`` built from its
+    digits.  Every other value is formatted alone with ``f"{v:.6f}"``, which
+    settles exact halves by round-half-even; should any of those not be 8
+    characters wide (>= 9.9999995, negative, -0.0, NaN, infinite), the whole
+    chunk is formatted one row at a time.
+    """
+    # float32 values are widened first, so the product is taken in float64.
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN go slow
+        scaled = np.multiply(values, 1e6, dtype=np.float64)
+        rounded = np.rint(scaled)
+        fast = (rounded >= 0) & (rounded < 1e7) & ~np.signbit(values)
+        fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-7
+    # Cast to int only where fast: a NaN cast would warn.
+    micros = np.where(fast, rounded, 0).astype(np.int64)
+    text = np.full((len(values), len(_CELL)), _CELL)
+    text[:, [0, 2, 3, 4, 5, 6, 7]] = micros[:, None] // _DIGIT_PLACES % 10 + ord("0")
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        slow_cells = [f"{v:.6f}" for v in values[slow].tolist()]
+        if any(len(cell) != 8 for cell in slow_cells):
+            times = b"".join(run.tobytes() for run in cells).decode().split(",")
+            lines = (f"{t},{v:.6f}\r\n" for t, v in zip(times, values.tolist()))
+            yield "".join(lines).encode()
+            return
+        text[slow, :8] = np.frombuffer("".join(slow_cells).encode(), dtype=np.uint8).reshape(-1, 8)
+    row = 0
+    for run in cells:
+        count, width = run.shape
+        rows = np.empty((count, width + 10), dtype=np.uint8)
+        rows[:, :width] = run
+        rows[:, width:] = text[row : row + count]
+        row += count
+        yield rows

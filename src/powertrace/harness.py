@@ -479,8 +479,10 @@ def _run_row(
 
     Each print is reduced to its verdicts and its mean excess inside each of
     ``windows`` as soon as its series are written; only those reductions are
-    kept.  Returns the number of flagged prints per motor, and per
-    window and motor the mean of those per-print means.
+    kept.  Each motor's deviation becomes its excess in place once its CSV is
+    written, so the print's ``deviations`` end as excess series.  Returns
+    the number of flagged prints per motor, and per window and motor the
+    mean of those per-print means.
     """
     flagged = dict.fromkeys(MOTORS, 0)
     print_means: dict[str, dict[Motor, list[float]]] = {
@@ -493,24 +495,23 @@ def _run_row(
         aligned = {motor: align_to_trigger(traces[motor]) for motor in MOTORS}
         result = detect_print(aligned, baselines, config.detection)
         for motor in MOTORS:
-            dev = result.deviations[motor]
-            excess_series = excess(dev, baselines[motor])
-            for kind, series in (("deviation", dev), ("excess", excess_series)):
-                export_series_csv(
-                    series,
-                    baselines[motor].sample_rate,
-                    out / _series_path(row, run_index, motor, kind),
-                    stride=config.series_stride,
-                )
+            series = result.deviations[motor]
+            rate = baselines[motor].sample_rate
+            path = out / _series_path(row, run_index, motor, "deviation")
+            export_series_csv(series, rate, path, stride=config.series_stride)
+            # Once written, the deviation is turned into its excess in place.
+            excess(series, baselines[motor], out=series)
+            path = out / _series_path(row, run_index, motor, "excess")
+            export_series_csv(series, rate, path, stride=config.series_stride)
             for name, (lo, hi) in windows.items():
-                if min(hi, len(excess_series)) > lo:
-                    print_means[name][motor].append(float(np.mean(excess_series[lo:hi])))
+                if min(hi, len(series)) > lo:
+                    print_means[name][motor].append(float(np.mean(series[lo:hi])))
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
             if config.save_traces:
                 save_trace(traces[motor], out / "traces" / f"{row}_run{run_index}_{motor.name}.ptrc")
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
         # Free this print's arrays before the next one is simulated.
-        del traces, aligned, result, dev, excess_series, series
+        del traces, aligned, result, series
     window_excess = {
         name: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
         for name, per_motor in print_means.items()

@@ -2,6 +2,7 @@ import csv
 import io
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -672,3 +673,47 @@ def test_export_series_csv_back_to_back_lengths_and_strides(tmp_path):
         path = tmp_path / f"series{index}.csv"
         export_series_csv(series, 25_000.0, path, stride=stride)
         assert path.read_bytes() == csv_writer_reference(series, 25_000.0, stride), index
+
+
+def _below_ten(dtype):
+    width = 32 if dtype is np.float32 else 64
+    return arrays(dtype, st.integers(0, 40), elements=st.floats(0, 10, exclude_max=True, width=width))
+
+
+# Exact halves of a micro-amp: odd multiples of 2**-7, and powers of two.
+_EXACT_HALVES = np.concatenate((np.arange(1, 1280, 2) / 128, 2.0 ** -np.arange(0, 40)))
+# Decimal halves of a micro-amp, which float64 holds just above or below the
+# half, their float64 neighbours, and values 1e-9 and 1e-12 off the half.
+_NEAR_HALVES = (np.arange(60) + 0.5) * 1e-6
+_NEAR_HALVES = np.concatenate(
+    [_NEAR_HALVES, np.nextafter(_NEAR_HALVES, 0), np.nextafter(_NEAR_HALVES, 1)]
+    + [_NEAR_HALVES + offset for offset in (-1e-9, 1e-9, -1e-12, 1e-12)]
+)
+# Values that round to 10.000000, or just stay below it.
+_NEAR_TEN = np.array([9.9999995, 9.99999949, 9.9999996, 9.9999999, np.nextafter(10.0, 0), 9.999999])
+
+
+@given(
+    st.one_of(_below_ten(np.float64), _below_ten(np.float32)),
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+@example(_EXACT_HALVES, 1, 1 << 16)
+@example(_EXACT_HALVES.astype(np.float32), 1, 1 << 16)
+@example(_NEAR_HALVES, 1, 1 << 16)
+@example(_NEAR_TEN, 1, 1 << 16)
+@example(_NEAR_TEN, 1, 1)
+@example(np.array([-0.0, 0.0, 1.5]), 1, 1)
+@example(np.array([0.25, np.nan, np.inf, -np.inf, 0.75]), 1, 2)
+# Chunks of 2: fast only, fast and an exact half, and a whole-chunk fallback.
+@example(np.array([0.5, 1.25, 0.0078125, 3.0, 12.5, 1.0, -1.0, 2.0]), 1, 2)
+@settings(max_examples=150, deadline=None)
+def test_export_series_csv_fast_path_matches_csv_writer(tmp_path_factory, series, stride, chunk):
+    # Values in [0, 10) are formatted from their digits without Python's
+    # float formatting; exact halves, near halves, values that round to 10
+    # and non-finite values must still read as Python formats them.
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    with warnings.catch_warnings(), mock.patch.object(detect, "_EXPORT_CHUNK_ROWS", chunk):
+        warnings.simplefilter("error", RuntimeWarning)
+        export_series_csv(series, 25_000.0, path, stride=stride)
+    assert path.read_bytes() == csv_writer_reference(series, 25_000.0, stride)

@@ -227,6 +227,37 @@ class TestRunExperiment:
                 expected = harness._ratio(attacked[motor], benign[motor])
                 assert matrix.cell(row, motor).excess_ratio == expected, (row, motor)
 
+    def test_series_files_are_the_deviation_and_its_excess(self, small_run):
+        # The excess is made in place of the deviation after the deviation's
+        # file is written; both files must read as the series they name.
+        from test_detect import csv_writer_reference
+
+        from powertrace import harness
+        from powertrace.detect import detect_print, excess
+        from powertrace.traceio import align_to_trigger, load_baseline
+        from powertrace.tracesim import simulate_print
+
+        _, out = small_run
+        baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
+        program = benchmark_object()
+        for spec in default_attacks(program)["insert"]:
+            program = apply_attack(program, spec)
+        index = ATTACK_ROWS.index("insert") + 1
+        seed = SMALL.seed + harness._ROW_SEED_BASE + index * harness._ROW_SEED_STRIDE
+        traces = simulate_print(program, SMALL.profile, SMALL.noise, seed=seed)
+        aligned = {m: align_to_trigger(traces[m]) for m in MOTORS}
+        result = detect_print(aligned, baselines, SMALL.detection)
+        for motor in MOTORS:
+            dev = result.deviations[motor]
+            rate, stride = baselines[motor].sample_rate, SMALL.series_stride
+            expected = {
+                "deviation": csv_writer_reference(dev, rate, stride),
+                "excess": csv_writer_reference(excess(dev, baselines[motor]), rate, stride),
+            }
+            for kind, text in expected.items():
+                path = out / harness._series_path("insert", 0, motor, kind)
+                assert path.read_bytes() == text, (motor, kind)
+
     def test_missing_attack_row_rejected(self, tmp_path):
         config = dataclasses.replace(SMALL, attacks={"insert": ()})
         with pytest.raises(ExperimentError, match="no attack spec"):
@@ -272,28 +303,47 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
     assert (peaks[6] - peaks[3]) / 3 / samples <= 5.0
 
 
-def test_row_holds_one_print_at_a_time(tmp_path):
-    # A print's traces, deviations and excess series are freed before the
-    # next print is simulated, so more prints per row do not raise the peak;
-    # keeping the last print's series would add tens of bytes per sample.
+@pytest.fixture(scope="module")
+def row_baselines(tmp_path_factory):
+    from powertrace import harness
+
+    plan = plan_motion(benchmark_object(), SMALL.profile)
+    return harness._build_baselines(plan, SMALL, tmp_path_factory.mktemp("golden"))
+
+
+def _run_row_peak(baselines, seed_count, out):
+    """tracemalloc's peak over one ``normal`` row of ``seed_count`` prints."""
     import tracemalloc
 
     from powertrace import harness
 
-    plan = plan_motion(benchmark_object(), SMALL.profile)
-    baselines = harness._build_baselines(plan, SMALL, tmp_path / "golden")
-    peaks = {}
-    for count in (1, 3):
-        tracemalloc.start()
-        try:
-            harness._run_row(
-                "normal", benchmark_object(), SMALL, baselines, list(range(100, 100 + count)),
-                tmp_path / str(count), {},
-            )
-            peaks[count] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peaks[3] - peaks[1]) / baselines[Motor.X].sample_count <= 1.0
+    tracemalloc.start()
+    try:
+        harness._run_row(
+            "normal", benchmark_object(), SMALL, baselines, list(range(100, 100 + seed_count)),
+            out, {},
+        )
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_holds_one_print_at_a_time(row_baselines, tmp_path):
+    # A print's traces and deviations (each in turn made its excess in place)
+    # are freed before the next print is simulated, so more prints per row
+    # do not raise the peak; keeping the last print's series would add tens
+    # of bytes per sample.
+    peaks = {count: _run_row_peak(row_baselines, count, tmp_path / str(count)) for count in (1, 3)}
+    assert (peaks[3] - peaks[1]) / row_baselines[Motor.X].sample_count <= 1.0
+
+
+def test_row_print_peak_per_sample(row_baselines, tmp_path):
+    # One print holds its four float32 traces (16 bytes per baseline sample)
+    # and its four float64 deviations (32), plus detect_print's block scratch
+    # and one chunk of CSV text: about 48.9.  The excess is made in place of
+    # each deviation; allocating it as a separate series per motor reads 64.
+    peak = _run_row_peak(row_baselines, 1, tmp_path)
+    assert peak / row_baselines[Motor.X].sample_count <= 52.0
 
 
 class TestPhenomenology:
