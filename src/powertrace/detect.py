@@ -502,10 +502,10 @@ def _format_chunk(cells: tuple[np.ndarray, ...], values: np.ndarray) -> Iterator
     from a half.  Below 1e7 < 2**24 the float64 product is within 2**-30 of
     the exact one, so its ``rint`` is the correctly rounded integer that
     ``'%.6f'`` prints, and the cell is the 8 bytes ``d.dddddd`` built from its
-    digits.  Every other value is formatted alone with ``f"{v:.6f}"``, which
-    settles exact halves by round-half-even; should any of those not be 8
-    characters wide (>= 9.9999995, negative, -0.0, NaN, infinite), the whole
-    chunk is formatted one row at a time.
+    digits.  A chunk with any other value (an exact or near half, which
+    ``'%.6f'`` settles by round-half-even, or one >= 9.9999995, negative,
+    -0.0, NaN or infinite) is formatted one row at a time with
+    ``f"{v:.6f}"``.
     """
     # float32 values are widened first, so the product is taken in float64.
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN go slow
@@ -513,19 +513,13 @@ def _format_chunk(cells: tuple[np.ndarray, ...], values: np.ndarray) -> Iterator
         rounded = np.rint(scaled)
         fast = (rounded >= 0) & (rounded < 1e7) & ~np.signbit(values)
         fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-7
-    # Cast to int only where fast: a NaN cast would warn.
-    micros = np.where(fast, rounded, 0).astype(np.int64)
+    if not fast.all():
+        times = b"".join(run.tobytes() for run in cells).decode().split(",")
+        lines = (f"{t},{v:.6f}\r\n" for t, v in zip(times, values.tolist()))
+        yield "".join(lines).encode()
+        return
     text = np.full((len(values), len(_CELL)), _CELL)
-    text[:, [0, 2, 3, 4, 5, 6, 7]] = micros[:, None] // _DIGIT_PLACES % 10 + ord("0")
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        slow_cells = [f"{v:.6f}" for v in values[slow].tolist()]
-        if any(len(cell) != 8 for cell in slow_cells):
-            times = b"".join(run.tobytes() for run in cells).decode().split(",")
-            lines = (f"{t},{v:.6f}\r\n" for t, v in zip(times, values.tolist()))
-            yield "".join(lines).encode()
-            return
-        text[slow, :8] = np.frombuffer("".join(slow_cells).encode(), dtype=np.uint8).reshape(-1, 8)
+    text[:, [0, 2, 3, 4, 5, 6, 7]] = rounded.astype(np.int64)[:, None] // _DIGIT_PLACES % 10 + ord("0")
     row = 0
     for run in cells:
         count, width = run.shape

@@ -499,7 +499,6 @@ def _run_row(
             rate = baselines[motor].sample_rate
             path = out / _series_path(row, run_index, motor, "deviation")
             export_series_csv(series, rate, path, stride=config.series_stride)
-            # Once written, the deviation is turned into its excess in place.
             excess(series, baselines[motor], out=series)
             path = out / _series_path(row, run_index, motor, "excess")
             export_series_csv(series, rate, path, stride=config.series_stride)

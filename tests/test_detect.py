@@ -705,7 +705,7 @@ _NEAR_TEN = np.array([9.9999995, 9.99999949, 9.9999996, 9.9999999, np.nextafter(
 @example(_NEAR_TEN, 1, 1)
 @example(np.array([-0.0, 0.0, 1.5]), 1, 1)
 @example(np.array([0.25, np.nan, np.inf, -np.inf, 0.75]), 1, 2)
-# Chunks of 2: fast only, fast and an exact half, and a whole-chunk fallback.
+# Chunks of 2: fast only, fast and an exact half, then a fallback above 10.
 @example(np.array([0.5, 1.25, 0.0078125, 3.0, 12.5, 1.0, -1.0, 2.0]), 1, 2)
 @settings(max_examples=150, deadline=None)
 def test_export_series_csv_fast_path_matches_csv_writer(tmp_path_factory, series, stride, chunk):
