@@ -14,7 +14,8 @@ clearly visible even when it never crosses the verdict threshold; the
 experiment harness computes it in place of a returned deviation
 (``out=``), once that deviation is written.  :func:`export_series_csv`
 writes either series as text at numpy speed, byte for byte as Python's
-``'%.6f'`` formats each value.
+``'%.6f'`` formats each time and value: one stateless kernel formats both
+columns, with a per-row fallback for the cells it cannot print exactly.
 
 :func:`detect_print` judges each motor in one pass over fixed-size blocks:
 the moving average, the deviation and the threshold run (carried from one
@@ -25,8 +26,6 @@ with the same bytes for any number of threads.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -454,12 +453,16 @@ def export_series_csv(
 ) -> None:
     """Write a (time_s, amps) CSV, optionally decimated for plotting.
 
-    Every cell is Python's ``f"{value:.6f}"`` and every row ends in CRLF.  Rows
-    are formatted ``_EXPORT_CHUNK_ROWS`` at a time, with numpy: see
-    :func:`_format_chunk` for why that gives the same bytes.
+    Sample ``i``, for every ``stride``-th ``i`` from 0, is the row
+    ``f"{i / sample_rate:.6f},{series[i]:.6f}\\r\\n"``.  Rows are formatted
+    ``_EXPORT_CHUNK_ROWS`` at a time, with numpy: see :func:`_format_chunk`
+    for why that gives the same bytes.  A bad stride or sample rate is
+    rejected before the file is opened.
     """
     if stride < 1:
         raise DetectionError("stride must be >= 1")
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise DetectionError(f"sample rate must be finite and > 0, got {sample_rate}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = len(series)
@@ -468,63 +471,59 @@ def export_series_csv(
         handle.write(b"time_s,amps\r\n")
         for start in range(0, n, step):
             stop = min(start + step, n)
-            cells = _time_column(sample_rate, stride, start, stop)
-            handle.writelines(_format_chunk(cells, series[start:stop:stride]))
+            times = np.arange(start, stop, stride) / sample_rate
+            handle.write(_format_chunk(times, series[start:stop:stride]))
 
 
-# Every series file of one experiment has the same rate, stride and length,
-# so the last chunk's time text is kept for the next file.
-@functools.lru_cache(maxsize=1)
-def _time_column(sample_rate: float, stride: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """The ``time_s,`` cells of rows ``start:stop:stride`` as ASCII, one
-    read-only ``(rows, width)`` uint8 array per run of equal width, in row
-    order.  Times only grow, so their widths never decrease within a chunk
-    and a chunk has few runs."""
-    cells = (f"{i / sample_rate:.6f}," for i in range(start, stop, stride))
-    runs = []
-    for width, run in itertools.groupby(cells, len):
-        text = np.frombuffer("".join(run).encode(), dtype=np.uint8)
-        runs.append(text.reshape(-1, width))
-    return tuple(runs)
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint32]:
+    """``"{k}."``, ``"{k:03d}"`` and ``"{k:03d},"`` for k in [0, 1000), and
+    ``"\\r\\n"``, each as one uint32 of 4 bytes padded with NULs; the
+    tables are read-only."""
+    k = np.arange(1000)
+    text = np.zeros((3, 1000, 4), dtype=np.uint8)
+    whole, three, comma = text
+    digits = np.stack((k // 100, k // 10 % 10, k % 10), axis=1) + ord("0")
+    whole[:, :3] = three[:, :3] = comma[:, :3] = digits
+    whole[:, 3], comma[:, 3] = ord("."), ord(",")
+    whole[k < 100, 0] = whole[k < 10, 1] = 0  # no leading zeros
+    text.setflags(write=False)
+    return *text.view(np.uint32)[..., 0], np.frombuffer(b"\r\n\0\0", dtype=np.uint32)[0]
 
 
-# A fast cell's text, and the place value of each of its digits in micro-units.
-_CELL = np.frombuffer(b"0.000000\r\n", dtype=np.uint8)
-_DIGIT_PLACES = 10 ** np.arange(6, -1, -1)
+_WHOLE, _THREE, _THREE_COMMA, _CRLF = _text_tables()
 
 
-def _format_chunk(cells: tuple[np.ndarray, ...], values: np.ndarray) -> Iterator[np.ndarray | bytes]:
-    """The rows of one chunk: ``cells`` (from :func:`_time_column`), each
-    followed by its value as ``f"{value:.6f}"`` and CRLF.
+def _format_chunk(times: np.ndarray, values: np.ndarray) -> bytes:
+    """The text of one chunk's rows: each time and value as ``f"{c:.6f}"``,
+    joined by a comma and ended by CRLF.
 
-    A value ``v`` takes the fast path when ``rint(v * 1e6)`` is in
-    ``[0, 1e7)``, ``v`` has no sign bit, and ``v * 1e6`` is more than 1e-7
-    from a half.  Below 1e7 < 2**24 the float64 product is within 2**-30 of
-    the exact one, so its ``rint`` is the correctly rounded integer that
-    ``'%.6f'`` prints, and the cell is the 8 bytes ``d.dddddd`` built from its
-    digits.  A chunk with any other value (an exact or near half, which
-    ``'%.6f'`` settles by round-half-even, or one >= 9.9999995, negative,
-    -0.0, NaN or infinite) is formatted one row at a time with
-    ``f"{v:.6f}"``.
+    A cell ``c`` is fast when it has no sign bit, ``rint(c * 1e6) < 1e9``,
+    and ``c * 1e6`` is more than 1e-7 from a half.  Below 1e9 < 2**30 the
+    float64 product is within 2**-24 of the exact one, so its ``rint`` is
+    the correctly rounded integer that ``'%.6f'`` prints, and the cell's text
+    is gathered from the tables by its whole part and two groups of three
+    decimals; the NULs padding the table entries are then dropped (no
+    character of the text is NUL).  A chunk with any other cell (an exact or
+    near half, which ``'%.6f'`` settles by round-half-even, or one >=
+    999.9999995, negative, -0.0, NaN or infinite) is formatted one row at a
+    time.
     """
-    # float32 values are widened first, so the product is taken in float64.
+    # The stack widens float32 values, so the product is taken in float64.
+    cells = np.stack((times, values), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN go slow
-        scaled = np.multiply(values, 1e6, dtype=np.float64)
+        scaled = cells * 1e6
         rounded = np.rint(scaled)
-        fast = (rounded >= 0) & (rounded < 1e7) & ~np.signbit(values)
+        fast = (rounded < 1e9) & ~np.signbit(cells)
         fast &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-7
     if not fast.all():
-        times = b"".join(run.tobytes() for run in cells).decode().split(",")
-        lines = (f"{t},{v:.6f}\r\n" for t, v in zip(times, values.tolist()))
-        yield "".join(lines).encode()
-        return
-    text = np.full((len(values), len(_CELL)), _CELL)
-    text[:, [0, 2, 3, 4, 5, 6, 7]] = rounded.astype(np.int64)[:, None] // _DIGIT_PLACES % 10 + ord("0")
-    row = 0
-    for run in cells:
-        count, width = run.shape
-        rows = np.empty((count, width + 10), dtype=np.uint8)
-        rows[:, :width] = run
-        rows[:, width:] = text[row : row + count]
-        row += count
-        yield rows
+        lines = (f"{t:.6f},{v:.6f}\r\n" for t, v in zip(times.tolist(), values.tolist()))
+        return "".join(lines).encode()
+    whole, decimals = np.divmod(rounded.astype(np.uint32), 1_000_000)
+    high, low = np.divmod(decimals, 1000)
+    rows = np.empty((len(cells), 7), dtype=np.uint32)
+    rows[:, [0, 3]] = _WHOLE[whole]
+    rows[:, [1, 4]] = _THREE[high]
+    rows[:, 2] = _THREE_COMMA[low[:, 0]]
+    rows[:, 5] = _THREE[low[:, 1]]
+    rows[:, 6] = _CRLF
+    return rows.tobytes().translate(None, b"\0")

@@ -17,7 +17,6 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -172,51 +171,43 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            return _read_open(path, handle, layout)
+            size = os.fstat(handle.fileno()).st_size
+            offset = _PREFIX.size + layout.fields.size
+            header = handle.read(offset)
+            if len(header) < offset:
+                raise CaptureFormatError(f"{path}: truncated header")
+            magic, version, motor_code, units, rate = _PREFIX.unpack_from(header)
+            if magic != layout.magic:
+                raise CaptureFormatError(f"{path}: bad magic {magic!r}")
+            if version != layout.version:
+                raise CaptureFormatError(f"{path}: unsupported version {version}")
+            if units != _UNITS_AMPS:
+                raise CaptureFormatError(f"{path}: unknown units code {units}")
+            if motor_code >= len(MOTORS):
+                raise CaptureFormatError(f"{path}: unknown motor code {motor_code}")
+            if not (math.isfinite(rate) and rate > 0):
+                raise CaptureFormatError(f"{path}: sample rate must be finite and > 0, got {rate}")
+            fields = layout.fields.unpack_from(header, _PREFIX.size)
+            count = fields[-1]
+            columns = [(name, np.dtype(dtype)) for name, dtype in layout.body]
+            expected = offset + count * sum(dtype.itemsize for _, dtype in columns)
+            if size < expected:
+                raise CaptureFormatError(f"{path}: unexpected end of samples")
+            if size > expected:
+                raise CaptureFormatError(f"{path}: trailing bytes after samples")
+            arrays = []
+            for name, dtype in columns:
+                column = np.empty(count, dtype=dtype)
+                # The file may have shrunk since it was measured.
+                if handle.readinto(column) != column.nbytes:
+                    raise CaptureFormatError(f"{path}: unexpected end of samples")
+                if not np.isfinite(column).all():
+                    cell = np.flatnonzero(~np.isfinite(column))[0]
+                    raise CaptureFormatError(f"{path}: {name} {cell} is {column[cell]}, must be finite")
+                arrays.append(column)
+            return MOTORS[motor_code], rate, fields, arrays
     except OSError as exc:
         raise CaptureIOError(f"{path}: {exc}") from exc
-
-
-def _read_open(
-    path: Path, handle: BinaryIO, layout: _Layout
-) -> tuple[Motor, float, tuple, list[np.ndarray]]:
-    """:func:`_read` of ``path``, opened as ``handle``; the caller reports
-    an ``OSError``."""
-    size = os.fstat(handle.fileno()).st_size
-    offset = _PREFIX.size + layout.fields.size
-    header = handle.read(offset)
-    if len(header) < offset:
-        raise CaptureFormatError(f"{path}: truncated header")
-    magic, version, motor_code, units, rate = _PREFIX.unpack_from(header)
-    if magic != layout.magic:
-        raise CaptureFormatError(f"{path}: bad magic {magic!r}")
-    if version != layout.version:
-        raise CaptureFormatError(f"{path}: unsupported version {version}")
-    if units != _UNITS_AMPS:
-        raise CaptureFormatError(f"{path}: unknown units code {units}")
-    if motor_code >= len(MOTORS):
-        raise CaptureFormatError(f"{path}: unknown motor code {motor_code}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise CaptureFormatError(f"{path}: sample rate must be finite and > 0, got {rate}")
-    fields = layout.fields.unpack_from(header, _PREFIX.size)
-    count = fields[-1]
-    columns = [(name, np.dtype(dtype)) for name, dtype in layout.body]
-    expected = offset + count * sum(dtype.itemsize for _, dtype in columns)
-    if size < expected:
-        raise CaptureFormatError(f"{path}: unexpected end of samples")
-    if size > expected:
-        raise CaptureFormatError(f"{path}: trailing bytes after samples")
-    arrays = []
-    for name, dtype in columns:
-        column = np.empty(count, dtype=dtype)
-        # The file may have shrunk since it was measured.
-        if handle.readinto(column) != column.nbytes:
-            raise CaptureFormatError(f"{path}: unexpected end of samples")
-        if not np.isfinite(column).all():
-            cell = np.flatnonzero(~np.isfinite(column))[0]
-            raise CaptureFormatError(f"{path}: {name} {cell} is {column[cell]}, must be finite")
-        arrays.append(column)
-    return MOTORS[motor_code], rate, fields, arrays
 
 
 @contextmanager

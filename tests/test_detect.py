@@ -641,6 +641,10 @@ def csv_writer_reference(series, sample_rate, stride):
     return handle.getvalue().encode()
 
 
+# Signed values: at the real chunk size each series is one chunk that falls back.
+_SIGNED = np.random.default_rng(2).normal(size=1_000)
+
+
 @given(
     arrays(
         st.sampled_from([np.float32, np.float64]),
@@ -654,6 +658,13 @@ def csv_writer_reference(series, sample_rate, stride):
 @example(np.array([]), 1, 25_000.0, 1)
 @example(np.array([0.25]), 3, 25_000.0, 1)
 @example(np.arange(10.0), 3, 2.0, 2)
+@example(_SIGNED, 7, 25_000.0, 1 << 16)
+@example(_SIGNED[:700], 3, 25_000.0, 1 << 16)
+@example(_SIGNED, 3, 25_000.0, 1 << 16)
+# Times of 1000 s and more, which fall back; times near half a micro-second.
+@example(np.full(6, 0.5), 1, 1e-3, 1 << 16)
+@example(np.full(12, 0.5), 1, 2e6, 1 << 16)
+@example(np.full(12, 0.5), 1, 2e6, 1)
 @settings(max_examples=150, deadline=None)
 def test_export_series_csv_bytes_match_csv_writer(tmp_path_factory, series, stride, rate, chunk):
     path = tmp_path_factory.mktemp("series") / "series.csv"
@@ -663,16 +674,23 @@ def test_export_series_csv_bytes_match_csv_writer(tmp_path_factory, series, stri
     assert path.read_bytes() == csv_writer_reference(series, rate, stride)
 
 
-def test_export_series_csv_back_to_back_lengths_and_strides(tmp_path):
-    # The time column of one (rate, stride, length) is reused by the next
-    # file only when all three match.
-    rng = np.random.default_rng(2)
-    cases = [(rng.normal(size=1_000), 7), (rng.normal(size=700), 3),
-             (rng.normal(size=1_000), 3), (rng.normal(size=1_000), 7)]
-    for index, (series, stride) in enumerate(cases):
-        path = tmp_path / f"series{index}.csv"
-        export_series_csv(series, 25_000.0, path, stride=stride)
-        assert path.read_bytes() == csv_writer_reference(series, 25_000.0, stride), index
+def test_export_series_csv_stride_one_over_chunks(tmp_path):
+    # Three chunks at the real chunk size; the middle one holds a negative
+    # value and falls back, the others are fast.
+    rows = detect._EXPORT_CHUNK_ROWS
+    series = np.random.default_rng(3).uniform(0, 20, 2 * rows + 1_234)
+    series[rows + 5] = -1.0
+    path = tmp_path / "series.csv"
+    export_series_csv(series, 25_000.0, path)
+    assert path.read_bytes() == csv_writer_reference(series, 25_000.0, 1)
+
+
+@pytest.mark.parametrize("rate", [0.0, np.inf, np.nan, -25_000.0])
+def test_export_series_csv_rejects_bad_sample_rate(tmp_path, rate):
+    path = tmp_path / "out" / "series.csv"
+    with pytest.raises(DetectionError, match="sample rate"):
+        export_series_csv(np.array([0.5, 1.0]), rate, path)
+    assert not path.exists()
 
 
 def _below_ten(dtype):
@@ -691,6 +709,10 @@ _NEAR_HALVES = np.concatenate(
 )
 # Values that round to 10.000000, or just stay below it.
 _NEAR_TEN = np.array([9.9999995, 9.99999949, 9.9999996, 9.9999999, np.nextafter(10.0, 0), 9.999999])
+# Values in [10, 1000), which are fast too.
+_TENS = np.concatenate((np.linspace(10, 1000, 991, endpoint=False), [999.999999, 123.4564999]))
+# Values that round to 1000.000000, which must fall back, and their neighbours.
+_NEAR_THOUSAND = np.array([999.9999995, np.nextafter(1000.0, 0), 999.9999994, 999.999999, 1000.0, 1e4])
 
 
 @given(
@@ -703,15 +725,22 @@ _NEAR_TEN = np.array([9.9999995, 9.99999949, 9.9999996, 9.9999999, np.nextafter(
 @example(_NEAR_HALVES, 1, 1 << 16)
 @example(_NEAR_TEN, 1, 1 << 16)
 @example(_NEAR_TEN, 1, 1)
+@example(_TENS, 1, 1 << 16)
+# float32(999.999999) is 1000; two float32 values are exact halves, so two chunks fall back.
+@example(_TENS[:-2].astype(np.float32), 1, 4)
+@example(np.append(_TENS[:6], 10.0078125), 1, 4)  # an exact half in the second chunk
+@example(_NEAR_THOUSAND, 1, 1 << 16)
+@example(_NEAR_THOUSAND, 1, 1)
 @example(np.array([-0.0, 0.0, 1.5]), 1, 1)
 @example(np.array([0.25, np.nan, np.inf, -np.inf, 0.75]), 1, 2)
-# Chunks of 2: fast only, fast and an exact half, then a fallback above 10.
+# Chunks of 2: fast only, fast and an exact half, fast above 10, then a
+# negative value that falls back.
 @example(np.array([0.5, 1.25, 0.0078125, 3.0, 12.5, 1.0, -1.0, 2.0]), 1, 2)
 @settings(max_examples=150, deadline=None)
 def test_export_series_csv_fast_path_matches_csv_writer(tmp_path_factory, series, stride, chunk):
-    # Values in [0, 10) are formatted from their digits without Python's
-    # float formatting; exact halves, near halves, values that round to 10
-    # and non-finite values must still read as Python formats them.
+    # Values in [0, 1000) are formatted from their digits without Python's
+    # float formatting; exact halves, near halves, values that round to
+    # 1000 and non-finite values must still read as Python formats them.
     path = tmp_path_factory.mktemp("series") / "series.csv"
     with warnings.catch_warnings(), mock.patch.object(detect, "_EXPORT_CHUNK_ROWS", chunk):
         warnings.simplefilter("error", RuntimeWarning)
