@@ -42,7 +42,7 @@ class AttackSpec:
     """Addressed mutation: ``position`` is the command offset within ``layer``.
 
     ``payload`` is required for INSERT, ``pair_offset`` (a second, distinct
-    offset in the same layer) for REORDER.
+    offset in the same layer) for REORDER; other kinds take neither.
     """
 
     kind: AttackKind
@@ -59,6 +59,10 @@ class AttackSpec:
                 raise AttackError("reorder requires pair_offset")
             if self.pair_offset == self.position:
                 raise AttackError("reorder offsets must differ")
+        if self.payload is not None and self.kind is not AttackKind.INSERT:
+            raise AttackError(f"{self.kind.value} takes no payload (insert only)")
+        if self.pair_offset is not None and self.kind is not AttackKind.REORDER:
+            raise AttackError(f"{self.kind.value} takes no pair_offset (reorder only)")
 
 
 def inject_insert(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import config as configmod
 from .attacks import AttackError, AttackKind, AttackSpec, apply_attack
 from .detect import DetectionConfig, DetectionError, Verdict, build_baseline, detect_print, smooth
-from .gcode import GCodeError, parse_gcode, serialize
+from .gcode import GCodeError, GCodeProgram, parse_gcode, serialize
 from .harness import (
     ExperimentConfig,
     ExperimentError,
@@ -128,12 +128,20 @@ def _load_profile_arg(args: argparse.Namespace) -> PrinterProfile:
     return configmod.load_profile(args.profile)
 
 
+def _read_gcode(path: Path) -> GCodeProgram:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GCodeError(f"{path}: {exc}") from None
+    return parse_gcode(text)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     profile = _load_profile_arg(args)
     noise = configmod.load_noise(args.noise) if args.noise else DEFAULT_NOISE
     prefix = args.prefix or args.gcode.stem
     _print_config(args, gcode=args.gcode, prefix=prefix)
-    program = parse_gcode(args.gcode.read_text())
+    program = _read_gcode(args.gcode)
     traces = simulate_print(program, profile, noise, seed=args.seed)
     for motor in MOTORS:
         path = args.out / f"{prefix}_{motor.name}.ptrc"
@@ -153,7 +161,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         payload=args.payload,
         output=args.output,
     )
-    program = parse_gcode(args.gcode.read_text())
+    program = _read_gcode(args.gcode)
     payload = configmod.parse_payload(args.payload) if args.payload else None
     spec = AttackSpec(
         kind=AttackKind(args.kind),

@@ -99,8 +99,8 @@ DETECTION_KEYS = keys(int, "smoothing_window") + keys(float, "margin") + keys(in
 def read_kv_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     pairs: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

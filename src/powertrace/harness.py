@@ -372,16 +372,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     Raises :class:`ExperimentError` after writing artifacts if any benign
     capture was flagged (the zero-false-positive gate).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     program = _load_program(config)
     attacks = config.attacks if config.attacks is not None else default_attacks(program)
+    # Every row's program is built before anything is written, so a spec that
+    # does not apply fails before the golden phase.
+    programs = {"normal": program}
     for row in ATTACK_ROWS:
         if row not in attacks:
             raise ExperimentError(f"no attack spec configured for {row!r}")
+        programs[row] = program
+        for spec in attacks[row]:
+            programs[row] = apply_attack(programs[row], spec)
 
     config = dataclasses.replace(config, attacks=attacks)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(dump_experiment_config(config))
 
     plan = plan_motion(program, config.profile)
@@ -394,13 +399,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     benign_excess: dict[str, dict[Motor, float]] = {}
     for index, row in enumerate(_ROWS):
         benign = row == "normal"
-        mutated = program
-        for spec in () if benign else attacks[row]:
-            mutated = apply_attack(mutated, spec)
         first_seed = config.seed + _ROW_SEED_BASE + index * _ROW_SEED_STRIDE
         seeds = [first_seed + r for r in range(config.malicious_count)]
         row_windows = windows if benign else {row: windows[row]}
-        flagged, window_excess = _run_row(row, mutated, config, baselines, seeds, out, row_windows)
+        flagged, window_excess = _run_row(row, programs[row], config, baselines, seeds, out, row_windows)
         if benign:
             benign_excess = window_excess
         for motor in MOTORS:
@@ -440,9 +442,9 @@ def _load_program(config: ExperimentConfig) -> GCodeProgram:
     if config.program_path is None:
         return benchmark_object()
     try:
-        text = Path(config.program_path).read_text()
-    except OSError as exc:
-        raise ExperimentError(f"cannot read program: {exc}") from exc
+        text = Path(config.program_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ExperimentError(f"cannot read program {config.program_path}: {exc}") from exc
     return parse_gcode(text)
 
 

@@ -23,9 +23,10 @@ Randomness is reseeded per (seed, motor, segment index), so a trace prefix is
 bit-identical between a benign and a mutated run up to the first changed
 segment, and the same seed always reproduces the same samples.
 
-A trace's segments render on up to 8 threads, one contiguous block of
-segments per CPU the process may use.  Each segment has its own RNG and its
-own samples, so the output is identical for any CPU count.
+A trace renders in one pass on up to 8 threads.  Each job is an active
+segment and the idle segments that hold its end level, and each CPU the
+process may use gets one contiguous block of jobs.  Each segment has its own
+RNG and its own samples, so the output is identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -164,16 +165,17 @@ def synthesize_trace(
     jitter_sd = noise.phase_jitter_sd * PHASE_JITTER_SCALE[motor]
     amp_sd = noise.amplitude_noise_sd * AMPLITUDE_NOISE_SCALE[motor]
 
-    # Serial pre-pass: sample ranges, the Nyquist check, and each active
-    # segment's starting phase.  The electrical angle tracks the signed shaft
-    # position: phase is the accumulated microstep count over
-    # STEPS_PER_ELECTRICAL_CYCLE, so two prints of the same geometry agree on
-    # phase wherever their positions do.  Segments without samples render
-    # nothing; an idle segment records which active one it holds the end of.
-    active: list[tuple[int, int, int, float, float]] = []
-    idle: list[tuple[int, int, int, int]] = []
+    # Serial pre-pass: sample ranges, the overlap and Nyquist checks, each
+    # active segment's starting phase, and the jobs.  The electrical angle
+    # tracks the signed shaft position: phase is the accumulated microstep
+    # count over STEPS_PER_ELECTRICAL_CYCLE, so two prints of the same
+    # geometry agree on phase wherever their positions do.  A job is one
+    # active segment with samples and the idle segments after it, which hold
+    # its end level; idle segments before the first active one hold 0.0.
+    # Segments without samples render nothing.
+    blocks: list[list[tuple]] = [[(None, [])]]
     steps_position = 0.0
-    rendered_to = 0
+    rendered_to = longest = job_start = 0
     for index, segment in enumerate(segments):
         lo = int(round(segment.start_time * SAMPLE_RATE))
         hi = int(round((segment.start_time + segment.duration) * SAMPLE_RATE))
@@ -195,16 +197,22 @@ def synthesize_trace(
                     f"{SAMPLE_RATE / 2:.1f} Hz"
                 )
             if hi > lo:
+                # A job opens the next of up to _WORKERS blocks once its middle,
+                # were it as long as the job before, passes this block's share.
+                middle = lo + (lo - job_start) / 2
+                if len(blocks) < _WORKERS and middle * _WORKERS >= total_samples * len(blocks):
+                    blocks.append([])
+                job_start = lo
                 phase = _TWO_PI * steps_position / STEPS_PER_ELECTRICAL_CYCLE
-                active.append((index, lo, hi, phase, segment.direction * frequency))
+                blocks[-1].append(((index, lo, hi, phase, segment.direction * frequency), []))
+                longest = max(longest, hi - lo)
             steps_position += segment.direction * segment.step_frequency * segment.duration
         elif hi > lo:
-            idle.append((index, lo, hi, len(active) - 1))
+            blocks[-1][-1][1].append((index, lo, hi))
 
     # Time is counted from the segment's first sample so that a whole-sample
     # shift of the plan reproduces samples bit-exactly; every active segment
     # reads a prefix of one shared time axis.
-    longest = max((hi - lo for _, lo, hi, _, _ in active), default=0)
     t = np.arange(longest, dtype=np.float64) / SAMPLE_RATE
 
     def render_active(index: int, lo: int, hi: int, phase: float, signed_frequency: float) -> float:
@@ -224,22 +232,22 @@ def synthesize_trace(
         out[lo:hi] = values
         return hold
 
-    def render_idle(index: int, lo: int, hi: int, hold: float) -> None:
-        if noise.idle_noise_sd > 0:
-            rng = np.random.default_rng([noise.seed, motor.code, index])
-            values = rng.normal(0.0, noise.idle_noise_sd, hi - lo)
-            values += hold
-            out[lo:hi] = values
-        else:
-            out[lo:hi] = hold
+    def render_block(block: list[tuple]) -> None:
+        # Each segment writes only its own samples, with its own RNG, so any
+        # split into blocks gives the same samples.  numpy releases the GIL in
+        # np.sin and Generator.normal, where the time goes.
+        for active, idle in block:
+            hold = render_active(*active) if active else 0.0
+            for index, lo, hi in idle:
+                if noise.idle_noise_sd > 0:
+                    rng = np.random.default_rng([noise.seed, motor.code, index])
+                    values = rng.normal(0.0, noise.idle_noise_sd, hi - lo)
+                    values += hold
+                    out[lo:hi] = values
+                else:
+                    out[lo:hi] = hold
 
-    # Idle segments hold the level where the last periodic section before
-    # them ended, so they render once every active segment has.
-    ends = _render_in_blocks(render_active, active)
-    _render_in_blocks(
-        render_idle,
-        [(index, lo, hi, ends[k] if k >= 0 else 0.0) for index, lo, hi, k in idle],
-    )
+    _map_on_threads(render_block, blocks)
 
     trigger_index = min(int(round(plan.trigger_time * SAMPLE_RATE)), len(out) - 1)
     return MotorTrace(
@@ -248,29 +256,6 @@ def synthesize_trace(
         samples=out,
         trigger_index=trigger_index,
     )
-
-
-def _render_in_blocks(render: Callable, jobs: list[tuple]) -> list:
-    """``[render(*job) for job in jobs]``, on up to ``_WORKERS`` threads.
-
-    Each job is ``(index, lo, hi, ...)`` and writes only its own samples
-    ``lo:hi``, with its own RNG, so any split gives the same samples.  Each
-    thread takes one contiguous block of jobs; blocks hold about equal sample
-    counts.  numpy releases the GIL in ``np.sin`` and ``Generator.normal``,
-    where the time goes.
-    """
-    total = sum(hi - lo for _, lo, hi, *_ in jobs)
-    blocks, start, filled = [], 0, 0
-    for end, (_, lo, hi, *_) in enumerate(jobs, 1):
-        filled += hi - lo
-        if filled * _WORKERS >= total * (len(blocks) + 1):
-            blocks.append(jobs[start:end])
-            start = end
-
-    def render_block(block: list[tuple]) -> list:
-        return [render(*job) for job in block]
-
-    return [result for results in _map_on_threads(render_block, blocks) for result in results]
 
 
 def _map_on_threads(fn: Callable, items: list) -> list:

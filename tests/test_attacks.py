@@ -129,6 +129,20 @@ class TestReorder:
             AttackSpec(kind=AttackKind.REORDER, layer=0, position=1)
 
 
+@pytest.mark.parametrize("kind", [AttackKind.DELETE, AttackKind.REORDER, AttackKind.VOID])
+def test_payload_rejected_unless_insert(kind):
+    pair_offset = 2 if kind is AttackKind.REORDER else None
+    with pytest.raises(AttackError, match=f"{kind.value} takes no payload"):
+        AttackSpec(kind=kind, layer=0, position=1, payload=PAYLOAD, pair_offset=pair_offset)
+
+
+@pytest.mark.parametrize("kind", [AttackKind.INSERT, AttackKind.DELETE, AttackKind.VOID])
+def test_pair_offset_rejected_unless_reorder(kind):
+    payload = PAYLOAD if kind is AttackKind.INSERT else None
+    with pytest.raises(AttackError, match=f"{kind.value} takes no pair_offset"):
+        AttackSpec(kind=kind, layer=0, position=1, payload=payload, pair_offset=2)
+
+
 class TestVoid:
     def test_replaces_extrusion_with_travel(self):
         program = parse_gcode("G1 Z0.2\nG1 X10 Y5 E0.4 F900\n")

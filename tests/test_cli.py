@@ -138,6 +138,22 @@ class TestAttack:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--kind", "delete", "--payload", "G0 X24"], "delete takes no payload"),
+            (
+                ["--kind", "insert", "--payload", "G0 X24", "--pair-offset", "5"],
+                "insert takes no pair_offset",
+            ),
+        ],
+    )
+    def test_field_the_kind_does_not_use_exits_2(self, gcode_file, tmp_path, capsys, extra, message):
+        argv = ["attack", str(gcode_file), "--layer", "0", "--position", "1", *extra]
+        assert main(argv + ["--output", "bad.gcode", "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bad.gcode").exists()
+
 
 class TestBaseline:
     def test_builds_baseline_from_captures(self, gcode_file, tmp_path, capsys):
@@ -364,6 +380,9 @@ class TestDetect:
         assert "Y capture has 5 samples, shorter than the smoothing window 20" in err
 
 
+_BAD_PAYLOAD = ": bad value for 'attack.insert.payload': "
+
+
 class TestExperimentCommand:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
@@ -441,6 +460,40 @@ class TestExperimentCommand:
         if source == "file":
             assert f"error: {config}: " in err
         assert not (tmp_path / "out" / "config.txt").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("golden_count = 2\nbanana\n", ":2: expected 'key = value'"),
+            ("golden_count = 2\n= 3\n", ":2: empty key"),
+            ("seed = 1\nseed = 2\n", ":2: duplicate key 'seed'"),
+            ("save_traces = maybe\n", ": bad value for 'save_traces': not a boolean"),
+            ("attack.insert.payload = G1 X1..5\n", f"{_BAD_PAYLOAD}bad payload 'G1 X1..5'"),
+            ("attack.insert.payload = M104 S200\n", f"{_BAD_PAYLOAD}payload 'M104 S200' is not a"),
+            ("attack.delete.payload = G0 X1 Y1\n", ": delete takes no payload"),
+            ("attack.void.pair_offset = 4\n", ": void takes no pair_offset"),
+        ],
+    )
+    def test_config_error_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
+        config = tmp_path / "exp.cfg"
+        config.write_text(text)
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {config}{message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unappliable_attack_exits_2_before_writing(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("golden_count = 2\nattack.insert.layer = 99\n")
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "no such layer: 99" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flagged_benign_capture_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("golden_count = 2\nmalicious_count = 1\nmargin = 0\nrun_requirement = 1\n")
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "zero-false-positive gate" in capsys.readouterr().err
+        assert (tmp_path / "out" / "matrix.txt").read_text().startswith("attack")
 
     def test_printed_seed_is_the_one_the_run_uses(self, tmp_path, capsys, monkeypatch):
         # Regression: the config line showed --seed while the file's seed ran.
@@ -577,6 +630,28 @@ def test_module_entry_point(gcode_file, tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "part_X.ptrc").is_file()
+
+
+@pytest.mark.parametrize(
+    "kind", ["simulate", "attack", "profile", "noise", "experiment", "program"]
+)
+def test_non_utf8_input_exits_2_naming_the_file(gcode_file, tmp_path, capsys, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"G1 Z0.2\n\xff\n")
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"program = {bad}\ngolden_count = 2\n")
+    argv = {
+        "simulate": ["simulate", str(bad)],
+        "attack": ["attack", str(bad), "--kind", "delete", "--layer", "0", "--position", "0",
+                   "--output", "x.gcode"],
+        "profile": ["simulate", str(gcode_file), "--profile", str(bad)],
+        "noise": ["simulate", str(gcode_file), "--noise", str(bad)],
+        "experiment": ["experiment", str(bad)],
+        "program": ["experiment", str(config)],
+    }[kind]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "can't decode byte 0xff" in err
 
 
 def test_resolved_config_printed(gcode_file, tmp_path, capsys):

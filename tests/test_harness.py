@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from powertrace.attacks import apply_attack
+from powertrace.attacks import AttackError, apply_attack
 from powertrace.detect import DetectionConfig
 from powertrace.harness import (
     ATTACK_ROWS,
@@ -262,6 +262,25 @@ class TestRunExperiment:
         config = dataclasses.replace(SMALL, attacks={"insert": ()})
         with pytest.raises(ExperimentError, match="no attack spec"):
             run_experiment(config, tmp_path)
+
+    def test_unappliable_attack_fails_before_anything_is_written(self, tmp_path):
+        attacks = dict(default_attacks(benchmark_object()))
+        attacks["insert"] = (dataclasses.replace(attacks["insert"][0], layer=99),)
+        config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
+        with pytest.raises(AttackError, match="no such layer: 99"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_flagged_benign_capture_invalidates_the_run(self, tmp_path):
+        # Zero margin and a one-sample run flag benign noise.
+        detection = DetectionConfig(margin=0.0, run_requirement=1)
+        config = ExperimentConfig(golden_count=2, malicious_count=1, detection=detection)
+        with pytest.raises(ExperimentError, match="zero-false-positive gate"):
+            run_experiment(config, tmp_path)
+        assert (tmp_path / "matrix.csv").is_file()
+        assert len(list((tmp_path / "reports").glob("*.txt"))) == 5
+        text = (tmp_path / "matrix.txt").read_text()
+        assert text.endswith("INVALID RUN: benign capture flagged (false-positive gate)\n")
 
     def test_matrix_render_layout(self, small_run):
         matrix, _ = small_run

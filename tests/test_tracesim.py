@@ -406,17 +406,37 @@ class TestThreadedSynthesis:
     def test_worker_exception_reaches_caller(self):
         failed_on = []
 
-        def render(index, lo, hi):
-            if index == 2:
+        def render(block):
+            if block == 2:
                 failed_on.append(threading.current_thread())
-                raise ValueError("segment 2 failed")
-            return index
+                raise ValueError("block 2 failed")
+            return block
 
-        jobs = [(index, 10 * index, 10 * index + 10) for index in range(3)]
         with mock.patch.object(tracesim, "_WORKERS", 3):
-            with pytest.raises(ValueError, match="segment 2 failed"):
-                tracesim._render_in_blocks(render, jobs)
+            with pytest.raises(ValueError, match="block 2 failed"):
+                tracesim._map_on_threads(render, [0, 1, 2])
         assert failed_on and failed_on[0] is not threading.main_thread()
+
+    def test_two_threads_split_each_trace_near_its_middle(self):
+        # Z has one job per layer; cutting at the first job that starts past
+        # the middle would leave 60% of its samples on one thread.
+        plan = plan_motion(benchmark_object(), DEFAULT_PROFILE)
+        shares = []
+
+        def serial_spy(render_block, blocks):
+            counts = [
+                sum(hi - lo for active, idle in block for _, lo, hi, *_ in [active or (0, 0, 0), *idle])
+                for block in blocks
+            ]
+            shares.append(counts[0] / sum(counts))
+            return [render_block(block) for block in blocks]
+
+        with mock.patch.object(tracesim, "_WORKERS", 2), \
+                mock.patch.object(tracesim, "_map_on_threads", serial_spy):
+            for motor in MOTORS:
+                synthesize_trace(plan, motor)
+        assert len(shares) == len(MOTORS)
+        assert all(abs(share - 0.5) < 0.02 for share in shares), shares
 
     def test_peak_memory_per_sample(self):
         # The float32 result is 4 bytes per sample; segment buffers are
