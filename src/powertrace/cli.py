@@ -246,7 +246,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         malicious_count=config.malicious_count,
         visible_factor=config.visible_factor,
     )
-    matrix = run_experiment(config, args.out)
+    try:
+        matrix = run_experiment(config, args.out)
+    except AttackError as exc:
+        # Without a config file the default attacks address the bundled object.
+        if args.config is None:
+            raise
+        raise configmod.ConfigError(f"{args.config}: {exc}") from None
     print(render_matrix(matrix), end="")
     print(f"artifacts written under {args.out}")
     return EXIT_OK

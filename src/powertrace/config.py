@@ -96,13 +96,14 @@ NOISE_LEVEL_KEYS = keys(float, "idle_noise_sd", "phase_jitter_sd", "amplitude_no
 DETECTION_KEYS = keys(int, "smoothing_window") + keys(float, "margin") + keys(int, "run_requirement")
 
 
-def read_kv_file(path: str | Path) -> dict[str, str]:
+def read_kv_file(path: str | Path) -> dict[str, tuple[int, str]]:
+    """Each key of the file, mapped to its line number and value text."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    pairs: dict[str, str] = {}
+    pairs: dict[str, tuple[int, str]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", ";")):
@@ -116,24 +117,28 @@ def read_kv_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: empty key")
         if key in pairs:
             raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-        pairs[key] = value
+        pairs[key] = (line_no, value)
     return pairs
 
 
-def apply_pairs(base: Any, table: tuple[Key, ...], pairs: Mapping[str, str], source: str) -> Any:
-    """A copy of ``base`` with each key in ``pairs`` set; unset fields keep
-    their base values.  Each object is rebuilt, and so validated, once with
-    all of its new fields, so a valid result never fails on a halfway state."""
+def apply_pairs(
+    base: Any, table: tuple[Key, ...], pairs: Mapping[str, tuple[int, str]], source: str
+) -> Any:
+    """A copy of ``base`` with each key in ``pairs`` (as :func:`read_kv_file`
+    returns them) set; unset fields keep their base values.  A value that
+    does not parse is reported at its line.  Each object is rebuilt, and so
+    validated, once with all of its new fields, so a valid result never
+    fails on a halfway state."""
     by_name = {key.name: key for key in table}
     changes = {}
-    for name, text in pairs.items():
+    for name, (line_no, text) in pairs.items():
         key = by_name.get(name)
         if key is None:
             raise ConfigError(f"{source}: unknown key {name!r}")
         try:
             changes[key.path] = key.parse(text)
         except ValueError as exc:
-            raise ConfigError(f"{source}: bad value for {name!r}: {exc}") from None
+            raise ConfigError(f"{source}:{line_no}: bad value for {name!r}: {exc}") from None
     try:
         return _replace(base, changes)
     except ValueError as exc:

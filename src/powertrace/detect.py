@@ -8,14 +8,16 @@ deviation stays above ``peak_sd + margin`` for a contiguous run of samples.
 
 The verdict uses the raw deviation against the peak of the golden standard
 deviation, so :func:`detect_print` returns only the verdicts and the
-deviations they were judged on.  The sd-subtracted excess series
-(:func:`excess`) is for visibility analysis, where an attack signature stays
-clearly visible even when it never crosses the verdict threshold; the
-experiment harness computes it in place of a returned deviation
-(``out=``), once that deviation is written.  :func:`export_series_csv`
-writes either series as text at numpy speed, byte for byte as Python's
-``'%.6f'`` formats each time and value: one stateless kernel formats both
-columns, with a per-row fallback for the cells it cannot print exactly.
+deviations they were judged on.  A baseline keeps that peak as one float64,
+taken before the pointwise sd is rounded to the float32 column it stores.
+The sd-subtracted excess series (:func:`excess`) is for visibility
+analysis, where an attack signature stays clearly visible even when it
+never crosses the verdict threshold; the experiment harness computes it in
+place of a returned deviation (``out=``), once that deviation is written.
+:func:`export_series_csv` writes either series as text at numpy speed, byte
+for byte as Python's ``'%.6f'`` formats each time and value: one stateless
+kernel formats both columns, with a per-row fallback for the cells it
+cannot print exactly.
 
 :func:`detect_print` judges each motor in one pass over fixed-size blocks:
 the moving average, the deviation and the threshold run (carried from one
@@ -98,28 +100,35 @@ class GoldenBaseline:
 
     ``reference_trace`` is the first golden trace; deviations are measured
     against it, per the protocol of comparing a capture to a known-good trace
-    rather than to the pointwise mean.  ``peak_sd``, the largest pointwise
-    sample standard deviation, is derived from ``pointwise_sd`` and must be finite.
+    rather than to the pointwise mean.  ``pointwise_sd`` is the float32
+    rounding of the sample standard deviation, read only by :func:`excess`.
+    ``peak_sd``, the largest sd before rounding, sets the verdict threshold:
+    it must be finite, >= 0 and round to the column's max, which rounding
+    (monotonic) makes an exact check.
     """
 
     motor: Motor
     sample_rate: float
-    pointwise_sd: np.ndarray  # float64
+    pointwise_sd: np.ndarray  # float32, read-only
     reference_trace: MotorTrace
     source_count: int
-    peak_sd: float = field(init=False)
+    peak_sd: float
 
     def __post_init__(self) -> None:
-        sd = np.asarray(self.pointwise_sd, dtype=np.float64)
+        sd = np.asarray(self.pointwise_sd, dtype=np.float32)
         sd.setflags(write=False)
         object.__setattr__(self, "pointwise_sd", sd)
         if self.source_count < 2:
             raise DetectionError("a baseline needs at least 2 golden traces")
         if len(sd) != len(self.reference_trace.samples):
             raise DetectionError("sd/reference length mismatch")
-        peak_sd = float(sd.max())
+        peak_sd = float(self.peak_sd)
         if not math.isfinite(peak_sd):
             raise DetectionError(f"peak sd is {peak_sd}: golden traces must be finite")
+        if peak_sd < 0:
+            raise DetectionError(f"peak sd is {peak_sd}, must be >= 0")
+        if np.float32(peak_sd) != sd.max():
+            raise DetectionError(f"peak sd {peak_sd} is not the sd column's max {sd.max()}")
         object.__setattr__(self, "peak_sd", peak_sd)
 
     @property
@@ -243,9 +252,11 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
     """Pointwise sample standard deviation over golden traces.
 
     Traces must already be aligned, smoothed and cut to a common window.
-    The sd is computed ``_BLOCK`` samples at a time in one reused float64
-    block, the same operations in the same order as, and bit-identical to,
-    ``np.stack(...).std(axis=0, ddof=1)`` on the whole traces.
+    The sd is computed ``_BLOCK`` samples at a time in reused float64
+    blocks, the same operations in the same order as, and bit-identical to,
+    ``np.stack(...).std(axis=0, ddof=1)`` on the whole traces.  The running
+    max of those float64 blocks is ``peak_sd``; each block is then rounded
+    into the float32 column, so no full-length float64 sd exists.
     """
     if len(golden) < 2:
         raise DetectionError("a baseline needs at least 2 golden traces")
@@ -264,26 +275,32 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
     # before: numpy sums a one-column block's rows in partial sums, not in order.
     width = max(_BLOCK, 2)
     stack = np.empty((len(golden), min(width + 1, length)))
-    sd = np.empty(length)
+    block_sd = np.empty(stack.shape[1])
+    sd = np.empty(length, dtype=np.float32)
+    peak = -math.inf
     lo = 0
     # inf - inf is NaN, which GoldenBaseline rejects; numpy need not warn first.
     with np.errstate(invalid="ignore"):
         while lo < length:
             hi = length if length - lo <= width + 1 else lo + width
             block = stack[:, : hi - lo]
+            part = block_sd[: hi - lo]
             np.stack([trace.samples[lo:hi] for trace in golden], out=block)
             block -= block.mean(axis=0, keepdims=True)
             np.square(block, out=block)
-            block.sum(axis=0, out=sd[lo:hi])
+            block.sum(axis=0, out=part)
+            part /= len(golden) - 1
+            np.sqrt(part, out=part)
+            peak = np.maximum(peak, part.max())  # NaN propagates
+            sd[lo:hi] = part
             lo = hi
-    sd /= len(golden) - 1
-    np.sqrt(sd, out=sd)
     return GoldenBaseline(
         motor=motor,
         sample_rate=rate,
         pointwise_sd=sd,
         reference_trace=golden[0],
         source_count=len(golden),
+        peak_sd=float(peak),
     )
 
 

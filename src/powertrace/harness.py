@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackKind, AttackSpec, apply_attack
+from .attacks import AttackError, AttackKind, AttackSpec, apply_attack
 from .config import (
     DETECTION_KEYS,
     NOISE_LEVEL_KEYS,
@@ -175,12 +175,17 @@ def _attack_keys(attacks: dict[str, tuple[AttackSpec, ...]]) -> tuple[Key, ...]:
     """
     table: list[Key] = []
     for row, specs in attacks.items():
-        groups = [f"{row}{i}" for i in range(len(specs))] if len(specs) > 1 else [row]
-        for i, group in enumerate(groups):
+        for i, group in enumerate(_attack_groups(row, specs)):
             table += mount(_ATTACK_FIELDS, ("attacks", row, i), f"{_ATTACK_PREFIX}{group}.")
         if len(specs) > 1:
             table += mount(_ATTACK_FIELDS, ("attacks", row, 0), f"{_ATTACK_PREFIX}{row}.")
     return tuple(table)
+
+
+def _attack_groups(row: str, specs: tuple[AttackSpec, ...]) -> list[str]:
+    """The name of each spec of ``row`` in config keys: the row, numbered
+    when it holds several specs."""
+    return [f"{row}{i}" for i in range(len(specs))] if len(specs) > 1 else [row]
 
 
 def load_experiment_config(path: str | Path, base: ExperimentConfig) -> ExperimentConfig:
@@ -369,20 +374,25 @@ _TOUCHED_MOTORS = {
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> DetectabilityMatrix:
     """Run the whole protocol and write artifacts under ``out_dir``.
 
-    Raises :class:`ExperimentError` after writing artifacts if any benign
-    capture was flagged (the zero-false-positive gate).
+    Raises :class:`AttackError`, naming the row, before writing anything if
+    an attack spec does not apply to the program, and
+    :class:`ExperimentError` after writing artifacts if any benign capture
+    was flagged (the zero-false-positive gate).
     """
     program = _load_program(config)
     attacks = config.attacks if config.attacks is not None else default_attacks(program)
     # Every row's program is built before anything is written, so a spec that
-    # does not apply fails before the golden phase.
+    # does not apply fails before the golden phase, named as in config.txt.
     programs = {"normal": program}
     for row in ATTACK_ROWS:
         if row not in attacks:
             raise ExperimentError(f"no attack spec configured for {row!r}")
         programs[row] = program
-        for spec in attacks[row]:
-            programs[row] = apply_attack(programs[row], spec)
+        for spec, group in zip(attacks[row], _attack_groups(row, attacks[row])):
+            try:
+                programs[row] = apply_attack(programs[row], spec)
+            except AttackError as exc:
+                raise AttackError(f"{_ATTACK_PREFIX}{group}: {exc}") from None
 
     config = dataclasses.replace(config, attacks=attacks)
     out = Path(out_dir)

@@ -3,8 +3,9 @@
 Defines the binary capture container (magic ``PTRC``) that real oscilloscope
 exports would be converted into, and the trigger-alignment / common-window
 helpers every comparison relies on.  The baseline container (magic ``PTRB``)
-starts with the same header prefix and holds what the verdict reads: the
-golden sd column and the reference trace.
+starts with the same header prefix and holds what the verdict and the
+excess series read: the peak golden sd, the golden sd column and the
+reference trace.
 
 All integers and floats are little-endian; samples are float32.
 """
@@ -51,13 +52,21 @@ class _Layout:
     version: int
     fields: struct.Struct
     body: tuple[tuple[str, str], ...]  # (cell name, dtype) per array, in file order
+    stale: str = ""  # how to replace a file of an older version
 
 
 # fields: trigger_index, sample_count; body: samples
 _TRACE = _Layout(b"PTRC", 1, struct.Struct("<QQ"), (("sample", "<f4"),))
-# fields: source_count, sample_count; body: pointwise sd, reference samples.
-# Version 1 also stored the print-end index, the peak sd and a mean column.
-_BASELINE = _Layout(b"PTRB", 2, struct.Struct("<QQ"), (("sd cell", "<f8"), ("reference sample", "<f4")))
+# fields: source_count, peak_sd, sample_count; body: pointwise sd, reference
+# samples.  Version 2 stored no peak and a float64 sd; version 1 also stored
+# the print-end index and a mean column.
+_BASELINE = _Layout(
+    b"PTRB",
+    3,
+    struct.Struct("<QdQ"),
+    (("sd cell", "<f4"), ("reference sample", "<f4")),
+    "rebuild it from its captures with 'powertrace baseline'",
+)
 
 
 class CaptureFormatError(ValueError):
@@ -114,16 +123,17 @@ def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
 
 
 def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
-    """Persist a baseline: header, sd (f64), reference (f32)."""
-    fields = (baseline.source_count, baseline.sample_count)
+    """Persist a baseline: header (peak sd as f64), sd (f32), reference (f32)."""
+    fields = (baseline.source_count, baseline.peak_sd, baseline.sample_count)
     arrays = (baseline.pointwise_sd, baseline.reference_trace.samples)
     _write(path, _BASELINE, baseline.motor, baseline.sample_rate, fields, arrays)
 
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
-    """Read a baseline; an empty body or a negative sd cell is rejected,
-    since it would corrupt the verdict threshold."""
-    motor, rate, (source_count, count), (sd, reference) = _read(path, _BASELINE)
+    """Read a baseline; an empty body, a negative sd cell or a stored peak
+    that is not the column's max is rejected, since it would corrupt the
+    verdict threshold."""
+    motor, rate, (source_count, peak_sd, count), (sd, reference) = _read(path, _BASELINE)
     if count == 0:
         raise CaptureFormatError(f"{path}: empty baseline")
     bad = np.flatnonzero(sd < 0)
@@ -138,6 +148,7 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
                 motor=motor, sample_rate=rate, samples=reference, trigger_index=0
             ),
             source_count=source_count,
+            peak_sd=peak_sd,
         )
 
 
@@ -180,7 +191,8 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
             if magic != layout.magic:
                 raise CaptureFormatError(f"{path}: bad magic {magic!r}")
             if version != layout.version:
-                raise CaptureFormatError(f"{path}: unsupported version {version}")
+                hint = f"; {layout.stale}" if layout.stale and version < layout.version else ""
+                raise CaptureFormatError(f"{path}: unsupported version {version}{hint}")
             if units != _UNITS_AMPS:
                 raise CaptureFormatError(f"{path}: unknown units code {units}")
             if motor_code >= len(MOTORS):

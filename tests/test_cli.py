@@ -342,13 +342,14 @@ class TestDetect:
         capture, baseline = tmp_path / "probe" / "part_X.ptrc", tmp_path / "X.ptrb"
         path = capture if column == "capture" else baseline
         blob = bytearray(path.read_bytes())
-        sd_bytes = 0 if column == "capture" else 8 * ((len(blob) - 32) // 12)
-        offset, fmt = {
-            "capture": (32 + 4 * 100, "<f"),
-            "sd": (32 + 8 * 100, "<d"),
-            "reference": (32 + sd_bytes + 4 * 100, "<f"),
+        # A capture has a 32-byte header; a baseline 40, then f32 sd cells.
+        sd_bytes = 0 if column == "capture" else 4 * ((len(blob) - 40) // 8)
+        offset = {
+            "capture": 32 + 4 * 100,
+            "sd": 40 + 4 * 100,
+            "reference": 40 + sd_bytes + 4 * 100,
         }[column]
-        blob[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        blob[offset : offset + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
         argv = ["detect", "--capture", str(capture), "--baseline", str(baseline)]
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -380,7 +381,7 @@ class TestDetect:
         assert "Y capture has 5 samples, shorter than the smoothing window 20" in err
 
 
-_BAD_PAYLOAD = ": bad value for 'attack.insert.payload': "
+_BAD_PAYLOAD = ":1: bad value for 'attack.insert.payload': "
 
 
 class TestExperimentCommand:
@@ -467,7 +468,8 @@ class TestExperimentCommand:
             ("golden_count = 2\nbanana\n", ":2: expected 'key = value'"),
             ("golden_count = 2\n= 3\n", ":2: empty key"),
             ("seed = 1\nseed = 2\n", ":2: duplicate key 'seed'"),
-            ("save_traces = maybe\n", ": bad value for 'save_traces': not a boolean"),
+            ("save_traces = maybe\n", ":1: bad value for 'save_traces': not a boolean"),
+            ("golden_count = 2\nsave_traces = maybe\n", ":2: bad value for 'save_traces': not a boolean"),
             ("attack.insert.payload = G1 X1..5\n", f"{_BAD_PAYLOAD}bad payload 'G1 X1..5'"),
             ("attack.insert.payload = M104 S200\n", f"{_BAD_PAYLOAD}payload 'M104 S200' is not a"),
             ("attack.delete.payload = G0 X1 Y1\n", ": delete takes no payload"),
@@ -485,7 +487,7 @@ class TestExperimentCommand:
         config = tmp_path / "exp.cfg"
         config.write_text("golden_count = 2\nattack.insert.layer = 99\n")
         assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
-        assert "no such layer: 99" in capsys.readouterr().err
+        assert f"error: {config}: attack.insert: no such layer: 99" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_flagged_benign_capture_exits_2(self, tmp_path, capsys):

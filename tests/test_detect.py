@@ -256,7 +256,7 @@ class TestBaseline:
         with mock.patch.object(detect, "_BLOCK", block):
             baseline = build_baseline([_trace(c) for c in columns])
         expected = np.stack(columns, dtype=np.float64).std(axis=0, ddof=1)
-        assert baseline.pointwise_sd.tobytes() == expected.tobytes()
+        assert baseline.pointwise_sd.tobytes() == expected.astype(np.float32).tobytes()
         assert baseline.peak_sd == expected.max()
 
 
@@ -527,9 +527,9 @@ class TestDetectPrint:
         # that one-time imports do not count, with a 100,000-sample attack run.
         n = int(round(plan_motion(benchmark_object(), DEFAULT_PROFILE).total_duration * SAMPLE_RATE))
         reference = np.sin(np.arange(n) * (2 * np.pi / 2000)).astype(np.float32)
-        sd = np.full(n, 0.02)
+        sd = np.full(n, 0.02, dtype=np.float32)
         baselines = {
-            m: GoldenBaseline(m, SAMPLE_RATE, sd, MotorTrace(m, SAMPLE_RATE, reference, 0), 2)
+            m: GoldenBaseline(m, SAMPLE_RATE, sd, MotorTrace(m, SAMPLE_RATE, reference, 0), 2, 0.02)
             for m in MOTORS
         }
         samples = reference + np.random.default_rng(5).normal(0.0, 0.05, n).astype(np.float32)
@@ -581,8 +581,8 @@ class TestProductionBlocks:
     def _baseline(self):
         reference = np.zeros(self.N, dtype=np.float32)
         return GoldenBaseline(
-            Motor.X, SAMPLE_RATE, np.full(self.N, 0.02),
-            MotorTrace(Motor.X, SAMPLE_RATE, reference, 0), 2,
+            Motor.X, SAMPLE_RATE, np.full(self.N, 0.02, dtype=np.float32),
+            MotorTrace(Motor.X, SAMPLE_RATE, reference, 0), 2, 0.02,
         )
 
     def _assert_layout(self, dev, threshold, edge):

@@ -267,7 +267,17 @@ class TestRunExperiment:
         attacks = dict(default_attacks(benchmark_object()))
         attacks["insert"] = (dataclasses.replace(attacks["insert"][0], layer=99),)
         config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
-        with pytest.raises(AttackError, match="no such layer: 99"):
+        with pytest.raises(AttackError, match=r"^attack\.insert: no such layer: 99$"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_unappliable_spec_of_a_two_spec_row_is_named_by_index(self, tmp_path):
+        # As in the config keys: a row of several specs numbers them.
+        attacks = dict(default_attacks(benchmark_object()))
+        first, second = attacks["reorder"]
+        attacks["reorder"] = (first, dataclasses.replace(second, layer=99))
+        config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
+        with pytest.raises(AttackError, match=r"^attack\.reorder1: no such layer: 99$"):
             run_experiment(config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -320,6 +330,35 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
             tracemalloc.stop()
     samples = baselines[Motor.X].sample_count
     assert (peaks[6] - peaks[3]) / 3 / samples <= 5.0
+
+
+def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
+    # The experiment judges and computes excess with the baselines it built;
+    # `powertrace detect` reads them back from disk.  Both must hold the same
+    # float32 sd and float64 peak, and so give the same excess bytes.
+    import numpy as np
+
+    from powertrace import harness
+    from powertrace.detect import excess
+    from powertrace.traceio import load_baseline
+
+    built = {}
+    build = harness._build_baselines
+
+    def recording_build(*args):
+        built.update(build(*args))
+        return built
+
+    monkeypatch.setattr(harness, "_build_baselines", recording_build)
+    run_experiment(dataclasses.replace(SMALL, golden_count=2), tmp_path)
+    rng = np.random.default_rng(7)
+    for motor in MOTORS:
+        loaded = load_baseline(tmp_path / "baselines" / f"{motor.name}.ptrb")
+        assert loaded.peak_sd == built[motor].peak_sd
+        assert loaded.pointwise_sd.dtype == built[motor].pointwise_sd.dtype == np.float32
+        assert loaded.pointwise_sd.tobytes() == built[motor].pointwise_sd.tobytes()
+        dev = np.abs(rng.normal(0.0, 2 * loaded.peak_sd, loaded.sample_count))
+        assert excess(dev, loaded).tobytes() == excess(dev, built[motor]).tobytes()
 
 
 @pytest.fixture(scope="module")

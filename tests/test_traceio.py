@@ -197,6 +197,17 @@ class TestBaselinePersistence:
         )
         assert [array.flags.writeable for array in arrays] == [False, False, False]
 
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    def test_file_is_40_header_bytes_and_8_per_sample(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        baseline = build_baseline([_trace(rng.normal(0, 1, n)) for _ in range(3)])
+        path = tmp_path / "x.ptrb"
+        save_baseline(baseline, path)
+        blob = path.read_bytes()
+        assert len(blob) == 40 + 8 * n
+        assert struct.unpack_from("<QdQ", blob, 16) == (3, baseline.peak_sd, n)
+        assert blob[40 : 40 + 4 * n] == baseline.pointwise_sd.astype("<f4").tobytes()
+
     def test_wrong_magic_for_baseline_loader(self, tmp_path):
         path = tmp_path / "t.ptrc"
         save_trace(_trace(list(range(10))), path)
@@ -209,7 +220,7 @@ class TestBaselinePersistence:
 _HEADER_DAMAGE = {
     "truncated header": ("cut header", "truncated header"),
     "bad magic": ((0, b"NOPE"), "bad magic"),
-    "version": ((4, struct.pack("<H", 3)), "unsupported version 3"),
+    "version": ((4, struct.pack("<H", 4)), "unsupported version 4"),
     "units": ((7, b"\x01"), "unknown units code 1"),
     "motor code": ((6, b"\x04"), "unknown motor code 4"),
     "short body": ("cut body", "unexpected end of samples"),
@@ -230,7 +241,7 @@ def test_damaged_container_rejected_naming_the_path(tmp_path, container, damage)
         load, header_size = load_trace, 32
     else:
         save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
-        load, header_size = load_baseline, 32
+        load, header_size = load_baseline, 40
     blob = bytearray(path.read_bytes())
     how, message = _HEADER_DAMAGE[damage]
     if how == "cut header":
@@ -247,36 +258,58 @@ def test_damaged_container_rejected_naming_the_path(tmp_path, container, damage)
         load(path)
 
 
-# A version 1 baseline of three samples: header with source count, print-end
-# index, sample count and peak sd, then mean, sd and reference columns.
+# Baselines of three samples in the older versions.  Version 1: header with
+# source count, print-end index, sample count and peak sd, then mean, sd and
+# reference columns.  Version 2: header with source count and sample count,
+# then a float64 sd and the reference.
 _PTRB_V1 = (
     struct.pack("<4sHBBd", b"PTRB", 1, 0, 0, 25_000.0)
     + struct.pack("<QQQd", 2, 3, 3, 0.5)
     + np.zeros(6).tobytes()
     + np.zeros(3, dtype=np.float32).tobytes()
 )
+_PTRB_V2 = (
+    struct.pack("<4sHBBd", b"PTRB", 2, 0, 0, 25_000.0)
+    + struct.pack("<QQ", 2, 3)
+    + np.zeros(3).tobytes()
+    + np.zeros(3, dtype=np.float32).tobytes()
+)
+_REBUILD = "; rebuild it from its captures with 'powertrace baseline'"
 _NAN_F64, _NAN_F32 = struct.pack("<d", float("nan")), struct.pack("<f", float("nan"))
-# Each damage turns the bytes of a saved three-sample baseline (32-byte
-# header, 24 bytes of sd, 12 bytes of reference) into the file to load; then
-# the error text that must follow the path.
+# Each damage turns the bytes of a saved three-sample baseline (40-byte
+# header with the peak sd at 24, 12 bytes of sd, 12 bytes of reference)
+# into the file to load; then the error text that must follow the path.
 _BASELINE_DAMAGE = {
-    "version 1 file": (lambda blob: _PTRB_V1, "unsupported version 1"),
+    "version 1 file": (lambda blob: _PTRB_V1, "unsupported version 1" + _REBUILD),
+    "version 2 file": (lambda blob: _PTRB_V2, "unsupported version 2" + _REBUILD),
     "nan sd cell": (
-        lambda blob: blob[:40] + _NAN_F64 + blob[48:],
+        lambda blob: blob[:44] + _NAN_F32 + blob[48:],
         "sd cell 1 is nan, must be finite",
     ),
     "negative sd cell": (
-        lambda blob: blob[:32] + struct.pack("<d", -1.0) + blob[40:],
+        lambda blob: blob[:40] + struct.pack("<f", -1.0) + blob[44:],
         "sd cell 0 is -1.0, must be >= 0",
     ),
     "nan reference sample": (
-        lambda blob: blob[:60] + _NAN_F32 + blob[64:],
+        lambda blob: blob[:56] + _NAN_F32 + blob[60:],
         "reference sample 1 is nan, must be finite",
     ),
-    "zero sample count": (lambda blob: blob[:24] + struct.pack("<Q", 0), "empty baseline"),
+    "zero sample count": (lambda blob: blob[:32] + struct.pack("<Q", 0), "empty baseline"),
     "one source trace": (
         lambda blob: blob[:16] + struct.pack("<Q", 1) + blob[24:],
         "a baseline needs at least 2 golden traces",
+    ),
+    "nan peak sd": (
+        lambda blob: blob[:24] + _NAN_F64 + blob[32:],
+        "peak sd is nan: golden traces must be finite",
+    ),
+    "negative peak sd": (
+        lambda blob: blob[:24] + struct.pack("<d", -0.5) + blob[32:],
+        "peak sd is -0.5, must be >= 0",
+    ),
+    "peak sd not the column max": (
+        lambda blob: blob[:24] + struct.pack("<d", 0.5) + blob[32:],
+        "peak sd 0.5 is not the sd column's max 0.3535",
     ),
 }
 
@@ -286,7 +319,7 @@ def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
     path = tmp_path / "x.ptrb"
     save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
     blob = path.read_bytes()
-    assert len(blob) == 32 + 3 * 12
+    assert len(blob) == 40 + 3 * 8
     rewrite, message = _BASELINE_DAMAGE[damage]
     path.write_bytes(rewrite(blob))
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
