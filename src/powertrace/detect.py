@@ -7,29 +7,31 @@ designated reference trace, and flag the capture as malicious when the
 deviation stays above ``peak_sd + margin`` for a contiguous run of samples.
 
 The verdict uses the raw deviation against the peak of the golden standard
-deviation, so :func:`detect_print` returns only the verdicts and the
-deviations they were judged on.  A baseline keeps that peak as one float64,
-taken before the pointwise sd is rounded to the float32 column it stores.
-The sd-subtracted excess series (:func:`excess`) is for visibility
+deviation, so :func:`detect_print` keeps no deviation: it returns the
+verdicts and each motor's smoothed capture as float32, and the float64
+deviation a verdict was judged on is made again, byte for byte, when
+``result.deviations[motor]`` is read.  A baseline keeps that peak as one
+float64, taken before the pointwise sd is rounded to the float32 column it
+stores.  The sd-subtracted excess series (:func:`excess`) is for visibility
 analysis, where an attack signature stays clearly visible even when it
 never crosses the verdict threshold; the experiment harness computes it in
-place of a returned deviation (``out=``), once that deviation is written.
-:func:`export_series_csv` writes either series as text at numpy speed, byte
-for byte as Python's ``'%.6f'`` formats each time and value: one stateless
-kernel formats both columns, with a per-row fallback for the cells it
-cannot print exactly.
+place of a read deviation, where it is read, once that deviation is
+written.  :func:`export_series_csv` writes either series as text at numpy
+speed, byte for byte as Python's ``'%.6f'`` formats each time and value:
+one stateless kernel formats both columns, with a per-row fallback for the
+cells it cannot print exactly.
 
 :func:`detect_print` judges each motor in one pass over fixed-size blocks:
 the moving average, the deviation and the threshold run (carried from one
-block to the next) need only a block of scratch besides the returned
-deviation.  Motors are independent, so they are judged on parallel threads,
-with the same bytes for any number of threads.
+block to the next) need only a block of scratch besides the float32
+smoothed capture it keeps.  Motors are independent, so they are judged on
+parallel threads, with the same bytes for any number of threads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -61,9 +63,9 @@ _EXPORT_CHUNK_ROWS = 1 << 16
 # Samples per block in smooth, build_baseline, classify and detect_print:
 # their scratch is fixed-size.  Each block costs a handful of numpy calls,
 # each releasing and re-taking the GIL, so detect_print's threads overlap
-# better with fewer, larger blocks; but each thread holds about 20 bytes of
-# scratch per block sample.  2**15 is the largest power of two that keeps
-# two threads' scratch within 1 byte per sample of the benchmark print.
+# better with fewer, larger blocks; but each thread holds about 28 bytes of
+# scratch per block sample.  2**15 keeps two threads' scratch near 1 byte
+# per sample of the benchmark print (1.1 measured).
 _BLOCK = 1 << 15
 
 
@@ -163,9 +165,39 @@ class DetectionReport:
 
 @dataclass(frozen=True)
 class PrintDetectionResult:
+    """Per-motor reports and the print's verdict.
+
+    ``deviations[motor]`` is the float64 deviation that motor was judged
+    on, windowed to the baseline: each read makes a new, writable array
+    from the float32 smoothed capture the result keeps, so a result holds
+    4 bytes per sample per motor, and a caller that turns a read into its
+    excess in place changes no later read.
+    """
+
     reports: dict[Motor, DetectionReport]
     overall: Verdict
-    deviations: dict[Motor, np.ndarray] = field(repr=False, default_factory=dict)
+    deviations: Mapping[Motor, np.ndarray] = field(repr=False, default_factory=dict)
+
+
+class _Deviations(Mapping):
+    """Each motor's deviation, made from its smoothed capture when read."""
+
+    def __init__(self, smoothed: dict[Motor, np.ndarray], baselines: dict[Motor, GoldenBaseline]):
+        self._smoothed = smoothed
+        self._references = {m: baselines[m].reference_trace.samples for m in smoothed}
+
+    def __getitem__(self, motor: Motor) -> np.ndarray:
+        smoothed = self._smoothed[motor]
+        # The arithmetic of _deviation_blocks, over the whole series.
+        dev = smoothed.astype(np.float64)
+        np.subtract(dev, self._references[motor][: len(dev)], out=dev)
+        return np.abs(dev, out=dev)
+
+    def __iter__(self) -> Iterator[Motor]:
+        return iter(self._smoothed)
+
+    def __len__(self) -> int:
+        return len(self._smoothed)
 
 
 def smooth(trace: MotorTrace, window: int) -> MotorTrace:
@@ -322,8 +354,9 @@ def excess(
 ) -> np.ndarray:
     """Deviation reduced by the golden standard deviation, clamped at zero.
 
-    A deviation shorter than the baseline, as :func:`detect_print` returns
-    for a shorter capture, is compared with the first ``len`` sd cells.
+    A deviation shorter than the baseline, as :func:`detect_print`'s
+    ``deviations`` reads for a shorter capture, is compared with the first
+    ``len`` sd cells.
     As in numpy, ``out`` receives the result; ``out=deviation_series`` turns
     a deviation into its excess in place, without a second series.
     """
@@ -332,7 +365,15 @@ def excess(
         raise DetectionError(
             f"deviation has {length} samples, baseline {baseline.sample_count}"
         )
-    out = np.subtract(deviation_series, baseline.pointwise_sd[:length], out=out)
+    return _excess_over(deviation_series, baseline.pointwise_sd[:length], out)
+
+
+def _excess_over(
+    deviation_series: np.ndarray, sd: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`excess` over the sd cells ``sd``, one per deviation sample, so
+    any slice or stride of a deviation can be reduced with its own cells."""
+    out = np.subtract(deviation_series, sd, out=out)
     # 0.0 first: maximum returns its first argument on a tie, so -0.0 reads 0.0.
     return np.maximum(0.0, out, out=out)
 
@@ -410,11 +451,13 @@ def detect_print(
     Each motor is smoothed, compared and classified in one pass of
     ``_BLOCK``-sample (32,768) blocks, the motors on up to
     ``tracesim._WORKERS`` threads; reports and deviations are the same for
-    any thread count.  A block whose largest deviation is clear of the
+    any thread count.  Each block's float64 deviation lives in its thread's
+    scratch; only the float32 smoothed capture is kept, for the result's
+    ``deviations``.  A block whose largest deviation is clear of the
     threshold skips the run search, so a benign block costs the smoothing,
     the comparison and one ``max``.
     """
-    deviations: dict[Motor, np.ndarray] = {}
+    smoothed: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
         capture = captures.get(motor)
         if capture is None:
@@ -428,33 +471,42 @@ def detect_print(
             )
         # The threshold comes from the full baseline's peak_sd, so a
         # shorter capture never weakens it.
-        deviations[motor] = np.empty(min(len(capture.samples), baseline.sample_count))
+        length = min(len(capture.samples), baseline.sample_count)
+        smoothed[motor] = np.empty(length, dtype=np.float32)
 
     def judge(motor: Motor) -> DetectionReport:
-        dev = deviations[motor]
-        blocks = _deviation_blocks(captures[motor], baselines[motor], config.smoothing_window, dev)
+        blocks = _deviation_blocks(
+            captures[motor], baselines[motor], config.smoothing_window, smoothed[motor]
+        )
         return _classify_blocks(blocks, baselines[motor], config)
 
-    reports = dict(zip(deviations, _map_on_threads(judge, list(deviations))))
+    reports = dict(zip(smoothed, _map_on_threads(judge, list(smoothed))))
     overall = (
         Verdict.MALICIOUS
         if any(r.verdict is Verdict.MALICIOUS for r in reports.values())
         else Verdict.BENIGN
     )
-    return PrintDetectionResult(reports=reports, overall=overall, deviations=deviations)
+    return PrintDetectionResult(
+        reports=reports, overall=overall, deviations=_Deviations(smoothed, baselines)
+    )
 
 
 def _deviation_blocks(
-    capture: MotorTrace, baseline: GoldenBaseline, window: int, dev: np.ndarray
+    capture: MotorTrace, baseline: GoldenBaseline, window: int, smoothed: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Fill ``dev`` with the smoothed capture's absolute deviation from the
-    baseline's reference trace, yielding each block of it as it is written."""
+    """Fill ``smoothed`` with the smoothed capture, windowed to its length,
+    and yield the absolute deviation from the baseline's reference trace
+    block by block, each in a float64 buffer reused for the next."""
     reference = baseline.reference_trace.samples
+    length = len(smoothed)
+    # No block is longer than _BLOCK or the smoothing window's edge.
+    scratch = np.empty(min(max(_BLOCK, window), length))
     for start, block in _smoothed_blocks(capture.samples, window):
-        stop = min(start + len(block), len(dev))
+        stop = min(start + len(block), length)
         if stop <= start:  # the capture runs past the baseline
             return
-        out = dev[start:stop]
+        smoothed[start:stop] = block[: stop - start]
+        out = scratch[: stop - start]
         # Widened first: a float32 - float32 subtract into float64 goes
         # through numpy's slower buffered casts.
         out[...] = block[: stop - start]

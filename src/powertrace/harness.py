@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -44,9 +45,9 @@ from .detect import (
     GoldenBaseline,
     PrintDetectionResult,
     Verdict,
+    _excess_over,
     build_baseline,
     detect_print,
-    excess,
     export_series_csv,
     smooth,
 )
@@ -491,43 +492,72 @@ def _run_row(
 
     Each print is reduced to its verdicts and its mean excess inside each of
     ``windows`` as soon as its series are written; only those reductions are
-    kept.  Each motor's deviation becomes its excess in place once its CSV is
-    written, so the print's ``deviations`` end as excess series.  Returns
-    the number of flagged prints per motor, and per window and motor the
-    mean of those per-print means.
+    kept.  The raw traces are saved (with ``save_traces``) first and dropped
+    once the print is judged.  Then each motor's deviation is read from the
+    result in turn, written, made its excess in place where that is read
+    (``_excess_where_read``), written again and dropped before the next
+    motor's.  Returns the number of flagged prints per motor, and per window
+    and motor the mean of those per-print means.
     """
     flagged = dict.fromkeys(MOTORS, 0)
     print_means: dict[str, dict[Motor, list[float]]] = {
         name: {motor: [] for motor in MOTORS} for name in windows
     }
+    stride = config.series_stride
     for run_index, seed in enumerate(seeds):
         traces = simulate_print(
             program, config.profile, config.noise, seed=seed
         )
+        if config.save_traces:
+            for motor in MOTORS:
+                save_trace(traces[motor], out / "traces" / f"{row}_run{run_index}_{motor.name}.ptrc")
         aligned = {motor: align_to_trigger(traces[motor]) for motor in MOTORS}
         result = detect_print(aligned, baselines, config.detection)
+        # The result keeps the smoothed captures; free the raw ones.
+        del traces, aligned
         for motor in MOTORS:
             series = result.deviations[motor]
             rate = baselines[motor].sample_rate
             path = out / _series_path(row, run_index, motor, "deviation")
-            export_series_csv(series, rate, path, stride=config.series_stride)
-            excess(series, baselines[motor], out=series)
+            export_series_csv(series, rate, path, stride=stride)
+            _excess_where_read(series, baselines[motor], stride, windows.values())
             path = out / _series_path(row, run_index, motor, "excess")
-            export_series_csv(series, rate, path, stride=config.series_stride)
+            export_series_csv(series, rate, path, stride=stride)
             for name, (lo, hi) in windows.items():
                 if min(hi, len(series)) > lo:
                     print_means[name][motor].append(float(np.mean(series[lo:hi])))
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
-            if config.save_traces:
-                save_trace(traces[motor], out / "traces" / f"{row}_run{run_index}_{motor.name}.ptrc")
+            del series
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
         # Free this print's arrays before the next one is simulated.
-        del traces, aligned, result, series
+        del result
     window_excess = {
         name: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
         for name, per_motor in print_means.items()
     }
     return flagged, window_excess
+
+
+def _excess_where_read(
+    series: np.ndarray, baseline: GoldenBaseline, stride: int, windows: Iterable[tuple[int, int]]
+) -> None:
+    """Turn a deviation into its excess in place on every ``stride``-th
+    sample and inside ``windows``, all that a row reads of it; the other
+    samples keep the deviation.  Each is reduced once, as by :func:`excess`:
+    the windows are merged, and the grid is taken before them and written
+    back after."""
+    length = len(series)
+    sd = baseline.pointwise_sd[:length]
+    grid = _excess_over(series[::stride], sd[::stride])
+    spans: list[list[int]] = []
+    for lo, hi in sorted((lo, min(hi, length)) for lo, hi in windows):
+        if spans and lo <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], hi)
+        elif hi > lo:
+            spans.append([lo, hi])
+    for lo, hi in spans:
+        _excess_over(series[lo:hi], sd[lo:hi], out=series[lo:hi])
+    series[::stride] = grid
 
 
 # A voided command's effect is a bounded transient (the next absolute E word

@@ -228,20 +228,20 @@ def synthesize_trace(
         # measurement noise rides on top of the samples only.
         hold = float(values[-1])
         if amp_sd > 0:
-            values += rng.normal(0.0, amp_sd, hi - lo)
+            values += _noise(rng, amp_sd, hi - lo)
         out[lo:hi] = values
         return hold
 
     def render_block(block: list[tuple]) -> None:
         # Each segment writes only its own samples, with its own RNG, so any
         # split into blocks gives the same samples.  numpy releases the GIL in
-        # np.sin and Generator.normal, where the time goes.
+        # np.sin and Generator.standard_normal, where the time goes.
         for active, idle in block:
             hold = render_active(*active) if active else 0.0
             for index, lo, hi in idle:
                 if noise.idle_noise_sd > 0:
                     rng = np.random.default_rng([noise.seed, motor.code, index])
-                    values = rng.normal(0.0, noise.idle_noise_sd, hi - lo)
+                    values = _noise(rng, noise.idle_noise_sd, hi - lo)
                     values += hold
                     out[lo:hi] = values
                 else:
@@ -256,6 +256,16 @@ def synthesize_trace(
         samples=out,
         trigger_index=trigger_index,
     )
+
+
+def _noise(rng: np.random.Generator, sd: float, count: int) -> np.ndarray:
+    """``rng.normal(0.0, sd, count)``, whose samples are ``0.0 + sd * z`` on
+    the same ``standard_normal`` draws, scaled in place.  The two differ
+    only where ``sd * z`` is -0.0, and adding the sample it rides on, never
+    -0.0 itself, gives the same sum either way."""
+    values = rng.standard_normal(count)
+    values *= sd
+    return values
 
 
 def _map_on_threads(fn: Callable, items: list) -> list:

@@ -1,6 +1,8 @@
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powertrace.attacks import AttackError, apply_attack
 from powertrace.detect import DetectionConfig
@@ -387,21 +389,51 @@ def _run_row_peak(baselines, seed_count, out):
 
 
 def test_row_holds_one_print_at_a_time(row_baselines, tmp_path):
-    # A print's traces and deviations (each in turn made its excess in place)
-    # are freed before the next print is simulated, so more prints per row
-    # do not raise the peak; keeping the last print's series would add tens
-    # of bytes per sample.
+    # A print's traces, result and deviation reads are freed before the next
+    # print is simulated, so more prints per row do not raise the peak;
+    # keeping the last print's series would add tens of bytes per sample.
     peaks = {count: _run_row_peak(row_baselines, count, tmp_path / str(count)) for count in (1, 3)}
     assert (peaks[3] - peaks[1]) / row_baselines[Motor.X].sample_count <= 1.0
 
 
 def test_row_print_peak_per_sample(row_baselines, tmp_path):
-    # One print holds its four float32 traces (16 bytes per baseline sample)
-    # and its four float64 deviations (32), plus detect_print's block scratch
-    # and one chunk of CSV text: about 48.9.  The excess is made in place of
-    # each deviation; allocating it as a separate series per motor reads 64.
+    # While a print is judged it holds its four float32 traces (16 bytes per
+    # baseline sample) and the four float32 smoothed captures its result
+    # keeps (16), plus detect_print's block scratch: measured 33.1.  The
+    # traces are dropped before any deviation is read, and each motor's
+    # float64 deviation (8) is read, made its excess in place and dropped in
+    # turn.  A result holding four float64 deviations read 48.9.
     peak = _run_row_peak(row_baselines, 1, tmp_path)
-    assert peak / row_baselines[Motor.X].sample_count <= 52.0
+    assert peak / row_baselines[Motor.X].sample_count <= 36.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(1, 400),
+    stride=st.integers(1, 40),
+    windows=st.lists(st.tuples(st.integers(0, 450), st.integers(0, 450)), max_size=4),
+)
+def test_excess_where_read_matches_the_whole_excess(length, stride, windows):
+    # Overlapping, nested, empty and out-of-range windows, and grid samples
+    # inside them, are each reduced once; every other sample keeps its
+    # deviation.
+    from powertrace import harness
+    from powertrace.detect import build_baseline, excess
+    from powertrace.tracesim import MotorTrace
+
+    rng = np.random.default_rng(length * 41 + stride)
+    golden = [MotorTrace(Motor.X, 25_000.0, rng.normal(0.0, 0.1, 400), 0) for _ in range(3)]
+    baseline = build_baseline(golden)
+    dev = np.abs(rng.normal(0.0, 0.15, length))
+    series = dev.copy()
+    harness._excess_where_read(series, baseline, stride, windows)
+    read = np.zeros(length, dtype=bool)
+    read[::stride] = True
+    for lo, hi in windows:
+        read[lo:hi] = True
+    whole = excess(dev, baseline)
+    assert series[read].tobytes() == whole[read].tobytes()
+    assert series[~read].tobytes() == dev[~read].tobytes()
 
 
 class TestPhenomenology:
