@@ -125,16 +125,16 @@ def apply_pairs(
     base: Any, table: tuple[Key, ...], pairs: Mapping[str, tuple[int, str]], source: str
 ) -> Any:
     """A copy of ``base`` with each key in ``pairs`` (as :func:`read_kv_file`
-    returns them) set; unset fields keep their base values.  A value that
-    does not parse is reported at its line.  Each object is rebuilt, and so
-    validated, once with all of its new fields, so a valid result never
-    fails on a halfway state."""
+    returns them) set; unset fields keep their base values.  An unknown key
+    and a value that does not parse are reported at their line.  Each
+    object is rebuilt, and so validated, once with all of its new fields, so
+    a valid result never fails on a halfway state."""
     by_name = {key.name: key for key in table}
     changes = {}
     for name, (line_no, text) in pairs.items():
         key = by_name.get(name)
         if key is None:
-            raise ConfigError(f"{source}: unknown key {name!r}")
+            raise ConfigError(f"{source}:{line_no}: unknown key {name!r}")
         try:
             changes[key.path] = key.parse(text)
         except ValueError as exc:

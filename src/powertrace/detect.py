@@ -21,11 +21,14 @@ speed, byte for byte as Python's ``'%.6f'`` formats each time and value:
 one stateless kernel formats both columns, with a per-row fallback for the
 cells it cannot print exactly.
 
-:func:`detect_print` judges each motor in one pass over fixed-size blocks:
-the moving average, the deviation and the threshold run (carried from one
-block to the next) need only a block of scratch besides the float32
-smoothed capture it keeps.  Motors are independent, so they are judged on
-parallel threads, with the same bytes for any number of threads.
+:func:`detect_print` smooths each motor's capture once, straight into the
+float32 array its result keeps, then reads that array in fixed-size blocks:
+each block's float64 deviation is made in one block of scratch and counted
+against the threshold, the run still open at a block's end carrying into
+the next.  One kernel, ``_deviation_into``, makes every deviation: for
+:func:`deviation`, for those blocks and for each ``deviations`` read, so
+all three agree byte for byte.  Motors are independent, so they are judged
+on parallel threads, with the same bytes for any number of threads.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ _EXPORT_CHUNK_ROWS = 1 << 16
 # Samples per block in smooth, build_baseline, classify and detect_print:
 # their scratch is fixed-size.  Each block costs a handful of numpy calls,
 # each releasing and re-taking the GIL, so detect_print's threads overlap
-# better with fewer, larger blocks; but each thread holds about 28 bytes of
-# scratch per block sample.  2**15 keeps two threads' scratch near 1 byte
-# per sample of the benchmark print (1.1 measured).
+# better with fewer, larger blocks; but each thread holds about 18 bytes of
+# scratch per block sample (tracemalloc): smoothing's float64 running sum and
+# values, then one float64 deviation block.  2**15 keeps two threads' scratch
+# near 0.6 bytes per sample of the benchmark print (0.64 measured).
 _BLOCK = 1 << 15
 
 
@@ -100,9 +104,9 @@ class GoldenBaseline:
     """Pointwise spread of aligned, smoothed golden traces, and the trace
     captures are compared to.
 
-    ``reference_trace`` is the first golden trace; deviations are measured
-    against it, per the protocol of comparing a capture to a known-good trace
-    rather than to the pointwise mean.  ``pointwise_sd`` is the float32
+    ``reference`` is the first golden trace's samples; deviations are
+    measured against it, per the protocol of comparing a capture to a
+    known-good trace rather than to the pointwise mean.  ``pointwise_sd`` is the float32
     rounding of the sample standard deviation, read only by :func:`excess`.
     ``peak_sd``, the largest sd before rounding, sets the verdict threshold:
     it must be finite, >= 0 and round to the column's max, which rounding
@@ -112,17 +116,19 @@ class GoldenBaseline:
     motor: Motor
     sample_rate: float
     pointwise_sd: np.ndarray  # float32, read-only
-    reference_trace: MotorTrace
+    reference: np.ndarray  # float32, read-only
     source_count: int
     peak_sd: float
 
     def __post_init__(self) -> None:
-        sd = np.asarray(self.pointwise_sd, dtype=np.float32)
-        sd.setflags(write=False)
-        object.__setattr__(self, "pointwise_sd", sd)
+        for name in ("pointwise_sd", "reference"):
+            column = np.asarray(getattr(self, name), dtype=np.float32)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        sd = self.pointwise_sd
         if self.source_count < 2:
             raise DetectionError("a baseline needs at least 2 golden traces")
-        if len(sd) != len(self.reference_trace.samples):
+        if len(sd) != len(self.reference):
             raise DetectionError("sd/reference length mismatch")
         peak_sd = float(self.peak_sd)
         if not math.isfinite(peak_sd):
@@ -184,14 +190,12 @@ class _Deviations(Mapping):
 
     def __init__(self, smoothed: dict[Motor, np.ndarray], baselines: dict[Motor, GoldenBaseline]):
         self._smoothed = smoothed
-        self._references = {m: baselines[m].reference_trace.samples for m in smoothed}
+        self._references = {m: baselines[m].reference for m in smoothed}
 
     def __getitem__(self, motor: Motor) -> np.ndarray:
         smoothed = self._smoothed[motor]
-        # The arithmetic of _deviation_blocks, over the whole series.
-        dev = smoothed.astype(np.float64)
-        np.subtract(dev, self._references[motor][: len(dev)], out=dev)
-        return np.abs(dev, out=dev)
+        reference = self._references[motor][: len(smoothed)]
+        return _deviation_into(smoothed, reference, np.empty(len(smoothed)))
 
     def __iter__(self) -> Iterator[Motor]:
         return iter(self._smoothed)
@@ -220,64 +224,56 @@ def smooth(trace: MotorTrace, window: int) -> MotorTrace:
         raise DetectionError(f"window {window} longer than trace of {n} samples")
     if window == 1:
         return trace
-    averaged = np.empty(n, dtype=np.float32)
-    for start, block in _smoothed_blocks(trace.samples, window):
-        averaged[start : start + len(block)] = block
     return MotorTrace(
         motor=trace.motor,
         sample_rate=trace.sample_rate,
-        samples=averaged,
+        samples=_smooth_into(trace.samples, window, np.empty(n, dtype=np.float32)),
         trigger_index=trace.trigger_index,
     )
 
 
-def _smoothed_blocks(samples: np.ndarray, window: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, block)``, :func:`smooth`'s float32 samples
-    ``start:start + len(block)``, in order and at most ``_BLOCK`` at a time.
+def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
+    """Write :func:`smooth`'s float32 samples ``0:len(out)`` into ``out``
+    and return it.
 
-    A block lives in a buffer reused for the next one.  ``window`` must be
-    between 1 and ``len(samples)``.
+    ``window`` must be between 1 and ``len(samples)``, and ``out`` no longer
+    than ``samples``; no block past ``len(out)`` is summed.
     """
-    n = len(samples)
+    n, m = len(samples), len(out)
     if window == 1:
-        for lo in range(0, n, _BLOCK):
-            yield lo, samples[lo : lo + _BLOCK]
-        return
+        out[...] = samples[:m]
+        return out
     left, right = (window - 1) // 2, window // 2
     csum = np.empty(min(_BLOCK + window, n + 1))
     # The block's samples as float64, summed into the separate csum (numpy
     # holds the GIL in a cumsum that casts or works in place), then the
     # window sums.
     values = np.empty(len(csum))
-    averaged = np.empty(min(_BLOCK, n - window + 1), dtype=np.float32)
     # inf - inf is NaN, which classify rejects; numpy need not warn first.
-    # The errstate is left before each yield, so the caller never runs in it.
-    if left:
-        with np.errstate(invalid="ignore"):
-            head = np.cumsum(samples[: window - 1], dtype=np.float64)
-            edge = (head[right:] / np.arange(right + 1, window)).astype(np.float32)
-        yield 0, edge
-    for lo in range(0, n - window + 1, _BLOCK):
-        hi = min(lo + _BLOCK + window - 1, n)
-        part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
-        count = hi - lo - window + 1
-        if lo == 0:
-            # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
-            part[0] = 0.0
-            first = 1
-        else:
-            values[0] = csum[_BLOCK]  # csum[lo], from the block before
-            first = 0
-        values[1 : len(part)] = samples[lo:hi]
-        with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):
+        edge = min(left, m)  # the left edge's shrunken windows
+        head = np.cumsum(samples[: right + edge], dtype=np.float64)
+        out[:edge] = head[right:] / np.arange(right + 1, right + 1 + edge)
+        for lo in range(0, min(n - window + 1, m - left), _BLOCK):
+            hi = min(lo + _BLOCK + window - 1, n)
+            part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
+            count = hi - lo - window + 1
+            if lo == 0:
+                # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
+                part[0] = 0.0
+                first = 1
+            else:
+                values[0] = csum[_BLOCK]  # csum[lo], from the block before
+                first = 0
+            values[1 : len(part)] = samples[lo:hi]
             np.cumsum(values[first : len(part)], out=part[first:])
             np.subtract(part[window:], part[:count], out=values[:count])
-            np.divide(values[:count], window, out=averaged[:count])
-        yield lo + left, averaged[:count]
-    tail = part[n - window + 1 - lo : n - left - lo]
-    with np.errstate(invalid="ignore"):
-        edge = ((part[-1] - tail) / np.arange(window - 1, left, -1)).astype(np.float32)
-    yield n - right, edge
+            count = min(count, m - left - lo)
+            np.divide(values[:count], window, out=out[lo + left : lo + left + count])
+        if m > n - right:  # the right edge, after the last block's csum
+            tail = part[n - window + 1 - lo : m - left - lo]
+            out[n - right :] = (part[-1] - tail) / np.arange(window - 1, n - m + left, -1)
+    return out
 
 
 def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
@@ -330,7 +326,7 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
         motor=motor,
         sample_rate=rate,
         pointwise_sd=sd,
-        reference_trace=golden[0],
+        reference=golden[0].samples,
         source_count=len(golden),
         peak_sd=float(peak),
     )
@@ -345,8 +341,17 @@ def deviation(captured: MotorTrace, baseline: GoldenBaseline) -> np.ndarray:
             f"capture has {len(captured.samples)} samples, baseline "
             f"{baseline.sample_count}"
         )
-    dev = np.subtract(captured.samples, baseline.reference_trace.samples, dtype=np.float64)
-    return np.abs(dev, out=dev)
+    return _deviation_into(captured.samples, baseline.reference, np.empty(baseline.sample_count))
+
+
+def _deviation_into(smoothed: np.ndarray, reference: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``|f64(smoothed) - f64(reference)|`` into the float64 ``out``,
+    all three of one length, and return it: the one deviation kernel."""
+    # Widened first: a float32 - float32 subtract into float64 goes through
+    # numpy's slower buffered casts.
+    out[...] = smoothed
+    np.subtract(out, reference, out=out)
+    return np.abs(out, out=out)
 
 
 def excess(
@@ -448,14 +453,16 @@ def detect_print(
 
     Captures must already be trigger-aligned; smoothing and windowing to the
     baseline length happen here.  The print is malicious iff any motor is.
-    Each motor is smoothed, compared and classified in one pass of
-    ``_BLOCK``-sample (32,768) blocks, the motors on up to
-    ``tracesim._WORKERS`` threads; reports and deviations are the same for
-    any thread count.  Each block's float64 deviation lives in its thread's
-    scratch; only the float32 smoothed capture is kept, for the result's
-    ``deviations``.  A block whose largest deviation is clear of the
-    threshold skips the run search, so a benign block costs the smoothing,
-    the comparison and one ``max``.
+    Each capture is smoothed once, only as far as the baseline reaches, into
+    the float32 array the result keeps for its ``deviations``.  That array
+    is then compared and classified in ``_BLOCK``-sample (32,768) blocks,
+    each block's float64 deviation in the thread's scratch, the motors on up
+    to ``tracesim._WORKERS`` threads; reports and deviations are the same
+    for any thread count.  A block whose largest deviation is clear of the
+    threshold skips the run search, so a benign block costs the comparison
+    and one ``max``.  Smoothing goes through the private writer, never
+    :func:`smooth`, which the benchmark's trace mode wraps with one span
+    stack that calls from the motors' threads would corrupt.
     """
     smoothed: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
@@ -475,8 +482,13 @@ def detect_print(
         smoothed[motor] = np.empty(length, dtype=np.float32)
 
     def judge(motor: Motor) -> DetectionReport:
-        blocks = _deviation_blocks(
-            captures[motor], baselines[motor], config.smoothing_window, smoothed[motor]
+        kept = _smooth_into(captures[motor].samples, config.smoothing_window, smoothed[motor])
+        n = len(kept)
+        reference = baselines[motor].reference[:n]
+        scratch = np.empty(min(_BLOCK, n))
+        blocks = (
+            _deviation_into(kept[lo : lo + _BLOCK], reference[lo : lo + _BLOCK], scratch[: n - lo])
+            for lo in range(0, n, _BLOCK)
         )
         return _classify_blocks(blocks, baselines[motor], config)
 
@@ -489,29 +501,6 @@ def detect_print(
     return PrintDetectionResult(
         reports=reports, overall=overall, deviations=_Deviations(smoothed, baselines)
     )
-
-
-def _deviation_blocks(
-    capture: MotorTrace, baseline: GoldenBaseline, window: int, smoothed: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Fill ``smoothed`` with the smoothed capture, windowed to its length,
-    and yield the absolute deviation from the baseline's reference trace
-    block by block, each in a float64 buffer reused for the next."""
-    reference = baseline.reference_trace.samples
-    length = len(smoothed)
-    # No block is longer than _BLOCK or the smoothing window's edge.
-    scratch = np.empty(min(max(_BLOCK, window), length))
-    for start, block in _smoothed_blocks(capture.samples, window):
-        stop = min(start + len(block), length)
-        if stop <= start:  # the capture runs past the baseline
-            return
-        smoothed[start:stop] = block[: stop - start]
-        out = scratch[: stop - start]
-        # Widened first: a float32 - float32 subtract into float64 goes
-        # through numpy's slower buffered casts.
-        out[...] = block[: stop - start]
-        np.subtract(out, reference[start:stop], out=out)
-        yield np.abs(out, out=out)
 
 
 def export_series_csv(

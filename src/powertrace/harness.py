@@ -201,8 +201,8 @@ def load_experiment_config(path: str | Path, base: ExperimentConfig) -> Experime
     source = str(path)
     if "noise.seed" in pairs:
         raise ConfigError(
-            f"{source}: 'noise.seed' is not used by experiments, which seed every "
-            "print from the top-level 'seed' key; set 'seed' instead"
+            f"{source}:{pairs['noise.seed'][0]}: 'noise.seed' is not used by experiments, "
+            "which seed every print from the top-level 'seed' key; set 'seed' instead"
         )
     attack_pairs = {k: v for k, v in pairs.items() if k.startswith(_ATTACK_PREFIX)}
     other_pairs = {k: v for k, v in pairs.items() if k not in attack_pairs}

@@ -125,7 +125,7 @@ def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
 def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
     """Persist a baseline: header (peak sd as f64), sd (f32), reference (f32)."""
     fields = (baseline.source_count, baseline.peak_sd, baseline.sample_count)
-    arrays = (baseline.pointwise_sd, baseline.reference_trace.samples)
+    arrays = (baseline.pointwise_sd, baseline.reference)
     _write(path, _BASELINE, baseline.motor, baseline.sample_rate, fields, arrays)
 
 
@@ -144,9 +144,7 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
             motor=motor,
             sample_rate=rate,
             pointwise_sd=sd,
-            reference_trace=MotorTrace(
-                motor=motor, sample_rate=rate, samples=reference, trigger_index=0
-            ),
+            reference=reference,
             source_count=source_count,
             peak_sd=peak_sd,
         )

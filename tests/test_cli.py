@@ -62,7 +62,7 @@ class TestSimulate:
         noise.write_text("idle_noise_sd = 0.01\nseed = 7\n")
         argv = ["simulate", str(gcode_file), "--noise", str(noise), "--out", str(tmp_path / "caps")]
         assert main(argv) == 2
-        assert f"error: {noise}: unknown key 'seed'" in capsys.readouterr().err
+        assert f"error: {noise}:2: unknown key 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "caps").exists()
 
     def test_fixed_seed_reproduces_files(self, gcode_file, tmp_path):
@@ -401,7 +401,7 @@ class TestExperimentCommand:
         config.write_text("golden_count = 2\nnoise.seed = 5\n")
         assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "'noise.seed'" in err and "top-level 'seed'" in err
+        assert f"error: {config}:2: 'noise.seed'" in err and "top-level 'seed'" in err
         assert not (tmp_path / "out").exists()
 
     def test_small_experiment_via_config_file(self, tmp_path, capsys):
@@ -468,6 +468,7 @@ class TestExperimentCommand:
             ("golden_count = 2\nbanana\n", ":2: expected 'key = value'"),
             ("golden_count = 2\n= 3\n", ":2: empty key"),
             ("seed = 1\nseed = 2\n", ":2: duplicate key 'seed'"),
+            ("seed = 1\nsede = 2\n", ":2: unknown key 'sede'"),
             ("save_traces = maybe\n", ":1: bad value for 'save_traces': not a boolean"),
             ("golden_count = 2\nsave_traces = maybe\n", ":2: bad value for 'save_traces': not a boolean"),
             ("attack.insert.payload = G1 X1..5\n", f"{_BAD_PAYLOAD}bad payload 'G1 X1..5'"),

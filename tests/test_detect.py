@@ -129,6 +129,29 @@ class TestSmooth:
             got = smooth(_trace(values), window).samples
         assert got.tobytes() == gather_smooth(values, window).tobytes()
 
+    @given(
+        case=st.integers(1, 300).flatmap(lambda n: st.tuples(
+            arrays(np.float32, n, elements=_FINITE_F32),
+            st.integers(1, n),
+            st.integers(1, n),
+        )),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    # Prefixes ending in the left edge, on the first block's end, and in
+    # the right edge.
+    @example(case=(np.arange(40, dtype=np.float32), 20, 5), block=3)
+    @example(case=(np.arange(40, dtype=np.float32), 20, 12), block=3)
+    @example(case=(np.arange(40, dtype=np.float32), 20, 35), block=64)
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_equals_the_whole_smoothed_trace(self, case, block):
+        # detect_print smooths a capture longer than its baseline only as
+        # far as the baseline reaches.
+        values, window, m = case
+        with mock.patch.object(detect, "_BLOCK", block):
+            got = detect._smooth_into(values, window, np.empty(m, dtype=np.float32))
+            whole = smooth(_trace(values), window).samples
+        assert got.tobytes() == whole[:m].tobytes()
+
     def test_constant_trace_unchanged(self):
         trace = _trace([2.5] * 50)
         assert np.allclose(smooth(trace, 20).samples, 2.5)
@@ -215,7 +238,15 @@ class TestBaseline:
 
     def test_reference_is_first_trace(self):
         a, b = _trace([1.0, 2.0]), _trace([3.0, 4.0])
-        assert np.array_equal(build_baseline([a, b]).reference_trace.samples, a.samples)
+        assert np.array_equal(build_baseline([a, b]).reference, a.samples)
+
+    def test_reference_is_a_read_only_float32_column_of_the_sd_length(self):
+        sd = np.full(3, 0.5, dtype=np.float32)
+        baseline = GoldenBaseline(Motor.X, SAMPLE_RATE, sd, [1.0, 2.0, 3.0], 2, 0.5)
+        assert baseline.reference.dtype == np.float32
+        assert not baseline.reference.flags.writeable
+        with pytest.raises(DetectionError, match="sd/reference length mismatch"):
+            GoldenBaseline(Motor.X, SAMPLE_RATE, sd, np.zeros(4, dtype=np.float32), 2, 0.5)
 
     def test_needs_two_traces(self):
         with pytest.raises(DetectionError, match="at least 2"):
@@ -321,7 +352,7 @@ def _benchmark_baselines():
     reference = np.sin(np.arange(n) * (2 * np.pi / 2000)).astype(np.float32)
     sd = np.full(n, 0.02, dtype=np.float32)
     baselines = {
-        m: GoldenBaseline(m, SAMPLE_RATE, sd, MotorTrace(m, SAMPLE_RATE, reference, 0), 2, 0.02)
+        m: GoldenBaseline(m, SAMPLE_RATE, sd, reference, 2, 0.02)
         for m in MOTORS
     }
     return n, baselines, reference
@@ -448,7 +479,7 @@ class TestDetectPrint:
         length = min(capture_length, 100)
         smoothed = smooth(capture, 5).samples[:length]
         expected_dev = np.abs(
-            smoothed.astype(np.float64) - baseline.reference_trace.samples[:length]
+            smoothed.astype(np.float64) - baseline.reference[:length]
         )
         assert result.deviations[Motor.X].tobytes() == expected_dev.tobytes()
         expected_excess = np.maximum(0.0, expected_dev - baseline.pointwise_sd[:length])
@@ -514,7 +545,7 @@ class TestDetectPrint:
         for m in Motor:
             length = min(lengths[m], n)
             smoothed = smooth(captures[m], config.smoothing_window).samples[:length]
-            reference = baselines[m].reference_trace.samples[:length]
+            reference = baselines[m].reference[:length]
             dev = np.abs(smoothed.astype(np.float64) - reference)
             expected[m] = (whole_series_classify(dev, baselines[m], config), dev.tobytes())
         assert {r.verdict for r, _ in expected.values()} == {Verdict.BENIGN, Verdict.MALICIOUS}
@@ -544,7 +575,7 @@ class TestDetectPrint:
         length = min(capture_length, 100)
         expected = np.abs(
             smooth(capture, 5).samples[:length].astype(np.float64)
-            - baseline.reference_trace.samples[:length]
+            - baseline.reference[:length]
         )
         assert list(result.deviations) == [Motor.X] and len(result.deviations) == 1
         first = result.deviations[Motor.X]
@@ -558,10 +589,10 @@ class TestDetectPrint:
             result.deviations[Motor.Y]
 
     def test_peak_memory_is_the_smoothed_captures(self):
-        # Each motor is judged in blocks, and its float64 deviation lives only
-        # in block scratch, so detect_print holds the float32 smoothed
-        # captures it keeps (4 bytes per baseline sample per motor) and each
-        # thread's block scratch: measured 17.10 bytes per sample on two
+        # Each motor is smoothed into the float32 array the result keeps (4
+        # bytes per baseline sample per motor), and its float64 deviation
+        # lives only in block scratch, so detect_print holds those arrays and
+        # each thread's block scratch: measured 16.64 bytes per sample on two
         # threads (keeping float64 deviations instead would add 16; a
         # whole-series copy and mask, 5).  Taken after one untraced call, so that
         # one-time imports do not count, with a 100,000-sample attack run.
@@ -584,7 +615,7 @@ class TestDetectPrint:
         # A screening loop loads print k+1's captures while print k's
         # captures and result are still bound, then judges them while print
         # k's result is: three sets of four captures or smoothed captures at
-        # 4 bytes per sample, 48, plus block scratch, measured 49.10 on two
+        # 4 bytes per sample, 48, plus block scratch, measured 48.65 on two
         # threads (80.8 when each result held four float64 deviations).
         n, baselines, reference = _benchmark_baselines()
 
@@ -615,6 +646,19 @@ class TestDetectPrint:
         assert verdicts == [Verdict.BENIGN, Verdict.MALICIOUS, Verdict.BENIGN]
         assert peak / n <= 50.0
 
+    def test_never_calls_the_public_smooth(self):
+        # Benchmark trace mode wraps detect.smooth and keeps one span stack,
+        # so a call from a motor's thread would break its nesting.
+        def refuse(*args):
+            raise AssertionError("detect_print called detect.smooth")
+
+        baselines = {m: _flat_baseline(motor=m) for m in Motor}
+        captures = {m: _trace(np.zeros(500), motor=m) for m in Motor}
+        with mock.patch.object(detect, "smooth", refuse), \
+                mock.patch.object(tracesim, "_WORKERS", 2):
+            result = detect_print(captures, baselines)
+        assert result.overall is Verdict.BENIGN
+
     def test_sample_rate_mismatch_is_an_error(self):
         baseline = _flat_baseline()
         capture = _trace(np.zeros(500), rate=1000.0)
@@ -640,32 +684,30 @@ class TestProductionBlocks:
     B = detect._BLOCK
     N = 4 * B + 1_000
 
-    def _spans(self, edge):
-        """The deviation's runs when block k starts at ``edge + k * B``."""
+    def _spans(self):
+        """The deviation's runs; block k starts at ``k * B``."""
         B = self.B
-        return [(edge + B - 40, edge + B + 40), (edge + 2 * B - 45, edge + 2 * B),
-                (edge + 3 * B, edge + 3 * B + 40)]
+        return [(B - 40, B + 40), (2 * B - 45, 2 * B), (3 * B, 3 * B + 40)]
 
     def _baseline(self):
         reference = np.zeros(self.N, dtype=np.float32)
         return GoldenBaseline(
-            Motor.X, SAMPLE_RATE, np.full(self.N, 0.02, dtype=np.float32),
-            MotorTrace(Motor.X, SAMPLE_RATE, reference, 0), 2, 0.02,
+            Motor.X, SAMPLE_RATE, np.full(self.N, 0.02, dtype=np.float32), reference, 2, 0.02
         )
 
-    def _assert_layout(self, dev, threshold, edge):
+    def _assert_layout(self, dev, threshold):
         B = self.B
         above = dev > threshold
-        assert above[edge + B - 1] and above[edge + B]
-        assert above[edge + 2 * B - 1] and not above[edge + 2 * B]
-        assert dev[edge + 2 * B : edge + 3 * B].max() <= threshold  # the skip path
-        assert above[edge + 3 * B]
+        assert above[B - 1] and above[B]
+        assert above[2 * B - 1] and not above[2 * B]
+        assert dev[2 * B : 3 * B].max() <= threshold  # the skip path
+        assert above[3 * B]
 
     def test_classify_equals_whole_series(self):
-        dev = _runs(self.N, self._spans(0))
+        dev = _runs(self.N, self._spans())
         dev[4 * self.B + 10] = 0.5
         baseline, config = self._baseline(), DetectionConfig()
-        self._assert_layout(dev, baseline.peak_sd + config.margin, 0)
+        self._assert_layout(dev, baseline.peak_sd + config.margin)
         with mock.patch.object(detect, "_BLOCK", len(dev)):
             expected = classify(dev, baseline, config)
         assert expected.max_run_length == 80
@@ -673,17 +715,16 @@ class TestProductionBlocks:
         assert classify(dev, baseline, config) == expected
 
     def test_detect_print_equals_whole_series(self):
-        # Smoothing's first block is its 9-sample left edge, so the
-        # deviation's blocks start at 9 + k * B.  A raw step of 1.0 over
-        # [a, b) smooths (window 20) to above 0.12 on [a - 8, b + 7).
+        # The deviation's blocks start at k * B, as the smoothed capture is
+        # read in blocks from its start.  A raw step of 1.0 over [a, b)
+        # smooths (window 20) to above 0.12 on [a - 8, b + 7).
         config = DetectionConfig()
-        edge = (config.smoothing_window - 1) // 2
-        samples = _runs(self.N, [(lo + 8, hi - 7) for lo, hi in self._spans(edge)])
+        samples = _runs(self.N, [(lo + 8, hi - 7) for lo, hi in self._spans()])
         captures, baselines = {Motor.X: _trace(samples)}, {Motor.X: self._baseline()}
         with mock.patch.object(detect, "_BLOCK", self.N):
             expected = detect_print(captures, baselines, config)
         report = expected.reports[Motor.X]
-        self._assert_layout(expected.deviations[Motor.X], report.threshold, edge)
+        self._assert_layout(expected.deviations[Motor.X], report.threshold)
         assert report.max_run_length == 80
         result = detect_print(captures, baselines, config)
         assert result.reports == expected.reports

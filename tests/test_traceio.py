@@ -182,9 +182,7 @@ class TestBaselinePersistence:
         assert loaded.source_count == 3
         assert loaded.peak_sd == baseline.peak_sd
         assert np.array_equal(loaded.pointwise_sd, baseline.pointwise_sd)
-        assert np.array_equal(
-            loaded.reference_trace.samples, baseline.reference_trace.samples
-        )
+        assert np.array_equal(loaded.reference, baseline.reference)
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         save_trace(_trace([0.5, -0.25, 1.0]), tmp_path / "t.ptrc")
@@ -193,7 +191,7 @@ class TestBaselinePersistence:
         arrays = (
             load_trace(tmp_path / "t.ptrc").samples,
             baseline.pointwise_sd,
-            baseline.reference_trace.samples,
+            baseline.reference,
         )
         assert [array.flags.writeable for array in arrays] == [False, False, False]
 
