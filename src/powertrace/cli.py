@@ -16,7 +16,7 @@ from pathlib import Path
 from . import config as configmod
 from .attacks import AttackError, AttackKind, AttackSpec, apply_attack
 from .detect import DetectionConfig, DetectionError, Verdict, build_baseline, detect_print, smooth
-from .gcode import GCodeError, GCodeProgram, parse_gcode, serialize
+from .gcode import GCodeError, read_gcode, serialize
 from .harness import (
     ExperimentConfig,
     ExperimentError,
@@ -128,20 +128,12 @@ def _load_profile_arg(args: argparse.Namespace) -> PrinterProfile:
     return configmod.load_profile(args.profile)
 
 
-def _read_gcode(path: Path) -> GCodeProgram:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise GCodeError(f"{path}: {exc}") from None
-    return parse_gcode(text)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     profile = _load_profile_arg(args)
     noise = configmod.load_noise(args.noise) if args.noise else DEFAULT_NOISE
     prefix = args.prefix or args.gcode.stem
     _print_config(args, gcode=args.gcode, prefix=prefix)
-    program = _read_gcode(args.gcode)
+    program = read_gcode(args.gcode)
     traces = simulate_print(program, profile, noise, seed=args.seed)
     for motor in MOTORS:
         path = args.out / f"{prefix}_{motor.name}.ptrc"
@@ -161,7 +153,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         payload=args.payload,
         output=args.output,
     )
-    program = _read_gcode(args.gcode)
+    program = read_gcode(args.gcode)
     payload = configmod.parse_payload(args.payload) if args.payload else None
     spec = AttackSpec(
         kind=AttackKind(args.kind),
@@ -214,10 +206,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     captures = _one_per_motor(
         [align_to_trigger(load_trace(Path(p))) for p in args.capture], "--capture"
     )
-    missing = [m.name for m in captures if m not in baselines]
-    if missing:
-        raise DetectionError(f"no baseline for motor(s) {missing}")
-    result = detect_print(captures, {m: b for m, b in baselines.items() if m in captures}, detection)
+    result = detect_print(captures, baselines, detection)
     for motor in MOTORS:
         if motor in result.reports:
             print("report " + " ".join(result.reports[motor].key_value_lines()))

@@ -181,8 +181,14 @@ class PrintDetectionResult:
     """
 
     reports: dict[Motor, DetectionReport]
-    overall: Verdict
-    deviations: Mapping[Motor, np.ndarray] = field(repr=False, default_factory=dict)
+    deviations: Mapping[Motor, np.ndarray] = field(repr=False)
+
+    @property
+    def overall(self) -> Verdict:
+        """Malicious iff any motor's report is."""
+        if any(r.verdict is Verdict.MALICIOUS for r in self.reports.values()):
+            return Verdict.MALICIOUS
+        return Verdict.BENIGN
 
 
 class _Deviations(Mapping):
@@ -354,23 +360,19 @@ def _deviation_into(smoothed: np.ndarray, reference: np.ndarray, out: np.ndarray
     return np.abs(out, out=out)
 
 
-def excess(
-    deviation_series: np.ndarray, baseline: GoldenBaseline, out: np.ndarray | None = None
-) -> np.ndarray:
+def excess(deviation_series: np.ndarray, baseline: GoldenBaseline) -> np.ndarray:
     """Deviation reduced by the golden standard deviation, clamped at zero.
 
     A deviation shorter than the baseline, as :func:`detect_print`'s
     ``deviations`` reads for a shorter capture, is compared with the first
     ``len`` sd cells.
-    As in numpy, ``out`` receives the result; ``out=deviation_series`` turns
-    a deviation into its excess in place, without a second series.
     """
     length = len(deviation_series)
     if length > baseline.sample_count:
         raise DetectionError(
             f"deviation has {length} samples, baseline {baseline.sample_count}"
         )
-    return _excess_over(deviation_series, baseline.pointwise_sd[:length], out)
+    return _excess_over(deviation_series, baseline.pointwise_sd[:length])
 
 
 def _excess_over(
@@ -452,7 +454,9 @@ def detect_print(
     """Run the per-motor pipeline and combine verdicts.
 
     Captures must already be trigger-aligned; smoothing and windowing to the
-    baseline length happen here.  The print is malicious iff any motor is.
+    baseline length happen here.  Every motor needs both a capture and a
+    baseline: one without the other raises :class:`DetectionError` naming
+    the motor.  The print is malicious iff any motor is.
     Each capture is smoothed once, only as far as the baseline reaches, into
     the float32 array the result keeps for its ``deviations``.  That array
     is then compared and classified in ``_BLOCK``-sample (32,768) blocks,
@@ -464,6 +468,9 @@ def detect_print(
     :func:`smooth`, which the benchmark's trace mode wraps with one span
     stack that calls from the motors' threads would corrupt.
     """
+    unpaired = [m.name for m in captures if m not in baselines]
+    if unpaired:
+        raise DetectionError(f"no baseline for motor(s) {unpaired}")
     smoothed: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
         capture = captures.get(motor)
@@ -493,14 +500,7 @@ def detect_print(
         return _classify_blocks(blocks, baselines[motor], config)
 
     reports = dict(zip(smoothed, _map_on_threads(judge, list(smoothed))))
-    overall = (
-        Verdict.MALICIOUS
-        if any(r.verdict is Verdict.MALICIOUS for r in reports.values())
-        else Verdict.BENIGN
-    )
-    return PrintDetectionResult(
-        reports=reports, overall=overall, deviations=_Deviations(smoothed, baselines)
-    )
+    return PrintDetectionResult(reports=reports, deviations=_Deviations(smoothed, baselines))
 
 
 def export_series_csv(

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 __all__ = [
     "GCodeError",
@@ -21,6 +22,7 @@ __all__ = [
     "GCodeProgram",
     "parse_line",
     "parse_gcode",
+    "read_gcode",
     "make_program",
     "serialize",
     "command_text",
@@ -82,25 +84,23 @@ class Command:
 class GCodeProgram:
     """Parsed program: ordered commands plus layer index.
 
-    ``layers`` maps each layer to the index of its first command; both tuple
-    fields are strictly increasing.  Commands before the first boundary belong
-    to the pre-layer preamble.
+    ``layers[n]`` is the index of layer ``n``'s first command, strictly
+    increasing.  Commands before the first boundary belong to the pre-layer
+    preamble.
     """
 
     commands: tuple[Command, ...]
-    layers: tuple[tuple[int, int], ...]
+    layers: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.commands)
 
     def layer_slice(self, layer_index: int) -> tuple[int, int]:
         """Half-open global command range [start, end) of one layer."""
-        for pos, (index, start) in enumerate(self.layers):
-            if index == layer_index:
-                if pos + 1 < len(self.layers):
-                    return start, self.layers[pos + 1][1]
-                return start, len(self.commands)
-        raise GCodeError(f"no such layer: {layer_index}")
+        if not 0 <= layer_index < len(self.layers):
+            raise GCodeError(f"no such layer: {layer_index}")
+        bounds = self.layers + (len(self.commands),)
+        return bounds[layer_index], bounds[layer_index + 1]
 
     def command_index(self, layer_index: int, offset: int) -> int:
         """Global index of the command at ``offset`` within a layer."""
@@ -188,20 +188,29 @@ def parse_gcode(text: str) -> GCodeProgram:
     return make_program(commands)
 
 
+def read_gcode(path: str | Path) -> GCodeProgram:
+    """Read a UTF-8 G-code file and parse it; text that is not UTF-8 raises
+    :class:`GCodeError` naming the path, and ``OSError`` propagates."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GCodeError(f"{path}: {exc}") from None
+    return parse_gcode(text)
+
+
 def make_program(commands: tuple[Command, ...] | list[Command]) -> GCodeProgram:
     """Build a program from commands, re-deriving layer boundaries."""
     commands = tuple(commands)
     return GCodeProgram(commands=commands, layers=_derive_layers(commands))
 
 
-def _derive_layers(commands: tuple[Command, ...]) -> tuple[tuple[int, int], ...]:
-    """(layer_index, first_command_index) boundaries.
+def _derive_layers(commands: tuple[Command, ...]) -> tuple[int, ...]:
+    """Each layer's first command index, layers numbered 0, 1, 2, … in order.
 
     ``;LAYER:n`` comments override the Z-increase heuristic whenever any are
-    present.  Under the heuristic a new layer starts at each command that
-    raises Z above every previous Z value; a program without Z motion is a
-    single layer covering everything.  Layer indices are assigned by
-    enumeration order so both tuple fields are strictly increasing.
+    present (their ``n`` is not read).  Under the heuristic a new layer starts
+    at each command that raises Z above every previous Z value; a program
+    without Z motion is a single layer covering everything.
     """
     marker_starts = [
         i
@@ -211,7 +220,7 @@ def _derive_layers(commands: tuple[Command, ...]) -> tuple[tuple[int, int], ...]
         and _LAYER_COMMENT_RE.match(cmd.raw_text.strip())
     ]
     if marker_starts:
-        return tuple((index, start) for index, start in enumerate(marker_starts))
+        return tuple(marker_starts)
 
     starts: list[int] = []
     max_z = -math.inf
@@ -220,8 +229,8 @@ def _derive_layers(commands: tuple[Command, ...]) -> tuple[tuple[int, int], ...]
             starts.append(i)
             max_z = cmd.z
     if not starts:
-        return ((0, 0),) if commands else ()
-    return tuple((index, start) for index, start in enumerate(starts))
+        return (0,) if commands else ()
+    return tuple(starts)
 
 
 def serialize(program: GCodeProgram) -> str:

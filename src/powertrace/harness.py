@@ -51,7 +51,7 @@ from .detect import (
     export_series_csv,
     smooth,
 )
-from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
+from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode, read_gcode
 from .planner import (
     DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PrinterProfile, command_start_times, plan_motion
 )
@@ -452,11 +452,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 def _load_program(config: ExperimentConfig) -> GCodeProgram:
     if config.program_path is None:
         return benchmark_object()
-    try:
-        text = Path(config.program_path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ExperimentError(f"cannot read program {config.program_path}: {exc}") from exc
-    return parse_gcode(text)
+    return read_gcode(config.program_path)
 
 
 def _build_baselines(

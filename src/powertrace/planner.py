@@ -216,5 +216,4 @@ def _trigger_time(program: GCodeProgram, timings: list[tuple[float, float]]) -> 
     """Falling-edge trigger: the start of the first layer's first command."""
     if not program.layers or not timings:
         return 0.0
-    first_cmd = program.layers[0][1]
-    return timings[first_cmd][0]
+    return timings[program.layers[0]][0]

@@ -49,9 +49,9 @@ class TestInsert:
         # before the Z lift that opens layer 0 belongs to the preamble.
         spec = AttackSpec(kind=AttackKind.INSERT, layer=0, position=0, payload=PAYLOAD)
         mutated = inject_insert(tiny_program, spec)
-        old_start = tiny_program.layers[0][1]
+        old_start = tiny_program.layers[0]
         assert _semantic(mutated.commands[old_start]) == PAYLOAD
-        assert mutated.layers[0][1] == old_start + 1
+        assert mutated.layers[0] == old_start + 1
 
     def test_insert_then_delete_restores_program(self, tiny_program):
         spec = AttackSpec(kind=AttackKind.INSERT, layer=1, position=1, payload=PAYLOAD)

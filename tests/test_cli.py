@@ -294,6 +294,26 @@ class TestDetect:
         assert main(argv) == 2
         assert "no baseline" in capsys.readouterr().err
 
+    def test_baseline_without_capture_exits_2_naming_the_motor(self, gcode_file, tmp_path, capsys):
+        # Every baseline given is judged: an X-only capture set against X and
+        # Y baselines must not pass as a benign X report.
+        _build_pipeline(gcode_file, tmp_path)
+        argv = [
+            "detect",
+            "--capture",
+            str(tmp_path / "probe" / "part_X.ptrc"),
+            "--baseline",
+            str(tmp_path / "X.ptrb"),
+            "--baseline",
+            str(tmp_path / "Y.ptrb"),
+            "--out",
+            str(tmp_path),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: missing capture for motor Y" in captured.err
+        assert "report" not in captured.out
+
     @pytest.mark.parametrize("flag", ["--capture", "--baseline"])
     def test_second_file_for_a_motor_exits_2(self, gcode_file, tmp_path, capsys, flag):
         _build_pipeline(gcode_file, tmp_path)
@@ -514,6 +534,13 @@ class TestExperimentCommand:
         assert seen[0].seed == 7
         out = capsys.readouterr().out
         assert "config seed=7\n" in out and "config seed=3" not in out
+
+    def test_missing_program_exits_2_naming_it_before_writing(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("program = absent.gcode\ngolden_count = 2\n")
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert str(tmp_path / "absent.gcode") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_relative_program_is_read_beside_the_config(self, tmp_path, monkeypatch):
         # Regression: a relative ``program`` used to be opened from the

@@ -445,6 +445,13 @@ class TestDetectPrint:
         with pytest.raises(DetectionError, match="missing capture"):
             detect_print({}, {Motor.X: baseline}, DetectionConfig(smoothing_window=1))
 
+    def test_capture_without_a_baseline_is_an_error(self):
+        # Every capture is judged or refused: none is dropped unread.
+        baseline = _flat_baseline()
+        captures = {Motor.X: _trace(np.zeros(300)), Motor.Y: _trace(np.zeros(300), motor=Motor.Y)}
+        with pytest.raises(DetectionError, match=r"no baseline for motor\(s\) \['Y'\]"):
+            detect_print(captures, {Motor.X: baseline}, DetectionConfig(smoothing_window=1))
+
     def test_self_comparison_is_benign(self):
         traces = {m: _trace(np.linspace(0, 1, 300), motor=m) for m in Motor}
         baselines = {
@@ -581,7 +588,7 @@ class TestDetectPrint:
         first = result.deviations[Motor.X]
         assert first.dtype == np.float64 and first.flags.writeable
         assert first.tobytes() == expected.tobytes()
-        excess(first, baseline, out=first)
+        first[...] = excess(first, baseline)
         second = result.deviations[Motor.X]
         assert second is not first
         assert second.tobytes() == expected.tobytes()

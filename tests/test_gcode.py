@@ -77,26 +77,25 @@ class TestParseLine:
 class TestLayers:
     def test_z_increases_start_layers(self):
         program = parse_gcode("G1 Z0.2\nG1 X5\nG1 Z0.4\nG1 X0\nG1 Z0.6\n")
-        assert len(program.layers) == 3
-        assert [start for _, start in program.layers] == [0, 2, 4]
+        assert program.layers == (0, 2, 4)
 
     def test_comment_markers_override_heuristic(self):
         text = ";LAYER:0\nG1 Z5\nG1 X5\n;LAYER:1\nG1 Z0.2\n"
         program = parse_gcode(text)
-        assert program.layers == ((0, 0), (1, 3))
+        assert program.layers == (0, 3)
 
     def test_no_z_motion_is_one_layer(self):
         program = parse_gcode("G1 X5\nG1 Y5\n")
-        assert program.layers == ((0, 0),)
+        assert program.layers == (0,)
 
     def test_z_lowering_does_not_start_a_layer(self):
         program = parse_gcode("G1 Z5\nG1 Z0.2\nG1 Z5.5\n")
         # 5 then 5.5 exceed the running maximum; 0.2 does not.
-        assert [start for _, start in program.layers] == [0, 2]
+        assert program.layers == (0, 2)
 
     def test_preamble_belongs_to_no_layer(self):
         program = parse_gcode("G0 X1\nG1 Z0.2\nG1 X5\n")
-        assert program.layers == ((0, 1),)
+        assert program.layers == (1,)
         assert program.layer_slice(0) == (1, 3)
 
     def test_make_program_rederives_layers(self, tiny_program):
@@ -107,6 +106,17 @@ class TestLayers:
             tiny_program.command_index(0, 99)
         with pytest.raises(GCodeError):
             tiny_program.layer_slice(7)
+
+    def test_layer_slice_range_checked(self, tiny_program):
+        # A layer's number is its position, so -1 must not index the last layer.
+        for layer in (-1, len(tiny_program.layers)):
+            with pytest.raises(GCodeError, match=f"no such layer: {layer}"):
+                tiny_program.layer_slice(layer)
+
+    def test_layers_are_numbered_by_position(self):
+        program = parse_gcode(";LAYER:5\nG1 Z0.2\n;LAYER:9\nG1 Z0.4\nG1 X1\n")
+        assert program.layers == (0, 2)
+        assert [program.layer_slice(n) for n in (0, 1)] == [(0, 2), (2, 5)]
 
 
 class TestSerialize:
@@ -175,4 +185,5 @@ def test_parse_serialize_parse_is_parse(lines):
 def test_layer_boundaries_strictly_increase(lines):
     program = parse_gcode("\n".join(lines) + ("\n" if lines else ""))
     layers = program.layers
-    assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(layers, layers[1:]))
+    assert all(isinstance(start, int) for start in layers)
+    assert all(a < b for a, b in zip(layers, layers[1:]))

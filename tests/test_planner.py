@@ -117,7 +117,7 @@ class TestPlanShape:
     def test_trigger_is_first_layer_start(self, tiny_program):
         plan = plan_motion(tiny_program)
         starts = command_start_times(tiny_program)
-        first_layer_cmd = tiny_program.layers[0][1]
+        first_layer_cmd = tiny_program.layers[0]
         assert plan.trigger_time == starts[first_layer_cmd]
         assert 0.0 <= plan.trigger_time <= plan.total_duration
 
