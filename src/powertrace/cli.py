@@ -102,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", parents=[common], help="classify captures against baselines")
     p_det.add_argument("--capture", action="append", required=True, help="capture file (repeatable)")
     p_det.add_argument("--baseline", action="append", required=True, help="baseline file (repeatable)")
-    p_det.add_argument("--window", type=int, default=DetectionConfig().smoothing_window)
     p_det.add_argument("--margin", type=float, default=DetectionConfig().margin)
     p_det.add_argument("--run-requirement", type=int, default=DetectionConfig().run_requirement)
     p_det.set_defaults(handler=_cmd_detect)
@@ -191,17 +190,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    detection = DetectionConfig(
-        smoothing_window=args.window,
-        margin=args.margin,
-        run_requirement=args.run_requirement,
-    )
-    _print_config(
-        args,
-        window=args.window,
-        margin=args.margin,
-        run_requirement=args.run_requirement,
-    )
+    detection = DetectionConfig(margin=args.margin, run_requirement=args.run_requirement)
+    _print_config(args, margin=args.margin, run_requirement=args.run_requirement)
     baselines = _one_per_motor([load_baseline(Path(p)) for p in args.baseline], "--baseline")
     captures = _one_per_motor(
         [align_to_trigger(load_trace(Path(p))) for p in args.capture], "--capture"

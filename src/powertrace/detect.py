@@ -5,6 +5,8 @@ pointwise standard deviation over a set of known-good traces of the same
 motor, compute the absolute pointwise deviation of a captured trace from a
 designated reference trace, and flag the capture as malicious when the
 deviation stays above ``peak_sd + margin`` for a contiguous run of samples.
+A baseline records the window its golden traces were smoothed with, and a
+capture is smoothed with that same window.
 
 The verdict uses the raw deviation against the peak of the golden standard
 deviation, so :func:`detect_print` keeps no deviation: it returns the
@@ -12,14 +14,14 @@ verdicts and each motor's smoothed capture as float32, and the float64
 deviation a verdict was judged on is made again, byte for byte, when
 ``result.deviations[motor]`` is read.  A baseline keeps that peak as one
 float64, taken before the pointwise sd is rounded to the float32 column it
-stores.  The sd-subtracted excess series (:func:`excess`) is for visibility
-analysis, where an attack signature stays clearly visible even when it
-never crosses the verdict threshold; the experiment harness computes it in
-place of a read deviation, where it is read, once that deviation is
-written.  :func:`export_series_csv` writes either series as text at numpy
-speed, byte for byte as Python's ``'%.6f'`` formats each time and value:
-one stateless kernel formats both columns, with a per-row fallback for the
-cells it cannot print exactly.
+stores.  The sd-subtracted excess series (``_excess_over``) is for
+visibility analysis, where an attack signature stays clearly visible even
+when it never crosses the verdict threshold; the experiment harness
+computes it in place of a read deviation, where it is read, once that
+deviation is written.  :func:`export_series_csv` writes either series as
+text at numpy speed, byte for byte as Python's ``'%.6f'`` formats each
+time and value: one stateless kernel formats both columns, with a per-row
+fallback for the cells it cannot print exactly.
 
 :func:`detect_print` smooths each motor's capture once, straight into the
 float32 array its result keeps, then reads that array in fixed-size blocks:
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -54,8 +56,6 @@ __all__ = [
     "smooth",
     "build_baseline",
     "deviation",
-    "excess",
-    "classify",
     "detect_print",
     "export_series_csv",
 ]
@@ -63,7 +63,7 @@ __all__ = [
 # Rows formatted per write, so a long series never sits in memory as text.
 _EXPORT_CHUNK_ROWS = 1 << 16
 
-# Samples per block in smooth, build_baseline, classify and detect_print:
+# Samples per block in smooth, build_baseline and detect_print:
 # their scratch is fixed-size.  Each block costs a handful of numpy calls,
 # each releasing and re-taking the GIL, so detect_print's threads overlap
 # better with fewer, larger blocks; but each thread holds about 18 bytes of
@@ -84,6 +84,10 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class DetectionConfig:
+    """Detection settings.  ``smoothing_window`` is the window new baselines'
+    golden traces are smoothed with; :func:`detect_print` reads the window
+    from each baseline instead."""
+
     smoothing_window: int = 20
     margin: float = 0.1
     # 50 samples = 2 ms at 25 kS/s: far below any meaningful command duration,
@@ -107,10 +111,12 @@ class GoldenBaseline:
     ``reference`` is the first golden trace's samples; deviations are
     measured against it, per the protocol of comparing a capture to a
     known-good trace rather than to the pointwise mean.  ``pointwise_sd`` is the float32
-    rounding of the sample standard deviation, read only by :func:`excess`.
-    ``peak_sd``, the largest sd before rounding, sets the verdict threshold:
-    it must be finite, >= 0 and round to the column's max, which rounding
-    (monotonic) makes an exact check.
+    rounding of the sample standard deviation, read only for the excess
+    series.  ``peak_sd``, the largest sd before rounding, sets the verdict
+    threshold: it must be finite, >= 0 and round to the column's max, which
+    rounding (monotonic) makes an exact check.  ``smoothing_window``, >= 1,
+    is the window the golden traces were smoothed with, and so the window
+    every capture compared with this baseline is smoothed with.
     """
 
     motor: Motor
@@ -119,6 +125,7 @@ class GoldenBaseline:
     reference: np.ndarray  # float32, read-only
     source_count: int
     peak_sd: float
+    smoothing_window: int
 
     def __post_init__(self) -> None:
         for name in ("pointwise_sd", "reference"):
@@ -130,6 +137,8 @@ class GoldenBaseline:
             raise DetectionError("a baseline needs at least 2 golden traces")
         if len(sd) != len(self.reference):
             raise DetectionError("sd/reference length mismatch")
+        if self.smoothing_window < 1:
+            raise DetectionError(f"smoothing window is {self.smoothing_window}, must be >= 1")
         peak_sd = float(self.peak_sd)
         if not math.isfinite(peak_sd):
             raise DetectionError(f"peak sd is {peak_sd}: golden traces must be finite")
@@ -211,7 +220,8 @@ class _Deviations(Mapping):
 
 
 def smooth(trace: MotorTrace, window: int) -> MotorTrace:
-    """Centered moving average of ``window`` samples, length preserved.
+    """Centered moving average of ``window`` samples, length preserved; the
+    result records ``window`` as its ``smoothing_window``.
 
     Windows shrink to the available samples near the edges.  For an even
     window the center is biased one sample to the right, i.e. sample i
@@ -230,12 +240,8 @@ def smooth(trace: MotorTrace, window: int) -> MotorTrace:
         raise DetectionError(f"window {window} longer than trace of {n} samples")
     if window == 1:
         return trace
-    return MotorTrace(
-        motor=trace.motor,
-        sample_rate=trace.sample_rate,
-        samples=_smooth_into(trace.samples, window, np.empty(n, dtype=np.float32)),
-        trigger_index=trace.trigger_index,
-    )
+    samples = _smooth_into(trace.samples, window, np.empty(n, dtype=np.float32))
+    return replace(trace, samples=samples, smoothing_window=window)
 
 
 def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
@@ -255,7 +261,7 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
     # holds the GIL in a cumsum that casts or works in place), then the
     # window sums.
     values = np.empty(len(csum))
-    # inf - inf is NaN, which classify rejects; numpy need not warn first.
+    # inf - inf is NaN, which _classify_blocks rejects; numpy need not warn first.
     with np.errstate(invalid="ignore"):
         edge = min(left, m)  # the left edge's shrunken windows
         head = np.cumsum(samples[: right + edge], dtype=np.float64)
@@ -285,7 +291,8 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
 def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
     """Pointwise sample standard deviation over golden traces.
 
-    Traces must already be aligned, smoothed and cut to a common window.
+    Traces must already be aligned, smoothed with one window, which the
+    baseline records, and cut to a common length.
     The sd is computed ``_BLOCK`` samples at a time in reused float64
     blocks, the same operations in the same order as, and bit-identical to,
     ``np.stack(...).std(axis=0, ddof=1)`` on the whole traces.  The running
@@ -296,12 +303,15 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
         raise DetectionError("a baseline needs at least 2 golden traces")
     motor = golden[0].motor
     rate = golden[0].sample_rate
+    window = golden[0].smoothing_window
     length = len(golden[0].samples)
     for trace in golden[1:]:
         if trace.motor is not motor:
             raise DetectionError("golden traces mix motors")
         if trace.sample_rate != rate:
             raise DetectionError("golden traces mix sample rates")
+        if trace.smoothing_window != window:
+            raise DetectionError("golden traces mix smoothing windows")
         if len(trace.samples) != length:
             raise DetectionError("golden traces have mismatched lengths")
 
@@ -335,6 +345,7 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
         reference=golden[0].samples,
         source_count=len(golden),
         peak_sd=float(peak),
+        smoothing_window=window,
     )
 
 
@@ -360,53 +371,28 @@ def _deviation_into(smoothed: np.ndarray, reference: np.ndarray, out: np.ndarray
     return np.abs(out, out=out)
 
 
-def excess(deviation_series: np.ndarray, baseline: GoldenBaseline) -> np.ndarray:
-    """Deviation reduced by the golden standard deviation, clamped at zero.
-
-    A deviation shorter than the baseline, as :func:`detect_print`'s
-    ``deviations`` reads for a shorter capture, is compared with the first
-    ``len`` sd cells.
-    """
-    length = len(deviation_series)
-    if length > baseline.sample_count:
-        raise DetectionError(
-            f"deviation has {length} samples, baseline {baseline.sample_count}"
-        )
-    return _excess_over(deviation_series, baseline.pointwise_sd[:length])
-
-
 def _excess_over(
     deviation_series: np.ndarray, sd: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """:func:`excess` over the sd cells ``sd``, one per deviation sample, so
-    any slice or stride of a deviation can be reduced with its own cells."""
+    """The excess of a deviation over the golden sd: ``deviation - sd``,
+    clamped at zero, with ``sd`` the cells of the samples given, one per
+    sample, so any slice or stride of a deviation is reduced with its own
+    cells."""
     out = np.subtract(deviation_series, sd, out=out)
     # 0.0 first: maximum returns its first argument on a tie, so -0.0 reads 0.0.
     return np.maximum(0.0, out, out=out)
 
 
-def classify(
-    deviation_series: np.ndarray,
-    baseline: GoldenBaseline,
-    config: DetectionConfig = DetectionConfig(),
-) -> DetectionReport:
-    """Threshold the deviation series at ``peak_sd + margin``.
-
-    Malicious iff some contiguous run of above-threshold samples is at least
-    ``run_requirement`` long.  The verdict always uses the raw deviation,
-    which must be finite: a NaN would compare false and read benign.
-    """
-    dev = np.asarray(deviation_series, dtype=np.float64)
-    blocks = (dev[lo : lo + _BLOCK] for lo in range(0, len(dev), _BLOCK))
-    return _classify_blocks(blocks, baseline, config)
-
-
 def _classify_blocks(
     blocks: Iterable[np.ndarray], baseline: GoldenBaseline, config: DetectionConfig
 ) -> DetectionReport:
-    """:func:`classify` of a deviation series given in order, block by block.
+    """Threshold a deviation series, given in order block by block, at
+    ``peak_sd + margin``.
 
-    The run still open at the end of a block carries into the next, so the
+    Malicious iff some contiguous run of above-threshold samples is at least
+    ``run_requirement`` long.  The verdict always uses the raw deviation,
+    which must be finite: a NaN would compare false and read benign.  The
+    run still open at the end of a block carries into the next, so the
     counts equal those taken over the whole series at once.
     """
     threshold = baseline.peak_sd + config.margin
@@ -453,10 +439,11 @@ def detect_print(
 ) -> PrintDetectionResult:
     """Run the per-motor pipeline and combine verdicts.
 
-    Captures must already be trigger-aligned; smoothing and windowing to the
-    baseline length happen here.  Every motor needs both a capture and a
-    baseline: one without the other raises :class:`DetectionError` naming
-    the motor.  The print is malicious iff any motor is.
+    Captures must already be trigger-aligned; smoothing, at each baseline's
+    ``smoothing_window`` (never ``config.smoothing_window``), and windowing
+    to the baseline length happen here.  Every motor needs both a capture
+    and a baseline: one without the other raises :class:`DetectionError`
+    naming the motor.  The print is malicious iff any motor is.
     Each capture is smoothed once, only as far as the baseline reaches, into
     the float32 array the result keeps for its ``deviations``.  That array
     is then compared and classified in ``_BLOCK``-sample (32,768) blocks,
@@ -478,10 +465,10 @@ def detect_print(
             raise DetectionError(f"missing capture for motor {motor.name}")
         if capture.sample_rate != baseline.sample_rate:
             raise DetectionError("capture/baseline sample rate mismatch")
-        if len(capture.samples) < config.smoothing_window:
+        if len(capture.samples) < baseline.smoothing_window:
             raise DetectionError(
                 f"{motor.name} capture has {len(capture.samples)} samples, shorter "
-                f"than the smoothing window {config.smoothing_window}"
+                f"than the smoothing window {baseline.smoothing_window}"
             )
         # The threshold comes from the full baseline's peak_sd, so a
         # shorter capture never weakens it.
@@ -489,15 +476,16 @@ def detect_print(
         smoothed[motor] = np.empty(length, dtype=np.float32)
 
     def judge(motor: Motor) -> DetectionReport:
-        kept = _smooth_into(captures[motor].samples, config.smoothing_window, smoothed[motor])
+        baseline = baselines[motor]
+        kept = _smooth_into(captures[motor].samples, baseline.smoothing_window, smoothed[motor])
         n = len(kept)
-        reference = baselines[motor].reference[:n]
+        reference = baseline.reference[:n]
         scratch = np.empty(min(_BLOCK, n))
         blocks = (
             _deviation_into(kept[lo : lo + _BLOCK], reference[lo : lo + _BLOCK], scratch[: n - lo])
             for lo in range(0, n, _BLOCK)
         )
-        return _classify_blocks(blocks, baselines[motor], config)
+        return _classify_blocks(blocks, baseline, config)
 
     reports = dict(zip(smoothed, _map_on_threads(judge, list(smoothed))))
     return PrintDetectionResult(reports=reports, deviations=_Deviations(smoothed, baselines))

@@ -537,11 +537,11 @@ def _run_row(
 def _excess_where_read(
     series: np.ndarray, baseline: GoldenBaseline, stride: int, windows: Iterable[tuple[int, int]]
 ) -> None:
-    """Turn a deviation into its excess in place on every ``stride``-th
-    sample and inside ``windows``, all that a row reads of it; the other
-    samples keep the deviation.  Each is reduced once, as by :func:`excess`:
-    the windows are merged, and the grid is taken before them and written
-    back after."""
+    """Turn a deviation into its excess over the leading cells of the
+    baseline's sd, in place, on every ``stride``-th sample and inside
+    ``windows``, all that a row reads of it; the other samples keep the
+    deviation.  Each is reduced once: the windows are merged, and the grid
+    is taken before them and written back after."""
     length = len(series)
     sd = baseline.pointwise_sd[:length]
     grid = _excess_over(series[::stride], sd[::stride])

@@ -4,8 +4,8 @@ Defines the binary capture container (magic ``PTRC``) that real oscilloscope
 exports would be converted into, and the trigger-alignment / common-window
 helpers every comparison relies on.  The baseline container (magic ``PTRB``)
 starts with the same header prefix and holds what the verdict and the
-excess series read: the peak golden sd, the golden sd column and the
-reference trace.
+excess series read: the smoothing window of its golden traces, the peak
+golden sd, the golden sd column and the reference trace.
 
 All integers and floats are little-endian; samples are float32.
 """
@@ -16,7 +16,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +57,14 @@ class _Layout:
 
 # fields: trigger_index, sample_count; body: samples
 _TRACE = _Layout(b"PTRC", 1, struct.Struct("<QQ"), (("sample", "<f4"),))
-# fields: source_count, peak_sd, sample_count; body: pointwise sd, reference
-# samples.  Version 2 stored no peak and a float64 sd; version 1 also stored
-# the print-end index and a mean column.
+# fields: source_count, smoothing_window, peak_sd, sample_count; body:
+# pointwise sd, reference samples.  Version 3 stored no window; version 2
+# also no peak, and a float64 sd; version 1 also stored the print-end index
+# and a mean column.
 _BASELINE = _Layout(
     b"PTRB",
-    3,
-    struct.Struct("<QdQ"),
+    4,
+    struct.Struct("<QQdQ"),
     (("sd cell", "<f4"), ("reference sample", "<f4")),
     "rebuild it from its captures with 'powertrace baseline'",
 )
@@ -93,12 +94,7 @@ def align_to_trigger(trace: MotorTrace) -> MotorTrace:
     """Drop everything before the trigger; the trigger becomes sample 0."""
     if trace.trigger_index == 0:
         return trace
-    return MotorTrace(
-        motor=trace.motor,
-        sample_rate=trace.sample_rate,
-        samples=trace.samples[trace.trigger_index :],
-        trigger_index=0,
-    )
+    return replace(trace, samples=trace.samples[trace.trigger_index :], trigger_index=0)
 
 
 def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
@@ -106,34 +102,32 @@ def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
     if not traces:
         return []
     shortest = min(len(trace.samples) for trace in traces)
-    out = []
-    for trace in traces:
-        if len(trace.samples) == shortest:
-            out.append(trace)
-        else:
-            out.append(
-                MotorTrace(
-                    motor=trace.motor,
-                    sample_rate=trace.sample_rate,
-                    samples=trace.samples[:shortest],
-                    trigger_index=min(trace.trigger_index, shortest - 1),
-                )
-            )
-    return out
+    return [
+        trace
+        if len(trace.samples) == shortest
+        else replace(
+            trace,
+            samples=trace.samples[:shortest],
+            trigger_index=min(trace.trigger_index, shortest - 1),
+        )
+        for trace in traces
+    ]
 
 
 def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
-    """Persist a baseline: header (peak sd as f64), sd (f32), reference (f32)."""
-    fields = (baseline.source_count, baseline.peak_sd, baseline.sample_count)
+    """Persist a baseline: header (window, peak sd as f64), sd (f32), reference (f32)."""
+    fields = (
+        baseline.source_count, baseline.smoothing_window, baseline.peak_sd, baseline.sample_count
+    )
     arrays = (baseline.pointwise_sd, baseline.reference)
     _write(path, _BASELINE, baseline.motor, baseline.sample_rate, fields, arrays)
 
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
-    """Read a baseline; an empty body, a negative sd cell or a stored peak
-    that is not the column's max is rejected, since it would corrupt the
-    verdict threshold."""
-    motor, rate, (source_count, peak_sd, count), (sd, reference) = _read(path, _BASELINE)
+    """Read a baseline; an empty body, a window of 0, a negative sd cell or
+    a stored peak that is not the column's max is rejected, since it would
+    corrupt the verdict."""
+    motor, rate, (source_count, window, peak_sd, count), (sd, reference) = _read(path, _BASELINE)
     if count == 0:
         raise CaptureFormatError(f"{path}: empty baseline")
     bad = np.flatnonzero(sd < 0)
@@ -147,6 +141,7 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
             reference=reference,
             source_count=source_count,
             peak_sd=peak_sd,
+            smoothing_window=window,
         )
 
 

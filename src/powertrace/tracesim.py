@@ -119,12 +119,17 @@ DEFAULT_NOISE = NoiseModel()
 
 @dataclass(frozen=True, eq=False)
 class MotorTrace:
-    """Uniformly sampled current of one motor phase; loaders check samples are finite."""
+    """Uniformly sampled current of one motor phase; loaders check samples are finite.
+
+    ``smoothing_window`` is the moving-average window the samples were
+    smoothed with: 1 for a raw capture.
+    """
 
     motor: Motor
     sample_rate: float
     samples: np.ndarray  # float32, read-only
     trigger_index: int
+    smoothing_window: int = 1
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):

@@ -3,10 +3,12 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from powertrace.cli import main
 from powertrace.config import ConfigError
+from powertrace.detect import DetectionConfig, smooth
 from powertrace.gcode import serialize
 from powertrace.harness import (
     ExperimentConfig,
@@ -14,7 +16,7 @@ from powertrace.harness import (
     benchmark_object,
     load_experiment_config,
 )
-from powertrace.traceio import load_baseline, load_trace, save_trace
+from powertrace.traceio import align_to_trigger, load_baseline, load_trace, save_trace
 
 GCODE = """\
 G1 Z0.2 F37.5
@@ -166,6 +168,7 @@ class TestBaseline:
         assert code == 0
         baseline = load_baseline(tmp_path / "X.ptrb")
         assert baseline.source_count == 3
+        assert baseline.smoothing_window == 20
 
     def test_single_capture_exits_2(self, gcode_file, tmp_path, capsys):
         _simulate(gcode_file, tmp_path / "run0")
@@ -362,12 +365,12 @@ class TestDetect:
         capture, baseline = tmp_path / "probe" / "part_X.ptrc", tmp_path / "X.ptrb"
         path = capture if column == "capture" else baseline
         blob = bytearray(path.read_bytes())
-        # A capture has a 32-byte header; a baseline 40, then f32 sd cells.
-        sd_bytes = 0 if column == "capture" else 4 * ((len(blob) - 40) // 8)
+        # A capture has a 32-byte header; a baseline 48, then f32 sd cells.
+        sd_bytes = 0 if column == "capture" else 4 * ((len(blob) - 48) // 8)
         offset = {
             "capture": 32 + 4 * 100,
-            "sd": 40 + 4 * 100,
-            "reference": 40 + sd_bytes + 4 * 100,
+            "sd": 48 + 4 * 100,
+            "reference": 48 + sd_bytes + 4 * 100,
         }[column]
         blob[offset : offset + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
@@ -399,6 +402,36 @@ class TestDetect:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Y capture has 5 samples, shorter than the smoothing window 20" in err
+
+    def test_window_flag_exits_2(self, gcode_file, tmp_path, capsys):
+        # The window is the baseline's; detect takes no second copy of it.
+        _build_pipeline(gcode_file, tmp_path)
+        argv = ["detect", "--out", str(tmp_path), "--window", "1"]
+        argv += ["--capture", str(tmp_path / "probe" / "part_X.ptrc")]
+        argv += ["--baseline", str(tmp_path / "X.ptrb")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --window 1" in capsys.readouterr().err
+
+    def test_judges_at_the_baseline_window(self, gcode_file, tmp_path, capsys):
+        for seed in range(3):
+            _simulate(gcode_file, tmp_path / f"g{seed}", seed=seed)
+        _simulate(gcode_file, tmp_path / "probe", seed=100)
+        captures = [str(tmp_path / f"g{s}" / "part_X.ptrc") for s in range(3)]
+        argv = ["baseline", *captures, "--window", "5", "--output", "X.ptrb"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        baseline = load_baseline(tmp_path / "X.ptrb")
+        assert baseline.smoothing_window == 5
+        probe = tmp_path / "probe" / "part_X.ptrc"
+        capsys.readouterr()
+        argv = ["detect", "--capture", str(probe), "--baseline", str(tmp_path / "X.ptrb")]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        smoothed = smooth(align_to_trigger(load_trace(probe)), 5).samples
+        n = min(len(smoothed), baseline.sample_count)
+        peak = np.abs(smoothed[:n].astype(np.float64) - baseline.reference[:n]).max()
+        threshold = baseline.peak_sd + DetectionConfig().margin
+        assert f"peak_excess_amps={peak - threshold:.6f}" in capsys.readouterr().out
 
 
 _BAD_PAYLOAD = ":1: bad value for 'attack.insert.payload': "

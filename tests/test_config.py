@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powertrace.detect import DetectionConfig, build_baseline, classify
+from powertrace.detect import DetectionConfig, build_baseline, detect_print
 from powertrace.gcode import Command, CommandKind, serialize
 from powertrace.harness import (
     ExperimentConfig,
@@ -119,9 +119,9 @@ _NON_FINITE_TARGETS = {
     },
     "ExperimentConfig.visible_factor": lambda v: ExperimentConfig(visible_factor=v),
     "MotorTrace.sample_rate": _flat_trace,
-    "classify margin": lambda v: classify(
-        np.full(200, 5.0),
-        build_baseline([_flat_trace(), _flat_trace()]),
+    "classify margin": lambda v: detect_print(
+        {Motor.X: dataclasses.replace(_flat_trace(), samples=np.full(200, 5.0, np.float32))},
+        {Motor.X: build_baseline([_flat_trace(), _flat_trace()])},
         DetectionConfig(margin=v),
     ),
 }

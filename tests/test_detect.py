@@ -17,25 +17,26 @@ from powertrace.detect import (
     DetectionReport,
     GoldenBaseline,
     Verdict,
+    _classify_blocks,
+    _excess_over,
     build_baseline,
-    classify,
     detect_print,
     deviation,
-    excess,
     export_series_csv,
     smooth,
 )
-from powertrace.harness import benchmark_object
+from powertrace.harness import _excess_where_read, benchmark_object
 from powertrace.planner import DEFAULT_PROFILE, MOTORS, Motor, plan_motion
 from powertrace.tracesim import SAMPLE_RATE, MotorTrace
 
 
-def _trace(values, motor=Motor.X, rate=25_000.0):
+def _trace(values, motor=Motor.X, rate=25_000.0, window=1):
     return MotorTrace(
         motor=motor,
         sample_rate=rate,
         samples=np.asarray(values, dtype=np.float32),
         trigger_index=0,
+        smoothing_window=window,
     )
 
 
@@ -70,8 +71,16 @@ def longest_run(indices):
     return int(np.diff(breaks, prepend=-1, append=len(indices) - 1).max())
 
 
+def classify(deviation_series, baseline, config):
+    """The verdict on a whole deviation series, given to ``_classify_blocks``
+    in ``_BLOCK``-sample blocks as detect_print gives it a capture's."""
+    dev = np.asarray(deviation_series, dtype=np.float64)
+    blocks = (dev[lo : lo + detect._BLOCK] for lo in range(0, len(dev), detect._BLOCK))
+    return _classify_blocks(blocks, baseline, config)
+
+
 def whole_series_classify(deviation_series, baseline, config):
-    """classify over the whole series at once: the blocked classify's reference."""
+    """The verdict over the whole series at once: the blocked verdict's reference."""
     dev = np.asarray(deviation_series, dtype=np.float64)
     peak = float(dev.max()) if len(dev) else 0.0
     threshold = baseline.peak_sd + config.margin
@@ -188,6 +197,12 @@ class TestSmooth:
         assert out.sample_rate == 1000.0
         assert out.motor is Motor.Z
 
+    @pytest.mark.parametrize("window", [1, 2, 20])
+    def test_records_its_window(self, window):
+        trace = _trace(np.arange(30))
+        assert trace.smoothing_window == 1
+        assert smooth(trace, window).smoothing_window == window
+
     @given(
         st.lists(
             st.floats(min_value=-5, max_value=5, width=32, allow_nan=False),
@@ -242,11 +257,27 @@ class TestBaseline:
 
     def test_reference_is_a_read_only_float32_column_of_the_sd_length(self):
         sd = np.full(3, 0.5, dtype=np.float32)
-        baseline = GoldenBaseline(Motor.X, SAMPLE_RATE, sd, [1.0, 2.0, 3.0], 2, 0.5)
+        baseline = GoldenBaseline(Motor.X, SAMPLE_RATE, sd, [1.0, 2.0, 3.0], 2, 0.5, 1)
         assert baseline.reference.dtype == np.float32
         assert not baseline.reference.flags.writeable
         with pytest.raises(DetectionError, match="sd/reference length mismatch"):
-            GoldenBaseline(Motor.X, SAMPLE_RATE, sd, np.zeros(4, dtype=np.float32), 2, 0.5)
+            GoldenBaseline(Motor.X, SAMPLE_RATE, sd, np.zeros(4, dtype=np.float32), 2, 0.5, 1)
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_records_the_golden_smoothing_window(self, window):
+        values = np.random.default_rng(window).normal(0.0, 1.0, (2, 50))
+        baseline = build_baseline([smooth(_trace(v), window) for v in values])
+        assert baseline.smoothing_window == window
+
+    def test_mixed_smoothing_windows_rejected(self):
+        values = np.arange(30)
+        with pytest.raises(DetectionError, match="golden traces mix smoothing windows"):
+            build_baseline([smooth(_trace(values), 5), smooth(_trace(values), 20)])
+
+    def test_smoothing_window_below_one_rejected(self):
+        sd = np.zeros(3, dtype=np.float32)
+        with pytest.raises(DetectionError, match="smoothing window is 0, must be >= 1"):
+            GoldenBaseline(Motor.X, SAMPLE_RATE, sd, sd, 2, 0.0, 0)
 
     def test_needs_two_traces(self):
         with pytest.raises(DetectionError, match="at least 2"):
@@ -316,33 +347,33 @@ class TestDeviationAndExcess:
             deviation(_trace([1.0]), baseline)
 
     def test_excess_clamps_at_zero(self):
-        baseline = build_baseline([_trace([0.0, 0.0]), _trace([2.0, 2.0])])
+        sd = build_baseline([_trace([0.0, 0.0]), _trace([2.0, 2.0])]).pointwise_sd
         # pointwise sd is sqrt(2) everywhere; smaller deviations clamp to 0.
-        assert np.all(excess(np.array([0.1, 1.0]), baseline) == 0.0)
-        stronger = excess(np.array([2.0, 0.0]), baseline)
+        assert np.all(_excess_over(np.array([0.1, 1.0]), sd) == 0.0)
+        stronger = _excess_over(np.array([2.0, 0.0]), sd)
         assert stronger[0] == pytest.approx(2.0 - np.sqrt(2.0))
         assert stronger[1] == 0.0
 
     def test_excess_of_sd_itself_is_zero(self):
-        baseline = build_baseline([_trace([0.0, 1.0]), _trace([1.0, 3.0])])
-        assert np.all(excess(baseline.pointwise_sd.copy(), baseline) == 0.0)
+        sd = build_baseline([_trace([0.0, 1.0]), _trace([1.0, 3.0])]).pointwise_sd
+        assert np.all(_excess_over(sd.copy(), sd) == 0.0)
 
     @pytest.mark.parametrize("length", [0, 1, 37, 100])
     def test_excess_of_a_shorter_deviation_uses_the_leading_sd_cells(self, length):
+        # The experiment reduces a shorter capture's deviation over the
+        # first ``length`` sd cells.
         rng = np.random.default_rng(length)
         baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)])
         dev = np.abs(rng.normal(0.0, 0.3, length))
         expected = np.maximum(0.0, dev - baseline.pointwise_sd[:length])
-        assert excess(dev, baseline).tobytes() == expected.tobytes()
-
-    def test_excess_of_a_longer_deviation_rejected(self):
-        baseline = build_baseline([_trace([0.0, 1.0]), _trace([1.0, 3.0])])
-        with pytest.raises(DetectionError, match="deviation has 3 samples, baseline 2"):
-            excess(np.zeros(3), baseline)
+        _excess_where_read(dev, baseline, 1, ())
+        assert dev.tobytes() == expected.tobytes()
 
 
-def _flat_baseline(n=500, motor=Motor.X):
-    return build_baseline([_trace(np.zeros(n), motor=motor), _trace(np.zeros(n), motor=motor)])
+def _flat_baseline(n=500, motor=Motor.X, window=20):
+    """A zero-sd baseline of flat traces, which smooth to themselves at any
+    ``window``; the default is ``DetectionConfig()``'s."""
+    return build_baseline([_trace(np.zeros(n), motor=motor, window=window)] * 2)
 
 
 def _benchmark_baselines():
@@ -352,7 +383,7 @@ def _benchmark_baselines():
     reference = np.sin(np.arange(n) * (2 * np.pi / 2000)).astype(np.float32)
     sd = np.full(n, 0.02, dtype=np.float32)
     baselines = {
-        m: GoldenBaseline(m, SAMPLE_RATE, sd, reference, 2, 0.02)
+        m: GoldenBaseline(m, SAMPLE_RATE, sd, reference, 2, 0.02, 20)
         for m in MOTORS
     }
     return n, baselines, reference
@@ -443,14 +474,14 @@ class TestDetectPrint:
     def test_missing_capture_is_an_error(self):
         baseline = _flat_baseline()
         with pytest.raises(DetectionError, match="missing capture"):
-            detect_print({}, {Motor.X: baseline}, DetectionConfig(smoothing_window=1))
+            detect_print({}, {Motor.X: baseline})
 
     def test_capture_without_a_baseline_is_an_error(self):
         # Every capture is judged or refused: none is dropped unread.
         baseline = _flat_baseline()
         captures = {Motor.X: _trace(np.zeros(300)), Motor.Y: _trace(np.zeros(300), motor=Motor.Y)}
         with pytest.raises(DetectionError, match=r"no baseline for motor\(s\) \['Y'\]"):
-            detect_print(captures, {Motor.X: baseline}, DetectionConfig(smoothing_window=1))
+            detect_print(captures, {Motor.X: baseline})
 
     def test_self_comparison_is_benign(self):
         traces = {m: _trace(np.linspace(0, 1, 300), motor=m) for m in Motor}
@@ -458,7 +489,7 @@ class TestDetectPrint:
             m: build_baseline([traces[m], _trace(np.linspace(0, 1, 300), motor=m)])
             for m in Motor
         }
-        result = detect_print(traces, baselines, DetectionConfig(smoothing_window=1))
+        result = detect_print(traces, baselines)
         assert result.overall is Verdict.BENIGN
         assert all(r.verdict is Verdict.BENIGN for r in result.reports.values())
 
@@ -470,7 +501,7 @@ class TestDetectPrint:
         }
         captures = {m: _trace(calm, motor=m) for m in Motor}
         captures[Motor.Y] = _trace(np.full(n, 2.0), motor=Motor.Y)
-        result = detect_print(captures, baselines, DetectionConfig(smoothing_window=1))
+        result = detect_print(captures, baselines)
         assert result.overall is Verdict.MALICIOUS
         assert result.reports[Motor.Y].verdict is Verdict.MALICIOUS
         assert result.reports[Motor.X].verdict is Verdict.BENIGN
@@ -478,10 +509,10 @@ class TestDetectPrint:
     @pytest.mark.parametrize("capture_length", [60, 100, 150])
     def test_matches_public_pipeline_on_the_common_window(self, capture_length):
         rng = np.random.default_rng(capture_length)
-        golden = [_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)]
+        golden = [smooth(_trace(rng.normal(0.0, 0.1, 100)), 5) for _ in range(3)]
         baseline = build_baseline(golden)
         capture = _trace(rng.normal(0.0, 0.3, capture_length))
-        config = DetectionConfig(smoothing_window=5, run_requirement=3)
+        config = DetectionConfig(run_requirement=3)
         result = detect_print({Motor.X: capture}, {Motor.X: baseline}, config)
         length = min(capture_length, 100)
         smoothed = smooth(capture, 5).samples[:length]
@@ -489,25 +520,44 @@ class TestDetectPrint:
             smoothed.astype(np.float64) - baseline.reference[:length]
         )
         assert result.deviations[Motor.X].tobytes() == expected_dev.tobytes()
-        expected_excess = np.maximum(0.0, expected_dev - baseline.pointwise_sd[:length])
-        assert excess(result.deviations[Motor.X], baseline).tobytes() == expected_excess.tobytes()
+        sd = baseline.pointwise_sd[:length]
+        expected_excess = np.maximum(0.0, expected_dev - sd)
+        assert _excess_over(result.deviations[Motor.X], sd).tobytes() == expected_excess.tobytes()
         report = result.reports[Motor.X]
         # A shorter capture keeps the full print window's threshold.
         assert report == classify(expected_dev, baseline, config)
         assert report.threshold == baseline.peak_sd + config.margin
 
+    @pytest.mark.parametrize("window", [1, 5, 20])
+    def test_smooths_at_the_baseline_window(self, window):
+        # Whatever DetectionConfig's window: it is the one new baselines
+        # are smoothed with, and a capture is judged at its baseline's.
+        rng = np.random.default_rng(window)
+        golden = [smooth(_trace(rng.normal(0.0, 0.1, 200)), window) for _ in range(3)]
+        baseline = build_baseline(golden)
+        capture = _trace(rng.normal(0.0, 0.3, 200))
+        result = detect_print({Motor.X: capture}, {Motor.X: baseline}, DetectionConfig())
+        expected = np.abs(smooth(capture, window).samples.astype(np.float64) - baseline.reference)
+        assert result.deviations[Motor.X].tobytes() == expected.tobytes()
+        assert result.reports[Motor.X] == whole_series_classify(expected, baseline, DetectionConfig())
+
+    def test_capture_shorter_than_the_baseline_window_names_it(self):
+        baselines = {m: _flat_baseline(motor=m, window=5) for m in Motor}
+        captures = {m: _trace(np.zeros(500), motor=m) for m in Motor}
+        captures[Motor.E] = _trace(np.zeros(4), motor=Motor.E)
+        with pytest.raises(
+            DetectionError, match="E capture has 4 samples, shorter than the smoothing window 5"
+        ):
+            detect_print(captures, baselines, DetectionConfig(smoothing_window=1))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("window", [1, 20])
     def test_non_finite_capture_sample_rejected(self, value, window):
-        baseline = _flat_baseline()
+        baseline = _flat_baseline(window=window)
         samples = np.zeros(500)
         samples[250] = value
         with pytest.raises(DetectionError, match="X deviation is .*: samples must be finite"):
-            detect_print(
-                {Motor.X: _trace(samples)},
-                {Motor.X: baseline},
-                DetectionConfig(smoothing_window=window),
-            )
+            detect_print({Motor.X: _trace(samples)}, {Motor.X: baseline})
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_non_finite_capture_rejected_on_threads(self, workers):
@@ -534,7 +584,7 @@ class TestDetectPrint:
         rng = np.random.default_rng(11)
         n = 40_000
         baselines = {
-            m: build_baseline([_trace(rng.normal(0.0, 0.05, n), motor=m) for _ in range(3)])
+            m: build_baseline([smooth(_trace(rng.normal(0.0, 0.05, n), motor=m), 20) for _ in range(3)])
             for m in Motor
         }
         # Shorter, equal and longer captures; runs across block edges and
@@ -551,7 +601,7 @@ class TestDetectPrint:
         expected = {}
         for m in Motor:
             length = min(lengths[m], n)
-            smoothed = smooth(captures[m], config.smoothing_window).samples[:length]
+            smoothed = smooth(captures[m], baselines[m].smoothing_window).samples[:length]
             reference = baselines[m].reference[:length]
             dev = np.abs(smoothed.astype(np.float64) - reference)
             expected[m] = (whole_series_classify(dev, baselines[m], config), dev.tobytes())
@@ -576,9 +626,9 @@ class TestDetectPrint:
         # deviation again, so a read turned into its excess in place leaves
         # the next read as it was.
         rng = np.random.default_rng(capture_length)
-        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)])
+        baseline = build_baseline([smooth(_trace(rng.normal(0.0, 0.1, 100)), 5) for _ in range(3)])
         capture = _trace(rng.normal(0.0, 0.3, capture_length))
-        result = detect_print({Motor.X: capture}, {Motor.X: baseline}, DetectionConfig(smoothing_window=5))
+        result = detect_print({Motor.X: capture}, {Motor.X: baseline})
         length = min(capture_length, 100)
         expected = np.abs(
             smooth(capture, 5).samples[:length].astype(np.float64)
@@ -588,7 +638,7 @@ class TestDetectPrint:
         first = result.deviations[Motor.X]
         assert first.dtype == np.float64 and first.flags.writeable
         assert first.tobytes() == expected.tobytes()
-        first[...] = excess(first, baseline)
+        first[...] = _excess_over(first, baseline.pointwise_sd[:length])
         second = result.deviations[Motor.X]
         assert second is not first
         assert second.tobytes() == expected.tobytes()
@@ -675,9 +725,7 @@ class TestDetectPrint:
     def test_longer_capture_is_windowed_to_baseline(self):
         baseline = _flat_baseline(n=100)
         capture = _trace(np.zeros(150))
-        result = detect_print(
-            {Motor.X: capture}, {Motor.X: baseline}, DetectionConfig(smoothing_window=1)
-        )
+        result = detect_print({Motor.X: capture}, {Motor.X: baseline})
         assert len(result.deviations[Motor.X]) == 100
 
 
@@ -699,7 +747,7 @@ class TestProductionBlocks:
     def _baseline(self):
         reference = np.zeros(self.N, dtype=np.float32)
         return GoldenBaseline(
-            Motor.X, SAMPLE_RATE, np.full(self.N, 0.02, dtype=np.float32), reference, 2, 0.02
+            Motor.X, SAMPLE_RATE, np.full(self.N, 0.02, dtype=np.float32), reference, 2, 0.02, 20
         )
 
     def _assert_layout(self, dev, threshold):

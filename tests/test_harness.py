@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from powertrace.attacks import AttackError, apply_attack
-from powertrace.detect import DetectionConfig
+from powertrace.detect import DetectionConfig, _excess_over
 from powertrace.harness import (
     ATTACK_ROWS,
     CellOutcome,
@@ -22,6 +22,12 @@ from powertrace.planner import DEFAULT_PROFILE, MOTORS, Motor, plan_motion
 # Small but complete protocol: enough golden traces for a sample sd, one
 # capture per row.  Keeps the full-matrix unit test around 10 s.
 SMALL = ExperimentConfig(golden_count=3, malicious_count=1, seed=0)
+
+
+def excess(deviation, baseline):
+    """A deviation, no longer than ``baseline``, less its leading sd cells,
+    clamped at zero: the whole excess series."""
+    return _excess_over(deviation, baseline.pointwise_sd[: len(deviation)])
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +190,7 @@ class TestRunExperiment:
         import numpy as np
 
         from powertrace import harness
-        from powertrace.detect import detect_print, excess
+        from powertrace.detect import detect_print
         from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
 
@@ -235,7 +241,7 @@ class TestRunExperiment:
         from test_detect import csv_writer_reference
 
         from powertrace import harness
-        from powertrace.detect import detect_print, excess
+        from powertrace.detect import detect_print
         from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
 
@@ -341,7 +347,6 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
     import numpy as np
 
     from powertrace import harness
-    from powertrace.detect import excess
     from powertrace.traceio import load_baseline
 
     built = {}
@@ -357,6 +362,7 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
     for motor in MOTORS:
         loaded = load_baseline(tmp_path / "baselines" / f"{motor.name}.ptrb")
         assert loaded.peak_sd == built[motor].peak_sd
+        assert loaded.smoothing_window == built[motor].smoothing_window == 20
         assert loaded.pointwise_sd.dtype == built[motor].pointwise_sd.dtype == np.float32
         assert loaded.pointwise_sd.tobytes() == built[motor].pointwise_sd.tobytes()
         dev = np.abs(rng.normal(0.0, 2 * loaded.peak_sd, loaded.sample_count))
@@ -418,7 +424,7 @@ def test_excess_where_read_matches_the_whole_excess(length, stride, windows):
     # inside them, are each reduced once; every other sample keeps its
     # deviation.
     from powertrace import harness
-    from powertrace.detect import build_baseline, excess
+    from powertrace.detect import build_baseline
     from powertrace.tracesim import MotorTrace
 
     rng = np.random.default_rng(length * 41 + stride)
@@ -455,7 +461,7 @@ class TestPhenomenology:
         # Swapping move targets changes path lengths, so the timeline stays
         # shifted after the commands return to normal; the excess series
         # remains elevated well past the swapped region.
-        from powertrace.detect import detect_print, excess
+        from powertrace.detect import detect_print
         from powertrace.planner import command_start_times
         from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print

@@ -118,6 +118,10 @@ class TestAlignment:
         aligned = align_to_trigger(bad)
         assert len(aligned.samples) == 1
 
+    def test_keeps_the_smoothing_window(self):
+        smoothed = smooth(_trace(list(range(10)), trigger=4), 3)
+        assert align_to_trigger(smoothed).smoothing_window == 3
+
     def test_two_prints_align_to_same_onset(self, tiny_program):
         # After trigger alignment the first-layer activity of two different
         # runs starts at the same sample.
@@ -142,6 +146,10 @@ class TestCommonWindow:
 
     def test_empty_list_ok(self):
         assert common_window([]) == []
+
+    def test_keeps_the_smoothing_window(self):
+        traces = [smooth(_trace(list(range(n))), 3) for n in (10, 8)]
+        assert [t.smoothing_window for t in common_window(traces)] == [3, 3]
 
 
 # Samples are checked where they are loaded, so a view of a loaded trace
@@ -180,6 +188,7 @@ class TestBaselinePersistence:
         loaded = load_baseline(path)
         assert loaded.motor is baseline.motor
         assert loaded.source_count == 3
+        assert loaded.smoothing_window == baseline.smoothing_window == 5
         assert loaded.peak_sd == baseline.peak_sd
         assert np.array_equal(loaded.pointwise_sd, baseline.pointwise_sd)
         assert np.array_equal(loaded.reference, baseline.reference)
@@ -196,15 +205,15 @@ class TestBaselinePersistence:
         assert [array.flags.writeable for array in arrays] == [False, False, False]
 
     @pytest.mark.parametrize("n", [1, 3, 1000])
-    def test_file_is_40_header_bytes_and_8_per_sample(self, tmp_path, n):
+    def test_file_is_48_header_bytes_and_8_per_sample(self, tmp_path, n):
         rng = np.random.default_rng(n)
         baseline = build_baseline([_trace(rng.normal(0, 1, n)) for _ in range(3)])
         path = tmp_path / "x.ptrb"
         save_baseline(baseline, path)
         blob = path.read_bytes()
-        assert len(blob) == 40 + 8 * n
-        assert struct.unpack_from("<QdQ", blob, 16) == (3, baseline.peak_sd, n)
-        assert blob[40 : 40 + 4 * n] == baseline.pointwise_sd.astype("<f4").tobytes()
+        assert len(blob) == 48 + 8 * n
+        assert struct.unpack_from("<QQdQ", blob, 16) == (3, 1, baseline.peak_sd, n)
+        assert blob[48 : 48 + 4 * n] == baseline.pointwise_sd.astype("<f4").tobytes()
 
     def test_wrong_magic_for_baseline_loader(self, tmp_path):
         path = tmp_path / "t.ptrc"
@@ -218,7 +227,7 @@ class TestBaselinePersistence:
 _HEADER_DAMAGE = {
     "truncated header": ("cut header", "truncated header"),
     "bad magic": ((0, b"NOPE"), "bad magic"),
-    "version": ((4, struct.pack("<H", 4)), "unsupported version 4"),
+    "version": ((4, struct.pack("<H", 5)), "unsupported version 5"),
     "units": ((7, b"\x01"), "unknown units code 1"),
     "motor code": ((6, b"\x04"), "unknown motor code 4"),
     "short body": ("cut body", "unexpected end of samples"),
@@ -239,7 +248,7 @@ def test_damaged_container_rejected_naming_the_path(tmp_path, container, damage)
         load, header_size = load_trace, 32
     else:
         save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
-        load, header_size = load_baseline, 40
+        load, header_size = load_baseline, 48
     blob = bytearray(path.read_bytes())
     how, message = _HEADER_DAMAGE[damage]
     if how == "cut header":
@@ -259,7 +268,8 @@ def test_damaged_container_rejected_naming_the_path(tmp_path, container, damage)
 # Baselines of three samples in the older versions.  Version 1: header with
 # source count, print-end index, sample count and peak sd, then mean, sd and
 # reference columns.  Version 2: header with source count and sample count,
-# then a float64 sd and the reference.
+# then a float64 sd and the reference.  Version 3: header with source count,
+# peak sd and sample count, then a float32 sd and the reference.
 _PTRB_V1 = (
     struct.pack("<4sHBBd", b"PTRB", 1, 0, 0, 25_000.0)
     + struct.pack("<QQQd", 2, 3, 3, 0.5)
@@ -272,41 +282,52 @@ _PTRB_V2 = (
     + np.zeros(3).tobytes()
     + np.zeros(3, dtype=np.float32).tobytes()
 )
+_PTRB_V3 = (
+    struct.pack("<4sHBBd", b"PTRB", 3, 0, 0, 25_000.0)
+    + struct.pack("<QdQ", 2, 0.0, 3)
+    + np.zeros(6, dtype=np.float32).tobytes()
+)
 _REBUILD = "; rebuild it from its captures with 'powertrace baseline'"
 _NAN_F64, _NAN_F32 = struct.pack("<d", float("nan")), struct.pack("<f", float("nan"))
-# Each damage turns the bytes of a saved three-sample baseline (40-byte
-# header with the peak sd at 24, 12 bytes of sd, 12 bytes of reference)
-# into the file to load; then the error text that must follow the path.
+# Each damage turns the bytes of a saved three-sample baseline (48-byte
+# header with the smoothing window at 24 and the peak sd at 32, 12 bytes of
+# sd, 12 bytes of reference) into the file to load; then the error text
+# that must follow the path.
 _BASELINE_DAMAGE = {
     "version 1 file": (lambda blob: _PTRB_V1, "unsupported version 1" + _REBUILD),
     "version 2 file": (lambda blob: _PTRB_V2, "unsupported version 2" + _REBUILD),
+    "version 3 file": (lambda blob: _PTRB_V3, "unsupported version 3" + _REBUILD),
     "nan sd cell": (
-        lambda blob: blob[:44] + _NAN_F32 + blob[48:],
+        lambda blob: blob[:52] + _NAN_F32 + blob[56:],
         "sd cell 1 is nan, must be finite",
     ),
     "negative sd cell": (
-        lambda blob: blob[:40] + struct.pack("<f", -1.0) + blob[44:],
+        lambda blob: blob[:48] + struct.pack("<f", -1.0) + blob[52:],
         "sd cell 0 is -1.0, must be >= 0",
     ),
     "nan reference sample": (
-        lambda blob: blob[:56] + _NAN_F32 + blob[60:],
+        lambda blob: blob[:64] + _NAN_F32 + blob[68:],
         "reference sample 1 is nan, must be finite",
     ),
-    "zero sample count": (lambda blob: blob[:32] + struct.pack("<Q", 0), "empty baseline"),
+    "zero sample count": (lambda blob: blob[:40] + struct.pack("<Q", 0), "empty baseline"),
     "one source trace": (
         lambda blob: blob[:16] + struct.pack("<Q", 1) + blob[24:],
         "a baseline needs at least 2 golden traces",
     ),
+    "zero smoothing window": (
+        lambda blob: blob[:24] + struct.pack("<Q", 0) + blob[32:],
+        "smoothing window is 0, must be >= 1",
+    ),
     "nan peak sd": (
-        lambda blob: blob[:24] + _NAN_F64 + blob[32:],
+        lambda blob: blob[:32] + _NAN_F64 + blob[40:],
         "peak sd is nan: golden traces must be finite",
     ),
     "negative peak sd": (
-        lambda blob: blob[:24] + struct.pack("<d", -0.5) + blob[32:],
+        lambda blob: blob[:32] + struct.pack("<d", -0.5) + blob[40:],
         "peak sd is -0.5, must be >= 0",
     ),
     "peak sd not the column max": (
-        lambda blob: blob[:24] + struct.pack("<d", 0.5) + blob[32:],
+        lambda blob: blob[:32] + struct.pack("<d", 0.5) + blob[40:],
         "peak sd 0.5 is not the sd column's max 0.3535",
     ),
 }
@@ -317,7 +338,7 @@ def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
     path = tmp_path / "x.ptrb"
     save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
     blob = path.read_bytes()
-    assert len(blob) == 40 + 3 * 8
+    assert len(blob) == 48 + 3 * 8
     rewrite, message = _BASELINE_DAMAGE[damage]
     path.write_bytes(rewrite(blob))
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
