@@ -232,10 +232,17 @@ def smooth(trace: MotorTrace, window: int) -> MotorTrace:
     window starts at a time, each block carrying on from the sum the block
     before ended on, so it adds in the order of one whole-trace ``cumsum``
     and the output is bit-identical to gathering every sample.
+
+    A trace already smoothed is rejected for any window but 1: its result
+    could record only the last window.
     """
     n = len(trace.samples)
     if window < 1:
         raise DetectionError("window must be >= 1")
+    if window != 1 and trace.smoothing_window != 1:
+        raise DetectionError(
+            f"trace is already smoothed with window {trace.smoothing_window}"
+        )
     if window > n:
         raise DetectionError(f"window {window} longer than trace of {n} samples")
     if window == 1:

@@ -21,7 +21,12 @@ waveform fidelity):
 
 Randomness is reseeded per (seed, motor, segment index), so a trace prefix is
 bit-identical between a benign and a mutated run up to the first changed
-segment, and the same seed always reproduces the same samples.
+segment, and the same seed always reproduces the same samples.  Segment
+``i`` draws from the generator ``np.random.default_rng([seed, motor.code,
+i])`` would build.  That call spends most of its 20 us per segment hashing
+the entropy words in numpy's ``SeedSequence``, so synthesis runs the same
+uint32 hash for all of a trace's segments in one vectorized pass and hands
+each segment's row to ``PCG64`` as its seed state.
 
 A trace renders in one pass on up to 8 threads.  Each job is an active
 segment and the idle segments that hold its end level, and each CPU the
@@ -32,6 +37,7 @@ RNG and its own samples, so the output is identical for any CPU count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -68,6 +74,16 @@ PHASE_JITTER_SCALE = {Motor.X: 1.0, Motor.Y: 1.0, Motor.Z: 1.2, Motor.E: 1.5}
 AMPLITUDE_NOISE_SCALE = {Motor.X: 1.0, Motor.Y: 1.0, Motor.Z: 1.0, Motor.E: 2.0}
 
 _TWO_PI = 2.0 * math.pi
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size,
+# hashmix and generate_state multiplier seeds and steps, mix multipliers,
+# and the xorshift that ends each step.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
 
 
 def _usable_cpus() -> int:
@@ -215,13 +231,17 @@ def synthesize_trace(
         elif hi > lo:
             blocks[-1][-1][1].append((index, lo, hi))
 
+    # Segment i's generator is np.random.default_rng([noise.seed, motor.code, i]).
+    states = _seed_states(noise.seed, motor.code, len(segments))
+    seeded = _seeded_generator()
+
     # Time is counted from the segment's first sample so that a whole-sample
     # shift of the plan reproduces samples bit-exactly; every active segment
     # reads a prefix of one shared time axis.
     t = np.arange(longest, dtype=np.float64) / SAMPLE_RATE
 
     def render_active(index: int, lo: int, hi: int, phase: float, signed_frequency: float) -> float:
-        rng = np.random.default_rng([noise.seed, motor.code, index])
+        rng = seeded(states[index])
         jitter = rng.normal(0.0, jitter_sd) if jitter_sd > 0 else 0.0
         # amplitude * sin(phase + jitter + 2*pi*f*t), one operation at a time
         # in a single buffer.
@@ -245,8 +265,7 @@ def synthesize_trace(
             hold = render_active(*active) if active else 0.0
             for index, lo, hi in idle:
                 if noise.idle_noise_sd > 0:
-                    rng = np.random.default_rng([noise.seed, motor.code, index])
-                    values = _noise(rng, noise.idle_noise_sd, hi - lo)
+                    values = _noise(seeded(states[index]), noise.idle_noise_sd, hi - lo)
                     values += hold
                     out[lo:hi] = values
                 else:
@@ -261,6 +280,87 @@ def synthesize_trace(
         samples=out,
         trigger_index=trigger_index,
     )
+
+
+def _seed_states(seed: int, code: int, count: int) -> np.ndarray:
+    """Row ``i`` is ``SeedSequence([seed, code, i]).generate_state(4, np.uint64)``.
+
+    numpy's hash of the entropy words (the seed's little-endian 32-bit
+    words, ``code``, ``i``), run on all ``count`` word lists at once as
+    uint32 arithmetic that wraps as numpy's does.  Returns a C-contiguous
+    ``(count, 4)`` uint64 array.
+    """
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    words.append(code)
+    # One entropy word per row, one list per column, zero-padded to the pool.
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), count), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(count, dtype=np.uint32)
+
+    # The pool takes a hashmix per pool word, one per ordered pair of
+    # distinct pool words and _POOL_SIZE per entropy word past the pool:
+    # _POOL_SIZE * len(entropy) in all.
+    consts = _powers(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    used = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used : used + _POOL_SIZE]))
+        used += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, consts[used : used + _POOL_SIZE + 1]))
+        used += _POOL_SIZE
+    # generate_state(4, np.uint64): 8 uint32 words cycling the pool, read
+    # as little-endian pairs.
+    state = _hashmix(np.concatenate((pool, pool)), _powers(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64, copy=False)
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` modulo 2**32 for k in 0..count, as a uint32 column."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, step ``k`` on row ``k`` of ``values`` (on all
+    of a one-dimensional ``values``): xor the hash constant ``consts[k]``,
+    multiply by the next one, ``consts[k + 1]``, then xorshift."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> _XSHIFT
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    x = x * _MIX_MULT_L
+    x -= y * _MIX_MULT_R
+    x ^= x >> _XSHIFT
+    return x
+
+
+@functools.cache
+def _seeded_generator() -> Callable[[np.ndarray], np.random.Generator]:
+    """``state -> np.random.Generator(np.random.PCG64(s))``, where ``s`` hands
+    ``PCG64`` the row ``state`` as its ``generate_state(4, np.uint64)``."""
+    # Imported here: importing numpy.random costs about 10 ms in every
+    # fresh process, and only synthesis draws random numbers.
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.state  # PCG64 asks only for 4 uint64 words
+
+    return lambda state: Generator(PCG64(SeedState(state)))
 
 
 def _noise(rng: np.random.Generator, sd: float, count: int) -> np.ndarray:

@@ -203,6 +203,14 @@ class TestSmooth:
         assert trace.smoothing_window == 1
         assert smooth(trace, window).smoothing_window == window
 
+    def test_smoothed_trace_is_not_smoothed_again(self):
+        # smooth(smooth(t, 5), 20) would record window 20 for samples that
+        # smooth(t, 20) does not give.
+        once = smooth(_trace(np.arange(30)), 5)
+        with pytest.raises(DetectionError, match="already smoothed with window 5"):
+            smooth(once, 20)
+        assert smooth(once, 1) is once
+
     @given(
         st.lists(
             st.floats(min_value=-5, max_value=5, width=32, allow_nan=False),

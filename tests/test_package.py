@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 SUBMODULES = ("attacks", "config", "detect", "gcode", "harness", "planner", "traceio", "tracesim")
 
 # Runs in a fresh interpreter: in the test process, importing any submodule
@@ -25,3 +27,24 @@ def test_package_binds_submodules_and_every_exported_name_resolves():
     result = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+# Synthesis imports numpy.random on first use: importing it costs about
+# 10 ms, which every command that does not synthesize would pay at start-up.
+_RANDOM_PROBE = """
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("numpy imports numpy.random itself")
+    raise SystemExit
+import powertrace.cli, powertrace.detect, powertrace.traceio
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_importing_the_package_leaves_numpy_random_unimported():
+    result = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    if result.stdout == "numpy imports numpy.random itself\n":
+        pytest.skip(result.stdout.strip())
+    assert result.stdout == "False\n"

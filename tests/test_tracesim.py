@@ -339,7 +339,7 @@ _NOISE = st.builds(
     idle_noise_sd=st.sampled_from((0.0, 0.025)),
     phase_jitter_sd=st.sampled_from((0.0, 0.002)),
     amplitude_noise_sd=st.sampled_from((0.0, 0.02)),
-    seed=st.integers(0, 2**32),
+    seed=st.integers(0, 2**96),
 )
 _ACTIVE = 3_000.0
 
@@ -368,8 +368,25 @@ class TestThreadedSynthesis:
     # Segments past the plan's last sample render nothing.
     @example(specs=[(0.01, _ACTIVE, 1), (0.01, 0.0, 1), (0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
              kept=0.4, noise=DEFAULT_NOISE, motor=Motor.Z)
+    # Seeds of one, two and three 32-bit words: the segment's entropy fills
+    # part of, all of, and more than the 4-word SeedSequence pool.
+    @example(specs=[(0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=1.0, noise=NoiseModel(seed=2**32 - 1), motor=Motor.E)
+    @example(specs=[(0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=1.0, noise=NoiseModel(seed=2**32), motor=Motor.E)
+    @example(specs=[(0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=1.0, noise=NoiseModel(seed=2**64), motor=Motor.E)
     def test_matches_serial_reference(self, specs, kept, noise, motor):
         _assert_matches_reference(_plan_of(specs, kept, motor), motor, noise)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100])
+    def test_seed_states_are_seed_sequence_states(self, seed):
+        for motor in MOTORS:
+            states = tracesim._seed_states(seed, motor.code, 300)
+            assert states.dtype == np.uint64 and states.shape == (300, 4)
+            for index, row in enumerate(states):
+                expected = np.random.SeedSequence([seed, motor.code, index]).generate_state(4, np.uint64)
+                assert row.tobytes() == expected.tobytes(), (motor, index)
 
     @pytest.mark.parametrize("motor", MOTORS, ids=lambda m: m.name)
     def test_benchmark_plan_matches_serial_reference(self, motor):
