@@ -12,16 +12,13 @@ The verdict uses the raw deviation against the peak of the golden standard
 deviation, so :func:`detect_print` keeps no deviation: it returns the
 verdicts and each motor's smoothed capture as float32, and the float64
 deviation a verdict was judged on is made again, byte for byte, when
-``result.deviations[motor]`` is read.  A baseline keeps that peak as one
+``result.deviations[motor]`` is read, or only a slice of it when
+``result.deviations[motor, part]`` is.  A baseline keeps that peak as one
 float64, taken before the pointwise sd is rounded to the float32 column it
-stores.  The sd-subtracted excess series (``_excess_over``) is for
-visibility analysis, where an attack signature stays clearly visible even
-when it never crosses the verdict threshold; the experiment harness
-computes it in place of a read deviation, where it is read, once that
-deviation is written.  :func:`export_series_csv` writes either series as
-text at numpy speed, byte for byte as Python's ``'%.6f'`` formats each
-time and value: one stateless kernel formats both columns, with a per-row
-fallback for the cells it cannot print exactly.
+stores.  :func:`export_series_csv` writes a series as text at numpy speed,
+byte for byte as Python's ``'%.6f'`` formats each time and value: one
+stateless kernel formats both columns, with a per-row fallback for the
+cells it cannot print exactly.
 
 :func:`detect_print` smooths each motor's capture once, straight into the
 float32 array its result keeps, then reads that array in fixed-size blocks:
@@ -183,10 +180,12 @@ class PrintDetectionResult:
     """Per-motor reports and the print's verdict.
 
     ``deviations[motor]`` is the float64 deviation that motor was judged
-    on, windowed to the baseline: each read makes a new, writable array
+    on, windowed to the baseline, and ``deviations[motor, part]``, for a
+    basic slice ``part`` (a step is allowed), is ``deviations[motor][part]``
+    made on those samples alone.  Each read makes a new, writable array
     from the float32 smoothed capture the result keeps, so a result holds
-    4 bytes per sample per motor, and a caller that turns a read into its
-    excess in place changes no later read.
+    4 bytes per sample per motor, and a caller that changes a read in place
+    changes no later read.
     """
 
     reports: dict[Motor, DetectionReport]
@@ -201,16 +200,17 @@ class PrintDetectionResult:
 
 
 class _Deviations(Mapping):
-    """Each motor's deviation, made from its smoothed capture when read."""
+    """Each motor's deviation, or a slice of it, made from its smoothed
+    capture when read."""
 
     def __init__(self, smoothed: dict[Motor, np.ndarray], baselines: dict[Motor, GoldenBaseline]):
         self._smoothed = smoothed
-        self._references = {m: baselines[m].reference for m in smoothed}
+        self._references = {m: baselines[m].reference[: len(smoothed[m])] for m in smoothed}
 
-    def __getitem__(self, motor: Motor) -> np.ndarray:
-        smoothed = self._smoothed[motor]
-        reference = self._references[motor][: len(smoothed)]
-        return _deviation_into(smoothed, reference, np.empty(len(smoothed)))
+    def __getitem__(self, key: Motor | tuple[Motor, slice]) -> np.ndarray:
+        motor, part = key if isinstance(key, tuple) else (key, slice(None))
+        smoothed = self._smoothed[motor][part]
+        return _deviation_into(smoothed, self._references[motor][part], np.empty(len(smoothed)))
 
     def __iter__(self) -> Iterator[Motor]:
         return iter(self._smoothed)
@@ -378,18 +378,6 @@ def _deviation_into(smoothed: np.ndarray, reference: np.ndarray, out: np.ndarray
     return np.abs(out, out=out)
 
 
-def _excess_over(
-    deviation_series: np.ndarray, sd: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The excess of a deviation over the golden sd: ``deviation - sd``,
-    clamped at zero, with ``sd`` the cells of the samples given, one per
-    sample, so any slice or stride of a deviation is reduced with its own
-    cells."""
-    out = np.subtract(deviation_series, sd, out=out)
-    # 0.0 first: maximum returns its first argument on a tie, so -0.0 reads 0.0.
-    return np.maximum(0.0, out, out=out)
-
-
 def _classify_blocks(
     blocks: Iterable[np.ndarray], baseline: GoldenBaseline, config: DetectionConfig
 ) -> DetectionReport:
@@ -498,34 +486,26 @@ def detect_print(
     return PrintDetectionResult(reports=reports, deviations=_Deviations(smoothed, baselines))
 
 
-def export_series_csv(
-    series: np.ndarray,
-    sample_rate: float,
-    path: str | Path,
-    stride: int = 1,
-) -> None:
-    """Write a (time_s, amps) CSV, optionally decimated for plotting.
+def export_series_csv(series: np.ndarray, sample_rate: float, path: str | Path) -> None:
+    """Write every sample of ``series`` as a (time_s, amps) CSV.
 
-    Sample ``i``, for every ``stride``-th ``i`` from 0, is the row
-    ``f"{i / sample_rate:.6f},{series[i]:.6f}\\r\\n"``.  Rows are formatted
-    ``_EXPORT_CHUNK_ROWS`` at a time, with numpy: see :func:`_format_chunk`
-    for why that gives the same bytes.  A bad stride or sample rate is
-    rejected before the file is opened.
+    Sample ``i`` is the row ``f"{i / sample_rate:.6f},{series[i]:.6f}\\r\\n"``;
+    a caller that decimates passes the kept samples and their own rate.
+    Rows are formatted ``_EXPORT_CHUNK_ROWS`` at a time, with numpy: see
+    :func:`_format_chunk` for why that gives the same bytes.  A bad sample
+    rate is rejected before the file is opened.
     """
-    if stride < 1:
-        raise DetectionError("stride must be >= 1")
     if not (math.isfinite(sample_rate) and sample_rate > 0):
         raise DetectionError(f"sample rate must be finite and > 0, got {sample_rate}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = len(series)
-    step = stride * _EXPORT_CHUNK_ROWS
     with path.open("wb") as handle:
         handle.write(b"time_s,amps\r\n")
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            times = np.arange(start, stop, stride) / sample_rate
-            handle.write(_format_chunk(times, series[start:stop:stride]))
+        for start in range(0, n, _EXPORT_CHUNK_ROWS):
+            stop = min(start + _EXPORT_CHUNK_ROWS, n)
+            times = np.arange(start, stop) / sample_rate
+            handle.write(_format_chunk(times, series[start:stop]))
 
 
 def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint32]:

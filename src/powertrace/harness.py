@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -45,7 +44,6 @@ from .detect import (
     GoldenBaseline,
     PrintDetectionResult,
     Verdict,
-    _excess_over,
     build_baseline,
     detect_print,
     export_series_csv,
@@ -121,7 +119,8 @@ class ExperimentConfig:
     :func:`load_experiment_config` reads that file back to an equal config,
     so a run can be repeated from its own artifacts.  ``attacks=None`` means
     :func:`default_attacks` of the program.  Captures are sampled at
-    ``tracesim.SAMPLE_RATE``.
+    ``tracesim.SAMPLE_RATE``.  ``noise.seed`` must be 0: every print is
+    seeded from ``seed``.
     """
 
     program_path: str | None = None  # None: bundled benchmark object
@@ -147,6 +146,11 @@ class ExperimentConfig:
             raise ExperimentError("series_stride must be >= 1")
         if self.seed < 0:
             raise ExperimentError("seed must be >= 0")
+        if self.noise.seed != 0:
+            raise ExperimentError(
+                f"noise.seed is {self.noise.seed}, but experiments seed every print "
+                "from the top-level 'seed'; set 'seed' instead"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +493,12 @@ def _run_row(
     Each print is reduced to its verdicts and its mean excess inside each of
     ``windows`` as soon as its series are written; only those reductions are
     kept.  The raw traces are saved (with ``save_traces``) first and dropped
-    once the print is judged.  Then each motor's deviation is read from the
-    result in turn, written, made its excess in place where that is read
-    (``_excess_where_read``), written again and dropped before the next
-    motor's.  Returns the number of flagged prints per motor, and per window
-    and motor the mean of those per-print means.
+    once the print is judged.  Each motor's deviation is then made only
+    where the row reads it: on every ``series_stride``-th sample, which is
+    written, turned into its excess in place and written again, and inside
+    each window, whose excess is averaged.  No full-length series is made.
+    Returns the number of flagged prints per motor, and per window and
+    motor the mean of those per-print means.
     """
     flagged = dict.fromkeys(MOTORS, 0)
     print_means: dict[str, dict[Motor, list[float]]] = {
@@ -512,18 +517,19 @@ def _run_row(
         # The result keeps the smoothed captures; free the raw ones.
         del traces, aligned
         for motor in MOTORS:
-            series = result.deviations[motor]
-            rate = baselines[motor].sample_rate
-            path = out / _series_path(row, run_index, motor, "deviation")
-            export_series_csv(series, rate, path, stride=stride)
-            _excess_where_read(series, baselines[motor], stride, windows.values())
-            path = out / _series_path(row, run_index, motor, "excess")
-            export_series_csv(series, rate, path, stride=stride)
+            sd = baselines[motor].pointwise_sd
+            rate = baselines[motor].sample_rate / stride
+            grid = result.deviations[motor, ::stride]
+            export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "deviation"))
+            _excess_over(grid, sd[::stride][: len(grid)], out=grid)
+            export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "excess"))
             for name, (lo, hi) in windows.items():
-                if min(hi, len(series)) > lo:
-                    print_means[name][motor].append(float(np.mean(series[lo:hi])))
+                part = result.deviations[motor, lo:hi]
+                if len(part):
+                    _excess_over(part, sd[lo : lo + len(part)], out=part)
+                    print_means[name][motor].append(float(np.mean(part)))
+                del part  # before the next window's part is made
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
-            del series
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
         # Free this print's arrays before the next one is simulated.
         del result
@@ -534,26 +540,17 @@ def _run_row(
     return flagged, window_excess
 
 
-def _excess_where_read(
-    series: np.ndarray, baseline: GoldenBaseline, stride: int, windows: Iterable[tuple[int, int]]
-) -> None:
-    """Turn a deviation into its excess over the leading cells of the
-    baseline's sd, in place, on every ``stride``-th sample and inside
-    ``windows``, all that a row reads of it; the other samples keep the
-    deviation.  Each is reduced once: the windows are merged, and the grid
-    is taken before them and written back after."""
-    length = len(series)
-    sd = baseline.pointwise_sd[:length]
-    grid = _excess_over(series[::stride], sd[::stride])
-    spans: list[list[int]] = []
-    for lo, hi in sorted((lo, min(hi, length)) for lo, hi in windows):
-        if spans and lo <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], hi)
-        elif hi > lo:
-            spans.append([lo, hi])
-    for lo, hi in spans:
-        _excess_over(series[lo:hi], sd[lo:hi], out=series[lo:hi])
-    series[::stride] = grid
+def _excess_over(
+    deviation_series: np.ndarray, sd: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The excess of a deviation over the golden sd: ``deviation - sd``,
+    clamped at zero, with ``sd`` the cells of the samples given, one per
+    sample, so any slice or stride of a deviation is reduced with its own
+    cells.  It is for visibility analysis: an attack signature can stay
+    clearly visible in it without ever crossing the verdict threshold."""
+    out = np.subtract(deviation_series, sd, out=out)
+    # 0.0 first: maximum returns its first argument on a tie, so -0.0 reads 0.0.
+    return np.maximum(0.0, out, out=out)
 
 
 # A voided command's effect is a bounded transient (the next absolute E word

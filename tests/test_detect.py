@@ -18,14 +18,13 @@ from powertrace.detect import (
     GoldenBaseline,
     Verdict,
     _classify_blocks,
-    _excess_over,
     build_baseline,
     detect_print,
     deviation,
     export_series_csv,
     smooth,
 )
-from powertrace.harness import _excess_where_read, benchmark_object
+from powertrace.harness import _excess_over, benchmark_object
 from powertrace.planner import DEFAULT_PROFILE, MOTORS, Motor, plan_motion
 from powertrace.tracesim import SAMPLE_RATE, MotorTrace
 
@@ -368,14 +367,22 @@ class TestDeviationAndExcess:
 
     @pytest.mark.parametrize("length", [0, 1, 37, 100])
     def test_excess_of_a_shorter_deviation_uses_the_leading_sd_cells(self, length):
-        # The experiment reduces a shorter capture's deviation over the
-        # first ``length`` sd cells.
+        # The experiment reduces a shorter capture's stride grid over
+        # ``sd[::stride][:len(grid)]`` and a window's part over
+        # ``sd[lo:lo + len(part)]``: the cells of the first ``length``
+        # samples, even where a window runs past the capture.
         rng = np.random.default_rng(length)
-        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)])
+        sd = build_baseline([_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)]).pointwise_sd
         dev = np.abs(rng.normal(0.0, 0.3, length))
-        expected = np.maximum(0.0, dev - baseline.pointwise_sd[:length])
-        _excess_where_read(dev, baseline, 1, ())
-        assert dev.tobytes() == expected.tobytes()
+        expected = np.maximum(0.0, dev - sd[:length])
+        for stride in (1, 3, 7, 250):
+            grid = dev[::stride].copy()
+            _excess_over(grid, sd[::stride][: len(grid)], out=grid)
+            assert grid.tobytes() == expected[::stride].tobytes()
+        for lo, hi in ((0, 100), (30, 60), (90, 150)):
+            part = dev[lo:hi].copy()
+            _excess_over(part, sd[lo : lo + len(part)], out=part)
+            assert part.tobytes() == expected[lo:hi].tobytes()
 
 
 def _flat_baseline(n=500, motor=Motor.X, window=20):
@@ -653,6 +660,38 @@ class TestDetectPrint:
         with pytest.raises(KeyError):
             result.deviations[Motor.Y]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capture_length=st.integers(5, 300),
+        parts=st.lists(
+            st.builds(
+                slice,
+                st.none() | st.integers(-320, 320),
+                st.none() | st.integers(-320, 320),
+                st.none() | st.integers(1, 40),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(capture_length=150, parts=[slice(None, None, 7), slice(120, 400), slice(90, 130)])
+    @example(capture_length=60, parts=[slice(80, 100), slice(30, 30), slice(None, None, 40)])
+    def test_a_sliced_deviation_read_is_that_slice_of_the_whole(self, capture_length, parts):
+        # Steps, empty parts, parts past the end of a shorter or longer
+        # capture, and overlapping parts each read exactly the samples of the
+        # whole read, and a part changed in place changes no later read.
+        rng = np.random.default_rng(capture_length)
+        baseline = build_baseline([smooth(_trace(rng.normal(0.0, 0.1, 200)), 5) for _ in range(3)])
+        capture = _trace(rng.normal(0.0, 0.3, capture_length))
+        result = detect_print({Motor.X: capture}, {Motor.X: baseline})
+        whole = result.deviations[Motor.X]
+        for part in parts:
+            got = result.deviations[Motor.X, part]
+            assert got.dtype == np.float64 and got.flags.writeable and got.flags.c_contiguous
+            assert got.tobytes() == whole[part].tobytes()
+            got += 1.0
+        assert result.deviations[Motor.X].tobytes() == whole.tobytes()
+
     def test_peak_memory_is_the_smoothed_captures(self):
         # Each motor is smoothed into the float32 array the result keeps (4
         # bytes per baseline sample per motor), and its float64 deviation
@@ -796,19 +835,22 @@ class TestProductionBlocks:
 
 def test_export_series_csv(tmp_path):
     path = tmp_path / "series.csv"
-    export_series_csv(np.array([0.0, 0.5, 1.0, 1.5]), 2.0, path, stride=2)
+    export_series_csv(np.array([0.0, 0.5, 1.0, 1.5]), 2.0, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time_s,amps"
-    assert lines[1] == "0.000000,0.000000"
-    assert lines[2] == "1.000000,1.000000"
-    assert len(lines) == 3
+    assert lines == [
+        "time_s,amps",
+        "0.000000,0.000000",
+        "0.500000,0.500000",
+        "1.000000,1.000000",
+        "1.500000,1.500000",
+    ]
 
 
-def csv_writer_reference(series, sample_rate, stride):
+def csv_writer_reference(series, sample_rate):
     handle = io.StringIO(newline="")
     writer = csv.writer(handle)
     writer.writerow(["time_s", "amps"])
-    for i in range(0, len(series), stride):
+    for i in range(len(series)):
         writer.writerow([f"{i / sample_rate:.6f}", f"{series[i]:.6f}"])
     return handle.getvalue().encode()
 
@@ -823,30 +865,30 @@ _SIGNED = np.random.default_rng(2).normal(size=1_000)
         st.integers(0, 40),
         elements=st.floats(-1e6, 1e6, width=32),
     ),
-    st.integers(1, 7),
-    st.sampled_from([25_000.0, 3.0, 1e-3]),
+    # The last two rates are the experiment's grid rate at strides 3 and 7.
+    st.sampled_from([25_000.0, 3.0, 1e-3, 25_000.0 / 3, 25_000.0 / 7]),
     st.integers(1, 4),
 )
-@example(np.array([]), 1, 25_000.0, 1)
-@example(np.array([0.25]), 3, 25_000.0, 1)
-@example(np.arange(10.0), 3, 2.0, 2)
-@example(_SIGNED, 7, 25_000.0, 1 << 16)
-@example(_SIGNED[:700], 3, 25_000.0, 1 << 16)
-@example(_SIGNED, 3, 25_000.0, 1 << 16)
+@example(np.array([]), 25_000.0, 1)
+@example(np.array([0.25]), 25_000.0, 1)
+@example(np.arange(10.0)[::3], 2.0 / 3, 2)
+@example(_SIGNED[::7], 25_000.0 / 7, 1 << 16)
+@example(_SIGNED[:700:3], 25_000.0 / 3, 1 << 16)
+@example(_SIGNED, 25_000.0, 1 << 16)
 # Times of 1000 s and more, which fall back; times near half a micro-second.
-@example(np.full(6, 0.5), 1, 1e-3, 1 << 16)
-@example(np.full(12, 0.5), 1, 2e6, 1 << 16)
-@example(np.full(12, 0.5), 1, 2e6, 1)
+@example(np.full(6, 0.5), 1e-3, 1 << 16)
+@example(np.full(12, 0.5), 2e6, 1 << 16)
+@example(np.full(12, 0.5), 2e6, 1)
 @settings(max_examples=150, deadline=None)
-def test_export_series_csv_bytes_match_csv_writer(tmp_path_factory, series, stride, rate, chunk):
+def test_export_series_csv_bytes_match_csv_writer(tmp_path_factory, series, rate, chunk):
     path = tmp_path_factory.mktemp("series") / "series.csv"
     # A tiny chunk puts chunk boundaries inside short series.
     with mock.patch.object(detect, "_EXPORT_CHUNK_ROWS", chunk):
-        export_series_csv(series, rate, path, stride=stride)
-    assert path.read_bytes() == csv_writer_reference(series, rate, stride)
+        export_series_csv(series, rate, path)
+    assert path.read_bytes() == csv_writer_reference(series, rate)
 
 
-def test_export_series_csv_stride_one_over_chunks(tmp_path):
+def test_export_series_csv_over_chunks(tmp_path):
     # Three chunks at the real chunk size; the middle one holds a negative
     # value and falls back, the others are fast.
     rows = detect._EXPORT_CHUNK_ROWS
@@ -854,7 +896,7 @@ def test_export_series_csv_stride_one_over_chunks(tmp_path):
     series[rows + 5] = -1.0
     path = tmp_path / "series.csv"
     export_series_csv(series, 25_000.0, path)
-    assert path.read_bytes() == csv_writer_reference(series, 25_000.0, 1)
+    assert path.read_bytes() == csv_writer_reference(series, 25_000.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, np.inf, np.nan, -25_000.0])
@@ -889,32 +931,31 @@ _NEAR_THOUSAND = np.array([999.9999995, np.nextafter(1000.0, 0), 999.9999994, 99
 
 @given(
     st.one_of(_below_ten(np.float64), _below_ten(np.float32)),
-    st.integers(1, 3),
     st.integers(1, 4),
 )
-@example(_EXACT_HALVES, 1, 1 << 16)
-@example(_EXACT_HALVES.astype(np.float32), 1, 1 << 16)
-@example(_NEAR_HALVES, 1, 1 << 16)
-@example(_NEAR_TEN, 1, 1 << 16)
-@example(_NEAR_TEN, 1, 1)
-@example(_TENS, 1, 1 << 16)
+@example(_EXACT_HALVES, 1 << 16)
+@example(_EXACT_HALVES.astype(np.float32), 1 << 16)
+@example(_NEAR_HALVES, 1 << 16)
+@example(_NEAR_TEN, 1 << 16)
+@example(_NEAR_TEN, 1)
+@example(_TENS, 1 << 16)
 # float32(999.999999) is 1000; two float32 values are exact halves, so two chunks fall back.
-@example(_TENS[:-2].astype(np.float32), 1, 4)
-@example(np.append(_TENS[:6], 10.0078125), 1, 4)  # an exact half in the second chunk
-@example(_NEAR_THOUSAND, 1, 1 << 16)
-@example(_NEAR_THOUSAND, 1, 1)
-@example(np.array([-0.0, 0.0, 1.5]), 1, 1)
-@example(np.array([0.25, np.nan, np.inf, -np.inf, 0.75]), 1, 2)
+@example(_TENS[:-2].astype(np.float32), 4)
+@example(np.append(_TENS[:6], 10.0078125), 4)  # an exact half in the second chunk
+@example(_NEAR_THOUSAND, 1 << 16)
+@example(_NEAR_THOUSAND, 1)
+@example(np.array([-0.0, 0.0, 1.5]), 1)
+@example(np.array([0.25, np.nan, np.inf, -np.inf, 0.75]), 2)
 # Chunks of 2: fast only, fast and an exact half, fast above 10, then a
 # negative value that falls back.
-@example(np.array([0.5, 1.25, 0.0078125, 3.0, 12.5, 1.0, -1.0, 2.0]), 1, 2)
+@example(np.array([0.5, 1.25, 0.0078125, 3.0, 12.5, 1.0, -1.0, 2.0]), 2)
 @settings(max_examples=150, deadline=None)
-def test_export_series_csv_fast_path_matches_csv_writer(tmp_path_factory, series, stride, chunk):
+def test_export_series_csv_fast_path_matches_csv_writer(tmp_path_factory, series, chunk):
     # Values in [0, 1000) are formatted from their digits without Python's
     # float formatting; exact halves, near halves, values that round to
     # 1000 and non-finite values must still read as Python formats them.
     path = tmp_path_factory.mktemp("series") / "series.csv"
     with warnings.catch_warnings(), mock.patch.object(detect, "_EXPORT_CHUNK_ROWS", chunk):
         warnings.simplefilter("error", RuntimeWarning)
-        export_series_csv(series, 25_000.0, path, stride=stride)
-    assert path.read_bytes() == csv_writer_reference(series, 25_000.0, stride)
+        export_series_csv(series, 25_000.0, path)
+    assert path.read_bytes() == csv_writer_reference(series, 25_000.0)

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from powertrace.attacks import AttackError, apply_attack
-from powertrace.detect import DetectionConfig, _excess_over
+from powertrace.detect import DetectionConfig
 from powertrace.harness import (
     ATTACK_ROWS,
     CellOutcome,
     ExperimentConfig,
     ExperimentError,
+    _excess_over,
     benchmark_object,
     default_attacks,
     render_matrix,
     run_experiment,
 )
 from powertrace.planner import DEFAULT_PROFILE, MOTORS, Motor, plan_motion
+from powertrace.tracesim import SAMPLE_RATE, NoiseModel
 
 
 # Small but complete protocol: enough golden traces for a sample sd, one
@@ -106,6 +108,13 @@ class TestConfigValidation:
         # used to fail only once a print's noise model rejected its own seed.
         with pytest.raises(ExperimentError, match="seed must be >= 0"):
             ExperimentConfig(seed=-1)
+
+    def test_noise_seed_rejected_in_favour_of_seed(self):
+        # The golden phase and every row print replace the noise model's
+        # seed, so a nonzero one used to write the artifacts of seed 0.
+        with pytest.raises(ExperimentError, match="noise.seed is 5.*top-level 'seed'"):
+            ExperimentConfig(golden_count=2, malicious_count=1, noise=NoiseModel(seed=5))
+        assert ExperimentConfig(noise=NoiseModel(seed=0)) == ExperimentConfig()
 
 
 class TestRunExperiment:
@@ -235,35 +244,42 @@ class TestRunExperiment:
                 expected = harness._ratio(attacked[motor], benign[motor])
                 assert matrix.cell(row, motor).excess_ratio == expected, (row, motor)
 
-    def test_series_files_are_the_deviation_and_its_excess(self, small_run):
-        # The excess is made in place of the deviation after the deviation's
-        # file is written; both files must read as the series they name.
-        from test_detect import csv_writer_reference
-
+    @pytest.mark.parametrize("row", ["insert", "delete"])
+    def test_series_files_are_the_deviation_and_its_excess(self, small_run, row):
+        # Each file holds every series_stride-th sample of its series, sample
+        # i at i / rate.  A delete print is 12,814 samples shorter than the
+        # baseline, so its grid stops early and its excess reads the leading
+        # sd cells.
         from powertrace import harness
         from powertrace.detect import detect_print
         from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
 
+        def grid_csv(series, rate, stride):
+            rows = (f"{i / rate:.6f},{series[i]:.6f}\r\n" for i in range(0, len(series), stride))
+            return ("time_s,amps\r\n" + "".join(rows)).encode()
+
         _, out = small_run
         baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
         program = benchmark_object()
-        for spec in default_attacks(program)["insert"]:
+        for spec in default_attacks(program)[row]:
             program = apply_attack(program, spec)
-        index = ATTACK_ROWS.index("insert") + 1
+        index = ATTACK_ROWS.index(row) + 1
         seed = SMALL.seed + harness._ROW_SEED_BASE + index * harness._ROW_SEED_STRIDE
         traces = simulate_print(program, SMALL.profile, SMALL.noise, seed=seed)
         aligned = {m: align_to_trigger(traces[m]) for m in MOTORS}
         result = detect_print(aligned, baselines, SMALL.detection)
         for motor in MOTORS:
             dev = result.deviations[motor]
+            shortfall = baselines[motor].sample_count - len(dev)
+            assert shortfall == (12_814 if row == "delete" else 0)
             rate, stride = baselines[motor].sample_rate, SMALL.series_stride
             expected = {
-                "deviation": csv_writer_reference(dev, rate, stride),
-                "excess": csv_writer_reference(excess(dev, baselines[motor]), rate, stride),
+                "deviation": grid_csv(dev, rate, stride),
+                "excess": grid_csv(excess(dev, baselines[motor]), rate, stride),
             }
             for kind, text in expected.items():
-                path = out / harness._series_path("insert", 0, motor, kind)
+                path = out / harness._series_path(row, 0, motor, kind)
                 assert path.read_bytes() == text, (motor, kind)
 
     def test_missing_attack_row_rejected(self, tmp_path):
@@ -406,40 +422,78 @@ def test_row_print_peak_per_sample(row_baselines, tmp_path):
     # While a print is judged it holds its four float32 traces (16 bytes per
     # baseline sample) and the four float32 smoothed captures its result
     # keeps (16), plus detect_print's block scratch: measured 33.1.  The
-    # traces are dropped before any deviation is read, and each motor's
-    # float64 deviation (8) is read, made its excess in place and dropped in
-    # turn.  A result holding four float64 deviations read 48.9.
+    # traces are dropped before any deviation is read, and the row reads
+    # only its stride grid and window parts (see the next test).  A result
+    # holding four float64 deviations read 48.9.
     peak = _run_row_peak(row_baselines, 1, tmp_path)
     assert peak / row_baselines[Motor.X].sample_count <= 36.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    length=st.integers(1, 400),
-    stride=st.integers(1, 40),
-    windows=st.lists(st.tuples(st.integers(0, 450), st.integers(0, 450)), max_size=4),
-)
-def test_excess_where_read_matches_the_whole_excess(length, stride, windows):
-    # Overlapping, nested, empty and out-of-range windows, and grid samples
-    # inside them, are each reduced once; every other sample keeps its
-    # deviation.
-    from powertrace import harness
-    from powertrace.detect import build_baseline
-    from powertrace.tracesim import MotorTrace
+def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypatch):
+    # From a print's first deviation read on, the row makes each motor's
+    # deviation only on its stride grid (8 bytes per grid sample) and in
+    # one window at a time (8 per window sample; a desync window is the last
+    # 28% of the print), so its reads and exports add at most 3 bytes per
+    # baseline sample.  Reading one whole float64 deviation adds 8.  The
+    # peak is reset at that first read, not when detect_print returns: the
+    # raw traces, freed in between, would hide any smaller rise.
+    import tracemalloc
 
-    rng = np.random.default_rng(length * 41 + stride)
-    golden = [MotorTrace(Motor.X, 25_000.0, rng.normal(0.0, 0.1, 400), 0) for _ in range(3)]
-    baseline = build_baseline(golden)
-    dev = np.abs(rng.normal(0.0, 0.15, length))
-    series = dev.copy()
-    harness._excess_where_read(series, baseline, stride, windows)
-    read = np.zeros(length, dtype=bool)
-    read[::stride] = True
-    for lo, hi in windows:
-        read[lo:hi] = True
-    whole = excess(dev, baseline)
-    assert series[read].tobytes() == whole[read].tobytes()
-    assert series[~read].tobytes() == dev[~read].tobytes()
+    from powertrace import harness
+
+    program = benchmark_object()
+    plan = plan_motion(program, SMALL.profile)
+    windows = harness._attack_windows(
+        program, plan, default_attacks(program), SMALL, row_baselines
+    )
+    assert max(hi - lo for lo, hi in windows.values()) > 0.25 * row_baselines[Motor.X].sample_count
+    starts = []
+
+    class ResetAtFirstRead:
+        def __init__(self, deviations):
+            self.deviations = deviations
+
+        def __getitem__(self, key):
+            if not starts:
+                tracemalloc.reset_peak()
+                starts.append(tracemalloc.get_traced_memory()[0])
+            return self.deviations[key]
+
+    def detect_then_watch(*args, detect_print=harness.detect_print):
+        result = detect_print(*args)
+        return dataclasses.replace(result, deviations=ResetAtFirstRead(result.deviations))
+
+    monkeypatch.setattr(harness, "detect_print", detect_then_watch)
+    tracemalloc.start()
+    try:
+        harness._run_row("normal", program, SMALL, row_baselines, [100], tmp_path, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == 1
+    assert (peak - starts[0]) / row_baselines[Motor.X].sample_count <= 3.0
+
+
+def test_grid_times_print_as_their_sample_times():
+    # The row writes its grid at rate / stride, so grid row k is timed
+    # k / (rate / stride), where sample k * stride is timed k * stride / rate.
+    # The two floats can differ by an ulp, but at 25 kS/s both lie within
+    # 1e-3 µs of the same whole microsecond, so '%.6f' prints them alike.
+    # Any capture's grid is a prefix of the whole print's.
+    n = int(round(plan_motion(benchmark_object(), DEFAULT_PROFILE).total_duration * SAMPLE_RATE))
+    differing = []
+    for stride in range(1, 10_001):
+        by_rate = np.arange(-(-n // stride)) / (SAMPLE_RATE / stride)
+        by_index = np.arange(0, n, stride) / SAMPLE_RATE
+        micros = np.rint(by_index * 1e6)
+        assert np.array_equal(np.rint(by_rate * 1e6), micros), stride
+        for times in (by_rate, by_index):
+            assert np.abs(times * 1e6 - micros).max() < 1e-3, stride
+        if stride % 97 == 0:
+            where = np.flatnonzero(by_rate != by_index)[:20]
+            differing += zip(by_rate[where].tolist(), by_index[where].tolist())
+    assert differing
+    assert all(f"{a:.6f}" == f"{b:.6f}" for a, b in differing)
 
 
 class TestPhenomenology:
