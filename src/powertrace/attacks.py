@@ -1,10 +1,12 @@
 """Sabotage mutations of a benign G-code program.
 
-Four minimal, deterministic edits: insert a command, delete a command,
-reorder (swap) two commands within a layer, and void an extruding move by
-replacing it with the equivalent travel.  Commands are addressed by
-(layer, offset) so the same attack survives preamble differences between
-files.  Layer boundaries are re-derived after every mutation.
+Four minimal, deterministic edits, all made by :func:`apply_attack`: insert
+a command, delete a command, reorder (swap) two commands within a layer,
+and void an extruding move by replacing it with the equivalent travel.
+Commands are addressed by (layer, offset) so the same attack survives
+preamble differences between files.  Layer boundaries are re-derived after
+every mutation.  ``inject_insert`` and ``inject_void`` are the same edit
+for one kind only.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ __all__ = [
     "AttackKind",
     "AttackSpec",
     "inject_insert",
-    "inject_delete",
-    "inject_reorder",
     "inject_void",
     "apply_attack",
 ]
@@ -65,95 +65,67 @@ class AttackSpec:
             raise AttackError(f"{self.kind.value} takes no pair_offset (reorder only)")
 
 
-def inject_insert(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:
-    """Insert ``spec.payload`` before the command at (layer, position).
+def apply_attack(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:
+    """The program with ``spec``'s one edit made at (layer, position).
 
-    ``position`` may equal the layer length, meaning "append at the end of
-    the layer".  Every other command is unchanged and keeps its order.
+    INSERT puts ``spec.payload`` before that command; ``position`` may equal
+    the layer length, meaning "append at the end of the layer".  DELETE
+    removes the command, and REORDER swaps it with the one at
+    ``pair_offset``.  VOID replaces an extruding linear move by the same
+    travel without extrusion: coordinates and feed rate (if any) are kept
+    and only the E word is dropped, so the motion plan of X/Y/Z is
+    untouched.  Every other command is unchanged and keeps its order.
     """
-    _require_kind(spec, AttackKind.INSERT)
-    start, end = _layer_slice(program, spec.layer)
-    if not 0 <= spec.position <= end - start:
-        raise AttackError(
-            f"insert position {spec.position} out of range for layer {spec.layer}"
+    try:
+        if spec.kind is AttackKind.INSERT:
+            start, end = program.layer_slice(spec.layer)
+            if not 0 <= spec.position <= end - start:
+                raise AttackError(
+                    f"insert position {spec.position} out of range for layer {spec.layer}"
+                )
+            index = start + spec.position
+        else:
+            index = program.command_index(spec.layer, spec.position)
+        if spec.kind is AttackKind.REORDER:
+            second = program.command_index(spec.layer, spec.pair_offset)
+    except GCodeError as exc:
+        raise AttackError(str(exc)) from None
+    commands = list(program.commands)
+    if spec.kind is AttackKind.INSERT:
+        commands.insert(index, spec.payload)
+    elif spec.kind is AttackKind.DELETE:
+        del commands[index]
+    elif spec.kind is AttackKind.REORDER:
+        commands[index], commands[second] = commands[second], commands[index]
+    else:
+        target = commands[index]
+        if target.kind is not CommandKind.LINEAR_MOVE or target.extrusion is None:
+            raise AttackError(
+                f"void target at layer {spec.layer} offset {spec.position} "
+                "is not an extruding linear move"
+            )
+        commands[index] = Command(
+            kind=CommandKind.RAPID_MOVE,
+            x=target.x,
+            y=target.y,
+            z=target.z,
+            feed=target.feed,
         )
-    index = start + spec.position
-    commands = list(program.commands)
-    commands.insert(index, spec.payload)
     return make_program(commands)
 
 
-def inject_delete(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:
-    """Remove the command at (layer, position)."""
-    _require_kind(spec, AttackKind.DELETE)
-    index = _resolve(program, spec.layer, spec.position)
-    commands = list(program.commands)
-    del commands[index]
-    return make_program(commands)
-
-
-def inject_reorder(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:
-    """Swap the commands at (layer, position) and (layer, pair_offset)."""
-    _require_kind(spec, AttackKind.REORDER)
-    first = _resolve(program, spec.layer, spec.position)
-    second = _resolve(program, spec.layer, spec.pair_offset)
-    commands = list(program.commands)
-    commands[first], commands[second] = commands[second], commands[first]
-    return make_program(commands)
+def inject_insert(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:
+    """:func:`apply_attack` for an insert spec only."""
+    _require_kind(spec, AttackKind.INSERT)
+    return apply_attack(program, spec)
 
 
 def inject_void(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:
-    """Replace an extruding linear move by the same travel without extrusion.
-
-    Coordinates and feed rate (if any) are preserved; only the E word is
-    dropped, so the motion plan of X/Y/Z is untouched.
-    """
+    """:func:`apply_attack` for a void spec only."""
     _require_kind(spec, AttackKind.VOID)
-    index = _resolve(program, spec.layer, spec.position)
-    target = program.commands[index]
-    if target.kind is not CommandKind.LINEAR_MOVE or target.extrusion is None:
-        raise AttackError(
-            f"void target at layer {spec.layer} offset {spec.position} "
-            "is not an extruding linear move"
-        )
-    replacement = Command(
-        kind=CommandKind.RAPID_MOVE,
-        x=target.x,
-        y=target.y,
-        z=target.z,
-        feed=target.feed,
-    )
-    commands = list(program.commands)
-    commands[index] = replacement
-    return make_program(commands)
-
-
-_DISPATCH = {
-    AttackKind.INSERT: inject_insert,
-    AttackKind.DELETE: inject_delete,
-    AttackKind.REORDER: inject_reorder,
-    AttackKind.VOID: inject_void,
-}
-
-
-def apply_attack(program: GCodeProgram, spec: AttackSpec) -> GCodeProgram:
-    return _DISPATCH[spec.kind](program, spec)
+    return apply_attack(program, spec)
 
 
 def _require_kind(spec: AttackSpec, kind: AttackKind) -> None:
     if spec.kind is not kind:
         raise AttackError(f"expected {kind.value} spec, got {spec.kind.value}")
-
-
-def _layer_slice(program: GCodeProgram, layer: int) -> tuple[int, int]:
-    try:
-        return program.layer_slice(layer)
-    except GCodeError as exc:
-        raise AttackError(str(exc)) from None
-
-
-def _resolve(program: GCodeProgram, layer: int, offset: int) -> int:
-    try:
-        return program.command_index(layer, offset)
-    except GCodeError as exc:
-        raise AttackError(str(exc)) from None

@@ -1,9 +1,12 @@
 """Command-line pipeline: simulate | attack | baseline | detect | experiment.
 
 Exit codes: 0 = success / benign, 1 = malicious print detected,
-2 = usage or input error.  Every run first prints its resolved
-configuration as ``config key=value`` lines; detection results are printed
-as ``report key=value`` lines so scripts can grep them.
+2 = usage or input error.  A command takes only the options it reads:
+``--seed`` and ``--profile`` only ``simulate`` and ``experiment``, ``--out``
+every command but ``detect``; any other option is a usage error.  Every run
+first prints its resolved configuration, the options it takes, as
+``config key=value`` lines; detection results are printed as
+``report key=value`` lines so scripts can grep them.
 """
 
 from __future__ import annotations
@@ -68,22 +71,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="powertrace",
         description="Motor-current side-channel sabotage detection for FDM prints.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
-    common.add_argument("--profile", type=Path, default=None, help="printer profile key-value file")
-    common.add_argument(
+    simulates = argparse.ArgumentParser(add_help=False)
+    simulates.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
+    simulates.add_argument(
+        "--profile", type=Path, default=None, help="printer profile key-value file"
+    )
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument(
         "--out", type=Path, default=Path("."), help="directory output paths are relative to"
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="simulate a print, write 4 capture files")
+    p_sim = sub.add_parser(
+        "simulate", parents=[simulates, writes], help="simulate a print, write 4 capture files"
+    )
     p_sim.add_argument("gcode", type=Path)
     p_sim.add_argument("--noise", type=Path, default=None, help="noise model key-value file")
     p_sim.add_argument("--prefix", default=None, help="output file prefix (default: g-code stem)")
     p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_att = sub.add_parser("attack", parents=[common], help="apply a sabotage mutation to a g-code file")
+    p_att = sub.add_parser("attack", parents=[writes], help="apply a sabotage mutation to a g-code file")
     p_att.add_argument("gcode", type=Path)
     p_att.add_argument("--kind", required=True, choices=[k.value for k in AttackKind])
     p_att.add_argument("--layer", type=int, required=True)
@@ -93,29 +101,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_att.add_argument("--output", type=Path, required=True, help="mutated file, relative to --out")
     p_att.set_defaults(handler=_cmd_attack)
 
-    p_base = sub.add_parser("baseline", parents=[common], help="build a golden baseline from captures")
+    p_base = sub.add_parser("baseline", parents=[writes], help="build a golden baseline from captures")
     p_base.add_argument("captures", nargs="+", help="capture files or globs, one motor only")
     p_base.add_argument("--window", type=int, default=DetectionConfig().smoothing_window)
     p_base.add_argument("--output", type=Path, required=True, help="baseline file, relative to --out")
     p_base.set_defaults(handler=_cmd_baseline)
 
-    p_det = sub.add_parser("detect", parents=[common], help="classify captures against baselines")
+    p_det = sub.add_parser("detect", help="classify captures against baselines")
     p_det.add_argument("--capture", action="append", required=True, help="capture file (repeatable)")
     p_det.add_argument("--baseline", action="append", required=True, help="baseline file (repeatable)")
     p_det.add_argument("--margin", type=float, default=DetectionConfig().margin)
     p_det.add_argument("--run-requirement", type=int, default=DetectionConfig().run_requirement)
     p_det.set_defaults(handler=_cmd_detect)
 
-    p_exp = sub.add_parser("experiment", parents=[common], help="run the full detectability experiment")
+    p_exp = sub.add_parser(
+        "experiment", parents=[simulates, writes], help="run the full detectability experiment"
+    )
     p_exp.add_argument("config", nargs="?", type=Path, default=None, help="experiment key-value file")
     p_exp.set_defaults(handler=_cmd_experiment)
     return parser
 
 
 def _print_config(args: argparse.Namespace, **extra: object) -> None:
-    pairs = {"command": args.command, "seed": args.seed, "out": args.out}
-    if args.profile is not None:
-        pairs["profile"] = args.profile
+    """Print the command, the shared options it takes (an unset profile is
+    left out), then ``extra``; a key in ``extra`` replaces an option's value
+    in place."""
+    pairs = {"command": args.command}
+    for key in ("seed", "out", "profile"):
+        if (value := getattr(args, key, None)) is not None:
+            pairs[key] = value
     pairs.update(extra)
     for key, value in pairs.items():
         print(f"config {key}={value}")

@@ -409,21 +409,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     windows = _attack_windows(program, plan, attacks, config, baselines)
 
     # The normal row runs first and is measured in every attack's window,
-    # so each attack row's excess ratio compares like with like.
+    # so each attack row's excess ratio compares like with like.  It reads
+    # each distinct window once: two attacks may share one.
     cells: dict[tuple[str, Motor], MatrixCell] = {}
-    benign_excess: dict[str, dict[Motor, float]] = {}
+    benign_excess: dict[tuple[int, int], dict[Motor, float]] = {}
     for index, row in enumerate(_ROWS):
         benign = row == "normal"
         first_seed = config.seed + _ROW_SEED_BASE + index * _ROW_SEED_STRIDE
         seeds = [first_seed + r for r in range(config.malicious_count)]
-        row_windows = windows if benign else {row: windows[row]}
-        flagged, window_excess = _run_row(row, programs[row], config, baselines, seeds, out, row_windows)
+        spans = sorted(set(windows.values())) if benign else [windows[row]]
+        flagged, span_excess = _run_row(row, programs[row], config, baselines, seeds, out, spans)
         if benign:
-            benign_excess = window_excess
+            benign_excess = span_excess
         for motor in MOTORS:
             ratio = annotation = None
             if not benign:
-                ratio = _ratio(window_excess[row][motor], benign_excess[row][motor])
+                span = windows[row]
+                ratio = _ratio(span_excess[span][motor], benign_excess[span][motor])
                 if motor not in _TOUCHED_MOTORS[row]:
                     annotation = "no ground-truth disturbance"
             if flagged[motor] == len(seeds):
@@ -486,23 +488,23 @@ def _run_row(
     baselines: dict[Motor, GoldenBaseline],
     seeds: list[int],
     out: Path,
-    windows: dict[str, tuple[int, int]],
-) -> tuple[dict[Motor, int], dict[str, dict[Motor, float]]]:
+    spans: list[tuple[int, int]],
+) -> tuple[dict[Motor, int], dict[tuple[int, int], dict[Motor, float]]]:
     """Simulate, classify and export one row's prints.
 
     Each print is reduced to its verdicts and its mean excess inside each of
-    ``windows`` as soon as its series are written; only those reductions are
+    ``spans`` as soon as its series are written; only those reductions are
     kept.  The raw traces are saved (with ``save_traces``) first and dropped
     once the print is judged.  Each motor's deviation is then made only
     where the row reads it: on every ``series_stride``-th sample, which is
     written, turned into its excess in place and written again, and inside
-    each window, whose excess is averaged.  No full-length series is made.
-    Returns the number of flagged prints per motor, and per window and
+    each span, whose excess is averaged.  No full-length series is made.
+    Returns the number of flagged prints per motor, and per span and
     motor the mean of those per-print means.
     """
     flagged = dict.fromkeys(MOTORS, 0)
-    print_means: dict[str, dict[Motor, list[float]]] = {
-        name: {motor: [] for motor in MOTORS} for name in windows
+    print_means: dict[tuple[int, int], dict[Motor, list[float]]] = {
+        span: {motor: [] for motor in MOTORS} for span in spans
     }
     stride = config.series_stride
     for run_index, seed in enumerate(seeds):
@@ -523,21 +525,21 @@ def _run_row(
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "deviation"))
             _excess_over(grid, sd[::stride][: len(grid)], out=grid)
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "excess"))
-            for name, (lo, hi) in windows.items():
+            for lo, hi in spans:
                 part = result.deviations[motor, lo:hi]
                 if len(part):
                     _excess_over(part, sd[lo : lo + len(part)], out=part)
-                    print_means[name][motor].append(float(np.mean(part)))
-                del part  # before the next window's part is made
+                    print_means[lo, hi][motor].append(float(np.mean(part)))
+                del part  # before the next span's part is made
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
         # Free this print's arrays before the next one is simulated.
         del result
-    window_excess = {
-        name: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
-        for name, per_motor in print_means.items()
+    span_excess = {
+        span: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
+        for span, per_motor in print_means.items()
     }
-    return flagged, window_excess
+    return flagged, span_excess
 
 
 def _excess_over(

@@ -8,9 +8,7 @@ from powertrace.attacks import (
     AttackKind,
     AttackSpec,
     apply_attack,
-    inject_delete,
     inject_insert,
-    inject_reorder,
     inject_void,
 )
 from powertrace.gcode import Command, CommandKind, parse_gcode, serialize
@@ -56,7 +54,7 @@ class TestInsert:
     def test_insert_then_delete_restores_program(self, tiny_program):
         spec = AttackSpec(kind=AttackKind.INSERT, layer=1, position=1, payload=PAYLOAD)
         mutated = inject_insert(tiny_program, spec)
-        back = inject_delete(mutated, AttackSpec(kind=AttackKind.DELETE, layer=1, position=1))
+        back = apply_attack(mutated, AttackSpec(kind=AttackKind.DELETE, layer=1, position=1))
         assert _signatures(back) == _signatures(tiny_program)
 
     def test_position_out_of_range(self, tiny_program):
@@ -77,7 +75,7 @@ class TestInsert:
 class TestDelete:
     def test_removes_exactly_one_command(self, tiny_program):
         spec = AttackSpec(kind=AttackKind.DELETE, layer=1, position=1)
-        mutated = inject_delete(tiny_program, spec)
+        mutated = apply_attack(tiny_program, spec)
         assert len(mutated) == len(tiny_program) - 1
         index = tiny_program.command_index(1, 1)
         expected = _signatures(tiny_program)
@@ -88,18 +86,18 @@ class TestDelete:
         program = parse_gcode("G1 Z0.2\nG1 X5\nG1 Z0.4\nG1 Z0.6\nG1 X0\n")
         assert len(program.layers) == 3
         # Layer 1 holds only its Z move; removing it merges the surrounding layers.
-        mutated = inject_delete(program, AttackSpec(kind=AttackKind.DELETE, layer=1, position=0))
+        mutated = apply_attack(program, AttackSpec(kind=AttackKind.DELETE, layer=1, position=0))
         assert len(mutated.layers) == 2
 
     def test_out_of_range(self, tiny_program):
         with pytest.raises(AttackError):
-            inject_delete(tiny_program, AttackSpec(kind=AttackKind.DELETE, layer=0, position=99))
+            apply_attack(tiny_program, AttackSpec(kind=AttackKind.DELETE, layer=0, position=99))
 
 
 class TestReorder:
     def test_swaps_exactly_two_commands(self, tiny_program):
         spec = AttackSpec(kind=AttackKind.REORDER, layer=1, position=1, pair_offset=3)
-        mutated = inject_reorder(tiny_program, spec)
+        mutated = apply_attack(tiny_program, spec)
         before = _signatures(tiny_program)
         after = _signatures(mutated)
         assert sorted(map(str, before)) == sorted(map(str, after))
@@ -110,14 +108,14 @@ class TestReorder:
 
     def test_reorder_twice_restores_program(self, tiny_program):
         spec = AttackSpec(kind=AttackKind.REORDER, layer=1, position=1, pair_offset=3)
-        assert _signatures(inject_reorder(inject_reorder(tiny_program, spec), spec)) == _signatures(
+        assert _signatures(apply_attack(apply_attack(tiny_program, spec), spec)) == _signatures(
             tiny_program
         )
 
     def test_swapping_identical_commands_is_semantically_noop(self):
         program = parse_gcode("G1 Z0.2\nG1 X5 E0.1\nG1 X5 E0.1\n")
         spec = AttackSpec(kind=AttackKind.REORDER, layer=0, position=1, pair_offset=2)
-        mutated = inject_reorder(program, spec)
+        mutated = apply_attack(program, spec)
         assert _signatures(mutated) == _signatures(program)
 
     def test_equal_offsets_rejected(self):
@@ -170,9 +168,58 @@ def test_mutators_are_deterministic(tiny_program):
     assert serialize(apply_attack(tiny_program, spec)) == serialize(apply_attack(tiny_program, spec))
 
 
-def test_apply_attack_dispatches(tiny_program):
+def test_apply_attack_deletes(tiny_program):
     spec = AttackSpec(kind=AttackKind.DELETE, layer=0, position=1)
     assert len(apply_attack(tiny_program, spec)) == len(tiny_program) - 1
+
+
+@pytest.mark.parametrize(
+    "inject,spec,message",
+    [
+        (
+            inject_insert,
+            AttackSpec(kind=AttackKind.DELETE, layer=0, position=1),
+            "expected insert spec, got delete",
+        ),
+        (
+            inject_void,
+            AttackSpec(kind=AttackKind.INSERT, layer=0, position=1, payload=PAYLOAD),
+            "expected void spec, got insert",
+        ),
+    ],
+    ids=["insert-given-delete", "void-given-insert"],
+)
+def test_single_kind_injector_rejects_other_kinds(tiny_program, inject, spec, message):
+    with pytest.raises(AttackError, match=f"^{message}$"):
+        inject(tiny_program, spec)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (
+            AttackSpec(kind=AttackKind.DELETE, layer=2, position=0),
+            "no such layer: 2",
+        ),
+        (
+            AttackSpec(kind=AttackKind.REORDER, layer=1, position=0, pair_offset=4),
+            "offset 4 out of range for layer 1 (4 commands)",
+        ),
+        (
+            AttackSpec(kind=AttackKind.INSERT, layer=1, position=5, payload=PAYLOAD),
+            "insert position 5 out of range for layer 1",
+        ),
+        (
+            AttackSpec(kind=AttackKind.VOID, layer=1, position=2),
+            "void target at layer 1 offset 2 is not an extruding linear move",
+        ),
+    ],
+    ids=["layer", "pair-offset", "insert-position", "void-target"],
+)
+def test_unaddressable_spec_names_its_address(tiny_program, spec, message):
+    with pytest.raises(AttackError) as error:
+        apply_attack(tiny_program, spec)
+    assert str(error.value) == message
 
 
 _PROGRAM = parse_gcode(

@@ -243,14 +243,18 @@ def _build_pipeline(gcode_file, tmp_path):
 class TestDetect:
     def test_benign_capture_exits_0(self, gcode_file, tmp_path, capsys):
         _build_pipeline(gcode_file, tmp_path)
-        argv = ["detect", "--out", str(tmp_path)]
+        argv = ["detect"]
         for motor in "XYZE":
             argv += ["--capture", str(tmp_path / "probe" / f"part_{motor}.ptrc")]
             argv += ["--baseline", str(tmp_path / f"{motor}.ptrb")]
+        capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "report overall=benign" in out
         assert out.count("report motor=") == 4
+        # detect reads no seed and writes no file, so it prints neither option.
+        assert "config command=detect\n" in out
+        assert "config seed=" not in out and "config out=" not in out
 
     def test_attacked_capture_exits_1(self, gcode_file, tmp_path, capsys):
         _build_pipeline(gcode_file, tmp_path)
@@ -276,7 +280,7 @@ class TestDetect:
             == 0
         )
         _simulate(tmp_path / "bad.gcode", tmp_path / "evil", seed=200)
-        argv = ["detect", "--out", str(tmp_path)]
+        argv = ["detect"]
         for motor in "XYZE":
             argv += ["--capture", str(tmp_path / "evil" / f"bad_{motor}.ptrc")]
             argv += ["--baseline", str(tmp_path / f"{motor}.ptrb")]
@@ -291,8 +295,6 @@ class TestDetect:
             str(tmp_path / "probe" / "part_X.ptrc"),
             "--baseline",
             str(tmp_path / "Y.ptrb"),
-            "--out",
-            str(tmp_path),
         ]
         assert main(argv) == 2
         assert "no baseline" in capsys.readouterr().err
@@ -309,8 +311,6 @@ class TestDetect:
             str(tmp_path / "X.ptrb"),
             "--baseline",
             str(tmp_path / "Y.ptrb"),
-            "--out",
-            str(tmp_path),
         ]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -321,7 +321,7 @@ class TestDetect:
     def test_second_file_for_a_motor_exits_2(self, gcode_file, tmp_path, capsys, flag):
         _build_pipeline(gcode_file, tmp_path)
         _simulate(gcode_file, tmp_path / "probe2", seed=101)
-        argv = ["detect", "--out", str(tmp_path)]
+        argv = ["detect"]
         for motor in "XY":
             argv += ["--capture", str(tmp_path / "probe" / f"part_{motor}.ptrc")]
             argv += ["--baseline", str(tmp_path / f"{motor}.ptrb")]
@@ -375,12 +375,12 @@ class TestDetect:
         blob[offset : offset + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
         argv = ["detect", "--capture", str(capture), "--baseline", str(baseline)]
-        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert main(argv) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_nan_margin_exits_2(self, gcode_file, tmp_path, capsys):
         _build_pipeline(gcode_file, tmp_path)
-        argv = ["detect", "--margin", "nan", "--out", str(tmp_path)]
+        argv = ["detect", "--margin", "nan"]
         argv += ["--capture", str(tmp_path / "probe" / "part_X.ptrc")]
         argv += ["--baseline", str(tmp_path / "X.ptrb")]
         assert main(argv) == 2
@@ -396,7 +396,7 @@ class TestDetect:
             trigger_index=0,
         )
         save_trace(short, tmp_path / "short_Y.ptrc")
-        argv = ["detect", "--out", str(tmp_path)]
+        argv = ["detect"]
         argv += ["--capture", str(tmp_path / "short_Y.ptrc")]
         argv += ["--baseline", str(tmp_path / "Y.ptrb")]
         assert main(argv) == 2
@@ -406,7 +406,7 @@ class TestDetect:
     def test_window_flag_exits_2(self, gcode_file, tmp_path, capsys):
         # The window is the baseline's; detect takes no second copy of it.
         _build_pipeline(gcode_file, tmp_path)
-        argv = ["detect", "--out", str(tmp_path), "--window", "1"]
+        argv = ["detect", "--window", "1"]
         argv += ["--capture", str(tmp_path / "probe" / "part_X.ptrc")]
         argv += ["--baseline", str(tmp_path / "X.ptrb")]
         with pytest.raises(SystemExit) as exit_info:
@@ -426,7 +426,7 @@ class TestDetect:
         probe = tmp_path / "probe" / "part_X.ptrc"
         capsys.readouterr()
         argv = ["detect", "--capture", str(probe), "--baseline", str(tmp_path / "X.ptrb")]
-        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert main(argv) == 0
         smoothed = smooth(align_to_trigger(load_trace(probe)), 5).samples
         n = min(len(smoothed), baseline.sample_count)
         peak = np.abs(smoothed[:n].astype(np.float64) - baseline.reference[:n]).max()
@@ -722,3 +722,38 @@ def test_resolved_config_printed(gcode_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config seed=0" in out
     assert "config out=" in out
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("attack", ["--seed", "1"]),
+        ("attack", ["--profile", "p.cfg"]),
+        ("baseline", ["--seed", "1"]),
+        ("baseline", ["--profile", "p.cfg"]),
+        ("detect", ["--out", "d"]),
+        ("detect", ["--seed", "1"]),
+        ("detect", ["--profile", "p.cfg"]),
+    ],
+    ids=[
+        "attack-seed",
+        "attack-profile",
+        "baseline-seed",
+        "baseline-profile",
+        "detect-out",
+        "detect-seed",
+        "detect-profile",
+    ],
+)
+def test_option_the_command_does_not_read_exits_2(command, extra, capsys):
+    # Each argv is complete, so the extra option is the only usage error.
+    argv = {
+        "attack": ["attack", "part.gcode", "--kind", "delete", "--layer", "0", "--position", "0",
+                   "--output", "x.gcode"],
+        "baseline": ["baseline", "a_X.ptrc", "b_X.ptrc", "--output", "X.ptrb"],
+        "detect": ["detect", "--capture", "probe_X.ptrc", "--baseline", "X.ptrb"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + extra)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err

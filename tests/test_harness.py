@@ -403,7 +403,7 @@ def _run_row_peak(baselines, seed_count, out):
     try:
         harness._run_row(
             "normal", benchmark_object(), SMALL, baselines, list(range(100, 100 + seed_count)),
-            out, {},
+            out, [],
         )
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -436,7 +436,9 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     # 28% of the print), so its reads and exports add at most 3 bytes per
     # baseline sample.  Reading one whole float64 deviation adds 8.  The
     # peak is reset at that first read, not when detect_print returns: the
-    # raw traces, freed in between, would hide any smaller rise.
+    # raw traces, freed in between, would hide any smaller rise.  The insert
+    # and delete windows are the same samples, so a normal print reads three
+    # window parts per motor, not four.
     import tracemalloc
 
     from powertrace import harness
@@ -446,8 +448,11 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     windows = harness._attack_windows(
         program, plan, default_attacks(program), SMALL, row_baselines
     )
-    assert max(hi - lo for lo, hi in windows.values()) > 0.25 * row_baselines[Motor.X].sample_count
+    assert windows["insert"] == windows["delete"]
+    spans = sorted(set(windows.values()))
+    assert max(hi - lo for lo, hi in spans) > 0.25 * row_baselines[Motor.X].sample_count
     starts = []
+    window_parts = dict.fromkeys(MOTORS, 0)
 
     class ResetAtFirstRead:
         def __init__(self, deviations):
@@ -457,6 +462,8 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
             if not starts:
                 tracemalloc.reset_peak()
                 starts.append(tracemalloc.get_traced_memory()[0])
+            motor, part = key
+            window_parts[motor] += part.step is None  # the stride grid has a step
             return self.deviations[key]
 
     def detect_then_watch(*args, detect_print=harness.detect_print):
@@ -466,11 +473,12 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     monkeypatch.setattr(harness, "detect_print", detect_then_watch)
     tracemalloc.start()
     try:
-        harness._run_row("normal", program, SMALL, row_baselines, [100], tmp_path, windows)
+        harness._run_row("normal", program, SMALL, row_baselines, [100], tmp_path, spans)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(starts) == 1
+    assert window_parts == dict.fromkeys(MOTORS, 3)
     assert (peak - starts[0]) / row_baselines[Motor.X].sample_count <= 3.0
 
 
