@@ -8,10 +8,10 @@ detectability matrix (attack rows x motor columns).
 A cell is DETECTED when every attacked run was flagged on that motor,
 VISIBLE when none were flagged but the mean sd-subtracted excess inside the
 attack window exceeds the benign mean excess by a configurable factor, and
-NOT_DETECTED otherwise.  Motors the attack provably never touches (the void
-attack leaves X/Y/Z motion untouched) are annotated rather than given a
-separate verdict.  A run with any flagged benign capture is invalid: zero
-false positives is a hard gate.
+NOT_DETECTED otherwise.  Motors the attack provably never touches (a row of
+void specs only leaves X/Y/Z motion untouched) are annotated rather than
+given a separate verdict.  A run with any flagged benign capture is invalid:
+zero false positives is a hard gate.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,8 @@ class ExperimentConfig:
     :func:`run_experiment` writes the config it ran as ``config.txt``, and
     :func:`load_experiment_config` reads that file back to an equal config,
     so a run can be repeated from its own artifacts.  ``attacks=None`` means
-    :func:`default_attacks` of the program.  Captures are sampled at
+    :func:`default_attacks` of the program; otherwise its rows are exactly
+    ``ATTACK_ROWS``, each of at least one spec.  Captures are sampled at
     ``tracesim.SAMPLE_RATE``.  ``noise.seed`` must be 0: every print is
     seeded from ``seed``.
     """
@@ -151,6 +153,13 @@ class ExperimentConfig:
                 f"noise.seed is {self.noise.seed}, but experiments seed every print "
                 "from the top-level 'seed'; set 'seed' instead"
             )
+        if self.attacks is not None:
+            for row in (*self.attacks, *ATTACK_ROWS):
+                if row not in ATTACK_ROWS:
+                    rows = ", ".join(ATTACK_ROWS)
+                    raise ExperimentError(f"unknown attack row {row!r} (rows: {rows})")
+                if not self.attacks.get(row):
+                    raise ExperimentError(f"no attack spec configured for {row!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +372,6 @@ def default_attacks(program: GCodeProgram) -> dict[str, tuple[AttackSpec, ...]]:
     }
 
 
-# Ground truth: which motors an attack can disturb at all.  Void only
-# changes extrusion; the desynchronizing attacks touch every timeline.
-_TOUCHED_MOTORS = {
-    "insert": frozenset(MOTORS),
-    "delete": frozenset(MOTORS),
-    "reorder": frozenset(MOTORS),
-    "void": frozenset({Motor.E}),
-}
-
-
 # ---------------------------------------------------------------------------
 # Experiment
 
@@ -381,7 +380,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 
     Raises :class:`AttackError`, naming the row, before writing anything if
     an attack spec does not apply to the program, and
-    :class:`ExperimentError` after writing artifacts if any benign capture
+    :class:`ExperimentError` before writing anything if a row's specs leave
+    the program unchanged, or after writing artifacts if any benign capture
     was flagged (the zero-false-positive gate).
     """
     program = _load_program(config)
@@ -390,14 +390,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     # does not apply fails before the golden phase, named as in config.txt.
     programs = {"normal": program}
     for row in ATTACK_ROWS:
-        if row not in attacks:
-            raise ExperimentError(f"no attack spec configured for {row!r}")
         programs[row] = program
         for spec, group in zip(attacks[row], _attack_groups(row, attacks[row])):
             try:
                 programs[row] = apply_attack(programs[row], spec)
             except AttackError as exc:
                 raise AttackError(f"{_ATTACK_PREFIX}{group}: {exc}") from None
+        if programs[row] == program:
+            raise ExperimentError(f"{_ATTACK_PREFIX}{row}: the attack changes no command")
 
     config = dataclasses.replace(config, attacks=attacks)
     out = Path(out_dir)
@@ -406,7 +406,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 
     plan = plan_motion(program, config.profile)
     baselines = _build_baselines(plan, config, out)
-    windows = _attack_windows(program, plan, attacks, config, baselines)
+    windows = _attack_windows(program, plan, programs, attacks, config, baselines)
 
     # The normal row runs first and is measured in every attack's window,
     # so each attack row's excess ratio compares like with like.  It reads
@@ -426,7 +426,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
             if not benign:
                 span = windows[row]
                 ratio = _ratio(span_excess[span][motor], benign_excess[span][motor])
-                if motor not in _TOUCHED_MOTORS[row]:
+                if motor is not Motor.E and _is_void(attacks[row]):
                     annotation = "no ground-truth disturbance"
             if flagged[motor] == len(seeds):
                 outcome = CellOutcome.DETECTED
@@ -564,44 +564,40 @@ _VOID_SETTLE_S = 3.0
 def _attack_windows(
     program: GCodeProgram,
     plan: MotionPlan,
+    programs: dict[str, GCodeProgram],
     attacks: dict[str, tuple[AttackSpec, ...]],
     config: ExperimentConfig,
     baselines: dict[Motor, GoldenBaseline],
 ) -> dict[str, tuple[int, int]]:
-    """Sample window on the baseline timeline, derived from the injection point.
+    """Each attack row's sample window on the baseline timeline.
 
-    Desynchronizing attacks disturb everything after the modified command, so
-    their window runs to the end of the print; the void window covers the
-    modified command plus a settle allowance.  Legitimate here because the
-    harness controls ground truth.
+    The window starts at the first command where the row's program differs
+    from ``program``, at that command's start time in ``program`` (the end of
+    the print for an append after its last command).  Desynchronizing attacks
+    disturb everything after it, so the window runs to the end of the print;
+    a void row's window ends ``_VOID_SETTLE_S`` after the start of its last
+    changed command.  Legitimate here because the harness controls ground
+    truth.
     """
-    starts = command_start_times(program, config.profile)
+    starts = command_start_times(program, config.profile) + [plan.total_duration]
     length = min(b.sample_count for b in baselines.values())
     windows = {}
-    for row, specs in attacks.items():
-        indices = []
-        for spec in specs:
-            if spec.kind is AttackKind.REORDER:
-                offset = min(spec.position, spec.pair_offset)
-            else:
-                offset = _clamped_position(program, spec)
-            indices.append(program.command_index(spec.layer, offset))
-        first = min(indices)
-        t_start = starts[first] - plan.trigger_time
+    for row in ATTACK_ROWS:
+        pairs = zip_longest(program.commands, programs[row].commands)
+        changed = [i for i, (old, new) in enumerate(pairs) if old != new]
+        t_start = starts[changed[0]] - plan.trigger_time
         start_idx = max(0, min(int(t_start * SAMPLE_RATE), length - 1))
         end_idx = length
-        if all(spec.kind is AttackKind.VOID for spec in specs):
-            t_end = starts[max(indices)] - plan.trigger_time + _VOID_SETTLE_S
+        if _is_void(attacks[row]):
+            t_end = starts[changed[-1]] - plan.trigger_time + _VOID_SETTLE_S
             end_idx = max(start_idx + 1, min(int(t_end * SAMPLE_RATE), length))
         windows[row] = (start_idx, end_idx)
     return windows
 
 
-def _clamped_position(program: GCodeProgram, spec: AttackSpec) -> int:
-    # An insert position may equal the layer length ("append"); window on the
-    # last existing command in that case.
-    start, end = program.layer_slice(spec.layer)
-    return min(spec.position, max(end - start - 1, 0))
+def _is_void(specs: tuple[AttackSpec, ...]) -> bool:
+    """Whether a row only voids extrusion, leaving X/Y/Z motion untouched."""
+    return all(spec.kind is AttackKind.VOID for spec in specs)
 
 
 def _ratio(attack: float, benign: float) -> float | None:

@@ -32,6 +32,26 @@ def excess(deviation, baseline):
     return _excess_over(deviation, baseline.pointwise_sd[: len(deviation)])
 
 
+def row_programs(program, attacks):
+    """Each attack row's program: its specs applied to ``program`` in turn."""
+    programs = {}
+    for row, specs in attacks.items():
+        programs[row] = program
+        for spec in specs:
+            programs[row] = apply_attack(programs[row], spec)
+    return programs
+
+
+def attack_windows(attacks, baselines):
+    """``_attack_windows`` of the benchmark object under ``attacks``."""
+    from powertrace import harness
+
+    program = benchmark_object()
+    plan = plan_motion(program, SMALL.profile)
+    programs = row_programs(program, attacks)
+    return harness._attack_windows(program, plan, programs, attacks, SMALL, baselines)
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp")
@@ -115,6 +135,28 @@ class TestConfigValidation:
         with pytest.raises(ExperimentError, match="noise.seed is 5.*top-level 'seed'"):
             ExperimentConfig(golden_count=2, malicious_count=1, noise=NoiseModel(seed=5))
         assert ExperimentConfig(noise=NoiseModel(seed=0)) == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # config.txt would carry attack.bogus.* keys that fail to load back.
+            (
+                lambda attacks: {**attacks, "bogus": attacks["delete"]},
+                r"unknown attack row 'bogus' \(rows: insert, delete, reorder, void\)",
+            ),
+            # dump_pairs would fail on the empty row with an IndexError.
+            (lambda attacks: {**attacks, "insert": ()}, "no attack spec configured for 'insert'"),
+            (
+                lambda attacks: {row: specs for row, specs in attacks.items() if row != "void"},
+                "no attack spec configured for 'void'",
+            ),
+        ],
+        ids=["extra", "empty", "missing"],
+    )
+    def test_attack_rows_are_checked_where_the_config_is_built(self, edit, message):
+        attacks = edit(default_attacks(benchmark_object()))
+        with pytest.raises(ExperimentError, match=f"^{message}$"):
+            ExperimentConfig(attacks=attacks)
 
 
 class TestRunExperiment:
@@ -207,8 +249,8 @@ class TestRunExperiment:
         baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
         program = benchmark_object()
         attacks = default_attacks(program)
-        plan = plan_motion(program, SMALL.profile)
-        windows = harness._attack_windows(program, plan, attacks, SMALL, baselines)
+        programs = row_programs(program, attacks)
+        windows = attack_windows(attacks, baselines)
 
         def prints(prog, first_seed):
             results = []
@@ -234,10 +276,7 @@ class TestRunExperiment:
         first_seed = SMALL.seed + harness._ROW_SEED_BASE
         benign_prints = prints(program, first_seed)
         for index, row in enumerate(ATTACK_ROWS, start=1):
-            mutated = program
-            for spec in attacks[row]:
-                mutated = apply_attack(mutated, spec)
-            attacked_prints = prints(mutated, first_seed + index * harness._ROW_SEED_STRIDE)
+            attacked_prints = prints(programs[row], first_seed + index * harness._ROW_SEED_STRIDE)
             benign = mean_window_excess(benign_prints, windows[row])
             attacked = mean_window_excess(attacked_prints, windows[row])
             for motor in MOTORS:
@@ -282,10 +321,25 @@ class TestRunExperiment:
                 path = out / harness._series_path(row, 0, motor, kind)
                 assert path.read_bytes() == text, (motor, kind)
 
-    def test_missing_attack_row_rejected(self, tmp_path):
-        config = dataclasses.replace(SMALL, attacks={"insert": ()})
-        with pytest.raises(ExperimentError, match="no attack spec"):
-            run_experiment(config, tmp_path)
+    def test_row_that_changes_nothing_fails_before_anything_is_written(self, tmp_path):
+        # Swapping two identical lines leaves the program as it was, so the
+        # reorder row has no first changed command and no attack window.
+        from powertrace.attacks import AttackKind, AttackSpec
+        from powertrace.gcode import parse_line
+
+        path = tmp_path / "twin.gcode"
+        path.write_text("G1 Z0.2 F300\nG1 X10 Y0 E1 F600\nG0 X0 Y0\nG0 X0 Y0\nG1 X0 Y10 E2\n")
+        attacks = {
+            "insert": (AttackSpec(AttackKind.INSERT, 0, 1, payload=parse_line("G0 X5 Y5")),),
+            "delete": (AttackSpec(AttackKind.DELETE, 0, 1),),
+            "reorder": (AttackSpec(AttackKind.REORDER, 0, 2, pair_offset=3),),
+            "void": (AttackSpec(AttackKind.VOID, 0, 1),),
+        }
+        config = dataclasses.replace(SMALL, program_path=str(path), attacks=attacks)
+        message = r"^attack\.reorder: the attack changes no command$"
+        with pytest.raises(ExperimentError, match=message):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_unappliable_attack_fails_before_anything_is_written(self, tmp_path):
         attacks = dict(default_attacks(benchmark_object()))
@@ -444,10 +498,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     from powertrace import harness
 
     program = benchmark_object()
-    plan = plan_motion(program, SMALL.profile)
-    windows = harness._attack_windows(
-        program, plan, default_attacks(program), SMALL, row_baselines
-    )
+    windows = attack_windows(default_attacks(program), row_baselines)
     assert windows["insert"] == windows["delete"]
     spans = sorted(set(windows.values()))
     assert max(hi - lo for lo, hi in spans) > 0.25 * row_baselines[Motor.X].sample_count
@@ -480,6 +531,30 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     assert len(starts) == 1
     assert window_parts == dict.fromkeys(MOTORS, 3)
     assert (peak - starts[0]) / row_baselines[Motor.X].sample_count <= 3.0
+
+
+def test_append_window_starts_at_the_injection_point(row_baselines):
+    # Layer 7 has 20 commands, so position 20 appends after its last one.
+    # That command is unchanged: the window starts where it ends, 6,250
+    # samples (0.25 s) after it starts.
+    attacks = default_attacks(benchmark_object())
+    attacks["insert"] = (dataclasses.replace(attacks["insert"][0], position=20),)
+    windows = attack_windows(attacks, row_baselines)
+    assert windows["insert"] == (1_493_582, row_baselines[Motor.X].sample_count)
+
+
+def test_void_row_holding_a_delete_is_a_desync_row(row_baselines, tmp_path):
+    # The void rule reads the row's specs, not its name: a delete shifts
+    # every motor, so the row's window runs to the end of the print and no
+    # motor is annotated as undisturbed.
+    attacks = default_attacks(benchmark_object())
+    attacks["void"] = attacks["delete"]
+    windows = attack_windows(attacks, row_baselines)
+    assert windows["void"] == windows["delete"]
+    assert windows["void"][1] == row_baselines[Motor.X].sample_count
+    config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
+    matrix = run_experiment(config, tmp_path)
+    assert all(matrix.cell("void", motor).annotation is None for motor in MOTORS)
 
 
 def test_grid_times_print_as_their_sample_times():
