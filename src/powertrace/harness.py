@@ -54,7 +54,7 @@ from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
 from .planner import (
     DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PrinterProfile, command_start_times, plan_motion
 )
-from .traceio import align_to_trigger, common_window, save_baseline, save_trace
+from .traceio import align_to_trigger, common_window, load_baseline, save_baseline, save_trace
 from . import tracesim
 from .tracesim import DEFAULT_NOISE, SAMPLE_RATE, NoiseModel, simulate_print
 
@@ -378,6 +378,10 @@ def default_attacks(program: GCodeProgram) -> dict[str, tuple[AttackSpec, ...]]:
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> DetectabilityMatrix:
     """Run the whole protocol and write artifacts under ``out_dir``.
 
+    The golden phase holds one motor's golden traces and no finished
+    baseline; every print is judged with the baselines read back from
+    ``baselines/``, as an operator would load them.
+
     Raises :class:`AttackError`, naming the row, before writing anything if
     an attack spec does not apply to the program, and
     :class:`ExperimentError` before writing anything if a row's specs leave
@@ -464,10 +468,13 @@ def _load_program(config: ExperimentConfig) -> GCodeProgram:
 def _build_baselines(
     plan: MotionPlan, config: ExperimentConfig, out: Path
 ) -> dict[Motor, GoldenBaseline]:
-    """Build and save each motor's baseline in turn from the program's plan,
-    holding only that motor's golden traces.  Synthesis is reached through
-    the ``tracesim`` module, where ``perfbench`` trace mode wraps it."""
-    baselines: dict[Motor, GoldenBaseline] = {}
+    """Build, save and drop each motor's baseline in turn from the program's
+    plan, then read all four back from ``out/baselines``: the golden phase
+    holds one motor's golden traces and no finished baseline, and the
+    experiment judges with the files an operator would load, through the
+    same checks.  Synthesis is reached through the ``tracesim`` module,
+    where ``perfbench`` trace mode wraps it."""
+    paths = {motor: out / "baselines" / f"{motor.name}.ptrb" for motor in MOTORS}
     for motor in MOTORS:
         golden = []
         for i in range(config.golden_count):
@@ -476,9 +483,9 @@ def _build_baselines(
             if config.save_traces:
                 save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
             golden.append(smooth(align_to_trigger(trace), config.detection.smoothing_window))
-        baselines[motor] = build_baseline(common_window(golden))
-        save_baseline(baselines[motor], out / "baselines" / f"{motor.name}.ptrb")
-    return baselines
+        save_baseline(build_baseline(common_window(golden)), paths[motor])
+        del golden, trace
+    return {motor: load_baseline(path) for motor, path in paths.items()}
 
 
 def _run_row(
