@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .planner import Motor
-from .tracesim import MotorTrace, _map_on_threads
+from .tracesim import MotorTrace, _buffer_prefix, _map_on_threads
 
 __all__ = [
     "DetectionError",
@@ -219,9 +219,13 @@ class _Deviations(Mapping):
         return len(self._smoothed)
 
 
-def smooth(trace: MotorTrace, window: int) -> MotorTrace:
+def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> MotorTrace:
     """Centered moving average of ``window`` samples, length preserved; the
-    result records ``window`` as its ``smoothing_window``.
+    result records ``window`` as its ``smoothing_window``.  ``out``, when
+    given, is a reused float32 buffer of at least the trace's length: the
+    samples are written into its first samples, for a window of 1 too, and
+    the result is a view of them.  It may be the buffer the trace's samples
+    view, if it starts no later than they do (see :func:`_smooth_into`).
 
     Windows shrink to the available samples near the edges.  For an even
     window the center is biased one sample to the right, i.e. sample i
@@ -245,9 +249,10 @@ def smooth(trace: MotorTrace, window: int) -> MotorTrace:
         )
     if window > n:
         raise DetectionError(f"window {window} longer than trace of {n} samples")
-    if window == 1:
+    if window == 1 and out is None:
         return trace
-    samples = _smooth_into(trace.samples, window, np.empty(n, dtype=np.float32))
+    out = np.empty(n, dtype=np.float32) if out is None else _buffer_prefix(out, n)
+    samples = _smooth_into(trace.samples, window, out)
     return replace(trace, samples=samples, smoothing_window=window)
 
 
@@ -256,9 +261,22 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
     and return it.
 
     ``window`` must be between 1 and ``len(samples)``, and ``out`` no longer
-    than ``samples``; no block past ``len(out)`` is summed.
+    than ``samples``; no block past ``len(out)`` is summed.  ``out`` may
+    overlay the buffer ``samples`` views if both are contiguous and ``out``
+    starts no later, so a capture can be smoothed over the buffer it was
+    rendered into: a block reads only the samples the block before did not
+    (it takes the rest from that block's float64 copy), and writes outputs
+    that end behind those reads, and the left edge is written last.
     """
     n, m = len(samples), len(out)
+    if np.may_share_memory(samples, out) and not (
+        samples.flags.c_contiguous
+        and out.flags.c_contiguous
+        and out.ctypes.data <= samples.ctypes.data
+    ):
+        raise ValueError(
+            "out may overlay the samples only if both are contiguous and it starts no later"
+        )
     if window == 1:
         out[...] = samples[:m]
         return out
@@ -266,13 +284,14 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
     csum = np.empty(min(_BLOCK + window, n + 1))
     # The block's samples as float64, summed into the separate csum (numpy
     # holds the GIL in a cumsum that casts or works in place), then the
-    # window sums.
+    # window sums.  A block's last window - 1 samples stay in values, past
+    # its window sums, and become the next block's first ones.
     values = np.empty(len(csum))
     # inf - inf is NaN, which _classify_blocks rejects; numpy need not warn first.
     with np.errstate(invalid="ignore"):
         edge = min(left, m)  # the left edge's shrunken windows
         head = np.cumsum(samples[: right + edge], dtype=np.float64)
-        out[:edge] = head[right:] / np.arange(right + 1, right + 1 + edge)
+        head = head[right:] / np.arange(right + 1, right + 1 + edge)
         for lo in range(0, min(n - window + 1, m - left), _BLOCK):
             hi = min(lo + _BLOCK + window - 1, n)
             part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
@@ -281,10 +300,12 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
                 # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
                 part[0] = 0.0
                 first = 1
+                values[1 : len(part)] = samples[lo:hi]
             else:
                 values[0] = csum[_BLOCK]  # csum[lo], from the block before
                 first = 0
-            values[1 : len(part)] = samples[lo:hi]
+                values[1:window] = values[_BLOCK + 1 : _BLOCK + window]
+                values[window : len(part)] = samples[lo + window - 1 : hi]
             np.cumsum(values[first : len(part)], out=part[first:])
             np.subtract(part[window:], part[:count], out=values[:count])
             count = min(count, m - left - lo)
@@ -292,6 +313,7 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
         if m > n - right:  # the right edge, after the last block's csum
             tail = part[n - window + 1 - lo : m - left - lo]
             out[n - right :] = (part[-1] - tail) / np.arange(window - 1, n - m + left, -1)
+        out[:edge] = head
     return out
 
 
@@ -431,6 +453,7 @@ def detect_print(
     captures: dict[Motor, MotorTrace],
     baselines: dict[Motor, GoldenBaseline],
     config: DetectionConfig = DetectionConfig(),
+    out: Mapping[Motor, np.ndarray] | None = None,
 ) -> PrintDetectionResult:
     """Run the per-motor pipeline and combine verdicts.
 
@@ -440,8 +463,10 @@ def detect_print(
     and a baseline: one without the other raises :class:`DetectionError`
     naming the motor.  The print is malicious iff any motor is.
     Each capture is smoothed once, only as far as the baseline reaches, into
-    the float32 array the result keeps for its ``deviations``.  That array
-    is then compared and classified in ``_BLOCK``-sample (32,768) blocks,
+    the float32 array the result keeps for its ``deviations``: a view of the
+    motor's reused buffer in ``out``, when given, which may be the buffer
+    the capture views, starting no later (see :func:`_smooth_into`).  That
+    array is then compared and classified in ``_BLOCK``-sample (32,768) blocks,
     each block's float64 deviation in the thread's scratch, the motors on up
     to ``tracesim._WORKERS`` threads; reports and deviations are the same
     for any thread count.  A block whose largest deviation is clear of the
@@ -468,7 +493,11 @@ def detect_print(
         # The threshold comes from the full baseline's peak_sd, so a
         # shorter capture never weakens it.
         length = min(len(capture.samples), baseline.sample_count)
-        smoothed[motor] = np.empty(length, dtype=np.float32)
+        smoothed[motor] = (
+            np.empty(length, dtype=np.float32)
+            if out is None
+            else _buffer_prefix(out[motor], length)
+        )
 
     def judge(motor: Motor) -> DetectionReport:
         baseline = baselines[motor]

@@ -380,7 +380,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 
     The golden phase holds one motor's golden traces and no finished
     baseline; every print is judged with the baselines read back from
-    ``baselines/``, as an operator would load them.
+    ``baselines/``, as an operator would load them.  Each row's program is
+    planned once, and every print is rendered and smoothed in one buffer
+    per motor, made once for the longest print.
 
     Raises :class:`AttackError`, naming the row, before writing anything if
     an attack spec does not apply to the program, and
@@ -409,8 +411,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     (out / "config.txt").write_text(dump_experiment_config(config))
 
     plan = plan_motion(program, config.profile)
+    plans = {"normal": plan} | {row: plan_motion(programs[row], config.profile) for row in ATTACK_ROWS}
     baselines = _build_baselines(plan, config, out)
     windows = _attack_windows(program, plan, programs, attacks, config, baselines)
+    # Made once the golden phase has freed its buffer, so the two never coexist.
+    buffers = _print_buffers(max(tracesim.trace_length(p) for p in plans.values()))
 
     # The normal row runs first and is measured in every attack's window,
     # so each attack row's excess ratio compares like with like.  It reads
@@ -422,7 +427,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
         first_seed = config.seed + _ROW_SEED_BASE + index * _ROW_SEED_STRIDE
         seeds = [first_seed + r for r in range(config.malicious_count)]
         spans = sorted(set(windows.values())) if benign else [windows[row]]
-        flagged, span_excess = _run_row(row, programs[row], config, baselines, seeds, out, spans)
+        flagged, span_excess = _run_row(row, plans[row], config, baselines, seeds, out, spans, buffers)
         if benign:
             benign_excess = span_excess
         for motor in MOTORS:
@@ -468,44 +473,69 @@ def _load_program(config: ExperimentConfig) -> GCodeProgram:
 def _build_baselines(
     plan: MotionPlan, config: ExperimentConfig, out: Path
 ) -> dict[Motor, GoldenBaseline]:
-    """Build, save and drop each motor's baseline in turn from the program's
-    plan, then read all four back from ``out/baselines``: the golden phase
-    holds one motor's golden traces and no finished baseline, and the
-    experiment judges with the files an operator would load, through the
-    same checks.  Synthesis is reached through the ``tracesim`` module,
-    where ``perfbench`` trace mode wraps it."""
-    paths = {motor: out / "baselines" / f"{motor.name}.ptrb" for motor in MOTORS}
+    """Build and save each motor's baseline, then read all four back from
+    ``out/baselines``: the experiment judges with the files an operator
+    would load, through the same checks."""
+    paths = _save_baselines(plan, config, out)
+    return {motor: load_baseline(path) for motor, path in paths.items()}
+
+
+def _save_baselines(plan: MotionPlan, config: ExperimentConfig, out: Path) -> dict[Motor, Path]:
+    """Build and save each motor's baseline in turn from the program's plan.
+
+    Each golden trace is rendered into its row of one buffer and smoothed
+    over that row, and the rows are reused from motor to motor, so the
+    phase holds one motor's golden traces and no finished baseline, and
+    makes its large array once.  A baseline's reference is a view of the
+    first row, so it is saved before the next motor overwrites that.
+    Synthesis is reached through the ``tracesim`` module, where
+    ``perfbench`` trace mode wraps it.
+    """
+    rows = np.empty((config.golden_count, tracesim.trace_length(plan)), dtype=np.float32)
+    paths = {}
     for motor in MOTORS:
         golden = []
-        for i in range(config.golden_count):
+        for i, row in enumerate(rows):
             noise = dataclasses.replace(config.noise, seed=config.seed + _GOLDEN_SEED_BASE + i)
-            trace = tracesim.synthesize_trace(plan, motor, config.profile, noise)
+            trace = tracesim.synthesize_trace(plan, motor, config.profile, noise, row)
             if config.save_traces:
                 save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
-            golden.append(smooth(align_to_trigger(trace), config.detection.smoothing_window))
+            golden.append(smooth(align_to_trigger(trace), config.detection.smoothing_window, row))
+        paths[motor] = out / "baselines" / f"{motor.name}.ptrb"
         save_baseline(build_baseline(common_window(golden)), paths[motor])
-        del golden, trace
-    return {motor: load_baseline(path) for motor, path in paths.items()}
+    return paths
+
+
+def _print_buffers(capacity: int) -> dict[Motor, np.ndarray]:
+    """Each motor's reused buffer of ``capacity`` float32 samples, in one
+    allocation: a print's raw trace is rendered into it, then smoothed over
+    it."""
+    return dict(zip(MOTORS, np.empty((len(MOTORS), capacity), dtype=np.float32)))
 
 
 def _run_row(
     row: str,
-    program: GCodeProgram,
+    plan: MotionPlan,
     config: ExperimentConfig,
     baselines: dict[Motor, GoldenBaseline],
     seeds: list[int],
     out: Path,
     spans: list[tuple[int, int]],
+    buffers: dict[Motor, np.ndarray],
 ) -> tuple[dict[Motor, int], dict[tuple[int, int], dict[Motor, float]]]:
-    """Simulate, classify and export one row's prints.
+    """Simulate, classify and export one row's prints from its program's plan.
+
+    Every print renders each motor's raw trace into its buffer in
+    ``buffers`` and smooths the capture over it (see
+    :func:`_print_buffers`), so no print allocates a full-length array.
 
     Each print is reduced to its verdicts and its mean excess inside each of
     ``spans`` as soon as its series are written; only those reductions are
-    kept.  The raw traces are saved (with ``save_traces``) first and dropped
-    once the print is judged.  Each motor's deviation is then made only
-    where the row reads it: on every ``series_stride``-th sample, which is
-    written, turned into its excess in place and written again, and inside
-    each span, whose excess is averaged.  No full-length series is made.
+    kept.  The raw traces are saved (with ``save_traces``) before they are
+    smoothed over.  Each motor's deviation is then made only where the row
+    reads it: on every ``series_stride``-th sample, which is written, turned
+    into its excess in place and written again, and inside each span, whose
+    excess is averaged.  No full-length series is made.
     Returns the number of flagged prints per motor, and per span and
     motor the mean of those per-print means.
     """
@@ -515,16 +545,12 @@ def _run_row(
     }
     stride = config.series_stride
     for run_index, seed in enumerate(seeds):
-        traces = simulate_print(
-            program, config.profile, config.noise, seed=seed
-        )
+        traces = simulate_print(plan, config.profile, config.noise, seed=seed, out=buffers)
         if config.save_traces:
             for motor in MOTORS:
                 save_trace(traces[motor], out / "traces" / f"{row}_run{run_index}_{motor.name}.ptrc")
         aligned = {motor: align_to_trigger(traces[motor]) for motor in MOTORS}
-        result = detect_print(aligned, baselines, config.detection)
-        # The result keeps the smoothed captures; free the raw ones.
-        del traces, aligned
+        result = detect_print(aligned, baselines, config.detection, buffers)
         for motor in MOTORS:
             sd = baselines[motor].pointwise_sd
             rate = baselines[motor].sample_rate / stride
@@ -540,8 +566,6 @@ def _run_row(
                 del part  # before the next span's part is made
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
-        # Free this print's arrays before the next one is simulated.
-        del result
     span_excess = {
         span: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
         for span, per_motor in print_means.items()

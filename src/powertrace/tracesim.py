@@ -41,7 +41,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
     "NoiseModel",
     "DEFAULT_NOISE",
     "MotorTrace",
+    "trace_length",
     "synthesize_trace",
     "simulate_print",
 ]
@@ -163,24 +164,38 @@ class MotorTrace:
         return len(self.samples)
 
 
+def trace_length(plan: MotionPlan) -> int:
+    """The number of samples :func:`synthesize_trace` renders from ``plan``."""
+    return max(int(round(plan.total_duration * SAMPLE_RATE)), 1)
+
+
 def synthesize_trace(
     plan: MotionPlan,
     motor: Motor,
     profile: PrinterProfile = DEFAULT_PROFILE,
     noise: NoiseModel = DEFAULT_NOISE,
+    out: np.ndarray | None = None,
 ) -> MotorTrace:
     """Render one motor's current trace from a motion plan at ``SAMPLE_RATE``.
 
     Same (plan, profile, noise) always yields bit-identical samples, whatever
-    the number of threads the segments render on.  Raises
-    :class:`NyquistError` if any segment's electrical frequency is above
-    ``SAMPLE_RATE / 2``, and :class:`TraceSimError` if a segment's samples
-    overlap an earlier segment's (planned segments tile time).
+    the number of threads the segments render on.  ``out``, when given, is a
+    float32 array of at least :func:`trace_length` samples that a caller
+    reuses from trace to trace: the samples are rendered into its first
+    samples, and the trace is a view of them.  Raises :class:`NyquistError`
+    if any segment's electrical frequency is above ``SAMPLE_RATE / 2``,
+    :class:`TraceSimError` if a segment's samples overlap an earlier
+    segment's (planned segments tile time), and ``ValueError`` if ``out`` is
+    not a float32 row that long.
     """
     segments = plan.segments.get(motor, ())
     total_samples = int(round(plan.total_duration * SAMPLE_RATE))
     # Segments compute in float64 and round once, as they are stored.
-    out = np.zeros(max(total_samples, 1), dtype=np.float32)
+    if out is None:
+        out = np.zeros(trace_length(plan), dtype=np.float32)
+    else:
+        out = _buffer_prefix(out, trace_length(plan))
+        out[...] = 0.0  # samples that no segment covers read 0.0
 
     amplitude = profile.rated_phase_current
     jitter_sd = noise.phase_jitter_sd * PHASE_JITTER_SCALE[motor]
@@ -386,21 +401,38 @@ def _map_on_threads(fn: Callable, items: list) -> list:
         return list(pool.map(fn, items))
 
 
+def _buffer_prefix(out: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` samples of a caller's reused float32 buffer, as a
+    new view, so that marking a trace's samples read-only leaves the buffer
+    writable.  A buffer that cannot hold them is the caller's error."""
+    if out.dtype != np.float32 or out.ndim != 1 or len(out) < length:
+        raise ValueError(
+            f"out must be a float32 row of at least {length} samples, "
+            f"not {out.dtype} of shape {out.shape}"
+        )
+    return out[:length]
+
+
 def simulate_print(
-    program: GCodeProgram,
+    program: GCodeProgram | MotionPlan,
     profile: PrinterProfile = DEFAULT_PROFILE,
     noise: NoiseModel = DEFAULT_NOISE,
     seed: int | None = None,
+    out: Mapping[Motor, np.ndarray] | None = None,
 ) -> dict[Motor, MotorTrace]:
     """Simulate one print: one trace per motor, equal length, shared trigger.
 
-    ``seed`` overrides ``noise.seed`` when given, which is how the harness
-    varies runs without rebuilding the noise model.
+    ``program`` may be given as its motion plan under ``profile``, which a
+    caller that simulates one program many times makes once.  ``seed``
+    overrides ``noise.seed`` when given, which is how the harness varies
+    runs without rebuilding the noise model.  ``out``, when given, holds
+    each motor's reused buffer, which its trace is rendered into as
+    :func:`synthesize_trace` renders into ``out``.
     """
     if seed is not None:
         noise = dataclasses.replace(noise, seed=seed)
-    plan = plan_motion(program, profile)
+    plan = program if isinstance(program, MotionPlan) else plan_motion(program, profile)
     return {
-        motor: synthesize_trace(plan, motor, profile, noise)
+        motor: synthesize_trace(plan, motor, profile, noise, None if out is None else out[motor])
         for motor in MOTORS
     }

@@ -153,12 +153,28 @@ class TestSmooth:
     @settings(max_examples=200, deadline=None)
     def test_prefix_equals_the_whole_smoothed_trace(self, case, block):
         # detect_print smooths a capture longer than its baseline only as
-        # far as the baseline reaches.
+        # far as the baseline reaches, and the experiment smooths each
+        # capture over the buffer it was rendered into, from the buffer's
+        # start: 0 or more samples before the capture's trigger.
         values, window, m = case
         with mock.patch.object(detect, "_BLOCK", block):
             got = detect._smooth_into(values, window, np.empty(m, dtype=np.float32))
             whole = smooth(_trace(values), window).samples
-        assert got.tobytes() == whole[:m].tobytes()
+            assert got.tobytes() == whole[:m].tobytes()
+            for offset in (0, 1, window // 2, window + 3):
+                buffer = np.full(offset + len(values), np.nan, dtype=np.float32)
+                buffer[offset:] = values
+                detect._smooth_into(buffer[offset:], window, buffer[:m])
+                assert buffer[:m].tobytes() == whole[:m].tobytes(), offset
+
+    def test_smoothing_over_a_later_part_of_its_buffer_rejected(self):
+        # Outputs written ahead of the reads would overwrite samples not yet
+        # read.
+        buffer = np.arange(60, dtype=np.float32)
+        with pytest.raises(ValueError, match="starts no later"):
+            detect._smooth_into(buffer[:50], 5, buffer[1:41])
+        with pytest.raises(ValueError, match="contiguous"):
+            detect._smooth_into(buffer[::2], 5, buffer[:20])
 
     def test_constant_trace_unchanged(self):
         trace = _trace([2.5] * 50)
@@ -201,6 +217,22 @@ class TestSmooth:
         trace = _trace(np.arange(30))
         assert trace.smoothing_window == 1
         assert smooth(trace, window).smoothing_window == window
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_smooths_into_a_reused_buffer(self, window):
+        # Golden traces are smoothed into the rows of one buffer that is
+        # reused from motor to motor, so even window 1 must copy into it,
+        # not return a trace that aliases the reused raw samples.
+        trace = _trace(np.random.default_rng(window).normal(0.0, 1.0, 40))
+        buffer = np.full(45, np.nan, dtype=np.float32)
+        into = smooth(trace, window, out=buffer)
+        assert into.samples.tobytes() == smooth(trace, window).samples.tobytes()
+        assert into.smoothing_window == window
+        assert np.shares_memory(into.samples, buffer)
+        assert not np.shares_memory(into.samples, trace.samples)
+        assert buffer.flags.writeable
+        with pytest.raises(ValueError, match="float32 row of at least 40"):
+            smooth(trace, window, out=buffer[:39])
 
     def test_smoothed_trace_is_not_smoothed_again(self):
         # smooth(smooth(t, 5), 20) would record window 20 for samples that
@@ -691,6 +723,33 @@ class TestDetectPrint:
             assert got.tobytes() == whole[part].tobytes()
             got += 1.0
         assert result.deviations[Motor.X].tobytes() == whole.tobytes()
+
+    def test_smooths_over_reused_buffers(self):
+        # A caller judging print after print renders each motor's capture
+        # into one buffer, after a pre-trigger part, and passes the buffers
+        # back: each capture is smoothed over its buffer from the buffer's
+        # start, as far as the baseline reaches, and reports and deviations
+        # equal those of a fresh call on copies.
+        rng = np.random.default_rng(3)
+        baselines = {m: _flat_baseline(motor=m) for m in MOTORS}
+        buffers = {m: np.full(530, np.nan, dtype=np.float32) for m in MOTORS}
+        for attack in (0.0, 0.5):
+            captures, copies = {}, {}
+            for m in MOTORS:
+                samples = rng.normal(0.0, 0.05, 510)
+                samples[200:300] += attack
+                buffers[m][15:525] = samples
+                captures[m] = _trace(buffers[m][15:525], motor=m)
+                copies[m] = _trace(samples, motor=m)
+            fresh = detect_print(copies, baselines)
+            into = detect_print(captures, baselines, out=buffers)
+            assert into.reports == fresh.reports
+            assert into.overall is (Verdict.MALICIOUS if attack else Verdict.BENIGN)
+            for m in MOTORS:
+                assert into.deviations[m].tobytes() == fresh.deviations[m].tobytes()
+                assert buffers[m][:500].tobytes() == smooth(copies[m], 20).samples[:500].tobytes()
+        with pytest.raises(ValueError, match="float32 row of at least 500"):
+            detect_print(copies, baselines, out={m: b[:499] for m, b in buffers.items()})
 
     def test_peak_memory_is_the_smoothed_captures(self):
         # Each motor is smoothed into the float32 array the result keeps (4

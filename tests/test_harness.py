@@ -391,7 +391,12 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
     # Each added golden print may cost one float32 smoothed trace per
     # baseline sample (4 bytes); build_baseline's float64 scratch is a fixed
     # block, and holding every motor's smoothed traces until the last
-    # baseline is built would cost 16.
+    # baseline is built would cost 16.  Each baseline is saved and dropped
+    # before the next motor's golden traces are made, and the four are read
+    # back once the reused buffer is freed (32 bytes per baseline sample:
+    # float32 sd and reference): measured 33.0 at 6 golden prints.  Holding
+    # the X, Y and Z baselines while E's six smoothed golden traces are made
+    # read 57.1.
     import tracemalloc
 
     from powertrace import harness
@@ -408,27 +413,56 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
             tracemalloc.stop()
     samples = baselines[Motor.X].sample_count
     assert (peaks[6] - peaks[3]) / 3 / samples <= 5.0
+    assert peaks[6] / samples < 40.0
 
 
-def test_golden_phase_holds_no_finished_baseline(tmp_path):
-    # Each baseline is dropped with its motor's golden traces once it is
-    # saved, and the four are read back at the end (32 bytes per baseline
-    # sample: float32 sd and reference): measured 33.9.  Holding the X, Y
-    # and Z baselines while E's six smoothed golden traces are made read
-    # 57.9.
-    import tracemalloc
+@pytest.mark.parametrize("window", [1, 20])
+def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
+    # The golden phase renders each golden trace into a row reused from
+    # motor to motor and smooths it over that row; each baseline must be
+    # the one built from fresh arrays, at window 1 too, where smoothing
+    # copies the raw samples.
+    from powertrace import harness, tracesim
+    from powertrace.detect import build_baseline, smooth
+    from powertrace.traceio import align_to_trigger, common_window
 
-    from powertrace import harness
+    config = dataclasses.replace(SMALL, golden_count=2)
+    config = dataclasses.replace(
+        config, detection=dataclasses.replace(config.detection, smoothing_window=window)
+    )
+    plan = plan_motion(benchmark_object(), config.profile)
+    baselines = harness._build_baselines(plan, config, tmp_path)
+    for motor in (Motor.X, Motor.E):
+        golden = []
+        for i in range(config.golden_count):
+            noise = dataclasses.replace(config.noise, seed=config.seed + harness._GOLDEN_SEED_BASE + i)
+            trace = tracesim.synthesize_trace(plan, motor, config.profile, noise)
+            golden.append(smooth(align_to_trigger(trace), window))
+        fresh = build_baseline(common_window(golden))
+        assert baselines[motor].pointwise_sd.tobytes() == fresh.pointwise_sd.tobytes()
+        assert baselines[motor].reference.tobytes() == fresh.reference.tobytes()
+        assert baselines[motor].peak_sd == fresh.peak_sd > 0.0
 
-    plan = plan_motion(benchmark_object(), SMALL.profile)
-    config = dataclasses.replace(SMALL, golden_count=6)
-    tracemalloc.start()
-    try:
-        baselines = harness._build_baselines(plan, config, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / baselines[Motor.X].sample_count < 40.0
+
+def test_each_row_program_is_planned_once(tmp_path, monkeypatch):
+    # The golden phase and the normal row share the unmodified program's
+    # plan, and every print of an attack row renders from its row's plan.
+    from powertrace import harness, tracesim
+
+    planned = []
+
+    def counting_plan(program, profile):
+        planned.append(program)
+        return plan_motion(program, profile)
+
+    monkeypatch.setattr(harness, "plan_motion", counting_plan)
+    monkeypatch.setattr(tracesim, "plan_motion", counting_plan)
+    config = dataclasses.replace(SMALL, golden_count=2, malicious_count=2)
+    run_experiment(config, tmp_path)
+    program = benchmark_object()
+    assert len(planned) == 1 + len(ATTACK_ROWS)
+    assert planned[0] == program
+    assert all(p != program for p in planned[1:])
 
 
 def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
@@ -469,40 +503,47 @@ def row_baselines(tmp_path_factory):
     return harness._build_baselines(plan, SMALL, tmp_path_factory.mktemp("golden"))
 
 
-def _run_row_peak(baselines, seed_count, out):
-    """tracemalloc's peak over one ``normal`` row of ``seed_count`` prints."""
-    import tracemalloc
+def _run_normal_row(baselines, seeds, out, spans):
+    """Run the ``normal`` row of ``seeds`` with its own print buffers."""
+    from powertrace import harness, tracesim
 
-    from powertrace import harness
+    plan = plan_motion(benchmark_object(), SMALL.profile)
+    buffers = harness._print_buffers(tracesim.trace_length(plan))
+    return harness._run_row("normal", plan, SMALL, baselines, seeds, out, spans, buffers)
+
+
+def _run_row_peak(baselines, seed_count, out):
+    """tracemalloc's peak over one ``normal`` row of ``seed_count`` prints,
+    its print buffers included."""
+    import tracemalloc
 
     tracemalloc.start()
     try:
-        harness._run_row(
-            "normal", benchmark_object(), SMALL, baselines, list(range(100, 100 + seed_count)),
-            out, [],
-        )
+        _run_normal_row(baselines, list(range(100, 100 + seed_count)), out, [])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_row_holds_one_print_at_a_time(row_baselines, tmp_path):
-    # A print's traces, result and deviation reads are freed before the next
-    # print is simulated, so more prints per row do not raise the peak;
-    # keeping the last print's series would add tens of bytes per sample.
+    # Every print of a row renders and smooths in the same buffers, and a
+    # print's deviation reads are freed before the next print is simulated,
+    # so more prints per row do not raise the peak; keeping the last print's
+    # series would add tens of bytes per sample.
     peaks = {count: _run_row_peak(row_baselines, count, tmp_path / str(count)) for count in (1, 3)}
     assert (peaks[3] - peaks[1]) / row_baselines[Motor.X].sample_count <= 1.0
 
 
 def test_row_print_peak_per_sample(row_baselines, tmp_path):
-    # While a print is judged it holds its four float32 traces (16 bytes per
-    # baseline sample) and the four float32 smoothed captures its result
-    # keeps (16), plus detect_print's block scratch: measured 33.1.  The
-    # traces are dropped before any deviation is read, and the row reads
-    # only its stride grid and window parts (see the next test).  A result
-    # holding four float64 deviations read 48.9.
+    # The row's print buffers hold the four float32 raw traces (16 bytes
+    # per baseline sample), and each capture is smoothed over its raw trace,
+    # so the smoothed captures a result reads take no more; on top come
+    # detect_print's block scratch and the row's stride grid and window
+    # parts (see the next test): measured 16.8.  Smoothing into four more
+    # float32 arrays read 33.1, and a result holding four float64
+    # deviations 48.9.
     peak = _run_row_peak(row_baselines, 1, tmp_path)
-    assert peak / row_baselines[Motor.X].sample_count <= 36.0
+    assert peak / row_baselines[Motor.X].sample_count <= 20.0
 
 
 def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypatch):
@@ -511,8 +552,8 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     # one window at a time (8 per window sample; a desync window is the last
     # 28% of the print), so its reads and exports add at most 3 bytes per
     # baseline sample.  Reading one whole float64 deviation adds 8.  The
-    # peak is reset at that first read, not when detect_print returns: the
-    # raw traces, freed in between, would hide any smaller rise.  The insert
+    # peak is reset at that first read, so it counts only what the reads
+    # and exports make.  The insert
     # and delete windows are the same samples, so a normal print reads three
     # window parts per motor, not four.
     import tracemalloc
@@ -546,7 +587,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     monkeypatch.setattr(harness, "detect_print", detect_then_watch)
     tracemalloc.start()
     try:
-        harness._run_row("normal", program, SMALL, row_baselines, [100], tmp_path, spans)
+        _run_normal_row(row_baselines, [100], tmp_path, spans)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

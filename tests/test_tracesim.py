@@ -141,6 +141,23 @@ class TestSimulatePrint:
         plan = plan_motion(tiny_program, DEFAULT_PROFILE)
         assert lengths.pop() == int(round(plan.total_duration * 25_000))
 
+    def test_a_plan_and_reused_buffers_give_the_same_traces(self, tiny_program):
+        # The harness plans a program once and renders every print of it into
+        # one buffer per motor: the traces are read-only views of those
+        # buffers, which stay writable for the next print.
+        plan = plan_motion(tiny_program, DEFAULT_PROFILE)
+        rows = np.zeros((len(MOTORS), tracesim.trace_length(plan) + 10), dtype=np.float32)
+        buffers = dict(zip(MOTORS, rows))
+        for seed in (5, 6):
+            fresh = simulate_print(tiny_program, seed=seed)
+            reused = simulate_print(plan, seed=seed, out=buffers)
+            for motor, row in buffers.items():
+                assert reused[motor].samples.tobytes() == fresh[motor].samples.tobytes()
+                assert reused[motor].trigger_index == fresh[motor].trigger_index
+                assert np.shares_memory(reused[motor].samples, row)
+                assert not reused[motor].samples.flags.writeable
+                assert row.flags.writeable
+
     def test_benign_pair_idle_deviation_within_noise_envelope(self, tiny_program):
         a = simulate_print(tiny_program, seed=11)
         b = simulate_print(tiny_program, seed=12)
@@ -233,6 +250,17 @@ class TestDesyncPropagation:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "buffer",
+        [np.empty(10, np.float32), np.empty(10**6, np.float64), np.empty((1, 10**6), np.float32)],
+        ids=["short", "float64", "2-d"],
+    )
+    def test_buffer_that_cannot_hold_the_trace_rejected(self, tiny_program, buffer):
+        plan = plan_motion(tiny_program, DEFAULT_PROFILE)
+        assert tracesim.trace_length(plan) > 10
+        with pytest.raises(ValueError, match="float32 row of at least"):
+            synthesize_trace(plan, Motor.X, out=buffer)
+
     def test_negative_noise_rejected(self):
         with pytest.raises(TraceSimError):
             NoiseModel(idle_noise_sd=-0.1)
@@ -322,11 +350,17 @@ def _plan_of(specs, kept, motor):
 
 def _assert_matches_reference(plan, motor, noise):
     expected, trigger = reference_synthesis(plan, motor, noise=noise)
+    # A reused buffer, longer than the trace and holding NaN where an
+    # earlier trace left its samples: any sample it keeps shows.
+    reused = np.full(len(expected) + 3, np.nan, dtype=np.float32)
     for workers in WORKER_COUNTS:
         with mock.patch.object(tracesim, "_WORKERS", workers):
             trace = synthesize_trace(plan, motor, noise=noise)
+            into = synthesize_trace(plan, motor, noise=noise, out=reused)
         assert trace.samples.tobytes() == expected.tobytes(), f"{workers} workers"
-        assert trace.trigger_index == trigger
+        assert into.samples.tobytes() == expected.tobytes(), f"{workers} workers, reused"
+        assert trace.trigger_index == into.trigger_index == trigger
+        reused[:] = np.nan
 
 
 _SEGMENT = st.tuples(
