@@ -7,11 +7,12 @@ detectability matrix (attack rows x motor columns).
 
 A cell is DETECTED when every attacked run was flagged on that motor,
 VISIBLE when none were flagged but the mean sd-subtracted excess inside the
-attack window exceeds the benign mean excess by a configurable factor, and
-NOT_DETECTED otherwise.  Motors the attack provably never touches (a row of
-void specs only leaves X/Y/Z motion untouched) are annotated rather than
-given a separate verdict.  A run with any flagged benign capture is invalid:
-zero false positives is a hard gate.
+motor's attack window exceeds the benign mean excess by a configurable
+factor, and NOT_DETECTED otherwise.  That window is the simulator's ground
+truth: where the motor's noise-free renders of the attacked and the
+unmodified program differ.  A motor whose renders are identical is annotated
+as untouched, with no ratio.  A run with any flagged benign capture is
+invalid: zero false positives is a hard gate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +51,12 @@ from .detect import (
     smooth,
 )
 from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode, read_gcode
-from .planner import (
-    DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PrinterProfile, command_start_times, plan_motion
-)
+from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PrinterProfile, plan_motion
+# Not called here: perfbench's trace mode wraps harness.command_start_times.
+from .planner import command_start_times
 from .traceio import align_to_trigger, common_window, load_baseline, save_baseline, save_trace
 from . import tracesim
-from .tracesim import DEFAULT_NOISE, SAMPLE_RATE, NoiseModel, simulate_print
+from .tracesim import DEFAULT_NOISE, NoiseModel, simulate_print
 
 __all__ = [
     "ExperimentError",
@@ -382,7 +382,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     baseline; every print is judged with the baselines read back from
     ``baselines/``, as an operator would load them.  Each row's program is
     planned once, and every print is rendered and smoothed in one buffer
-    per motor, made once for the longest print.
+    per motor, made once for the longest print.  Each attack row is
+    measured in each motor's ground-truth span (:func:`_ground_truth`).
 
     Raises :class:`AttackError`, naming the row, before writing anything if
     an attack spec does not apply to the program, and
@@ -413,29 +414,31 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     plan = plan_motion(program, config.profile)
     plans = {"normal": plan} | {row: plan_motion(programs[row], config.profile) for row in ATTACK_ROWS}
     baselines = _build_baselines(plan, config, out)
-    windows = _attack_windows(program, plan, programs, attacks, config, baselines)
     # Made once the golden phase has freed its buffer, so the two never coexist.
     buffers = _print_buffers(max(tracesim.trace_length(p) for p in plans.values()))
+    truth = _ground_truth(plans, config, baselines, buffers)
 
-    # The normal row runs first and is measured in every attack's window,
-    # so each attack row's excess ratio compares like with like.  It reads
-    # each distinct window once: two attacks may share one.
+    # The normal row runs first and is measured in every attack's span of
+    # each motor, so each attack row's excess ratio compares like with like.
+    # It reads each distinct span once: two attacks may share one.
     cells: dict[tuple[str, Motor], MatrixCell] = {}
-    benign_excess: dict[tuple[int, int], dict[Motor, float]] = {}
+    benign_excess: dict[Motor, dict[tuple[int, int], float]] = {}
     for index, row in enumerate(_ROWS):
         benign = row == "normal"
         first_seed = config.seed + _ROW_SEED_BASE + index * _ROW_SEED_STRIDE
         seeds = [first_seed + r for r in range(config.malicious_count)]
-        spans = sorted(set(windows.values())) if benign else [windows[row]]
+        row_truths = truth.values() if benign else [truth[row]]
+        spans = {motor: sorted({t[motor] for t in row_truths if t.get(motor)}) for motor in MOTORS}
         flagged, span_excess = _run_row(row, plans[row], config, baselines, seeds, out, spans, buffers)
         if benign:
             benign_excess = span_excess
         for motor in MOTORS:
             ratio = annotation = None
             if not benign:
-                span = windows[row]
-                ratio = _ratio(span_excess[span][motor], benign_excess[span][motor])
-                if motor is not Motor.E and _is_void(attacks[row]):
+                span = truth[row].get(motor)
+                if span:
+                    ratio = _ratio(span_excess[motor][span], benign_excess[motor][span])
+                elif motor in truth[row]:  # identical renders
                     annotation = "no ground-truth disturbance"
             if flagged[motor] == len(seeds):
                 outcome = CellOutcome.DETECTED
@@ -473,15 +476,9 @@ def _load_program(config: ExperimentConfig) -> GCodeProgram:
 def _build_baselines(
     plan: MotionPlan, config: ExperimentConfig, out: Path
 ) -> dict[Motor, GoldenBaseline]:
-    """Build and save each motor's baseline, then read all four back from
-    ``out/baselines``: the experiment judges with the files an operator
-    would load, through the same checks."""
-    paths = _save_baselines(plan, config, out)
-    return {motor: load_baseline(path) for motor, path in paths.items()}
-
-
-def _save_baselines(plan: MotionPlan, config: ExperimentConfig, out: Path) -> dict[Motor, Path]:
-    """Build and save each motor's baseline in turn from the program's plan.
+    """Build and save each motor's baseline in turn from the program's plan,
+    then read all four back from ``out/baselines``: the experiment judges
+    with the files an operator would load, through the same checks.
 
     Each golden trace is rendered into its row of one buffer and smoothed
     over that row, and the rows are reused from motor to motor, so the
@@ -503,7 +500,8 @@ def _save_baselines(plan: MotionPlan, config: ExperimentConfig, out: Path) -> di
             golden.append(smooth(align_to_trigger(trace), config.detection.smoothing_window, row))
         paths[motor] = out / "baselines" / f"{motor.name}.ptrb"
         save_baseline(build_baseline(common_window(golden)), paths[motor])
-    return paths
+    del rows, row, trace, golden  # each views the buffer, freed before the baselines are read
+    return {motor: load_baseline(path) for motor, path in paths.items()}
 
 
 def _print_buffers(capacity: int) -> dict[Motor, np.ndarray]:
@@ -520,28 +518,28 @@ def _run_row(
     baselines: dict[Motor, GoldenBaseline],
     seeds: list[int],
     out: Path,
-    spans: list[tuple[int, int]],
+    spans: dict[Motor, list[tuple[int, int]]],
     buffers: dict[Motor, np.ndarray],
-) -> tuple[dict[Motor, int], dict[tuple[int, int], dict[Motor, float]]]:
+) -> tuple[dict[Motor, int], dict[Motor, dict[tuple[int, int], float]]]:
     """Simulate, classify and export one row's prints from its program's plan.
 
     Every print renders each motor's raw trace into its buffer in
     ``buffers`` and smooths the capture over it (see
     :func:`_print_buffers`), so no print allocates a full-length array.
 
-    Each print is reduced to its verdicts and its mean excess inside each of
-    ``spans`` as soon as its series are written; only those reductions are
-    kept.  The raw traces are saved (with ``save_traces``) before they are
-    smoothed over.  Each motor's deviation is then made only where the row
+    Each print is reduced to its verdicts and its mean excess inside each
+    of a motor's ``spans`` as soon as its series are written; only those
+    reductions are kept.  The raw traces are saved (with ``save_traces``)
+    before they are smoothed over.  Each motor's deviation is then made only where the row
     reads it: on every ``series_stride``-th sample, which is written, turned
     into its excess in place and written again, and inside each span, whose
     excess is averaged.  No full-length series is made.
-    Returns the number of flagged prints per motor, and per span and
-    motor the mean of those per-print means.
+    Returns the number of flagged prints per motor, and per motor and span
+    the mean of those per-print means.
     """
     flagged = dict.fromkeys(MOTORS, 0)
-    print_means: dict[tuple[int, int], dict[Motor, list[float]]] = {
-        span: {motor: [] for motor in MOTORS} for span in spans
+    print_means: dict[Motor, dict[tuple[int, int], list[float]]] = {
+        motor: {span: [] for span in spans.get(motor, ())} for motor in MOTORS
     }
     stride = config.series_stride
     for run_index, seed in enumerate(seeds):
@@ -558,17 +556,17 @@ def _run_row(
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "deviation"))
             _excess_over(grid, sd[::stride][: len(grid)], out=grid)
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "excess"))
-            for lo, hi in spans:
+            for lo, hi in print_means[motor]:
                 part = result.deviations[motor, lo:hi]
                 if len(part):
                     _excess_over(part, sd[lo : lo + len(part)], out=part)
-                    print_means[lo, hi][motor].append(float(np.mean(part)))
+                    print_means[motor][lo, hi].append(float(np.mean(part)))
                 del part  # before the next span's part is made
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
     span_excess = {
-        span: {motor: float(np.mean(means)) if means else 0.0 for motor, means in per_motor.items()}
-        for span, per_motor in print_means.items()
+        motor: {span: float(np.mean(means)) if means else 0.0 for span, means in per_span.items()}
+        for motor, per_span in print_means.items()
     }
     return flagged, span_excess
 
@@ -586,49 +584,50 @@ def _excess_over(
     return np.maximum(0.0, out, out=out)
 
 
-# A voided command's effect is a bounded transient (the next absolute E word
-# re-extrudes the skipped filament), so its visibility window stops shortly
-# after the modified command instead of running to the end of the print.
-_VOID_SETTLE_S = 3.0
+# Every noise sd at 0: a render is the plan's ground truth.
+_NOISE_FREE = NoiseModel(idle_noise_sd=0.0, phase_jitter_sd=0.0, amplitude_noise_sd=0.0)
 
 
-def _attack_windows(
-    program: GCodeProgram,
-    plan: MotionPlan,
-    programs: dict[str, GCodeProgram],
-    attacks: dict[str, tuple[AttackSpec, ...]],
+def _ground_truth(
+    plans: dict[str, MotionPlan],
     config: ExperimentConfig,
     baselines: dict[Motor, GoldenBaseline],
-) -> dict[str, tuple[int, int]]:
-    """Each attack row's sample window on the baseline timeline.
+    buffers: dict[Motor, np.ndarray],
+) -> dict[str, dict[Motor, tuple[int, int] | None]]:
+    """Where each attack row disturbs each motor, on the baseline timeline.
 
-    The window starts at the first command where the row's program differs
-    from ``program``, at that command's start time in ``program`` (the end of
-    the print for an append after its last command).  Desynchronizing attacks
-    disturb everything after it, so the window runs to the end of the print;
-    a void row's window ends ``_VOID_SETTLE_S`` after the start of its last
-    changed command.  Legitimate here because the harness controls ground
-    truth.
+    Each motor's trace of the unmodified plan is rendered noise-free into
+    the X print buffer, and each attack row's into the Y one, both through
+    the ``tracesim`` module and aligned to the trigger.  A motor's span for
+    a row runs from the first to the last sample where the two float32
+    renders differ, with no tolerance, widened by the reach of the
+    baseline's centered smoothing window (a raw sample ``a`` reaches
+    smoothed samples ``a - w//2`` to ``a + (w-1)//2``) and clipped to the
+    baseline.  A motor whose renders are identical maps to ``None``; one
+    whose renders differ only in length has no entry.
     """
-    starts = command_start_times(program, config.profile) + [plan.total_duration]
-    length = min(b.sample_count for b in baselines.values())
-    windows = {}
-    for row in ATTACK_ROWS:
-        pairs = zip_longest(program.commands, programs[row].commands)
-        changed = [i for i, (old, new) in enumerate(pairs) if old != new]
-        t_start = starts[changed[0]] - plan.trigger_time
-        start_idx = max(0, min(int(t_start * SAMPLE_RATE), length - 1))
-        end_idx = length
-        if _is_void(attacks[row]):
-            t_end = starts[changed[-1]] - plan.trigger_time + _VOID_SETTLE_S
-            end_idx = max(start_idx + 1, min(int(t_end * SAMPLE_RATE), length))
-        windows[row] = (start_idx, end_idx)
-    return windows
+    truth: dict[str, dict[Motor, tuple[int, int] | None]] = {row: {} for row in ATTACK_ROWS}
+    for motor in MOTORS:
+        window, length = baselines[motor].smoothing_window, baselines[motor].sample_count
+        reference = _render_noise_free(plans["normal"], motor, config.profile, buffers[Motor.X])
+        for row in ATTACK_ROWS:
+            attacked = _render_noise_free(plans[row], motor, config.profile, buffers[Motor.Y])
+            n = min(len(reference), len(attacked))
+            differs = reference[:n] != attacked[:n]
+            if differs.any():
+                first, last = int(differs.argmax()), n - 1 - int(differs[::-1].argmax())
+                lo, hi = first - window // 2, last + 1 + (window - 1) // 2
+                truth[row][motor] = (max(lo, 0), min(hi, length))
+            elif len(reference) == len(attacked):
+                truth[row][motor] = None
+    return truth
 
 
-def _is_void(specs: tuple[AttackSpec, ...]) -> bool:
-    """Whether a row only voids extrusion, leaving X/Y/Z motion untouched."""
-    return all(spec.kind is AttackKind.VOID for spec in specs)
+def _render_noise_free(
+    plan: MotionPlan, motor: Motor, profile: PrinterProfile, out: np.ndarray
+) -> np.ndarray:
+    """One motor's noise-free samples of ``plan``, aligned, rendered into ``out``."""
+    return align_to_trigger(tracesim.synthesize_trace(plan, motor, profile, _NOISE_FREE, out)).samples
 
 
 def _ratio(attack: float, benign: float) -> float | None:

@@ -42,14 +42,16 @@ def row_programs(program, attacks):
     return programs
 
 
-def attack_windows(attacks, baselines):
-    """``_attack_windows`` of the benchmark object under ``attacks``."""
-    from powertrace import harness
+def ground_truth(attacks, baselines):
+    """``_ground_truth`` of the benchmark object under ``attacks``: each
+    attack row's span per motor."""
+    from powertrace import harness, tracesim
 
     program = benchmark_object()
-    plan = plan_motion(program, SMALL.profile)
-    programs = row_programs(program, attacks)
-    return harness._attack_windows(program, plan, programs, attacks, SMALL, baselines)
+    programs = {"normal": program, **row_programs(program, attacks)}
+    plans = {row: plan_motion(prog, SMALL.profile) for row, prog in programs.items()}
+    buffers = harness._print_buffers(max(tracesim.trace_length(plan) for plan in plans.values()))
+    return harness._ground_truth(plans, SMALL, baselines, buffers)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +239,8 @@ class TestRunExperiment:
     def test_excess_ratio_is_the_mean_of_per_print_window_means(self, small_run):
         # Recompute every attack row's ratios the way they were computed while
         # every print's full excess series was held: per print the mean over
-        # the attack window, then the mean over prints, attack over benign.
+        # the motor's ground-truth span, then the mean over prints, attack
+        # over benign.  A motor without a span has no ratio.
         import numpy as np
 
         from powertrace import harness
@@ -250,7 +253,7 @@ class TestRunExperiment:
         program = benchmark_object()
         attacks = default_attacks(program)
         programs = row_programs(program, attacks)
-        windows = attack_windows(attacks, baselines)
+        truth = ground_truth(attacks, baselines)
 
         def prints(prog, first_seed):
             results = []
@@ -260,27 +263,26 @@ class TestRunExperiment:
                 results.append(detect_print(aligned, baselines, SMALL.detection))
             return results
 
-        def mean_window_excess(results, window):
+        def mean_window_excess(results, motor, window):
             lo, hi = window
-            means = {}
-            for motor in MOTORS:
-                values = []
-                for result in results:
-                    series = excess(result.deviations[motor], baselines[motor])
-                    hi_eff = min(hi, len(series))
-                    if hi_eff > lo:
-                        values.append(float(np.mean(series[lo:hi_eff])))
-                means[motor] = float(np.mean(values)) if values else 0.0
-            return means
+            values = []
+            for result in results:
+                series = excess(result.deviations[motor], baselines[motor])
+                hi_eff = min(hi, len(series))
+                if hi_eff > lo:
+                    values.append(float(np.mean(series[lo:hi_eff])))
+            return float(np.mean(values)) if values else 0.0
 
         first_seed = SMALL.seed + harness._ROW_SEED_BASE
         benign_prints = prints(program, first_seed)
         for index, row in enumerate(ATTACK_ROWS, start=1):
             attacked_prints = prints(programs[row], first_seed + index * harness._ROW_SEED_STRIDE)
-            benign = mean_window_excess(benign_prints, windows[row])
-            attacked = mean_window_excess(attacked_prints, windows[row])
             for motor in MOTORS:
-                expected = harness._ratio(attacked[motor], benign[motor])
+                span = truth[row].get(motor)
+                expected = None
+                if span:
+                    attacked = mean_window_excess(attacked_prints, motor, span)
+                    expected = harness._ratio(attacked, mean_window_excess(benign_prints, motor, span))
                 assert matrix.cell(row, motor).excess_ratio == expected, (row, motor)
 
     @pytest.mark.parametrize("row", ["insert", "delete"])
@@ -504,7 +506,8 @@ def row_baselines(tmp_path_factory):
 
 
 def _run_normal_row(baselines, seeds, out, spans):
-    """Run the ``normal`` row of ``seeds`` with its own print buffers."""
+    """Run the ``normal`` row of ``seeds`` with its own print buffers,
+    reading each motor's ``spans``."""
     from powertrace import harness, tracesim
 
     plan = plan_motion(benchmark_object(), SMALL.profile)
@@ -519,7 +522,7 @@ def _run_row_peak(baselines, seed_count, out):
 
     tracemalloc.start()
     try:
-        _run_normal_row(baselines, list(range(100, 100 + seed_count)), out, [])
+        _run_normal_row(baselines, list(range(100, 100 + seed_count)), out, {})
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -549,22 +552,24 @@ def test_row_print_peak_per_sample(row_baselines, tmp_path):
 def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypatch):
     # From a print's first deviation read on, the row makes each motor's
     # deviation only on its stride grid (8 bytes per grid sample) and in
-    # one window at a time (8 per window sample; a desync window is the last
-    # 28% of the print), so its reads and exports add at most 3 bytes per
-    # baseline sample.  Reading one whole float64 deviation adds 8.  The
-    # peak is reset at that first read, so it counts only what the reads
-    # and exports make.  The insert
-    # and delete windows are the same samples, so a normal print reads three
-    # window parts per motor, not four.
+    # one span at a time (8 per span sample; the longest, X's insert span,
+    # is the last 28% of the print), so its reads and exports add at most
+    # 3 bytes per baseline sample.  Reading one whole float64 deviation adds
+    # 8.  The peak is reset at that first read, so it counts only what the
+    # reads and exports make.  A void row that holds the delete has the
+    # delete row's spans, so a normal print reads three span parts per
+    # motor, not four.
     import tracemalloc
 
     from powertrace import harness
 
-    program = benchmark_object()
-    windows = attack_windows(default_attacks(program), row_baselines)
-    assert windows["insert"] == windows["delete"]
-    spans = sorted(set(windows.values()))
-    assert max(hi - lo for lo, hi in spans) > 0.25 * row_baselines[Motor.X].sample_count
+    attacks = default_attacks(benchmark_object())
+    attacks["void"] = attacks["delete"]
+    truth = ground_truth(attacks, row_baselines)
+    assert truth["void"] == truth["delete"]
+    spans = {motor: sorted({t[motor] for t in truth.values()}) for motor in MOTORS}
+    longest = max(hi - lo for motor_spans in spans.values() for lo, hi in motor_spans)
+    assert longest > 0.25 * row_baselines[Motor.X].sample_count
     starts = []
     window_parts = dict.fromkeys(MOTORS, 0)
 
@@ -598,26 +603,57 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
 
 def test_append_window_starts_at_the_injection_point(row_baselines):
     # Layer 7 has 20 commands, so position 20 appends after its last one.
-    # That command is unchanged: the window starts where it ends, 6,250
-    # samples (0.25 s) after it starts.
+    # That command is unchanged: X and Y first move differently where it
+    # ends, 6,250 samples (0.25 s) after it starts, at sample 1,493,582, so
+    # their spans start the smoothing window's reach (10 samples) earlier
+    # and, as the appended move delays the rest, run to the baseline's end.
     attacks = default_attacks(benchmark_object())
     attacks["insert"] = (dataclasses.replace(attacks["insert"][0], position=20),)
-    windows = attack_windows(attacks, row_baselines)
-    assert windows["insert"] == (1_493_582, row_baselines[Motor.X].sample_count)
+    truth = ground_truth(attacks, row_baselines)
+    for motor in (Motor.X, Motor.Y):
+        assert truth["insert"][motor] == (1_493_572, row_baselines[motor].sample_count)
 
 
 def test_void_row_holding_a_delete_is_a_desync_row(row_baselines, tmp_path):
-    # The void rule reads the row's specs, not its name: a delete shifts
-    # every motor, so the row's window runs to the end of the print and no
-    # motor is annotated as undisturbed.
+    # The annotation reads the renders, not the row's name: a delete shifts
+    # every motor, so each motor has a span and none is annotated as
+    # undisturbed.  The delete print is 12,814 samples shorter than the
+    # baseline, so the X and Y spans run to its last sample, widened by the
+    # smoothing window's reach (9 samples past it).
     attacks = default_attacks(benchmark_object())
     attacks["void"] = attacks["delete"]
-    windows = attack_windows(attacks, row_baselines)
-    assert windows["void"] == windows["delete"]
-    assert windows["void"][1] == row_baselines[Motor.X].sample_count
+    truth = ground_truth(attacks, row_baselines)
+    assert truth["void"] == truth["delete"]
+    assert all(truth["void"][motor] for motor in MOTORS)
+    for motor in (Motor.X, Motor.Y):
+        assert truth["void"][motor][1] == row_baselines[motor].sample_count - 12_814 + 9
     config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
     matrix = run_experiment(config, tmp_path)
     assert all(matrix.cell("void", motor).annotation is None for motor in MOTORS)
+
+
+def test_default_void_row_disturbs_only_the_extruder(row_baselines):
+    # Voiding a perimeter side leaves X, Y and Z motion as it was: their
+    # noise-free renders are identical.  E's renders differ from the voided
+    # command to where the next extrusion has made up the skipped filament.
+    truth = ground_truth(default_attacks(benchmark_object()), row_baselines)
+    assert truth["void"] == {Motor.X: None, Motor.Y: None, Motor.Z: None, Motor.E: (1_322_171, 1_365_940)}
+
+
+def test_fan_command_insert_disturbs_no_motor(tmp_path):
+    # A fan command takes no time and moves no motor, so all four renders
+    # are identical: every cell of the row is annotated and has no ratio.
+    from powertrace.attacks import AttackKind, AttackSpec
+    from powertrace.gcode import parse_line
+
+    attacks = default_attacks(benchmark_object())
+    attacks["insert"] = (AttackSpec(AttackKind.INSERT, 7, 3, payload=parse_line("M106 S128")),)
+    config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
+    matrix = run_experiment(config, tmp_path)
+    for motor in MOTORS:
+        cell = matrix.cell("insert", motor)
+        assert cell.annotation == "no ground-truth disturbance", motor
+        assert cell.excess_ratio is None, motor
 
 
 def test_grid_times_print_as_their_sample_times():

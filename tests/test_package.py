@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,7 @@ def test_package_binds_submodules_and_every_exported_name_resolves():
 # 10 ms, which every command that does not synthesize would pay at start-up.
 _RANDOM_PROBE = """
 import sys
+from pathlib import Path
 import numpy
 if "numpy.random" in sys.modules:
     print("numpy imports numpy.random itself")
@@ -48,3 +50,28 @@ def test_importing_the_package_leaves_numpy_random_unimported():
     if result.stdout == "numpy imports numpy.random itself\n":
         pytest.skip(result.stdout.strip())
     assert result.stdout == "False\n"
+
+
+# perfbench's trace mode wraps layer functions by module attribute, so an
+# attribute the package no longer binds breaks the benchmark, not a call.
+# Runs in a fresh interpreter that writes no bytecode beside the benchmark.
+_WRAP_PROBE = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import powertrace
+import spans
+
+missing = [f"{module}.{attr}" for module, attr, _ in spans._WRAP_POINTS
+           if not hasattr(getattr(powertrace, module), attr)]
+print(missing)
+"""
+
+
+def test_every_benchmark_wrap_point_resolves():
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", _WRAP_PROBE, str(perfbench)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
