@@ -10,7 +10,8 @@ VISIBLE when none were flagged but the mean sd-subtracted excess inside the
 motor's attack window exceeds the benign mean excess by a configurable
 factor, and NOT_DETECTED otherwise.  That window is the simulator's ground
 truth: where the motor's noise-free renders of the attacked and the
-unmodified program differ.  A motor whose renders are identical is annotated
+unmodified program differ, each rendered only from the motor's first changed
+segment on.  A motor whose renders are identical is annotated
 as untouched, with no ratio.  A run with any flagged benign capture is
 invalid: zero false positives is a hard gate.
 """
@@ -598,24 +599,28 @@ def _ground_truth(
 
     Each motor's trace of the unmodified plan is rendered noise-free into
     the X print buffer, and each attack row's into the Y one, both through
-    the ``tracesim`` module and aligned to the trigger.  A motor's span for
-    a row runs from the first to the last sample where the two float32
-    renders differ, with no tolerance, widened by the reach of the
-    baseline's centered smoothing window (a raw sample ``a`` reaches
-    smoothed samples ``a - w//2`` to ``a + (w-1)//2``) and clipped to the
-    baseline.  A motor whose renders are identical maps to ``None``; one
-    whose renders differ only in length has no entry.
+    the ``tracesim`` module and aligned to the trigger: each row's from its
+    :func:`_first_change` on, the unmodified plan's from the earliest of
+    those.  A motor's span for a row runs from the first to the last sample
+    where the two float32 renders differ, with no tolerance, widened by the
+    reach of the baseline's centered smoothing window (a raw sample ``a``
+    reaches smoothed samples ``a - w//2`` to ``a + (w-1)//2``) and clipped
+    to the baseline.  A motor whose renders are identical maps to ``None``;
+    one whose renders differ only in length has no entry.
     """
     truth: dict[str, dict[Motor, tuple[int, int] | None]] = {row: {} for row in ATTACK_ROWS}
     for motor in MOTORS:
         window, length = baselines[motor].smoothing_window, baselines[motor].sample_count
-        reference = _render_noise_free(plans["normal"], motor, config.profile, buffers[Motor.X])
+        starts = {row: _first_change(plans["normal"], plans[row], motor) for row in ATTACK_ROWS}
+        earliest = min(starts.values())
+        reference = _render_noise_free(plans["normal"], motor, config.profile, buffers[Motor.X], earliest)
         for row in ATTACK_ROWS:
-            attacked = _render_noise_free(plans[row], motor, config.profile, buffers[Motor.Y])
+            attacked = _render_noise_free(plans[row], motor, config.profile, buffers[Motor.Y], starts[row])
             n = min(len(reference), len(attacked))
-            differs = reference[:n] != attacked[:n]
+            skip = max(starts[row] - tracesim.trigger_index(plans[row]), 0)
+            differs = reference[skip:n] != attacked[skip:n]
             if differs.any():
-                first, last = int(differs.argmax()), n - 1 - int(differs[::-1].argmax())
+                first, last = skip + int(differs.argmax()), n - 1 - int(differs[::-1].argmax())
                 lo, hi = first - window // 2, last + 1 + (window - 1) // 2
                 truth[row][motor] = (max(lo, 0), min(hi, length))
             elif len(reference) == len(attacked):
@@ -623,11 +628,25 @@ def _ground_truth(
     return truth
 
 
+def _first_change(reference: MotionPlan, attacked: MotionPlan, motor: Motor) -> int:
+    """The raw sample where the plans' renders of ``motor`` can first differ
+    (before it they read the same segments): 0 if their triggers differ, else
+    the earlier start of their first differing segment, else the shorter length."""
+    length = min(tracesim.trace_length(reference), tracesim.trace_length(attacked))
+    if tracesim.trigger_index(reference) != tracesim.trigger_index(attacked):
+        return 0
+    ours, theirs = reference.segments.get(motor, ()), attacked.segments.get(motor, ())
+    same = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
+    changed = [segments[same].start_time for segments in (ours, theirs) if same < len(segments)]
+    return min([round(t * tracesim.SAMPLE_RATE) for t in changed] + [length])
+
+
 def _render_noise_free(
-    plan: MotionPlan, motor: Motor, profile: PrinterProfile, out: np.ndarray
+    plan: MotionPlan, motor: Motor, profile: PrinterProfile, out: np.ndarray, start: int
 ) -> np.ndarray:
-    """One motor's noise-free samples of ``plan``, aligned, rendered into ``out``."""
-    return align_to_trigger(tracesim.synthesize_trace(plan, motor, profile, _NOISE_FREE, out)).samples
+    """One motor's noise-free samples of ``plan`` from raw sample ``start`` on, aligned, in ``out``."""
+    trace = tracesim.synthesize_trace(plan, motor, profile, _NOISE_FREE, out, start=start)
+    return align_to_trigger(trace).samples
 
 
 def _ratio(attack: float, benign: float) -> float | None:

@@ -31,7 +31,9 @@ each segment's row to ``PCG64`` as its seed state.
 A trace renders in one pass on up to 8 threads.  Each job is an active
 segment and the idle segments that hold its end level, and each CPU the
 process may use gets one contiguous block of jobs.  Each segment has its own
-RNG and its own samples, so the output is identical for any CPU count.
+RNG and its own samples, so the output is identical for any CPU count.  Each
+sample is written once, by its segment or as 0.0.  A render may start at any
+sample: it then renders only the jobs that reach past it.
 """
 
 from __future__ import annotations
@@ -169,12 +171,19 @@ def trace_length(plan: MotionPlan) -> int:
     return max(int(round(plan.total_duration * SAMPLE_RATE)), 1)
 
 
+def trigger_index(plan: MotionPlan) -> int:
+    """The ``trigger_index`` of every trace :func:`synthesize_trace` renders from ``plan``."""
+    return min(int(round(plan.trigger_time * SAMPLE_RATE)), trace_length(plan) - 1)
+
+
 def synthesize_trace(
     plan: MotionPlan,
     motor: Motor,
     profile: PrinterProfile = DEFAULT_PROFILE,
     noise: NoiseModel = DEFAULT_NOISE,
     out: np.ndarray | None = None,
+    *,
+    start: int = 0,
 ) -> MotorTrace:
     """Render one motor's current trace from a motion plan at ``SAMPLE_RATE``.
 
@@ -182,40 +191,45 @@ def synthesize_trace(
     the number of threads the segments render on.  ``out``, when given, is a
     float32 array of at least :func:`trace_length` samples that a caller
     reuses from trace to trace: the samples are rendered into its first
-    samples, and the trace is a view of them.  Raises :class:`NyquistError`
+    samples, and the trace is a view of them.  ``start`` renders only the
+    tail: the jobs that reach past raw sample ``start``, each whole, so every
+    sample from ``start`` on equals the full render's; skipped samples read
+    0.0, and every segment is still checked.  Raises :class:`NyquistError`
     if any segment's electrical frequency is above ``SAMPLE_RATE / 2``,
     :class:`TraceSimError` if a segment's samples overlap an earlier
     segment's (planned segments tile time), and ``ValueError`` if ``out`` is
-    not a float32 row that long.
+    not a float32 row that long or ``start`` is not in ``0..trace_length``.
     """
     segments = plan.segments.get(motor, ())
     total_samples = int(round(plan.total_duration * SAMPLE_RATE))
+    length = trace_length(plan)
+    if not 0 <= start <= length:
+        raise ValueError(f"start {start} outside 0..{length}")
     # Segments compute in float64 and round once, as they are stored.
-    if out is None:
-        out = np.zeros(trace_length(plan), dtype=np.float32)
-    else:
-        out = _buffer_prefix(out, trace_length(plan))
-        out[...] = 0.0  # samples that no segment covers read 0.0
+    out = np.empty(length, dtype=np.float32) if out is None else _buffer_prefix(out, length)
 
     amplitude = profile.rated_phase_current
     jitter_sd = noise.phase_jitter_sd * PHASE_JITTER_SCALE[motor]
     amp_sd = noise.amplitude_noise_sd * AMPLITUDE_NOISE_SCALE[motor]
 
     # Serial pre-pass: sample ranges, the overlap and Nyquist checks, each
-    # active segment's starting phase, and the jobs.  The electrical angle
-    # tracks the signed shaft position: phase is the accumulated microstep
-    # count over STEPS_PER_ELECTRICAL_CYCLE, so two prints of the same
-    # geometry agree on phase wherever their positions do.  A job is one
-    # active segment with samples and the idle segments after it, which hold
-    # its end level; idle segments before the first active one hold 0.0.
-    # Segments without samples render nothing.
+    # active segment's starting phase, the jobs, and the zeros (ranges no
+    # rendered segment covers).  The electrical angle tracks the signed shaft
+    # position: phase is the accumulated microstep count over
+    # STEPS_PER_ELECTRICAL_CYCLE, so two prints of the same geometry agree on
+    # phase wherever their positions do.  A job is one active segment with
+    # samples and the idle segments after it, which hold its end level; idle
+    # segments before the first active one hold 0.0.  Segments without
+    # samples render nothing.
     blocks: list[list[tuple]] = [[(None, [])]]
+    zeros = []
     steps_position = 0.0
-    rendered_to = longest = job_start = 0
+    rendered_to = longest = job_start = head = 0
     for index, segment in enumerate(segments):
         lo = int(round(segment.start_time * SAMPLE_RATE))
         hi = int(round((segment.start_time + segment.duration) * SAMPLE_RATE))
         lo, hi = min(lo, total_samples), min(hi, total_samples)
+        jobs_end = rendered_to
         if hi > lo:
             # Segments render concurrently, so each must own its samples.
             if lo < rendered_to:
@@ -223,6 +237,8 @@ def synthesize_trace(
                     f"{motor.name} segment at {segment.start_time:.3f}s "
                     f"overlaps the segment before it"
                 )
+            if lo > rendered_to:
+                zeros.append((rendered_to, lo))
             rendered_to = hi
         if segment.step_frequency > 0.0:
             frequency = segment.step_frequency / STEPS_PER_ELECTRICAL_CYCLE
@@ -233,10 +249,13 @@ def synthesize_trace(
                     f"{SAMPLE_RATE / 2:.1f} Hz"
                 )
             if hi > lo:
+                if jobs_end <= start:  # every job so far ends by start: skip them
+                    blocks, zeros, head = [[]], [(0, lo)], lo
                 # A job opens the next of up to _WORKERS blocks once its middle,
-                # were it as long as the job before, passes this block's share.
-                middle = lo + (lo - job_start) / 2
-                if len(blocks) < _WORKERS and middle * _WORKERS >= total_samples * len(blocks):
+                # were it as long as the job before, passes this block's share
+                # of the samples rendered from head on.
+                middle, share = lo + (lo - job_start) / 2 - head, (length - head) * len(blocks)
+                if blocks[-1] and len(blocks) < _WORKERS and middle * _WORKERS >= share:
                     blocks.append([])
                 job_start = lo
                 phase = _TWO_PI * steps_position / STEPS_PER_ELECTRICAL_CYCLE
@@ -245,6 +264,11 @@ def synthesize_trace(
             steps_position += segment.direction * segment.step_frequency * segment.duration
         elif hi > lo:
             blocks[-1][-1][1].append((index, lo, hi))
+    zeros.append((rendered_to, length))
+    if rendered_to <= start:  # no job reaches past start
+        blocks, zeros = [[]], [(0, length)]
+    for lo, hi in zeros:
+        out[lo:hi] = 0.0
 
     # Segment i's generator is np.random.default_rng([noise.seed, motor.code, i]).
     states = _seed_states(noise.seed, motor.code, len(segments))
@@ -288,12 +312,11 @@ def synthesize_trace(
 
     _map_on_threads(render_block, blocks)
 
-    trigger_index = min(int(round(plan.trigger_time * SAMPLE_RATE)), len(out) - 1)
     return MotorTrace(
         motor=motor,
         sample_rate=SAMPLE_RATE,
         samples=out,
-        trigger_index=trigger_index,
+        trigger_index=trigger_index(plan),
     )
 
 

@@ -42,14 +42,19 @@ def row_programs(program, attacks):
     return programs
 
 
+def row_plans(attacks):
+    """The plans of the benchmark object and of each attack row's program."""
+    program = benchmark_object()
+    programs = {"normal": program, **row_programs(program, attacks)}
+    return {row: plan_motion(prog, SMALL.profile) for row, prog in programs.items()}
+
+
 def ground_truth(attacks, baselines):
     """``_ground_truth`` of the benchmark object under ``attacks``: each
     attack row's span per motor."""
     from powertrace import harness, tracesim
 
-    program = benchmark_object()
-    programs = {"normal": program, **row_programs(program, attacks)}
-    plans = {row: plan_motion(prog, SMALL.profile) for row, prog in programs.items()}
+    plans = row_plans(attacks)
     buffers = harness._print_buffers(max(tracesim.trace_length(plan) for plan in plans.values()))
     return harness._ground_truth(plans, SMALL, baselines, buffers)
 
@@ -638,6 +643,130 @@ def test_default_void_row_disturbs_only_the_extruder(row_baselines):
     # command to where the next extrusion has made up the skipped filament.
     truth = ground_truth(default_attacks(benchmark_object()), row_baselines)
     assert truth["void"] == {Motor.X: None, Motor.Y: None, Motor.Z: None, Motor.E: (1_322_171, 1_365_940)}
+
+
+def whole_render_truth(plans, baselines):
+    """The ground truth from whole renders: each motor's noise-free traces
+    of the unmodified plan and of each row's plan, rendered from sample 0
+    and compared from the trigger on, with the spans widened and clipped as
+    ``_ground_truth`` widens and clips them."""
+    from powertrace.traceio import align_to_trigger
+    from powertrace.tracesim import synthesize_trace
+
+    quiet = NoiseModel(idle_noise_sd=0.0, phase_jitter_sd=0.0, amplitude_noise_sd=0.0)
+    truth = {row: {} for row in ATTACK_ROWS}
+    for motor in MOTORS:
+        window, length = baselines[motor].smoothing_window, baselines[motor].sample_count
+        reference = align_to_trigger(synthesize_trace(plans["normal"], motor, noise=quiet)).samples
+        for row in ATTACK_ROWS:
+            attacked = align_to_trigger(synthesize_trace(plans[row], motor, noise=quiet)).samples
+            n = min(len(reference), len(attacked))
+            differs = np.flatnonzero(reference[:n] != attacked[:n])
+            if len(differs):
+                lo, hi = differs[0] - window // 2, differs[-1] + 1 + (window - 1) // 2
+                truth[row][motor] = (max(int(lo), 0), min(int(hi), length))
+            elif len(reference) == len(attacked):
+                truth[row][motor] = None
+    return truth
+
+
+def test_ground_truth_of_the_default_attacks_matches_whole_renders(row_baselines):
+    attacks = default_attacks(benchmark_object())
+    assert ground_truth(attacks, row_baselines) == whole_render_truth(row_plans(attacks), row_baselines)
+
+
+def _layer_sizes():
+    program = benchmark_object()
+    return [b - a for a, b in zip(program.layers, [*program.layers[1:], len(program.commands)])]
+
+
+@st.composite
+def _attack_specs(draw):
+    from powertrace.attacks import AttackKind, AttackSpec
+    from powertrace.gcode import parse_line
+
+    sizes = _layer_sizes()
+    kind = draw(st.sampled_from(AttackKind))
+    layer = draw(st.integers(0, len(sizes) - 1))
+    position = draw(st.integers(0, sizes[layer] - (2 if kind is AttackKind.REORDER else 1)))
+    if kind is AttackKind.INSERT:
+        move = draw(st.sampled_from(["G0 X9 Y9", "G0 X2 Y16", "M106 S64"]))
+        return AttackSpec(kind, layer, position, payload=parse_line(move))
+    if kind is AttackKind.REORDER:
+        pair = draw(st.integers(position + 1, sizes[layer] - 1))
+        return AttackSpec(kind, layer, position, pair_offset=pair)
+    return AttackSpec(kind, layer, position)
+
+
+@settings(max_examples=8, deadline=None)
+@given(specs=st.lists(_attack_specs(), min_size=len(ATTACK_ROWS), max_size=len(ATTACK_ROWS)))
+def test_ground_truth_of_drawn_attacks_matches_whole_renders(row_baselines, specs):
+    # Rows may hold any kind: the ground truth reads the renders, not the
+    # row's name.  A void drawn on a move that does not extrude is no
+    # attack, and a swap that drives an axis past its feed limit no print.
+    from hypothesis import assume
+    from powertrace.planner import PlanError
+
+    attacks = {row: (spec,) for row, spec in zip(ATTACK_ROWS, specs)}
+    try:
+        plans = row_plans(attacks)
+    except (AttackError, PlanError):
+        assume(False)
+    assert ground_truth(attacks, row_baselines) == whole_render_truth(plans, row_baselines)
+
+
+def test_ground_truth_renders_whole_when_the_trigger_moves(row_baselines):
+    # A travel inserted before the first layer's first command lands in the
+    # preamble and moves the trigger, so every motor's first change is 0.
+    from powertrace import harness, tracesim
+    from powertrace.attacks import AttackKind, AttackSpec
+    from powertrace.gcode import parse_line
+
+    attacks = default_attacks(benchmark_object())
+    attacks["insert"] = (AttackSpec(AttackKind.INSERT, 0, 0, payload=parse_line("G0 X5 Y5")),)
+    plans = row_plans(attacks)
+    assert tracesim.trigger_index(plans["insert"]) != tracesim.trigger_index(plans["normal"])
+    assert all(harness._first_change(plans["normal"], plans["insert"], m) == 0 for m in MOTORS)
+    truth = ground_truth(attacks, row_baselines)
+    assert truth == whole_render_truth(plans, row_baselines)
+    assert all(truth["insert"][motor] for motor in MOTORS)
+
+
+def test_fan_command_insert_matches_whole_renders(row_baselines):
+    # A fan command changes no motor segment, so the row's renders cover no
+    # sample, and every motor reads identical, as the whole renders do.
+    from powertrace import harness, tracesim
+    from powertrace.attacks import AttackKind, AttackSpec
+    from powertrace.gcode import parse_line
+
+    attacks = default_attacks(benchmark_object())
+    attacks["insert"] = (AttackSpec(AttackKind.INSERT, 7, 3, payload=parse_line("M106 S128")),)
+    plans = row_plans(attacks)
+    length = tracesim.trace_length(plans["normal"])
+    assert tracesim.trace_length(plans["insert"]) == length
+    for motor in MOTORS:
+        assert harness._first_change(plans["normal"], plans["insert"], motor) == length
+    truth = ground_truth(attacks, row_baselines)
+    assert truth == whole_render_truth(plans, row_baselines)
+    assert truth["insert"] == dict.fromkeys(MOTORS)
+
+
+def test_ground_truth_renders_each_motor_once_per_program(row_baselines, monkeypatch):
+    # Trace mode counts these synthesis spans exactly, so the tail renders
+    # keep one call per motor for the unmodified plan and one per row.
+    from powertrace import tracesim
+
+    calls = []
+    synthesize = tracesim.synthesize_trace
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("start", 0))
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(tracesim, "synthesize_trace", counting)
+    ground_truth(default_attacks(benchmark_object()), row_baselines)
+    assert len(calls) == 4 * (1 + len(ATTACK_ROWS))
+    assert all(start > 0 for start in calls)
 
 
 def test_fan_command_insert_disturbs_no_motor(tmp_path):

@@ -348,15 +348,43 @@ def _plan_of(specs, kept, motor):
     return MotionPlan(segments={motor: tuple(segments)}, total_duration=total, trigger_time=total / 2)
 
 
-def _assert_matches_reference(plan, motor, noise):
+def _tail_reference(plan, motor, noise, start):
+    """``reference_synthesis``'s samples of the jobs that reach past raw
+    sample ``start``, and 0.0 elsewhere, with its trigger index.
+
+    A job is an active segment with samples and the idle segments with
+    samples after it; idle segments before the first active one form a job
+    of their own.
+    """
     expected, trigger = reference_synthesis(plan, motor, noise=noise)
+    total = int(round(plan.total_duration * SAMPLE_RATE))
+    jobs = [[]]
+    for segment in plan.segments.get(motor, ()):
+        lo = min(int(round(segment.start_time * SAMPLE_RATE)), total)
+        hi = min(int(round((segment.start_time + segment.duration) * SAMPLE_RATE)), total)
+        if hi > lo:
+            if segment.step_frequency > 0.0:
+                jobs.append([])
+            jobs[-1].append((lo, hi))
+    tail = np.zeros_like(expected)
+    for job in jobs:
+        if job and job[-1][1] > start:
+            for lo, hi in job:
+                tail[lo:hi] = expected[lo:hi]
+    return tail, trigger
+
+
+def _assert_matches_reference(plan, motor, noise, start=0):
+    expected, trigger = _tail_reference(plan, motor, noise, start)
+    if start == 0:
+        assert expected.tobytes() == reference_synthesis(plan, motor, noise=noise)[0].tobytes()
     # A reused buffer, longer than the trace and holding NaN where an
     # earlier trace left its samples: any sample it keeps shows.
     reused = np.full(len(expected) + 3, np.nan, dtype=np.float32)
     for workers in WORKER_COUNTS:
         with mock.patch.object(tracesim, "_WORKERS", workers):
-            trace = synthesize_trace(plan, motor, noise=noise)
-            into = synthesize_trace(plan, motor, noise=noise, out=reused)
+            trace = synthesize_trace(plan, motor, noise=noise, start=start)
+            into = synthesize_trace(plan, motor, noise=noise, out=reused, start=start)
         assert trace.samples.tobytes() == expected.tobytes(), f"{workers} workers"
         assert into.samples.tobytes() == expected.tobytes(), f"{workers} workers, reused"
         assert trace.trigger_index == into.trigger_index == trigger
@@ -412,6 +440,66 @@ class TestThreadedSynthesis:
              kept=1.0, noise=NoiseModel(seed=2**64), motor=Motor.E)
     def test_matches_serial_reference(self, specs, kept, noise, motor):
         _assert_matches_reference(_plan_of(specs, kept, motor), motor, noise)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(_SEGMENT, max_size=12),
+        kept=st.floats(0.3, 1.0),
+        noise=_NOISE,
+        motor=st.sampled_from(MOTORS),
+        at=st.floats(0.0, 1.0),
+    )
+    # Segments of 250 samples: idle, active, idle.  Sample 675 lies in the
+    # idle run that holds the active segment's end level, so the active
+    # segment renders too; the leading idle run is skipped.
+    @example(specs=[(0.01, 0.0, 1), (0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=1.0, noise=DEFAULT_NOISE, motor=Motor.X, at=0.9)
+    # Sample 150 lies in the leading idle run, which holds 0.0.
+    @example(specs=[(0.01, 0.0, 1), (0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=1.0, noise=DEFAULT_NOISE, motor=Motor.E, at=0.2)
+    # start = trace_length renders nothing.
+    @example(specs=[(0.01, 0.0, 1), (0.01, _ACTIVE, 1), (0.01, 0.0, 1)],
+             kept=1.0, noise=DEFAULT_NOISE, motor=Motor.Y, at=1.0)
+    @example(specs=[(0.01, _ACTIVE, 1), (0.01, 0.0, 1)], kept=1.0, noise=QUIET, motor=Motor.Z, at=0.0)
+    def test_tail_render_matches_reference_from_start(self, specs, kept, noise, motor, at):
+        plan = _plan_of(specs, kept, motor)
+        _assert_matches_reference(plan, motor, noise, round(at * tracesim.trace_length(plan)))
+
+    @pytest.mark.parametrize("start", [-1, 501], ids=["negative", "past-the-end"])
+    def test_start_outside_the_trace_rejected(self, start):
+        plan = _plan_of([(0.01, _ACTIVE, 1), (0.01, 0.0, 1)], 1.0, Motor.X)
+        assert tracesim.trace_length(plan) == 500
+        with pytest.raises(ValueError, match=f"start {start} outside 0..500"):
+            synthesize_trace(plan, Motor.X, start=start)
+
+    @pytest.mark.parametrize(
+        "segments, total",
+        [
+            # 250.4975 rounds down and 250.5025 up: sample 250 lies between them.
+            ([(0.0, 0.0100199, _ACTIVE), (0.0100201, 0.01, 0.0)], 0.0200201),
+            # The plan runs 100 samples past its last segment.
+            ([(0.0, 0.01, _ACTIVE), (0.01, 0.01, 0.0)], 0.024),
+            # 1.08e-5 s rounds to 0 samples; the trace still has one.
+            ([(0.0, 2.15e-5, 0.0)], 1.08e-5),
+        ],
+        ids=["rounding-gap", "past-the-last-segment", "zero-sample-plan"],
+    )
+    def test_samples_no_segment_covers_read_zero(self, segments, total):
+        plan = MotionPlan(
+            segments={Motor.X: tuple(MotionSegment(t0, d, f, Motor.X) for t0, d, f in segments)},
+            total_duration=total,
+            trigger_time=0.0,
+        )
+        expected, _ = reference_synthesis(plan, Motor.X)
+        # Segments are clipped to the plan's rounded samples, as synthesis clips them.
+        covered = np.zeros(len(expected), dtype=bool)
+        total = int(round(total * SAMPLE_RATE))
+        for segment in plan.segments[Motor.X]:
+            lo = int(round(segment.start_time * SAMPLE_RATE))
+            covered[lo : min(int(round((segment.start_time + segment.duration) * SAMPLE_RATE)), total)] = True
+        assert not covered.all() and not expected[~covered].any()
+        # Byte-equal to the reference from a NaN-filled buffer at 1, 2 and 3 workers.
+        _assert_matches_reference(plan, Motor.X, DEFAULT_NOISE)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100])
     def test_seed_states_are_seed_sequence_states(self, seed):
@@ -470,24 +558,30 @@ class TestThreadedSynthesis:
 
     def test_two_threads_split_each_trace_near_its_middle(self):
         # Z has one job per layer; cutting at the first job that starts past
-        # the middle would leave 60% of its samples on one thread.
+        # the middle would leave 60% of its samples on one thread.  A tail
+        # render splits the samples it renders, not the whole trace; its
+        # blocks can miss the middle only by half the job that straddles it.
         plan = plan_motion(benchmark_object(), DEFAULT_PROFILE)
-        shares = []
+        splits = []
 
         def serial_spy(render_block, blocks):
-            counts = [
-                sum(hi - lo for active, idle in block for _, lo, hi, *_ in [active or (0, 0, 0), *idle])
+            jobs = [
+                [sum(hi - lo for _, lo, hi, *_ in [active or (0, 0, 0), *idle]) for active, idle in block]
                 for block in blocks
             ]
-            shares.append(counts[0] / sum(counts))
+            splits.append((sum(jobs[0]), sum(map(sum, jobs)), max(map(max, jobs))))
             return [render_block(block) for block in blocks]
 
         with mock.patch.object(tracesim, "_WORKERS", 2), \
                 mock.patch.object(tracesim, "_map_on_threads", serial_spy):
-            for motor in MOTORS:
-                synthesize_trace(plan, motor)
-        assert len(shares) == len(MOTORS)
-        assert all(abs(share - 0.5) < 0.02 for share in shares), shares
+            for start in (0, round(0.7 * tracesim.trace_length(plan))):
+                for motor in MOTORS:
+                    synthesize_trace(plan, motor, start=start)
+        assert len(splits) == 2 * len(MOTORS)
+        full, tail = splits[: len(MOTORS)], splits[len(MOTORS) :]
+        assert all(abs(first / total - 0.5) < 0.02 for first, total, _ in full), full
+        assert all(abs(first - total / 2) <= longest / 2 for first, total, longest in tail), tail
+        assert all(total < 0.4 * tracesim.trace_length(plan) for _, total, _ in tail), tail
 
     def test_peak_memory_per_sample(self):
         # The float32 result is 4 bytes per sample; segment buffers are
