@@ -52,7 +52,7 @@ from .detect import (
     smooth,
 )
 from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode, read_gcode
-from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PrinterProfile, plan_motion
+from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PlanError, PrinterProfile, plan_motion
 # Not called here: perfbench's trace mode wraps harness.command_start_times.
 from .planner import command_start_times
 from .traceio import align_to_trigger, common_window, load_baseline, save_baseline, save_trace
@@ -379,24 +379,22 @@ def default_attacks(program: GCodeProgram) -> dict[str, tuple[AttackSpec, ...]]:
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> DetectabilityMatrix:
     """Run the whole protocol and write artifacts under ``out_dir``.
 
-    The golden phase holds one motor's golden traces and no finished
-    baseline; every print is judged with the baselines read back from
-    ``baselines/``, as an operator would load them.  Each row's program is
-    planned once, and every print is rendered and smoothed in one buffer
-    per motor, made once for the longest print.  Each attack row is
-    measured in each motor's ground-truth span (:func:`_ground_truth`).
+    Every program is built, checked and planned, and the ground truth
+    (:func:`_ground_truth`) rendered from the plans, before anything is
+    written.  The golden phase then holds one motor's golden traces and no
+    finished baseline; every print is judged with the baselines read back
+    from ``baselines/`` and rendered and smoothed in one buffer per motor.
 
-    Raises :class:`AttackError`, naming the row, before writing anything if
-    an attack spec does not apply to the program, and
-    :class:`ExperimentError` before writing anything if a row's specs leave
-    the program unchanged, or after writing artifacts if any benign capture
-    was flagged (the zero-false-positive gate).
+    Raises, before writing anything, :class:`AttackError` or
+    :class:`PlanError` naming the row whose specs do not apply or whose
+    program cannot be planned, :class:`ExperimentError` if they change no
+    command, and any error of the unmodified program.  After writing
+    artifacts it raises only the zero-false-positive gate's ExperimentError.
     """
     program = _load_program(config)
     attacks = config.attacks if config.attacks is not None else default_attacks(program)
-    # Every row's program is built before anything is written, so a spec that
-    # does not apply fails before the golden phase, named as in config.txt.
-    programs = {"normal": program}
+    # Every row's program is built and checked before any program is planned.
+    programs = {}
     for row in ATTACK_ROWS:
         programs[row] = program
         for spec, group in zip(attacks[row], _attack_groups(row, attacks[row])):
@@ -406,18 +404,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
                 raise AttackError(f"{_ATTACK_PREFIX}{group}: {exc}") from None
         if programs[row] == program:
             raise ExperimentError(f"{_ATTACK_PREFIX}{row}: the attack changes no command")
+    plans = {"normal": plan_motion(program, config.profile)}
+    for row in ATTACK_ROWS:
+        try:
+            plans[row] = plan_motion(programs[row], config.profile)
+        except PlanError as exc:
+            raise PlanError(f"{_ATTACK_PREFIX}{row}: {exc}") from None
+    truth = _ground_truth(plans, config)
 
     config = dataclasses.replace(config, attacks=attacks)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(dump_experiment_config(config))
 
-    plan = plan_motion(program, config.profile)
-    plans = {"normal": plan} | {row: plan_motion(programs[row], config.profile) for row in ATTACK_ROWS}
-    baselines = _build_baselines(plan, config, out)
+    baselines = _build_baselines(plans["normal"], config, out)
     # Made once the golden phase has freed its buffer, so the two never coexist.
     buffers = _print_buffers(max(tracesim.trace_length(p) for p in plans.values()))
-    truth = _ground_truth(plans, config, baselines, buffers)
 
     # The normal row runs first and is measured in every attack's span of
     # each motor, so each attack row's excess ratio compares like with like.
@@ -590,32 +592,36 @@ _NOISE_FREE = NoiseModel(idle_noise_sd=0.0, phase_jitter_sd=0.0, amplitude_noise
 
 
 def _ground_truth(
-    plans: dict[str, MotionPlan],
-    config: ExperimentConfig,
-    baselines: dict[Motor, GoldenBaseline],
-    buffers: dict[Motor, np.ndarray],
+    plans: dict[str, MotionPlan], config: ExperimentConfig
 ) -> dict[str, dict[Motor, tuple[int, int] | None]]:
     """Where each attack row disturbs each motor, on the baseline timeline.
 
-    Each motor's trace of the unmodified plan is rendered noise-free into
-    the X print buffer, and each attack row's into the Y one, both through
-    the ``tracesim`` module and aligned to the trigger: each row's from its
-    :func:`_first_change` on, the unmodified plan's from the earliest of
-    those.  A motor's span for a row runs from the first to the last sample
-    where the two float32 renders differ, with no tolerance, widened by the
-    reach of the baseline's centered smoothing window (a raw sample ``a``
-    reaches smoothed samples ``a - w//2`` to ``a + (w-1)//2``) and clipped
-    to the baseline.  A motor whose renders are identical maps to ``None``;
-    one whose renders differ only in length has no entry.
+    Each motor's traces of the unmodified plan and of each row's plan are
+    rendered noise-free into the two rows of one scratch array, through the
+    ``tracesim`` module, and aligned: each row's from its
+    :func:`tracesim.first_change` on, the unmodified plan's from the
+    earliest of those.  A motor's span for a row runs from the first to the
+    last sample where the two float32 renders differ, with no tolerance,
+    widened by the smoothing window's reach (raw sample ``a`` reaches
+    smoothed samples ``a - w//2`` to ``a + (w-1)//2``) and clipped to the
+    baseline's length.  A motor whose renders are identical maps to
+    ``None``; one whose renders differ only in length has no entry.
     """
+    normal = plans["normal"]
+    window = config.detection.smoothing_window
+    length = tracesim.trace_length(normal) - tracesim.trigger_index(normal)
+    scratch = np.empty((2, max(tracesim.trace_length(p) for p in plans.values())), dtype=np.float32)
+
+    def render(plan: MotionPlan, motor: Motor, out: np.ndarray, start: int) -> np.ndarray:
+        trace = tracesim.synthesize_trace(plan, motor, config.profile, _NOISE_FREE, out, start=start)
+        return align_to_trigger(trace).samples
+
     truth: dict[str, dict[Motor, tuple[int, int] | None]] = {row: {} for row in ATTACK_ROWS}
     for motor in MOTORS:
-        window, length = baselines[motor].smoothing_window, baselines[motor].sample_count
-        starts = {row: _first_change(plans["normal"], plans[row], motor) for row in ATTACK_ROWS}
-        earliest = min(starts.values())
-        reference = _render_noise_free(plans["normal"], motor, config.profile, buffers[Motor.X], earliest)
+        starts = {row: tracesim.first_change(normal, plans[row], motor) for row in ATTACK_ROWS}
+        reference = render(normal, motor, scratch[0], min(starts.values()))
         for row in ATTACK_ROWS:
-            attacked = _render_noise_free(plans[row], motor, config.profile, buffers[Motor.Y], starts[row])
+            attacked = render(plans[row], motor, scratch[1], starts[row])
             n = min(len(reference), len(attacked))
             skip = max(starts[row] - tracesim.trigger_index(plans[row]), 0)
             differs = reference[skip:n] != attacked[skip:n]
@@ -626,27 +632,6 @@ def _ground_truth(
             elif len(reference) == len(attacked):
                 truth[row][motor] = None
     return truth
-
-
-def _first_change(reference: MotionPlan, attacked: MotionPlan, motor: Motor) -> int:
-    """The raw sample where the plans' renders of ``motor`` can first differ
-    (before it they read the same segments): 0 if their triggers differ, else
-    the earlier start of their first differing segment, else the shorter length."""
-    length = min(tracesim.trace_length(reference), tracesim.trace_length(attacked))
-    if tracesim.trigger_index(reference) != tracesim.trigger_index(attacked):
-        return 0
-    ours, theirs = reference.segments.get(motor, ()), attacked.segments.get(motor, ())
-    same = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
-    changed = [segments[same].start_time for segments in (ours, theirs) if same < len(segments)]
-    return min([round(t * tracesim.SAMPLE_RATE) for t in changed] + [length])
-
-
-def _render_noise_free(
-    plan: MotionPlan, motor: Motor, profile: PrinterProfile, out: np.ndarray, start: int
-) -> np.ndarray:
-    """One motor's noise-free samples of ``plan`` from raw sample ``start`` on, aligned, in ``out``."""
-    trace = tracesim.synthesize_trace(plan, motor, profile, _NOISE_FREE, out, start=start)
-    return align_to_trigger(trace).samples
 
 
 def _ratio(attack: float, benign: float) -> float | None:

@@ -61,6 +61,8 @@ __all__ = [
     "DEFAULT_NOISE",
     "MotorTrace",
     "trace_length",
+    "trigger_index",
+    "first_change",
     "synthesize_trace",
     "simulate_print",
 ]
@@ -174,6 +176,19 @@ def trace_length(plan: MotionPlan) -> int:
 def trigger_index(plan: MotionPlan) -> int:
     """The ``trigger_index`` of every trace :func:`synthesize_trace` renders from ``plan``."""
     return min(int(round(plan.trigger_time * SAMPLE_RATE)), trace_length(plan) - 1)
+
+
+def first_change(reference: MotionPlan, attacked: MotionPlan, motor: Motor) -> int:
+    """The raw sample where the plans' renders of ``motor`` can first differ
+    (before it they read the same segments): 0 if their triggers differ, else
+    the earlier start of their first differing segment, else the shorter length."""
+    length = min(trace_length(reference), trace_length(attacked))
+    if trigger_index(reference) != trigger_index(attacked):
+        return 0
+    ours, theirs = reference.segments.get(motor, ()), attacked.segments.get(motor, ())
+    same = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
+    changed = [segments[same].start_time for segments in (ours, theirs) if same < len(segments)]
+    return min([round(t * SAMPLE_RATE) for t in changed] + [length])
 
 
 def synthesize_trace(

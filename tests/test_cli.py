@@ -544,6 +544,18 @@ class TestExperimentCommand:
         assert f"error: {config}: attack.insert: no such layer: 99" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unplannable_attack_exits_2_before_writing(self, tmp_path, capsys):
+        # The inserted extruding move applies, but drives E past its feed
+        # limit: the row's plan fails before config.txt is written.
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            "golden_count = 2\nattack.insert.layer = 0\nattack.insert.position = 4\n"
+            "attack.insert.payload = G1 X3 Y12 E0.4\n"
+        )
+        assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: attack.insert: command 9: E axis")
+        assert not (tmp_path / "out" / "config.txt").exists()
+
     def test_flagged_benign_capture_exits_2(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text("golden_count = 2\nmalicious_count = 1\nmargin = 0\nrun_requirement = 1\n")

@@ -49,14 +49,20 @@ def row_plans(attacks):
     return {row: plan_motion(prog, SMALL.profile) for row, prog in programs.items()}
 
 
-def ground_truth(attacks, baselines):
-    """``_ground_truth`` of the benchmark object under ``attacks``: each
-    attack row's span per motor."""
-    from powertrace import harness, tracesim
+def aligned_length(plan):
+    """The samples of ``plan``'s traces from the trigger on: the
+    ``sample_count`` of every baseline built from ``plan``."""
+    from powertrace import tracesim
 
-    plans = row_plans(attacks)
-    buffers = harness._print_buffers(max(tracesim.trace_length(plan) for plan in plans.values()))
-    return harness._ground_truth(plans, SMALL, baselines, buffers)
+    return tracesim.trace_length(plan) - tracesim.trigger_index(plan)
+
+
+def ground_truth(attacks):
+    """``_ground_truth`` of the benchmark object under ``attacks`` and
+    ``SMALL``: each attack row's span per motor."""
+    from powertrace import harness
+
+    return harness._ground_truth(row_plans(attacks), SMALL)
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +264,7 @@ class TestRunExperiment:
         program = benchmark_object()
         attacks = default_attacks(program)
         programs = row_programs(program, attacks)
-        truth = ground_truth(attacks, baselines)
+        truth = ground_truth(attacks)
 
         def prints(prog, first_seed):
             results = []
@@ -366,6 +372,36 @@ class TestRunExperiment:
             run_experiment(config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_unplannable_row_fails_before_anything_is_written(self, tmp_path):
+        # apply_attack accepts an extruding move inserted at the first
+        # layer's start, but it drives E past its feed limit, so the row's
+        # program cannot be planned; the error names the row as config.txt
+        # would.
+        from powertrace.attacks import AttackKind, AttackSpec
+        from powertrace.gcode import parse_line
+        from powertrace.planner import PlanError
+
+        attacks = dict(default_attacks(benchmark_object()))
+        payload = parse_line("G1 X3 Y12 E0.4")
+        attacks["reorder"] = (AttackSpec(AttackKind.INSERT, 0, 4, payload=payload),)
+        config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
+        with pytest.raises(PlanError, match=r"^attack\.reorder: command 9: E axis"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_unrenderable_profile_fails_before_anything_is_written(self, tmp_path):
+        # The planner accepts any finite steps_per_mm, but X would step far
+        # past the Nyquist limit; the ground truth renders every program
+        # before the first write, so synthesis rejects it then.
+        from powertrace.tracesim import NyquistError
+
+        steps = dataclasses.replace(DEFAULT_PROFILE.steps_per_mm, x=1e6)
+        profile = dataclasses.replace(DEFAULT_PROFILE, steps_per_mm=steps)
+        config = dataclasses.replace(SMALL, golden_count=2, profile=profile)
+        with pytest.raises(NyquistError, match="^X segment"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_flagged_benign_capture_invalidates_the_run(self, tmp_path):
         # Zero margin and a one-sample run flag benign noise.
         detection = DetectionConfig(margin=0.0, run_requirement=1)
@@ -449,6 +485,9 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
         assert baselines[motor].pointwise_sd.tobytes() == fresh.pointwise_sd.tobytes()
         assert baselines[motor].reference.tobytes() == fresh.reference.tobytes()
         assert baselines[motor].peak_sd == fresh.peak_sd > 0.0
+        # The two facts the ground truth derives from the config and the plan.
+        assert baselines[motor].smoothing_window == config.detection.smoothing_window
+        assert baselines[motor].sample_count == aligned_length(plan)
 
 
 def test_each_row_program_is_planned_once(tmp_path, monkeypatch):
@@ -570,7 +609,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
 
     attacks = default_attacks(benchmark_object())
     attacks["void"] = attacks["delete"]
-    truth = ground_truth(attacks, row_baselines)
+    truth = ground_truth(attacks)
     assert truth["void"] == truth["delete"]
     spans = {motor: sorted({t[motor] for t in truth.values()}) for motor in MOTORS}
     longest = max(hi - lo for motor_spans in spans.values() for lo, hi in motor_spans)
@@ -606,7 +645,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     assert (peak - starts[0]) / row_baselines[Motor.X].sample_count <= 3.0
 
 
-def test_append_window_starts_at_the_injection_point(row_baselines):
+def test_append_window_starts_at_the_injection_point():
     # Layer 7 has 20 commands, so position 20 appends after its last one.
     # That command is unchanged: X and Y first move differently where it
     # ends, 6,250 samples (0.25 s) after it starts, at sample 1,493,582, so
@@ -614,12 +653,13 @@ def test_append_window_starts_at_the_injection_point(row_baselines):
     # and, as the appended move delays the rest, run to the baseline's end.
     attacks = default_attacks(benchmark_object())
     attacks["insert"] = (dataclasses.replace(attacks["insert"][0], position=20),)
-    truth = ground_truth(attacks, row_baselines)
+    truth = ground_truth(attacks)
+    length = aligned_length(row_plans(attacks)["normal"])
     for motor in (Motor.X, Motor.Y):
-        assert truth["insert"][motor] == (1_493_572, row_baselines[motor].sample_count)
+        assert truth["insert"][motor] == (1_493_572, length)
 
 
-def test_void_row_holding_a_delete_is_a_desync_row(row_baselines, tmp_path):
+def test_void_row_holding_a_delete_is_a_desync_row(tmp_path):
     # The annotation reads the renders, not the row's name: a delete shifts
     # every motor, so each motor has a span and none is annotated as
     # undisturbed.  The delete print is 12,814 samples shorter than the
@@ -627,36 +667,38 @@ def test_void_row_holding_a_delete_is_a_desync_row(row_baselines, tmp_path):
     # smoothing window's reach (9 samples past it).
     attacks = default_attacks(benchmark_object())
     attacks["void"] = attacks["delete"]
-    truth = ground_truth(attacks, row_baselines)
+    truth = ground_truth(attacks)
     assert truth["void"] == truth["delete"]
     assert all(truth["void"][motor] for motor in MOTORS)
+    length = aligned_length(row_plans(attacks)["normal"])
     for motor in (Motor.X, Motor.Y):
-        assert truth["void"][motor][1] == row_baselines[motor].sample_count - 12_814 + 9
+        assert truth["void"][motor][1] == length - 12_814 + 9
     config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
     matrix = run_experiment(config, tmp_path)
     assert all(matrix.cell("void", motor).annotation is None for motor in MOTORS)
 
 
-def test_default_void_row_disturbs_only_the_extruder(row_baselines):
+def test_default_void_row_disturbs_only_the_extruder():
     # Voiding a perimeter side leaves X, Y and Z motion as it was: their
     # noise-free renders are identical.  E's renders differ from the voided
     # command to where the next extrusion has made up the skipped filament.
-    truth = ground_truth(default_attacks(benchmark_object()), row_baselines)
+    truth = ground_truth(default_attacks(benchmark_object()))
     assert truth["void"] == {Motor.X: None, Motor.Y: None, Motor.Z: None, Motor.E: (1_322_171, 1_365_940)}
 
 
-def whole_render_truth(plans, baselines):
+def whole_render_truth(plans):
     """The ground truth from whole renders: each motor's noise-free traces
     of the unmodified plan and of each row's plan, rendered from sample 0
-    and compared from the trigger on, with the spans widened and clipped as
+    and compared from the trigger on, with the spans widened at ``SMALL``'s
+    window and clipped to the unmodified plan's aligned length as
     ``_ground_truth`` widens and clips them."""
     from powertrace.traceio import align_to_trigger
     from powertrace.tracesim import synthesize_trace
 
     quiet = NoiseModel(idle_noise_sd=0.0, phase_jitter_sd=0.0, amplitude_noise_sd=0.0)
+    window, length = SMALL.detection.smoothing_window, aligned_length(plans["normal"])
     truth = {row: {} for row in ATTACK_ROWS}
     for motor in MOTORS:
-        window, length = baselines[motor].smoothing_window, baselines[motor].sample_count
         reference = align_to_trigger(synthesize_trace(plans["normal"], motor, noise=quiet)).samples
         for row in ATTACK_ROWS:
             attacked = align_to_trigger(synthesize_trace(plans[row], motor, noise=quiet)).samples
@@ -670,9 +712,9 @@ def whole_render_truth(plans, baselines):
     return truth
 
 
-def test_ground_truth_of_the_default_attacks_matches_whole_renders(row_baselines):
+def test_ground_truth_of_the_default_attacks_matches_whole_renders():
     attacks = default_attacks(benchmark_object())
-    assert ground_truth(attacks, row_baselines) == whole_render_truth(row_plans(attacks), row_baselines)
+    assert ground_truth(attacks) == whole_render_truth(row_plans(attacks))
 
 
 def _layer_sizes():
@@ -700,7 +742,7 @@ def _attack_specs(draw):
 
 @settings(max_examples=8, deadline=None)
 @given(specs=st.lists(_attack_specs(), min_size=len(ATTACK_ROWS), max_size=len(ATTACK_ROWS)))
-def test_ground_truth_of_drawn_attacks_matches_whole_renders(row_baselines, specs):
+def test_ground_truth_of_drawn_attacks_matches_whole_renders(specs):
     # Rows may hold any kind: the ground truth reads the renders, not the
     # row's name.  A void drawn on a move that does not extrude is no
     # attack, and a swap that drives an axis past its feed limit no print.
@@ -712,13 +754,14 @@ def test_ground_truth_of_drawn_attacks_matches_whole_renders(row_baselines, spec
         plans = row_plans(attacks)
     except (AttackError, PlanError):
         assume(False)
-    assert ground_truth(attacks, row_baselines) == whole_render_truth(plans, row_baselines)
+    assert ground_truth(attacks) == whole_render_truth(plans)
 
 
-def test_ground_truth_renders_whole_when_the_trigger_moves(row_baselines):
+def test_ground_truth_renders_whole_when_the_trigger_moves():
     # A travel inserted before the first layer's first command lands in the
-    # preamble and moves the trigger, so every motor's first change is 0.
-    from powertrace import harness, tracesim
+    # preamble and moves the trigger, so every motor's first change is 0
+    # (tests/test_tracesim.py) and each render is whole.
+    from powertrace import tracesim
     from powertrace.attacks import AttackKind, AttackSpec
     from powertrace.gcode import parse_line
 
@@ -726,32 +769,28 @@ def test_ground_truth_renders_whole_when_the_trigger_moves(row_baselines):
     attacks["insert"] = (AttackSpec(AttackKind.INSERT, 0, 0, payload=parse_line("G0 X5 Y5")),)
     plans = row_plans(attacks)
     assert tracesim.trigger_index(plans["insert"]) != tracesim.trigger_index(plans["normal"])
-    assert all(harness._first_change(plans["normal"], plans["insert"], m) == 0 for m in MOTORS)
-    truth = ground_truth(attacks, row_baselines)
-    assert truth == whole_render_truth(plans, row_baselines)
+    truth = ground_truth(attacks)
+    assert truth == whole_render_truth(plans)
     assert all(truth["insert"][motor] for motor in MOTORS)
 
 
-def test_fan_command_insert_matches_whole_renders(row_baselines):
-    # A fan command changes no motor segment, so the row's renders cover no
-    # sample, and every motor reads identical, as the whole renders do.
-    from powertrace import harness, tracesim
+def test_fan_command_insert_matches_whole_renders():
+    # A fan command changes no motor segment, so every motor's first change
+    # is the trace's length (tests/test_tracesim.py), the row's renders
+    # cover no sample, and every motor reads identical, as the whole renders
+    # do.
     from powertrace.attacks import AttackKind, AttackSpec
     from powertrace.gcode import parse_line
 
     attacks = default_attacks(benchmark_object())
     attacks["insert"] = (AttackSpec(AttackKind.INSERT, 7, 3, payload=parse_line("M106 S128")),)
     plans = row_plans(attacks)
-    length = tracesim.trace_length(plans["normal"])
-    assert tracesim.trace_length(plans["insert"]) == length
-    for motor in MOTORS:
-        assert harness._first_change(plans["normal"], plans["insert"], motor) == length
-    truth = ground_truth(attacks, row_baselines)
-    assert truth == whole_render_truth(plans, row_baselines)
+    truth = ground_truth(attacks)
+    assert truth == whole_render_truth(plans)
     assert truth["insert"] == dict.fromkeys(MOTORS)
 
 
-def test_ground_truth_renders_each_motor_once_per_program(row_baselines, monkeypatch):
+def test_ground_truth_renders_each_motor_once_per_program(monkeypatch):
     # Trace mode counts these synthesis spans exactly, so the tail renders
     # keep one call per motor for the unmodified plan and one per row.
     from powertrace import tracesim
@@ -764,7 +803,7 @@ def test_ground_truth_renders_each_motor_once_per_program(row_baselines, monkeyp
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(tracesim, "synthesize_trace", counting)
-    ground_truth(default_attacks(benchmark_object()), row_baselines)
+    ground_truth(default_attacks(benchmark_object()))
     assert len(calls) == 4 * (1 + len(ATTACK_ROWS))
     assert all(start > 0 for start in calls)
 

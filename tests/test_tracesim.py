@@ -249,6 +249,57 @@ class TestDesyncPropagation:
             )
 
 
+class TestFirstChange:
+    """``first_change``: the raw sample before which two plans' renders of a
+    motor read the same segments."""
+
+    @staticmethod
+    def _inserted(layer, position, line):
+        from powertrace.gcode import parse_line
+
+        program = benchmark_object()
+        spec = AttackSpec(AttackKind.INSERT, layer, position, payload=parse_line(line))
+        mutated = inject_insert(program, spec)
+        return plan_motion(program, DEFAULT_PROFILE), plan_motion(mutated, DEFAULT_PROFILE)
+
+    def test_a_trigger_that_moves_gives_0(self):
+        # A travel before the first layer's first command lands in the
+        # preamble, so every later sample moves with the trigger.
+        reference, attacked = self._inserted(0, 0, "G0 X5 Y5")
+        assert tracesim.trigger_index(reference) != tracesim.trigger_index(attacked)
+        for motor in MOTORS:
+            assert tracesim.first_change(reference, attacked, motor) == 0
+
+    def test_a_fan_only_insert_gives_the_trace_length(self):
+        # A fan command takes no time and changes no motor segment.
+        reference, attacked = self._inserted(7, 3, "M106 S128")
+        length = tracesim.trace_length(reference)
+        assert tracesim.trace_length(attacked) == length
+        for motor in MOTORS:
+            assert tracesim.first_change(reference, attacked, motor) == length
+
+    def test_a_first_differing_idle_segment_gives_its_start(self):
+        # A Y-only travel holds X idle while Y moves, where X moved next in
+        # the unmodified plan: X's first differing segment is idle in the
+        # attacked plan and active in the reference.  Both renders agree
+        # before its start, and a render from it on equals the whole one.
+        program = parse_gcode("G1 Z0.2 F37.5\nG1 X8 E0.4 F960\nG1 X16 E0.8\n")
+        payload = Command(kind=CommandKind.RAPID_MOVE, y=5.0)
+        mutated = inject_insert(program, AttackSpec(AttackKind.INSERT, 0, 2, payload=payload))
+        reference, attacked = plan_motion(program, DEFAULT_PROFILE), plan_motion(mutated, DEFAULT_PROFILE)
+        idle, moved = attacked.segments[Motor.X][2], reference.segments[Motor.X][2]
+        assert idle.step_frequency == 0.0 < moved.step_frequency
+        assert attacked.segments[Motor.X][:2] == reference.segments[Motor.X][:2]
+        change = tracesim.first_change(reference, attacked, Motor.X)
+        assert change == round(idle.start_time * SAMPLE_RATE) > 0
+        ours = synthesize_trace(reference, Motor.X, noise=QUIET).samples
+        theirs = synthesize_trace(attacked, Motor.X, noise=QUIET).samples
+        assert np.array_equal(ours[:change], theirs[:change])
+        assert not np.array_equal(ours[change : change + 100], theirs[change : change + 100])
+        tail = synthesize_trace(attacked, Motor.X, noise=QUIET, start=change).samples
+        assert np.array_equal(tail[change:], theirs[change:])
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "buffer",
