@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import config as configmod
 from .attacks import AttackError, AttackKind, AttackSpec, apply_attack
-from .detect import DetectionConfig, DetectionError, Verdict, build_baseline, detect_print, smooth
+from .detect import DetectionConfig, DetectionError, Verdict, build_baseline, detect_print
 from .gcode import GCodeError, read_gcode, serialize
 from .harness import (
     ExperimentConfig,
@@ -31,7 +31,6 @@ from .planner import DEFAULT_PROFILE, MOTORS, PlanError, PrinterProfile
 from .traceio import (
     CaptureFormatError,
     align_to_trigger,
-    common_window,
     load_baseline,
     load_trace,
     save_baseline,
@@ -192,8 +191,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         else:
             paths.append(Path(pattern))
     _print_config(args, captures=len(paths), window=args.window, output=args.output)
-    golden = [smooth(align_to_trigger(load_trace(path)), args.window) for path in paths]
-    baseline = build_baseline(common_window(golden))
+    baseline = build_baseline((align_to_trigger(load_trace(p)) for p in paths), args.window)
     out_path = args.out / args.output
     save_baseline(baseline, out_path)
     print(
@@ -239,13 +237,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         malicious_count=config.malicious_count,
         visible_factor=config.visible_factor,
     )
-    try:
-        matrix = run_experiment(config, args.out)
-    except AttackError as exc:
-        # Without a config file the default attacks address the bundled object.
-        if args.config is None:
-            raise
-        raise configmod.ConfigError(f"{args.config}: {exc}") from None
+    matrix = run_experiment(config, args.out)
     print(render_matrix(matrix), end="")
     print(f"artifacts written under {args.out}")
     return EXIT_OK

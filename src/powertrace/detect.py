@@ -5,8 +5,8 @@ pointwise standard deviation over a set of known-good traces of the same
 motor, compute the absolute pointwise deviation of a captured trace from a
 designated reference trace, and flag the capture as malicious when the
 deviation stays above ``peak_sd + margin`` for a contiguous run of samples.
-A baseline records the window its golden traces were smoothed with, and a
-capture is smoothed with that same window.
+A baseline (:func:`build_baseline` is the one builder) records the window its
+golden traces were smoothed with, and a capture is smoothed with that window.
 
 The verdict uses the raw deviation against the peak of the golden standard
 deviation, so :func:`detect_print` keeps no deviation: it returns the
@@ -33,7 +33,7 @@ on parallel threads, with the same bytes for any number of threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -237,8 +237,8 @@ def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> Mot
     before ended on, so it adds in the order of one whole-trace ``cumsum``
     and the output is bit-identical to gathering every sample.
 
-    A trace already smoothed is rejected for any window but 1: its result
-    could record only the last window.
+    A trace already smoothed is rejected for any window but 1, at which it
+    keeps its window: a result could record only one window.
     """
     n = len(trace.samples)
     if window < 1:
@@ -253,7 +253,7 @@ def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> Mot
         return trace
     out = np.empty(n, dtype=np.float32) if out is None else _buffer_prefix(out, n)
     samples = _smooth_into(trace.samples, window, out)
-    return replace(trace, samples=samples, smoothing_window=window)
+    return replace(trace, samples=samples, smoothing_window=max(window, trace.smoothing_window))
 
 
 def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
@@ -317,23 +317,28 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
     return out
 
 
-def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
-    """Pointwise sample standard deviation over golden traces.
+def build_baseline(
+    captures: Iterable[MotorTrace], window: int = 1, rows: Sequence[np.ndarray] | None = None
+) -> GoldenBaseline:
+    """Pointwise sample standard deviation over golden captures of one motor.
 
-    Traces must already be aligned, smoothed with one window, which the
-    baseline records, and cut to a common length.
+    ``captures``, any iterable of trigger-aligned traces, are each smoothed
+    with :func:`smooth` at ``window`` (capture i into ``rows[i]`` when given,
+    which it may view), then all are cut to the shortest; the first is the
+    reference.  At window 1, captures already smoothed are taken as they
+    are, and the baseline records their window, which they must share.
     The sd is computed ``_BLOCK`` samples at a time in reused float64
     blocks, the same operations in the same order as, and bit-identical to,
-    ``np.stack(...).std(axis=0, ddof=1)`` on the whole traces.  The running
+    ``np.stack(...).std(axis=0, ddof=1)`` on the cut traces.  The running
     max of those float64 blocks is ``peak_sd``; each block is then rounded
     into the float32 column, so no full-length float64 sd exists.
     """
+    golden = [smooth(c, window, None if rows is None else rows[i]) for i, c in enumerate(captures)]
     if len(golden) < 2:
         raise DetectionError("a baseline needs at least 2 golden traces")
     motor = golden[0].motor
     rate = golden[0].sample_rate
     window = golden[0].smoothing_window
-    length = len(golden[0].samples)
     for trace in golden[1:]:
         if trace.motor is not motor:
             raise DetectionError("golden traces mix motors")
@@ -341,8 +346,7 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
             raise DetectionError("golden traces mix sample rates")
         if trace.smoothing_window != window:
             raise DetectionError("golden traces mix smoothing windows")
-        if len(trace.samples) != length:
-            raise DetectionError("golden traces have mismatched lengths")
+    length = min(len(trace.samples) for trace in golden)
 
     # Blocks are at least 2 wide, a last single column joining the block
     # before: numpy sums a one-column block's rows in partial sums, not in order.
@@ -371,7 +375,7 @@ def build_baseline(golden: list[MotorTrace]) -> GoldenBaseline:
         motor=motor,
         sample_rate=rate,
         pointwise_sd=sd,
-        reference=golden[0].samples,
+        reference=golden[0].samples[:length],
         source_count=len(golden),
         peak_sd=float(peak),
         smoothing_window=window,

@@ -53,7 +53,7 @@ from .detect import (
 )
 from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode, read_gcode
 from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PlanError, PrinterProfile, plan_motion
-# Not called here: perfbench's trace mode wraps harness.command_start_times.
+# Not called here, nor smooth and common_window: perfbench's trace mode wraps them.
 from .planner import command_start_times
 from .traceio import align_to_trigger, common_window, load_baseline, save_baseline, save_trace
 from . import tracesim
@@ -483,11 +483,11 @@ def _build_baselines(
     then read all four back from ``out/baselines``: the experiment judges
     with the files an operator would load, through the same checks.
 
-    Each golden trace is rendered into its row of one buffer and smoothed
-    over that row, and the rows are reused from motor to motor, so the
-    phase holds one motor's golden traces and no finished baseline, and
-    makes its large array once.  A baseline's reference is a view of the
-    first row, so it is saved before the next motor overwrites that.
+    Each golden trace is rendered and aligned in its row of one buffer, and
+    :func:`build_baseline` smooths it over that row; the rows are reused from
+    motor to motor, so the phase holds one motor's golden traces and no
+    finished baseline, and makes its large array once.  A baseline's
+    reference is a view of the first row, so it is saved before the next motor's renders.
     Synthesis is reached through the ``tracesim`` module, where
     ``perfbench`` trace mode wraps it.
     """
@@ -500,9 +500,9 @@ def _build_baselines(
             trace = tracesim.synthesize_trace(plan, motor, config.profile, noise, row)
             if config.save_traces:
                 save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
-            golden.append(smooth(align_to_trigger(trace), config.detection.smoothing_window, row))
+            golden.append(align_to_trigger(trace))
         paths[motor] = out / "baselines" / f"{motor.name}.ptrb"
-        save_baseline(build_baseline(common_window(golden)), paths[motor])
+        save_baseline(build_baseline(golden, config.detection.smoothing_window, rows), paths[motor])
     del rows, row, trace, golden  # each views the buffer, freed before the baselines are read
     return {motor: load_baseline(path) for motor, path in paths.items()}
 

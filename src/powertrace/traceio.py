@@ -1,8 +1,9 @@
 """Capture persistence and alignment.
 
 Defines the binary capture container (magic ``PTRC``) that real oscilloscope
-exports would be converted into, and the trigger-alignment / common-window
-helpers every comparison relies on.  The baseline container (magic ``PTRB``)
+exports would be converted into, and trigger alignment; the cut to a common
+length is ``detect.build_baseline``'s, after smoothing, so no module here
+calls ``common_window``.  The baseline container (magic ``PTRB``)
 starts with the same header prefix and holds what the verdict and the
 excess series read: the smoothing window of its golden traces, the peak
 golden sd, the golden sd column and the reference trace.

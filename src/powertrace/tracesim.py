@@ -143,7 +143,7 @@ class MotorTrace:
     """Uniformly sampled current of one motor phase; loaders check samples are finite.
 
     ``smoothing_window`` is the moving-average window the samples were
-    smoothed with: 1 for a raw capture.
+    smoothed with: 1 for a raw capture, which ``detect.build_baseline`` smooths.
     """
 
     motor: Motor

@@ -29,13 +29,12 @@ from powertrace.planner import DEFAULT_PROFILE, MOTORS, Motor, plan_motion
 from powertrace.tracesim import SAMPLE_RATE, MotorTrace
 
 
-def _trace(values, motor=Motor.X, rate=25_000.0, window=1):
+def _trace(values, motor=Motor.X, rate=25_000.0):
     return MotorTrace(
         motor=motor,
         sample_rate=rate,
         samples=np.asarray(values, dtype=np.float32),
         trigger_index=0,
-        smoothing_window=window,
     )
 
 
@@ -241,6 +240,8 @@ class TestSmooth:
         with pytest.raises(DetectionError, match="already smoothed with window 5"):
             smooth(once, 20)
         assert smooth(once, 1) is once
+        # Copied into a buffer at window 1, it still records the window it has.
+        assert smooth(once, 1, out=np.empty(30, dtype=np.float32)).smoothing_window == 5
 
     @given(
         st.lists(
@@ -305,10 +306,12 @@ class TestBaseline:
     @pytest.mark.parametrize("window", [1, 5])
     def test_records_the_golden_smoothing_window(self, window):
         values = np.random.default_rng(window).normal(0.0, 1.0, (2, 50))
-        baseline = build_baseline([smooth(_trace(v), window) for v in values])
+        baseline = build_baseline([_trace(v) for v in values], window)
         assert baseline.smoothing_window == window
 
     def test_mixed_smoothing_windows_rejected(self):
+        # Captures smoothed already are taken as they are at window 1; the
+        # baseline could record only one of their windows.
         values = np.arange(30)
         with pytest.raises(DetectionError, match="golden traces mix smoothing windows"):
             build_baseline([smooth(_trace(values), 5), smooth(_trace(values), 20)])
@@ -322,9 +325,30 @@ class TestBaseline:
         with pytest.raises(DetectionError, match="at least 2"):
             build_baseline([_trace([1.0, 2.0])])
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(DetectionError, match="lengths"):
-            build_baseline([_trace([1.0, 2.0]), _trace([1.0])])
+    @pytest.mark.parametrize("window", [1, 5])
+    @pytest.mark.parametrize("into_rows", [False, True])
+    def test_unequal_lengths_are_smoothed_whole_then_cut(self, window, into_rows):
+        # Each capture is smoothed over its whole length, and only then are
+        # all cut to the shortest: the shortest's right edge is smoothed with
+        # shrunken windows, the others' samples there with whole ones.  With
+        # rows, each capture views its row past the row's start, as an
+        # aligned golden trace does in the experiment.
+        rng = np.random.default_rng(window)
+        values = [rng.normal(0.0, 1.0, n).astype(np.float32) for n in (60, 47, 53)]
+        cut = [smooth(_trace(v), window).samples[:47] for v in values]
+        rows = None
+        if into_rows:
+            rows = np.full((3, 64), np.nan, dtype=np.float32)
+            for row, v in zip(rows, values):
+                row[3 : 3 + len(v)] = v
+            values = [row[3 : 3 + len(v)] for row, v in zip(rows, values)]
+        baseline = build_baseline([_trace(v) for v in values], window, rows)
+        expected = np.stack(cut, dtype=np.float64).std(axis=0, ddof=1)
+        assert baseline.sample_count == 47
+        assert baseline.reference.tobytes() == cut[0].tobytes()
+        assert baseline.pointwise_sd.tobytes() == expected.astype(np.float32).tobytes()
+        assert baseline.peak_sd == expected.max()
+        assert baseline.smoothing_window == window
 
     def test_mixed_motors_rejected(self):
         with pytest.raises(DetectionError, match="mix motors"):
@@ -420,7 +444,8 @@ class TestDeviationAndExcess:
 def _flat_baseline(n=500, motor=Motor.X, window=20):
     """A zero-sd baseline of flat traces, which smooth to themselves at any
     ``window``; the default is ``DetectionConfig()``'s."""
-    return build_baseline([_trace(np.zeros(n), motor=motor, window=window)] * 2)
+    zeros = np.zeros(n, dtype=np.float32)
+    return GoldenBaseline(motor, SAMPLE_RATE, zeros, zeros, 2, 0.0, window)
 
 
 def _benchmark_baselines():
@@ -556,8 +581,7 @@ class TestDetectPrint:
     @pytest.mark.parametrize("capture_length", [60, 100, 150])
     def test_matches_public_pipeline_on_the_common_window(self, capture_length):
         rng = np.random.default_rng(capture_length)
-        golden = [smooth(_trace(rng.normal(0.0, 0.1, 100)), 5) for _ in range(3)]
-        baseline = build_baseline(golden)
+        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)], 5)
         capture = _trace(rng.normal(0.0, 0.3, capture_length))
         config = DetectionConfig(run_requirement=3)
         result = detect_print({Motor.X: capture}, {Motor.X: baseline}, config)
@@ -580,8 +604,7 @@ class TestDetectPrint:
         # Whatever DetectionConfig's window: it is the one new baselines
         # are smoothed with, and a capture is judged at its baseline's.
         rng = np.random.default_rng(window)
-        golden = [smooth(_trace(rng.normal(0.0, 0.1, 200)), window) for _ in range(3)]
-        baseline = build_baseline(golden)
+        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 200)) for _ in range(3)], window)
         capture = _trace(rng.normal(0.0, 0.3, 200))
         result = detect_print({Motor.X: capture}, {Motor.X: baseline}, DetectionConfig())
         expected = np.abs(smooth(capture, window).samples.astype(np.float64) - baseline.reference)
@@ -631,7 +654,7 @@ class TestDetectPrint:
         rng = np.random.default_rng(11)
         n = 40_000
         baselines = {
-            m: build_baseline([smooth(_trace(rng.normal(0.0, 0.05, n), motor=m), 20) for _ in range(3)])
+            m: build_baseline([_trace(rng.normal(0.0, 0.05, n), motor=m) for _ in range(3)], 20)
             for m in Motor
         }
         # Shorter, equal and longer captures; runs across block edges and
@@ -673,7 +696,7 @@ class TestDetectPrint:
         # deviation again, so a read turned into its excess in place leaves
         # the next read as it was.
         rng = np.random.default_rng(capture_length)
-        baseline = build_baseline([smooth(_trace(rng.normal(0.0, 0.1, 100)), 5) for _ in range(3)])
+        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 100)) for _ in range(3)], 5)
         capture = _trace(rng.normal(0.0, 0.3, capture_length))
         result = detect_print({Motor.X: capture}, {Motor.X: baseline})
         length = min(capture_length, 100)
@@ -713,7 +736,7 @@ class TestDetectPrint:
         # capture, and overlapping parts each read exactly the samples of the
         # whole read, and a part changed in place changes no later read.
         rng = np.random.default_rng(capture_length)
-        baseline = build_baseline([smooth(_trace(rng.normal(0.0, 0.1, 200)), 5) for _ in range(3)])
+        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 200)) for _ in range(3)], 5)
         capture = _trace(rng.normal(0.0, 0.3, capture_length))
         result = detect_print({Motor.X: capture}, {Motor.X: baseline})
         whole = result.deviations[Motor.X]

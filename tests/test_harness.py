@@ -229,10 +229,10 @@ class TestRunExperiment:
 
     def test_baselines_follow_the_golden_recipe(self, small_run, tmp_path):
         # Golden print i is a whole print seeded seed + 1000 + i; each
-        # baseline is built from those prints aligned, smoothed and cut to
-        # a common window.
-        from powertrace.detect import build_baseline, smooth
-        from powertrace.traceio import align_to_trigger, common_window, save_baseline
+        # baseline is built from those prints aligned, then smoothed and cut
+        # to a common window by build_baseline.
+        from powertrace.detect import build_baseline
+        from powertrace.traceio import align_to_trigger, save_baseline
         from powertrace.tracesim import simulate_print
 
         _, out = small_run
@@ -242,9 +242,9 @@ class TestRunExperiment:
             for i in range(SMALL.golden_count)
         ]
         for motor in MOTORS:
-            golden = [smooth(align_to_trigger(traces[motor]), window) for traces in prints]
+            golden = [align_to_trigger(traces[motor]) for traces in prints]
             path = tmp_path / f"{motor.name}.ptrb"
-            save_baseline(build_baseline(common_window(golden)), path)
+            save_baseline(build_baseline(golden, window), path)
             assert path.read_bytes() == (out / "baselines" / f"{motor.name}.ptrb").read_bytes()
 
     def test_excess_ratio_is_the_mean_of_per_print_window_means(self, small_run):
@@ -423,11 +423,24 @@ class TestRunExperiment:
 
 
 def test_save_traces_flag(tmp_path):
+    from powertrace.cli import main
+
     config = dataclasses.replace(SMALL, golden_count=2, save_traces=True)
-    run_experiment(config, tmp_path)
-    saved = list((tmp_path / "traces").glob("*.ptrc"))
+    out = tmp_path / "run"
+    run_experiment(config, out)
+    saved = list((out / "traces").glob("*.ptrc"))
     # 2 golden + 1 normal + 4 attacks, 4 motors each
     assert len(saved) == (2 + 1 + 4) * 4
+    # The operator path builds each baseline with the experiment's builder,
+    # so its saved golden captures give the experiment's bytes.
+    window = str(config.detection.smoothing_window)
+    for motor in MOTORS:
+        pattern = str(out / "traces" / f"golden_*_{motor.name}.ptrc")
+        output = f"{motor.name}.ptrb"
+        assert main(["baseline", pattern, "--window", window, "--output", output,
+                     "--out", str(tmp_path / "cli")]) == 0
+        built = (tmp_path / "cli" / output).read_bytes()
+        assert built == (out / "baselines" / output).read_bytes()
 
 
 def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
@@ -466,8 +479,8 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
     # the one built from fresh arrays, at window 1 too, where smoothing
     # copies the raw samples.
     from powertrace import harness, tracesim
-    from powertrace.detect import build_baseline, smooth
-    from powertrace.traceio import align_to_trigger, common_window
+    from powertrace.detect import build_baseline
+    from powertrace.traceio import align_to_trigger
 
     config = dataclasses.replace(SMALL, golden_count=2)
     config = dataclasses.replace(
@@ -480,8 +493,8 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
         for i in range(config.golden_count):
             noise = dataclasses.replace(config.noise, seed=config.seed + harness._GOLDEN_SEED_BASE + i)
             trace = tracesim.synthesize_trace(plan, motor, config.profile, noise)
-            golden.append(smooth(align_to_trigger(trace), window))
-        fresh = build_baseline(common_window(golden))
+            golden.append(align_to_trigger(trace))
+        fresh = build_baseline(golden, window)
         assert baselines[motor].pointwise_sd.tobytes() == fresh.pointwise_sd.tobytes()
         assert baselines[motor].reference.tobytes() == fresh.reference.tobytes()
         assert baselines[motor].peak_sd == fresh.peak_sd > 0.0
@@ -911,8 +924,8 @@ def jitter_setup():
     seeds 1000-1009, window 20), and the raw X/Y traces of the benign prints
     at seeds 2000 and 2001."""
     from powertrace import tracesim
-    from powertrace.detect import build_baseline, smooth
-    from powertrace.traceio import align_to_trigger, common_window
+    from powertrace.detect import build_baseline
+    from powertrace.traceio import align_to_trigger
 
     config = ExperimentConfig()
     plan = plan_motion(benchmark_object(), config.profile)
@@ -925,8 +938,8 @@ def jitter_setup():
     xy = (Motor.X, Motor.Y)
     baselines = {}
     for motor in xy:
-        golden = [smooth(align_to_trigger(trace(motor, seed)), window) for seed in range(1000, 1010)]
-        baselines[motor] = build_baseline(common_window(golden))
+        golden = (align_to_trigger(trace(motor, seed)) for seed in range(1000, 1010))
+        baselines[motor] = build_baseline(golden, window)
     prints = [{motor: trace(motor, seed) for motor in xy} for seed in (2000, 2001)]
     return baselines, prints, config.detection
 

@@ -177,12 +177,7 @@ def test_views_do_not_scan_samples(view):
 class TestBaselinePersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        traces = [
-            smooth(_trace(rng.normal(0, 1, 200)), 5),
-            smooth(_trace(rng.normal(0, 1, 200)), 5),
-            smooth(_trace(rng.normal(0, 1, 200)), 5),
-        ]
-        baseline = build_baseline(traces)
+        baseline = build_baseline([_trace(rng.normal(0, 1, 200)) for _ in range(3)], 5)
         path = tmp_path / "x.ptrb"
         save_baseline(baseline, path)
         loaded = load_baseline(path)
