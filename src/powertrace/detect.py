@@ -463,9 +463,10 @@ def detect_print(
 
     Captures must already be trigger-aligned; smoothing, at each baseline's
     ``smoothing_window`` (never ``config.smoothing_window``), and windowing
-    to the baseline length happen here.  Every motor needs both a capture
-    and a baseline: one without the other raises :class:`DetectionError`
-    naming the motor.  The print is malicious iff any motor is.
+    to the baseline length happen here.  At least one motor must be given,
+    and each needs a capture and a baseline of that motor: a missing or
+    mismatched one raises :class:`DetectionError` naming the motor.  The
+    print is malicious iff any motor is.
     Each capture is smoothed once, only as far as the baseline reaches, into
     the float32 array the result keeps for its ``deviations``: a view of the
     motor's reused buffer in ``out``, when given, which may be the buffer
@@ -482,11 +483,16 @@ def detect_print(
     unpaired = [m.name for m in captures if m not in baselines]
     if unpaired:
         raise DetectionError(f"no baseline for motor(s) {unpaired}")
+    if not baselines:
+        raise DetectionError("no motor to judge: no capture or baseline given")
     smoothed: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
         capture = captures.get(motor)
         if capture is None:
             raise DetectionError(f"missing capture for motor {motor.name}")
+        for kind, given in (("capture", capture), ("baseline", baseline)):
+            if given.motor is not motor:
+                raise DetectionError(f"the {kind} under motor {motor.name} is of motor {given.motor.name}")
         if capture.sample_rate != baseline.sample_rate:
             raise DetectionError("capture/baseline sample rate mismatch")
         if len(capture.samples) < baseline.smoothing_window:

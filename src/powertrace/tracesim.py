@@ -29,11 +29,12 @@ uint32 hash for all of a trace's segments in one vectorized pass and hands
 each segment's row to ``PCG64`` as its seed state.
 
 A trace renders in one pass on up to 8 threads.  Each job is an active
-segment and the idle segments that hold its end level, and each CPU the
-process may use gets one contiguous block of jobs.  Each segment has its own
-RNG and its own samples, so the output is identical for any CPU count.  Each
-sample is written once, by its segment or as 0.0.  A render may start at any
-sample: it then renders only the jobs that reach past it.
+segment and the idle segments that hold its end level, and renders in the
+block, of one equal share of the rendered samples per usable CPU, that holds
+its middle sample: within half a job of an even split.  Each segment has its
+own RNG and its own samples, so the output is identical for any CPU count.
+Each sample is written once, by its segment or as 0.0.  A render may start
+at any sample: it then renders only the jobs that reach past it.
 """
 
 from __future__ import annotations
@@ -203,17 +204,19 @@ def synthesize_trace(
     """Render one motor's current trace from a motion plan at ``SAMPLE_RATE``.
 
     Same (plan, profile, noise) always yields bit-identical samples, whatever
-    the number of threads the segments render on.  ``out``, when given, is a
-    float32 array of at least :func:`trace_length` samples that a caller
-    reuses from trace to trace: the samples are rendered into its first
-    samples, and the trace is a view of them.  ``start`` renders only the
-    tail: the jobs that reach past raw sample ``start``, each whole, so every
-    sample from ``start`` on equals the full render's; skipped samples read
-    0.0, and every segment is still checked.  Raises :class:`NyquistError`
-    if any segment's electrical frequency is above ``SAMPLE_RATE / 2``,
-    :class:`TraceSimError` if a segment's samples overlap an earlier
-    segment's (planned segments tile time), and ``ValueError`` if ``out`` is
-    not a float32 row that long or ``start`` is not in ``0..trace_length``.
+    the number of threads the segments render on.  Each job renders in the
+    block, of ``_WORKERS`` equal shares of the rendered samples, that holds
+    its middle sample: within half a job of an even split.  ``out``, when
+    given, is a float32 array of at least :func:`trace_length` samples that a
+    caller reuses from trace to trace; the trace is a view of its prefix.
+    ``start`` renders only the tail: the jobs that reach past raw sample
+    ``start``, each whole, so every sample from ``start`` on equals the full
+    render's; skipped samples read 0.0, and every segment is still checked.
+    Raises :class:`NyquistError` if any segment's electrical frequency is
+    above ``SAMPLE_RATE / 2``, :class:`TraceSimError` if a segment's samples
+    overlap an earlier segment's (planned segments tile time), and
+    ``ValueError`` if ``out`` is not a float32 row that long or ``start`` is
+    not in ``0..trace_length``.
     """
     segments = plan.segments.get(motor, ())
     total_samples = int(round(plan.total_duration * SAMPLE_RATE))
@@ -227,24 +230,22 @@ def synthesize_trace(
     jitter_sd = noise.phase_jitter_sd * PHASE_JITTER_SCALE[motor]
     amp_sd = noise.amplitude_noise_sd * AMPLITUDE_NOISE_SCALE[motor]
 
-    # Serial pre-pass: sample ranges, the overlap and Nyquist checks, each
-    # active segment's starting phase, the jobs, and the zeros (ranges no
-    # rendered segment covers).  The electrical angle tracks the signed shaft
-    # position: phase is the accumulated microstep count over
-    # STEPS_PER_ELECTRICAL_CYCLE, so two prints of the same geometry agree on
-    # phase wherever their positions do.  A job is one active segment with
-    # samples and the idle segments after it, which hold its end level; idle
-    # segments before the first active one hold 0.0.  Segments without
-    # samples render nothing.
-    blocks: list[list[tuple]] = [[(None, [])]]
-    zeros = []
+    # Serial scan: the overlap and Nyquist checks, each active segment's
+    # starting phase, the gaps no segment covers, and the jobs.  Phase is the
+    # accumulated signed microstep count over STEPS_PER_ELECTRICAL_CYCLE, so
+    # two prints of the same geometry agree on phase wherever their positions
+    # do.  A job is [first sample, end, active segment, idle segments]: an
+    # active segment with samples and the idle ones after it, which hold its
+    # end level; the first job's idle segments, before any active one, hold
+    # 0.0.  Segments without samples render nothing.
+    jobs: list[list] = [[0, 0, None, []]]
+    gaps = []
     steps_position = 0.0
-    rendered_to = longest = job_start = head = 0
+    rendered_to = longest = 0
     for index, segment in enumerate(segments):
         lo = int(round(segment.start_time * SAMPLE_RATE))
         hi = int(round((segment.start_time + segment.duration) * SAMPLE_RATE))
         lo, hi = min(lo, total_samples), min(hi, total_samples)
-        jobs_end = rendered_to
         if hi > lo:
             # Segments render concurrently, so each must own its samples.
             if lo < rendered_to:
@@ -253,7 +254,7 @@ def synthesize_trace(
                     f"overlaps the segment before it"
                 )
             if lo > rendered_to:
-                zeros.append((rendered_to, lo))
+                gaps.append((rendered_to, lo))
             rendered_to = hi
         if segment.step_frequency > 0.0:
             frequency = segment.step_frequency / STEPS_PER_ELECTRICAL_CYCLE
@@ -264,26 +265,24 @@ def synthesize_trace(
                     f"{SAMPLE_RATE / 2:.1f} Hz"
                 )
             if hi > lo:
-                if jobs_end <= start:  # every job so far ends by start: skip them
-                    blocks, zeros, head = [[]], [(0, lo)], lo
-                # A job opens the next of up to _WORKERS blocks once its middle,
-                # were it as long as the job before, passes this block's share
-                # of the samples rendered from head on.
-                middle, share = lo + (lo - job_start) / 2 - head, (length - head) * len(blocks)
-                if blocks[-1] and len(blocks) < _WORKERS and middle * _WORKERS >= share:
-                    blocks.append([])
-                job_start = lo
                 phase = _TWO_PI * steps_position / STEPS_PER_ELECTRICAL_CYCLE
-                blocks[-1].append(((index, lo, hi, phase, segment.direction * frequency), []))
+                jobs.append([lo, hi, (index, lo, hi, phase, segment.direction * frequency), []])
                 longest = max(longest, hi - lo)
             steps_position += segment.direction * segment.step_frequency * segment.duration
         elif hi > lo:
-            blocks[-1][-1][1].append((index, lo, hi))
-    zeros.append((rendered_to, length))
-    if rendered_to <= start:  # no job reaches past start
-        blocks, zeros = [[]], [(0, length)]
-    for lo, hi in zeros:
+            jobs[-1][1] = hi
+            jobs[-1][3].append((index, lo, hi))
+
+    # Render the jobs that reach past start, each whole, from the first
+    # one's first sample, head, on; every other sample reads 0.0.
+    kept = [job for job in jobs if job[1] > start]
+    head = kept[0][0] if kept else rendered_to
+    for lo, hi in [(0, head), *[gap for gap in gaps if gap[0] >= head], (rendered_to, length)]:
         out[lo:hi] = 0.0
+    # Block b renders the jobs whose middle sample is in share b of [head, length).
+    blocks: list[list] = [[] for _ in range(_WORKERS)]
+    for lo, hi, *job in kept:
+        blocks[(lo + hi - 2 * head) * _WORKERS // (2 * (length - head))].append(job)
 
     # Segment i's generator is np.random.default_rng([noise.seed, motor.code, i]).
     states = _seed_states(noise.seed, motor.code, len(segments))
@@ -325,7 +324,7 @@ def synthesize_trace(
                 else:
                     out[lo:hi] = hold
 
-    _map_on_threads(render_block, blocks)
+    _map_on_threads(render_block, [block for block in blocks if block])
 
     return MotorTrace(
         motor=motor,

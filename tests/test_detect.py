@@ -555,6 +555,24 @@ class TestDetectPrint:
         with pytest.raises(DetectionError, match=r"no baseline for motor\(s\) \['Y'\]"):
             detect_print(captures, {Motor.X: baseline})
 
+    def test_no_motor_is_an_error(self):
+        # A print of which no motor was judged is not benign.
+        with pytest.raises(DetectionError, match="no motor to judge"):
+            detect_print({}, {})
+
+    @pytest.mark.parametrize("stored", ["capture", "baseline"])
+    def test_one_under_another_motors_key_is_an_error(self, stored):
+        # Judging a Y capture against X's baseline, or an X capture against
+        # Y's, would report one motor under the other's name.
+        captures = {Motor.Y: _trace(np.zeros(500), motor=Motor.Y)}
+        baselines = {Motor.Y: _flat_baseline(motor=Motor.Y)}
+        if stored == "capture":
+            captures[Motor.Y] = _trace(np.zeros(500), motor=Motor.X)
+        else:
+            baselines[Motor.Y] = _flat_baseline(motor=Motor.X)
+        with pytest.raises(DetectionError, match=f"the {stored} under motor Y is of motor X"):
+            detect_print(captures, baselines)
+
     def test_self_comparison_is_benign(self):
         traces = {m: _trace(np.linspace(0, 1, 300), motor=m) for m in Motor}
         baselines = {

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -399,15 +400,14 @@ def _plan_of(specs, kept, motor):
     return MotionPlan(segments={motor: tuple(segments)}, total_duration=total, trigger_time=total / 2)
 
 
-def _tail_reference(plan, motor, noise, start):
-    """``reference_synthesis``'s samples of the jobs that reach past raw
-    sample ``start``, and 0.0 elsewhere, with its trigger index.
+def _jobs_past(plan, motor, start):
+    """The ``(lo, hi)`` sample ranges of each job that reaches past raw
+    sample ``start``, in order.
 
     A job is an active segment with samples and the idle segments with
     samples after it; idle segments before the first active one form a job
     of their own.
     """
-    expected, trigger = reference_synthesis(plan, motor, noise=noise)
     total = int(round(plan.total_duration * SAMPLE_RATE))
     jobs = [[]]
     for segment in plan.segments.get(motor, ()):
@@ -417,11 +417,17 @@ def _tail_reference(plan, motor, noise, start):
             if segment.step_frequency > 0.0:
                 jobs.append([])
             jobs[-1].append((lo, hi))
+    return [job for job in jobs if job and job[-1][1] > start]
+
+
+def _tail_reference(plan, motor, noise, start):
+    """``reference_synthesis``'s samples of the jobs that reach past raw
+    sample ``start``, and 0.0 elsewhere, with its trigger index."""
+    expected, trigger = reference_synthesis(plan, motor, noise=noise)
     tail = np.zeros_like(expected)
-    for job in jobs:
-        if job and job[-1][1] > start:
-            for lo, hi in job:
-                tail[lo:hi] = expected[lo:hi]
+    for job in _jobs_past(plan, motor, start):
+        for lo, hi in job:
+            tail[lo:hi] = expected[lo:hi]
     return tail, trigger
 
 
@@ -633,6 +639,53 @@ class TestThreadedSynthesis:
         assert all(abs(first / total - 0.5) < 0.02 for first, total, _ in full), full
         assert all(abs(first - total / 2) <= longest / 2 for first, total, longest in tail), tail
         assert all(total < 0.4 * tracesim.trace_length(plan) for _, total, _ in tail), tail
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        specs=st.lists(_SEGMENT, max_size=12),
+        kept=st.floats(0.3, 1.0),
+        motor=st.sampled_from(MOTORS),
+        at=st.floats(0.0, 1.0),
+        workers=st.sampled_from((2, 3)),
+    )
+    # An idle quarter, an active half and an active quarter of 1,562
+    # samples: the half's middle lies just past the even share, sample 781,
+    # so the boundary is the half's start, 390 samples before the share and
+    # within half the half (390.5).  Its end would miss the share by 391.
+    @example(specs=[(0.015625, 0.0, 1), (0.03125, 1.0, 1), (0.015625, 1.0, 1)],
+             kept=1.0, motor=Motor.X, at=0.0, workers=2)
+    def test_blocks_split_any_plan_near_even_shares(self, specs, kept, motor, at, workers):
+        # The blocks hold, in order, exactly the jobs that reach past start.
+        # Rendering starts at head, the first such job's first sample, and
+        # each boundary between blocks lies within half a neighbouring job of
+        # an even share of [head, length).
+        plan = _plan_of(specs, kept, motor)
+        length = tracesim.trace_length(plan)
+        start = round(at * length)
+        blocks = []
+
+        def serial_spy(render_block, items):
+            blocks.extend(items)
+            return [render_block(block) for block in items]
+
+        with mock.patch.object(tracesim, "_WORKERS", workers), \
+                mock.patch.object(tracesim, "_map_on_threads", serial_spy):
+            synthesize_trace(plan, motor, noise=QUIET, start=start)
+        rendered = [
+            [([active[1:3]] if active else []) + [(lo, hi) for _, lo, hi in idle] for active, idle in block]
+            for block in blocks
+        ]
+        jobs = _jobs_past(plan, motor, start)
+        assert [job for block in rendered for job in block] == jobs
+        assert len(blocks) <= workers and all(blocks)
+        if not jobs:
+            return
+        head = jobs[0][0][0]
+        shares = [head + Fraction(k * (length - head), workers) for k in range(1, workers)]
+        for before, after in zip(rendered, rendered[1:]):
+            last, first = before[-1], after[0]
+            half = Fraction(max(last[-1][1] - last[0][0], first[-1][1] - first[0][0]), 2)
+            assert min(abs(first[0][0] - share) for share in shares) <= half, (rendered, shares)
 
     def test_peak_memory_per_sample(self):
         # The float32 result is 4 bytes per sample; segment buffers are
