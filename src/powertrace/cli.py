@@ -190,6 +190,11 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             paths.extend(Path(p) for p in expanded)
         else:
             paths.append(Path(pattern))
+    seen = set()
+    for path in paths:
+        if path.resolve() in seen:
+            raise DetectionError(f"capture {path} is listed twice")
+        seen.add(path.resolve())
     _print_config(args, captures=len(paths), window=args.window, output=args.output)
     baseline = build_baseline((align_to_trigger(load_trace(p)) for p in paths), args.window)
     out_path = args.out / args.output
@@ -235,7 +240,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seed=config.seed,
         golden_count=config.golden_count,
         malicious_count=config.malicious_count,
-        visible_factor=config.visible_factor,
     )
     matrix = run_experiment(config, args.out)
     print(render_matrix(matrix), end="")

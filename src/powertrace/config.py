@@ -146,18 +146,12 @@ def apply_pairs(
 
 
 def dump_pairs(obj: Any, table: tuple[Key, ...]) -> str:
-    """``key = value`` lines for ``obj`` in table order.
-
-    A field listed under several names is written under the first; the
-    others are aliases the loader also accepts.  ``None`` values are left
-    out, so loading keeps the default for them.
-    """
+    """``key = value`` lines for ``obj`` in table order.  ``None`` values are
+    left out, so loading keeps the default for them."""
     lines = []
-    written = set()
     for key in table:
         value = _get(obj, key.path)
-        if value is not None and key.path not in written:
-            written.add(key.path)
+        if value is not None:
             lines.append(f"{key.name} = {key.format(value)}\n")
     return "".join(lines)
 

@@ -7,9 +7,9 @@ detectability matrix (attack rows x motor columns).
 
 A cell is DETECTED when every attacked run was flagged on that motor,
 VISIBLE when none were flagged but the mean sd-subtracted excess inside the
-motor's attack window exceeds the benign mean excess by a configurable
-factor, and NOT_DETECTED otherwise.  That window is the simulator's ground
-truth: where the motor's noise-free renders of the attacked and the
+motor's attack window exceeds the benign mean excess by a factor of 2,
+and NOT_DETECTED otherwise.  That window is the simulator's ground truth:
+where the motor's noise-free renders of the attacked and the
 unmodified program differ, each rendered only from the motor's first changed
 segment on.  A motor whose renders are identical is annotated
 as untouched, with no ratio.  A run with any flagged benign capture is
@@ -83,6 +83,11 @@ _GOLDEN_SEED_BASE = 1000
 _ROW_SEED_BASE = 2000
 _ROW_SEED_STRIDE = 1000
 
+# A cell is VISIBLE at this ratio of attacked to benign mean excess.
+_VISIBLE_FACTOR = 2.0
+# The series CSVs hold every _SERIES_STRIDE-th sample: 100 Hz at 25 kHz.
+_SERIES_STRIDE = 250
+
 
 class ExperimentError(ValueError):
     """Experiment could not produce a valid matrix."""
@@ -132,9 +137,7 @@ class ExperimentConfig:
     golden_count: int = 10
     malicious_count: int = 3
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    visible_factor: float = 2.0
     seed: int = 0
-    series_stride: int = 250
     save_traces: bool = False
     attacks: dict[str, tuple[AttackSpec, ...]] | None = None  # None: defaults
 
@@ -143,10 +146,6 @@ class ExperimentConfig:
             raise ExperimentError("golden_count must be >= 2 (sd undefined below that)")
         if self.malicious_count < 1:
             raise ExperimentError("malicious_count must be >= 1")
-        if not (math.isfinite(self.visible_factor) and self.visible_factor > 0):
-            raise ExperimentError("visible_factor must be finite and > 0")
-        if self.series_stride < 1:
-            raise ExperimentError("series_stride must be >= 1")
         if self.seed < 0:
             raise ExperimentError("seed must be >= 0")
         if self.noise.seed != 0:
@@ -167,11 +166,9 @@ class ExperimentConfig:
 # Config file
 
 _EXPERIMENT_KEYS = (
-    Key("program", lambda text: text or None, ("program_path",)),
+    Key("program", lambda text: text or None, ("program_path",), lambda p: str(Path(p).absolute())),
     *keys(int, "golden_count", "malicious_count", "seed"),
     *mount(DETECTION_KEYS, ("detection",)),
-    *keys(float, "visible_factor"),
-    *keys(int, "series_stride"),
     *keys(parse_bool, "save_traces"),
     *mount(PROFILE_KEYS, ("profile",)),
     *mount(NOISE_LEVEL_KEYS, ("noise",), "noise."),
@@ -183,17 +180,12 @@ _ATTACK_FIELDS = keys(int, "layer", "position", "pair_offset") + (
 
 
 def _attack_keys(attacks: dict[str, tuple[AttackSpec, ...]]) -> tuple[Key, ...]:
-    """``attack.<row>[i].<field>`` keys for the specs in ``attacks``.
-
-    The index is written only for rows of several specs; for those, the
-    bare row name is accepted as an alias of index 0.
-    """
+    """``attack.<row>[i].<field>`` keys for the specs in ``attacks``; the
+    index is written only for rows of several specs."""
     table: list[Key] = []
     for row, specs in attacks.items():
         for i, group in enumerate(_attack_groups(row, specs)):
             table += mount(_ATTACK_FIELDS, ("attacks", row, i), f"{_ATTACK_PREFIX}{group}.")
-        if len(specs) > 1:
-            table += mount(_ATTACK_FIELDS, ("attacks", row, 0), f"{_ATTACK_PREFIX}{row}.")
     return tuple(table)
 
 
@@ -445,7 +437,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
                     annotation = "no ground-truth disturbance"
             if flagged[motor] == len(seeds):
                 outcome = CellOutcome.DETECTED
-            elif ratio is not None and ratio >= config.visible_factor:
+            elif ratio is not None and ratio >= _VISIBLE_FACTOR:
                 outcome = CellOutcome.VISIBLE
             else:
                 outcome = CellOutcome.NOT_DETECTED
@@ -534,7 +526,7 @@ def _run_row(
     of a motor's ``spans`` as soon as its series are written; only those
     reductions are kept.  The raw traces are saved (with ``save_traces``)
     before they are smoothed over.  Each motor's deviation is then made only where the row
-    reads it: on every ``series_stride``-th sample, which is written, turned
+    reads it: on every ``_SERIES_STRIDE``-th sample, which is written, turned
     into its excess in place and written again, and inside each span, whose
     excess is averaged.  No full-length series is made.
     Returns the number of flagged prints per motor, and per motor and span
@@ -544,7 +536,6 @@ def _run_row(
     print_means: dict[Motor, dict[tuple[int, int], list[float]]] = {
         motor: {span: [] for span in spans.get(motor, ())} for motor in MOTORS
     }
-    stride = config.series_stride
     for run_index, seed in enumerate(seeds):
         traces = simulate_print(plan, config.profile, config.noise, seed=seed, out=buffers)
         if config.save_traces:
@@ -554,10 +545,10 @@ def _run_row(
         result = detect_print(aligned, baselines, config.detection, buffers)
         for motor in MOTORS:
             sd = baselines[motor].pointwise_sd
-            rate = baselines[motor].sample_rate / stride
-            grid = result.deviations[motor, ::stride]
+            rate = baselines[motor].sample_rate / _SERIES_STRIDE
+            grid = result.deviations[motor, ::_SERIES_STRIDE]
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "deviation"))
-            _excess_over(grid, sd[::stride][: len(grid)], out=grid)
+            _excess_over(grid, sd[::_SERIES_STRIDE][: len(grid)], out=grid)
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "excess"))
             for lo, hi in print_means[motor]:
                 part = result.deviations[motor, lo:hi]

@@ -226,6 +226,18 @@ class TestBaseline:
         )
         assert code == 0
 
+    def test_capture_listed_twice_exits_2(self, gcode_file, tmp_path, capsys):
+        # The glob matches run0 and run1; run0 again, spelled another way,
+        # would count as a third golden trace and shrink the sd.
+        for seed in range(2):
+            _simulate(gcode_file, tmp_path / "caps", seed=seed, prefix=f"run{seed}")
+        again = tmp_path / "caps" / ".." / "caps" / "run0_X.ptrc"
+        pattern = str(tmp_path / "caps" / "run*_X.ptrc")
+        code = main(["baseline", pattern, str(again), "--output", "X.ptrb", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"capture {again} is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "X.ptrb").exists()
+
 
 def _build_pipeline(gcode_file, tmp_path):
     """Golden baselines for all four motors plus one benign capture set."""
@@ -490,7 +502,7 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("visible_factor = nan", "visible_factor must be finite"),
+            ("malicious_count = 0", "malicious_count must be >= 1"),
             ("golden_count = 1", "golden_count must be >= 2"),
         ],
     )
@@ -522,6 +534,9 @@ class TestExperimentCommand:
             ("golden_count = 2\n= 3\n", ":2: empty key"),
             ("seed = 1\nseed = 2\n", ":2: duplicate key 'seed'"),
             ("seed = 1\nsede = 2\n", ":2: unknown key 'sede'"),
+            ("visible_factor = 3.0\n", ":1: unknown key 'visible_factor'"),
+            ("series_stride = 100\n", ":1: unknown key 'series_stride'"),
+            ("attack.reorder.position = 7\n", ":1: unknown key 'attack.reorder.position'"),
             ("save_traces = maybe\n", ":1: bad value for 'save_traces': not a boolean"),
             ("golden_count = 2\nsave_traces = maybe\n", ":2: bad value for 'save_traces': not a boolean"),
             ("attack.insert.payload = G1 X1..5\n", f"{_BAD_PAYLOAD}bad payload 'G1 X1..5'"),

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powertrace.detect import DetectionConfig, build_baseline, detect_print
-from powertrace.gcode import Command, CommandKind, serialize
+from powertrace.gcode import Command, CommandKind, read_gcode, serialize
 from powertrace.harness import (
+    _EXPERIMENT_KEYS,
     ExperimentConfig,
     ExperimentError,
+    _attack_keys,
     benchmark_object,
     default_attacks,
     dump_experiment_config,
     load_experiment_config,
 )
-from powertrace.planner import DEFAULT_PROFILE, AxisValues, Motor, PrinterProfile
+from powertrace.planner import DEFAULT_PROFILE, AxisValues, Motor, PrinterProfile, plan_motion
 from powertrace.tracesim import MotorTrace, NoiseModel
 
 DEFAULT_ATTACKS = default_attacks(benchmark_object())
@@ -73,8 +75,6 @@ def attack_overrides(draw):
     golden_count=st.integers(2, 1_000),
     malicious_count=st.integers(1, 1_000),
     seed=st.integers(0, 2**40),
-    visible_factor=positive,
-    series_stride=st.integers(1, 10_000),
     save_traces=st.booleans(),
     attacks=st.none() | attack_overrides(),
     own_program=st.booleans(),
@@ -89,6 +89,29 @@ def test_dump_then_load_is_the_identity(tmp_path_factory, own_program, **fields)
     path = directory / "config.txt"
     path.write_text(dump_experiment_config(config))
     assert load_experiment_config(path, ExperimentConfig()) == config
+
+
+def test_relative_program_path_is_dumped_absolute(tmp_path, monkeypatch):
+    # Written as given, "part.gcode" was read back relative to the output
+    # directory, so config.txt named a program that is not there.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "part.gcode").write_text(serialize(benchmark_object()))
+    config = ExperimentConfig(program_path="part.gcode")
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / "config.txt"
+    path.write_text(dump_experiment_config(config))
+    loaded = load_experiment_config(path, ExperimentConfig())
+    assert loaded.program_path == str(tmp_path / "part.gcode")
+    plan = plan_motion(read_gcode(loaded.program_path), loaded.profile)
+    assert plan == plan_motion(read_gcode(config.program_path), config.profile)
+
+
+def test_each_field_has_one_key():
+    table = _EXPERIMENT_KEYS + _attack_keys(DEFAULT_ATTACKS)
+    paths = [key.path for key in table]
+    names = [key.name for key in table]
+    assert len(set(paths)) == len(paths)
+    assert len(set(names)) == len(names)
 
 
 def _flat_trace(rate=25_000.0):
@@ -117,7 +140,6 @@ _NON_FINITE_TARGETS = {
         f"NoiseModel.{name}": lambda v, name=name: NoiseModel(**{name: v})
         for name in ("idle_noise_sd", "phase_jitter_sd", "amplitude_noise_sd")
     },
-    "ExperimentConfig.visible_factor": lambda v: ExperimentConfig(visible_factor=v),
     "MotorTrace.sample_rate": _flat_trace,
     "classify margin": lambda v: detect_print(
         {Motor.X: dataclasses.replace(_flat_trace(), samples=np.full(200, 5.0, np.float32))},

@@ -298,7 +298,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("row", ["insert", "delete"])
     def test_series_files_are_the_deviation_and_its_excess(self, small_run, row):
-        # Each file holds every series_stride-th sample of its series, sample
+        # Each file holds every _SERIES_STRIDE-th sample of its series, sample
         # i at i / rate.  A delete print is 12,814 samples shorter than the
         # baseline, so its grid stops early and its excess reads the leading
         # sd cells.
@@ -325,7 +325,7 @@ class TestRunExperiment:
             dev = result.deviations[motor]
             shortfall = baselines[motor].sample_count - len(dev)
             assert shortfall == (12_814 if row == "delete" else 0)
-            rate, stride = baselines[motor].sample_rate, SMALL.series_stride
+            rate, stride = baselines[motor].sample_rate, harness._SERIES_STRIDE
             expected = {
                 "deviation": grid_csv(dev, rate, stride),
                 "excess": grid_csv(excess(dev, baselines[motor]), rate, stride),
