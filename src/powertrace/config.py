@@ -97,10 +97,11 @@ DETECTION_KEYS = keys(int, "smoothing_window") + keys(float, "margin") + keys(in
 
 
 def read_kv_file(path: str | Path) -> dict[str, tuple[int, str]]:
-    """Each key of the file, mapped to its line number and value text."""
+    """Each key of the UTF-8 file (a byte-order mark is skipped), mapped to
+    its line number and value text."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     pairs: dict[str, tuple[int, str]] = {}

@@ -189,10 +189,11 @@ def parse_gcode(text: str) -> GCodeProgram:
 
 
 def read_gcode(path: str | Path) -> GCodeProgram:
-    """Read a UTF-8 G-code file and parse it; text that is not UTF-8 raises
-    :class:`GCodeError` naming the path, and ``OSError`` propagates."""
+    """Read a UTF-8 G-code file, less any byte-order mark, and parse it;
+    text that is not UTF-8 raises :class:`GCodeError` naming the path, and
+    ``OSError`` propagates."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise GCodeError(f"{path}: {exc}") from None
     return parse_gcode(text)

@@ -124,9 +124,9 @@ class ExperimentConfig:
 
     :func:`run_experiment` writes the config it ran as ``config.txt``, and
     :func:`load_experiment_config` reads that file back to an equal config,
-    so a run can be repeated from its own artifacts.  ``attacks=None`` means
-    :func:`default_attacks` of the program; otherwise its rows are exactly
-    ``ATTACK_ROWS``, each of at least one spec.  Captures are sampled at
+    so a run can be repeated from its own artifacts.  ``attacks`` defaults
+    to :func:`default_attacks`; its rows are exactly ``ATTACK_ROWS``, each of
+    at least one spec.  Captures are sampled at
     ``tracesim.SAMPLE_RATE``.  ``noise.seed`` must be 0: every print is
     seeded from ``seed``.
     """
@@ -139,7 +139,7 @@ class ExperimentConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     seed: int = 0
     save_traces: bool = False
-    attacks: dict[str, tuple[AttackSpec, ...]] | None = None  # None: defaults
+    attacks: dict[str, tuple[AttackSpec, ...]] = field(default_factory=lambda: default_attacks())
 
     def __post_init__(self) -> None:
         if self.golden_count < 2:
@@ -153,13 +153,12 @@ class ExperimentConfig:
                 f"noise.seed is {self.noise.seed}, but experiments seed every print "
                 "from the top-level 'seed'; set 'seed' instead"
             )
-        if self.attacks is not None:
-            for row in (*self.attacks, *ATTACK_ROWS):
-                if row not in ATTACK_ROWS:
-                    rows = ", ".join(ATTACK_ROWS)
-                    raise ExperimentError(f"unknown attack row {row!r} (rows: {rows})")
-                if not self.attacks.get(row):
-                    raise ExperimentError(f"no attack spec configured for {row!r}")
+        for row in (*self.attacks, *ATTACK_ROWS):
+            if row not in ATTACK_ROWS:
+                rows = ", ".join(ATTACK_ROWS)
+                raise ExperimentError(f"unknown attack row {row!r} (rows: {rows})")
+            if not self.attacks.get(row):
+                raise ExperimentError(f"no attack spec configured for {row!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +198,9 @@ def load_experiment_config(path: str | Path, base: ExperimentConfig) -> Experime
     """Apply an experiment config file onto ``base``, key by key.
 
     A key the file does not set keeps its ``base`` value.  A relative
-    ``program`` is taken relative to the file's directory and made absolute.
-    Attack keys override single fields of ``base.attacks``, or of the
-    default attacks when that is ``None``.
+    ``program`` is taken relative to the file's directory and made absolute;
+    the program itself is not read.  Attack keys override single fields of
+    ``base.attacks``.
     """
     pairs = read_kv_file(path)
     source = str(path)
@@ -210,24 +209,17 @@ def load_experiment_config(path: str | Path, base: ExperimentConfig) -> Experime
             f"{source}:{pairs['noise.seed'][0]}: 'noise.seed' is not used by experiments, "
             "which seed every print from the top-level 'seed' key; set 'seed' instead"
         )
-    attack_pairs = {k: v for k, v in pairs.items() if k.startswith(_ATTACK_PREFIX)}
-    other_pairs = {k: v for k, v in pairs.items() if k not in attack_pairs}
-    config = apply_pairs(base, _EXPERIMENT_KEYS, other_pairs, source)
+    config = apply_pairs(base, _EXPERIMENT_KEYS + _attack_keys(base.attacks), pairs, source)
     program = config.program_path
     if "program" in pairs and program is not None and not Path(program).is_absolute():
         program = str(Path(path).parent.absolute() / program)
         config = dataclasses.replace(config, program_path=program)
-    if not attack_pairs:
-        return config
-    attacks = config.attacks if config.attacks is not None else default_attacks(_load_program(config))
-    config = dataclasses.replace(config, attacks=attacks)
-    return apply_pairs(config, _attack_keys(attacks), attack_pairs, source)
+    return config
 
 
 def dump_experiment_config(config: ExperimentConfig) -> str:
     """The text of ``config.txt``: every key that ``config`` sets."""
-    attack_keys = _attack_keys(config.attacks) if config.attacks is not None else ()
-    return dump_pairs(config, _EXPERIMENT_KEYS + attack_keys)
+    return dump_pairs(config, _EXPERIMENT_KEYS + _attack_keys(config.attacks))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +319,9 @@ def _num(value: float) -> str:
 # ---------------------------------------------------------------------------
 # Default attacks
 
-def default_attacks(program: GCodeProgram) -> dict[str, tuple[AttackSpec, ...]]:
-    """The four mutations, addressed against the benchmark layer layout.
+def default_attacks(program: GCodeProgram | None = None) -> dict[str, tuple[AttackSpec, ...]]:
+    """The four mutations, addressed against the benchmark layer layout;
+    ``program`` is not read.
 
     The inserted travel move goes to a point equidistant (from the successor's
     target) with the successor's original start, and carries no F word, so the
@@ -383,13 +376,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     command, and any error of the unmodified program.  After writing
     artifacts it raises only the zero-false-positive gate's ExperimentError.
     """
-    program = _load_program(config)
-    attacks = config.attacks if config.attacks is not None else default_attacks(program)
+    program = benchmark_object() if config.program_path is None else read_gcode(config.program_path)
     # Every row's program is built and checked before any program is planned.
     programs = {}
     for row in ATTACK_ROWS:
         programs[row] = program
-        for spec, group in zip(attacks[row], _attack_groups(row, attacks[row])):
+        specs = config.attacks[row]
+        for spec, group in zip(specs, _attack_groups(row, specs)):
             try:
                 programs[row] = apply_attack(programs[row], spec)
             except AttackError as exc:
@@ -404,7 +397,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
             raise PlanError(f"{_ATTACK_PREFIX}{row}: {exc}") from None
     truth = _ground_truth(plans, config)
 
-    config = dataclasses.replace(config, attacks=attacks)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(dump_experiment_config(config))
@@ -460,12 +452,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
             f"(artifacts preserved under {out})"
         )
     return matrix
-
-
-def _load_program(config: ExperimentConfig) -> GCodeProgram:
-    if config.program_path is None:
-        return benchmark_object()
-    return read_gcode(config.program_path)
 
 
 def _build_baselines(

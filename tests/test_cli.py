@@ -596,11 +596,16 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert "config seed=7\n" in out and "config seed=3" not in out
 
-    def test_missing_program_exits_2_naming_it_before_writing(self, tmp_path, capsys):
+    # An attack key once made loading read the program, so that config
+    # exited 2 before printing its config lines.
+    @pytest.mark.parametrize("extra", ["", "attack.void.position = 2\n"], ids=["bare", "attack"])
+    def test_missing_program_exits_2_naming_it_before_writing(self, tmp_path, capsys, extra):
         config = tmp_path / "exp.cfg"
-        config.write_text("program = absent.gcode\ngolden_count = 2\n")
+        config.write_text("program = absent.gcode\ngolden_count = 2\n" + extra)
         assert main(["experiment", str(config), "--out", str(tmp_path / "out")]) == 2
-        assert str(tmp_path / "absent.gcode") in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "config golden_count=2\n" in captured.out
+        assert str(tmp_path / "absent.gcode") in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_relative_program_is_read_beside_the_config(self, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powertrace.config import read_kv_file
 from powertrace.detect import DetectionConfig, build_baseline, detect_print
 from powertrace.gcode import Command, CommandKind, read_gcode, serialize
 from powertrace.harness import (
@@ -19,7 +20,7 @@ from powertrace.harness import (
 from powertrace.planner import DEFAULT_PROFILE, AxisValues, Motor, PrinterProfile, plan_motion
 from powertrace.tracesim import MotorTrace, NoiseModel
 
-DEFAULT_ATTACKS = default_attacks(benchmark_object())
+DEFAULT_ATTACKS = default_attacks()
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
@@ -76,7 +77,7 @@ def attack_overrides(draw):
     malicious_count=st.integers(1, 1_000),
     seed=st.integers(0, 2**40),
     save_traces=st.booleans(),
-    attacks=st.none() | attack_overrides(),
+    attacks=attack_overrides(),
     own_program=st.booleans(),
 )
 def test_dump_then_load_is_the_identity(tmp_path_factory, own_program, **fields):
@@ -104,6 +105,24 @@ def test_relative_program_path_is_dumped_absolute(tmp_path, monkeypatch):
     assert loaded.program_path == str(tmp_path / "part.gcode")
     plan = plan_motion(read_gcode(loaded.program_path), loaded.profile)
     assert plan == plan_motion(read_gcode(config.program_path), config.profile)
+
+
+def test_loading_a_config_reads_no_program(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("program = absent.gcode\nattack.void.position = 2\n")
+    config = load_experiment_config(path, ExperimentConfig())
+    assert config.program_path == str(tmp_path / "absent.gcode")
+    assert config.attacks["void"][0].position == 2
+
+
+def test_default_config_dumps_its_attack_keys():
+    assert "attack.reorder1.pair_offset = 9\n" in dump_experiment_config(ExperimentConfig())
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("\ufeffgolden_count = 2\n", encoding="utf-8")
+    assert read_kv_file(path) == {"golden_count": (1, "2")}
 
 
 def test_each_field_has_one_key():

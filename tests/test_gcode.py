@@ -10,6 +10,7 @@ from powertrace.gcode import (
     make_program,
     parse_gcode,
     parse_line,
+    read_gcode,
     serialize,
 )
 
@@ -187,3 +188,13 @@ def test_layer_boundaries_strictly_increase(lines):
     layers = program.layers
     assert all(isinstance(start, int) for start in layers)
     assert all(a < b for a, b in zip(layers, layers[1:]))
+
+
+def test_read_gcode_skips_a_byte_order_mark(tmp_path):
+    # Kept, the mark turned the first move into an OTHER passthrough line.
+    text = "G1 X5 Y5 F600\nG1 X10 E0.5\n"
+    path = tmp_path / "bom.gcode"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    program = read_gcode(path)
+    assert program.commands[0].kind is CommandKind.LINEAR_MOVE
+    assert _semantic(program) == _semantic(parse_gcode(text))

@@ -94,7 +94,7 @@ class TestBenchmarkObject:
 
 class TestDefaultAttacks:
     def test_all_four_rows_present(self):
-        attacks = default_attacks(benchmark_object())
+        attacks = default_attacks()
         assert set(attacks) == set(ATTACK_ROWS)
 
     def test_specs_apply_cleanly(self):
@@ -167,7 +167,7 @@ class TestConfigValidation:
         ids=["extra", "empty", "missing"],
     )
     def test_attack_rows_are_checked_where_the_config_is_built(self, edit, message):
-        attacks = edit(default_attacks(benchmark_object()))
+        attacks = edit(default_attacks())
         with pytest.raises(ExperimentError, match=f"^{message}$"):
             ExperimentConfig(attacks=attacks)
 
@@ -355,7 +355,7 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     def test_unappliable_attack_fails_before_anything_is_written(self, tmp_path):
-        attacks = dict(default_attacks(benchmark_object()))
+        attacks = dict(default_attacks())
         attacks["insert"] = (dataclasses.replace(attacks["insert"][0], layer=99),)
         config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
         with pytest.raises(AttackError, match=r"^attack\.insert: no such layer: 99$"):
@@ -364,7 +364,7 @@ class TestRunExperiment:
 
     def test_unappliable_spec_of_a_two_spec_row_is_named_by_index(self, tmp_path):
         # As in the config keys: a row of several specs numbers them.
-        attacks = dict(default_attacks(benchmark_object()))
+        attacks = dict(default_attacks())
         first, second = attacks["reorder"]
         attacks["reorder"] = (first, dataclasses.replace(second, layer=99))
         config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
@@ -381,7 +381,7 @@ class TestRunExperiment:
         from powertrace.gcode import parse_line
         from powertrace.planner import PlanError
 
-        attacks = dict(default_attacks(benchmark_object()))
+        attacks = dict(default_attacks())
         payload = parse_line("G1 X3 Y12 E0.4")
         attacks["reorder"] = (AttackSpec(AttackKind.INSERT, 0, 4, payload=payload),)
         config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
@@ -620,7 +620,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
 
     from powertrace import harness
 
-    attacks = default_attacks(benchmark_object())
+    attacks = default_attacks()
     attacks["void"] = attacks["delete"]
     truth = ground_truth(attacks)
     assert truth["void"] == truth["delete"]
@@ -664,7 +664,7 @@ def test_append_window_starts_at_the_injection_point():
     # ends, 6,250 samples (0.25 s) after it starts, at sample 1,493,582, so
     # their spans start the smoothing window's reach (10 samples) earlier
     # and, as the appended move delays the rest, run to the baseline's end.
-    attacks = default_attacks(benchmark_object())
+    attacks = default_attacks()
     attacks["insert"] = (dataclasses.replace(attacks["insert"][0], position=20),)
     truth = ground_truth(attacks)
     length = aligned_length(row_plans(attacks)["normal"])
@@ -678,7 +678,7 @@ def test_void_row_holding_a_delete_is_a_desync_row(tmp_path):
     # undisturbed.  The delete print is 12,814 samples shorter than the
     # baseline, so the X and Y spans run to its last sample, widened by the
     # smoothing window's reach (9 samples past it).
-    attacks = default_attacks(benchmark_object())
+    attacks = default_attacks()
     attacks["void"] = attacks["delete"]
     truth = ground_truth(attacks)
     assert truth["void"] == truth["delete"]
@@ -695,7 +695,7 @@ def test_default_void_row_disturbs_only_the_extruder():
     # Voiding a perimeter side leaves X, Y and Z motion as it was: their
     # noise-free renders are identical.  E's renders differ from the voided
     # command to where the next extrusion has made up the skipped filament.
-    truth = ground_truth(default_attacks(benchmark_object()))
+    truth = ground_truth(default_attacks())
     assert truth["void"] == {Motor.X: None, Motor.Y: None, Motor.Z: None, Motor.E: (1_322_171, 1_365_940)}
 
 
@@ -726,7 +726,7 @@ def whole_render_truth(plans):
 
 
 def test_ground_truth_of_the_default_attacks_matches_whole_renders():
-    attacks = default_attacks(benchmark_object())
+    attacks = default_attacks()
     assert ground_truth(attacks) == whole_render_truth(row_plans(attacks))
 
 
@@ -778,7 +778,7 @@ def test_ground_truth_renders_whole_when_the_trigger_moves():
     from powertrace.attacks import AttackKind, AttackSpec
     from powertrace.gcode import parse_line
 
-    attacks = default_attacks(benchmark_object())
+    attacks = default_attacks()
     attacks["insert"] = (AttackSpec(AttackKind.INSERT, 0, 0, payload=parse_line("G0 X5 Y5")),)
     plans = row_plans(attacks)
     assert tracesim.trigger_index(plans["insert"]) != tracesim.trigger_index(plans["normal"])
@@ -795,7 +795,7 @@ def test_fan_command_insert_matches_whole_renders():
     from powertrace.attacks import AttackKind, AttackSpec
     from powertrace.gcode import parse_line
 
-    attacks = default_attacks(benchmark_object())
+    attacks = default_attacks()
     attacks["insert"] = (AttackSpec(AttackKind.INSERT, 7, 3, payload=parse_line("M106 S128")),)
     plans = row_plans(attacks)
     truth = ground_truth(attacks)
@@ -816,7 +816,7 @@ def test_ground_truth_renders_each_motor_once_per_program(monkeypatch):
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(tracesim, "synthesize_trace", counting)
-    ground_truth(default_attacks(benchmark_object()))
+    ground_truth(default_attacks())
     assert len(calls) == 4 * (1 + len(ATTACK_ROWS))
     assert all(start > 0 for start in calls)
 
@@ -827,7 +827,7 @@ def test_fan_command_insert_disturbs_no_motor(tmp_path):
     from powertrace.attacks import AttackKind, AttackSpec
     from powertrace.gcode import parse_line
 
-    attacks = default_attacks(benchmark_object())
+    attacks = default_attacks()
     attacks["insert"] = (AttackSpec(AttackKind.INSERT, 7, 3, payload=parse_line("M106 S128")),)
     config = dataclasses.replace(SMALL, golden_count=2, attacks=attacks)
     matrix = run_experiment(config, tmp_path)
