@@ -10,21 +10,24 @@ golden traces were smoothed with, and a capture is smoothed with that window.
 
 The verdict uses the raw deviation against the peak of the golden standard
 deviation, so :func:`detect_print` keeps no deviation: it returns the
-verdicts and each motor's smoothed capture as float32, and the float64
-deviation a verdict was judged on is made again, byte for byte, when
-``result.deviations[motor]`` is read, or only a slice of it when
-``result.deviations[motor, part]`` is.  A baseline keeps that peak as one
+verdicts and each motor's capture, and the float64 deviation a verdict was
+judged on is made again, byte for byte, when ``result.deviations[motor]``
+is read, or only a slice of it when ``result.deviations[motor, part]`` is.
+A baseline keeps that peak as one
 float64, taken before the pointwise sd is rounded to the float32 column it
 stores.  :func:`export_series_csv` writes a series as text at numpy speed,
 byte for byte as Python's ``'%.6f'`` formats each time and value: one
 stateless kernel formats both columns, with a per-row fallback for the
 cells it cannot print exactly.
 
-:func:`detect_print` smooths each motor's capture once, straight into the
-float32 array its result keeps, then reads that array in fixed-size blocks:
-each block's float64 deviation is made in one block of scratch and counted
-against the threshold, the run still open at a block's end carrying into
-the next.  One kernel, ``_deviation_into``, makes every deviation: for
+:func:`detect_print` judges each motor in one streamed pass: the one
+smoothing kernel, ``_smoothed_blocks``, yields the smoothed capture in
+fixed-size blocks, and each block's float64 deviation is made in one block
+of scratch and counted against the threshold while the block is in cache,
+the run still open at a block's end carrying into the next.  No
+full-length array is made unless the caller passes ``out``; a
+``deviations`` read smooths its motor's capture through the same kernel
+on first use.  One kernel, ``_deviation_into``, makes every deviation: for
 :func:`deviation`, for those blocks and for each ``deviations`` read, so
 all three agree byte for byte.  Motors are independent, so they are judged
 on parallel threads, with the same bytes for any number of threads.
@@ -63,10 +66,11 @@ _EXPORT_CHUNK_ROWS = 1 << 16
 # Samples per block in smooth, build_baseline and detect_print:
 # their scratch is fixed-size.  Each block costs a handful of numpy calls,
 # each releasing and re-taking the GIL, so detect_print's threads overlap
-# better with fewer, larger blocks; but each thread holds about 18 bytes of
+# better with fewer, larger blocks; but each thread holds about 31 bytes of
 # scratch per block sample (tracemalloc): smoothing's float64 running sum and
-# values, then one float64 deviation block.  2**15 keeps two threads' scratch
-# near 0.6 bytes per sample of the benchmark print (0.64 measured).
+# values and its float32 block, one float64 deviation block and the
+# classifier's masks.  2**15 keeps two threads' scratch near 1.1 bytes per
+# sample of the benchmark print (1.10 measured).
 _BLOCK = 1 << 15
 
 
@@ -182,10 +186,15 @@ class PrintDetectionResult:
     ``deviations[motor]`` is the float64 deviation that motor was judged
     on, windowed to the baseline, and ``deviations[motor, part]``, for a
     basic slice ``part`` (a step is allowed), is ``deviations[motor][part]``
-    made on those samples alone.  Each read makes a new, writable array
-    from the float32 smoothed capture the result keeps, so a result holds
-    4 bytes per sample per motor, and a caller that changes a read in place
-    changes no later read.
+    made on those samples alone.  Each read makes a new, writable array,
+    so a caller that changes a read in place changes no later read.  It is
+    made from the motor's smoothed capture: the view of ``out`` that
+    :func:`detect_print` smoothed it into, when given, else a float32 array
+    that the motor's first read smooths the capture into and later reads
+    reuse.  So without ``out`` a result holds no array of its own until a
+    deviation is read, then 4 bytes per sample per motor read; it keeps the
+    captures, so a caller that overwrites a capture's buffer before reading
+    ``deviations`` must pass ``out``.
     """
 
     reports: dict[Motor, DetectionReport]
@@ -200,23 +209,38 @@ class PrintDetectionResult:
 
 
 class _Deviations(Mapping):
-    """Each motor's deviation, or a slice of it, made from its smoothed
-    capture when read."""
+    """Each motor's deviation, or a slice of it, made when read from its
+    smoothed capture: the view of ``out`` that :func:`detect_print` smoothed
+    it into, else a float32 array that the motor's first read smooths its
+    capture into and later reads reuse."""
 
-    def __init__(self, smoothed: dict[Motor, np.ndarray], baselines: dict[Motor, GoldenBaseline]):
+    def __init__(
+        self,
+        captures: dict[Motor, MotorTrace],
+        baselines: dict[Motor, GoldenBaseline],
+        references: dict[Motor, np.ndarray],
+        smoothed: dict[Motor, np.ndarray],
+    ):
+        self._sources = {m: (captures[m].samples, baselines[m].smoothing_window) for m in references}
+        self._references = references
         self._smoothed = smoothed
-        self._references = {m: baselines[m].reference[: len(smoothed[m])] for m in smoothed}
 
     def __getitem__(self, key: Motor | tuple[Motor, slice]) -> np.ndarray:
         motor, part = key if isinstance(key, tuple) else (key, slice(None))
-        smoothed = self._smoothed[motor][part]
-        return _deviation_into(smoothed, self._references[motor][part], np.empty(len(smoothed)))
+        reference = self._references[motor]
+        smoothed = self._smoothed.get(motor)
+        if smoothed is None:
+            samples, window = self._sources[motor]
+            smoothed = np.empty(len(reference), dtype=np.float32)
+            self._smoothed[motor] = _smooth_into(samples, window, smoothed)
+        smoothed = smoothed[part]
+        return _deviation_into(smoothed, reference[part], np.empty(len(smoothed)))
 
     def __iter__(self) -> Iterator[Motor]:
-        return iter(self._smoothed)
+        return iter(self._references)
 
     def __len__(self) -> int:
-        return len(self._smoothed)
+        return len(self._references)
 
 
 def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> MotorTrace:
@@ -225,7 +249,7 @@ def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> Mot
     given, is a reused float32 buffer of at least the trace's length: the
     samples are written into its first samples, for a window of 1 too, and
     the result is a view of them.  It may be the buffer the trace's samples
-    view, if it starts no later than they do (see :func:`_smooth_into`).
+    view, if it starts no later than they do (see :func:`_smoothed_blocks`).
 
     Windows shrink to the available samples near the edges.  For an even
     window the center is biased one sample to the right, i.e. sample i
@@ -258,18 +282,38 @@ def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> Mot
 
 def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
     """Write :func:`smooth`'s float32 samples ``0:len(out)`` into ``out``
-    and return it.
+    and return it: :func:`_smoothed_blocks` run to its end, with the rules
+    on ``window`` and ``out`` given there."""
+    for _ in _smoothed_blocks(samples, window, len(out), out):
+        pass
+    return out
 
-    ``window`` must be between 1 and ``len(samples)``, and ``out`` no longer
-    than ``samples``; no block past ``len(out)`` is summed.  ``out`` may
-    overlay the buffer ``samples`` views if both are contiguous and ``out``
-    starts no later, so a capture can be smoothed over the buffer it was
-    rendered into: a block reads only the samples the block before did not
-    (it takes the rest from that block's float64 copy), and writes outputs
-    that end behind those reads, and the left edge is written last.
+
+def _block_room(window: int, m: int) -> int:
+    """The most samples one block of :func:`_smoothed_blocks` holds: up to
+    ``_BLOCK`` window sums, or an edge of up to ``window // 2`` samples."""
+    return min(m, max(_BLOCK, window // 2))
+
+
+def _smoothed_blocks(
+    samples: np.ndarray, window: int, m: int, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Yield :func:`smooth`'s float32 samples ``0:m`` in order, as
+    consecutive non-empty blocks: the one smoothing kernel.
+
+    Each block is a view of ``out``'s samples, when given (of length ``m``),
+    else of one float32 scratch that the next block overwrites, so a
+    consumer reads each block before it asks for the next.  ``window`` must
+    be between 1 and ``len(samples)``, and ``m`` at most ``len(samples)``;
+    no block past ``m`` is summed.  ``out`` may overlay the buffer
+    ``samples`` views if both are contiguous and ``out`` starts no later, so
+    a capture can be smoothed over the buffer it was rendered into: a block
+    reads only the samples the block before did not (it takes the rest from
+    that block's float64 copy), and writes outputs that end behind those
+    reads, and the left edge is written once block 0 has read its samples.
     """
-    n, m = len(samples), len(out)
-    if np.may_share_memory(samples, out) and not (
+    n = len(samples)
+    if out is not None and np.may_share_memory(samples, out) and not (
         samples.flags.c_contiguous
         and out.flags.c_contiguous
         and out.ctypes.data <= samples.ctypes.data
@@ -277,44 +321,61 @@ def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
         raise ValueError(
             "out may overlay the samples only if both are contiguous and it starts no later"
         )
+    if out is None:
+        scratch = np.empty(_block_room(window, m), dtype=np.float32)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        """Where smoothed samples ``lo:hi`` are written and yielded."""
+        return scratch[: hi - lo] if out is None else out[lo:hi]
+
     if window == 1:
-        out[...] = samples[:m]
-        return out
+        for lo in range(0, m, _BLOCK):
+            part = block(lo, min(lo + _BLOCK, m))
+            part[...] = samples[lo : lo + len(part)]
+            yield part
+        return
     left, right = (window - 1) // 2, window // 2
+    edge = min(left, m)  # the left edge's shrunken windows
+    # inf - inf is NaN, which _classify_blocks rejects; numpy need not warn
+    # first.  No yield runs in this state, which is the consumer's.
+    with np.errstate(invalid="ignore"):
+        head = np.cumsum(samples[: right + edge], dtype=np.float64)[right:]
+    head_counts = np.arange(right + 1, right + 1 + edge)
+    if m <= left:  # no whole window starts in the prefix
+        if m:
+            yield np.divide(head, head_counts, out=block(0, m))
+        return
     csum = np.empty(min(_BLOCK + window, n + 1))
     # The block's samples as float64, summed into the separate csum (numpy
     # holds the GIL in a cumsum that casts or works in place), then the
     # window sums.  A block's last window - 1 samples stay in values, past
     # its window sums, and become the next block's first ones.
     values = np.empty(len(csum))
-    # inf - inf is NaN, which _classify_blocks rejects; numpy need not warn first.
-    with np.errstate(invalid="ignore"):
-        edge = min(left, m)  # the left edge's shrunken windows
-        head = np.cumsum(samples[: right + edge], dtype=np.float64)
-        head = head[right:] / np.arange(right + 1, right + 1 + edge)
-        for lo in range(0, min(n - window + 1, m - left), _BLOCK):
-            hi = min(lo + _BLOCK + window - 1, n)
-            part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
-            count = hi - lo - window + 1
-            if lo == 0:
-                # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
-                part[0] = 0.0
-                first = 1
-                values[1 : len(part)] = samples[lo:hi]
-            else:
-                values[0] = csum[_BLOCK]  # csum[lo], from the block before
-                first = 0
-                values[1:window] = values[_BLOCK + 1 : _BLOCK + window]
-                values[window : len(part)] = samples[lo + window - 1 : hi]
+    for lo in range(0, min(n - window + 1, m - left), _BLOCK):
+        hi = min(lo + _BLOCK + window - 1, n)
+        part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
+        count = hi - lo - window + 1
+        if lo == 0:
+            # A plain cumsum from 0, as 0.0 + -0.0 would lose the sign.
+            part[0] = 0.0
+            first = 1
+            values[1 : len(part)] = samples[lo:hi]
+        else:
+            values[0] = csum[_BLOCK]  # csum[lo], from the block before
+            first = 0
+            values[1:window] = values[_BLOCK + 1 : _BLOCK + window]
+            values[window : len(part)] = samples[lo + window - 1 : hi]
+        with np.errstate(invalid="ignore"):
             np.cumsum(values[first : len(part)], out=part[first:])
             np.subtract(part[window:], part[:count], out=values[:count])
-            count = min(count, m - left - lo)
-            np.divide(values[:count], window, out=out[lo + left : lo + left + count])
-        if m > n - right:  # the right edge, after the last block's csum
-            tail = part[n - window + 1 - lo : m - left - lo]
-            out[n - right :] = (part[-1] - tail) / np.arange(window - 1, n - m + left, -1)
-        out[:edge] = head
-    return out
+        if lo == 0 and edge:  # block 0 has read what the edge may overlay
+            yield np.divide(head, head_counts, out=block(0, edge))
+        count = min(count, m - left - lo)
+        yield np.divide(values[:count], window, out=block(lo + left, lo + left + count))
+    if m > n - right:  # the right edge, after the last block's csum
+        with np.errstate(invalid="ignore"):
+            tail = part[-1] - part[n - window + 1 - lo : m - left - lo]
+        yield np.divide(tail, np.arange(window - 1, n - m + left, -1), out=block(n - right, m))
 
 
 def build_baseline(
@@ -467,24 +528,27 @@ def detect_print(
     and each needs a capture and a baseline of that motor: a missing or
     mismatched one raises :class:`DetectionError` naming the motor.  The
     print is malicious iff any motor is.
-    Each capture is smoothed once, only as far as the baseline reaches, into
-    the float32 array the result keeps for its ``deviations``: a view of the
-    motor's reused buffer in ``out``, when given, which may be the buffer
-    the capture views, starting no later (see :func:`_smooth_into`).  That
-    array is then compared and classified in ``_BLOCK``-sample (32,768) blocks,
-    each block's float64 deviation in the thread's scratch, the motors on up
-    to ``tracesim._WORKERS`` threads; reports and deviations are the same
-    for any thread count.  A block whose largest deviation is clear of the
-    threshold skips the run search, so a benign block costs the comparison
-    and one ``max``.  Smoothing goes through the private writer, never
-    :func:`smooth`, which the benchmark's trace mode wraps with one span
-    stack that calls from the motors' threads would corrupt.
+    Each motor is judged in one pass over ``_BLOCK``-sample (32,768) blocks,
+    only as far as the baseline reaches: a block is smoothed, its float64
+    deviation made in the thread's scratch and classified before the next
+    block is smoothed, the motors on up to ``tracesim._WORKERS`` threads;
+    reports and deviations are the same for any thread count.  Without
+    ``out`` the smoothed blocks live in that scratch, so the call makes no
+    full-length array.  With ``out``, each motor is smoothed into a view of
+    its reused buffer there, which may be the buffer the capture views,
+    starting no later (see :func:`_smoothed_blocks`), and the result's
+    ``deviations`` read that view.  A block whose largest deviation is clear
+    of the threshold skips the run search, so a benign block costs the
+    comparison and one ``max``.  Smoothing goes through the private kernel,
+    never :func:`smooth`, which the benchmark's trace mode wraps with one
+    span stack that calls from the motors' threads would corrupt.
     """
     unpaired = [m.name for m in captures if m not in baselines]
     if unpaired:
         raise DetectionError(f"no baseline for motor(s) {unpaired}")
     if not baselines:
         raise DetectionError("no motor to judge: no capture or baseline given")
+    references: dict[Motor, np.ndarray] = {}
     smoothed: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
         capture = captures.get(motor)
@@ -503,26 +567,27 @@ def detect_print(
         # The threshold comes from the full baseline's peak_sd, so a
         # shorter capture never weakens it.
         length = min(len(capture.samples), baseline.sample_count)
-        smoothed[motor] = (
-            np.empty(length, dtype=np.float32)
-            if out is None
-            else _buffer_prefix(out[motor], length)
-        )
+        references[motor] = baseline.reference[:length]
+        if out is not None:
+            smoothed[motor] = _buffer_prefix(out[motor], length)
 
     def judge(motor: Motor) -> DetectionReport:
-        baseline = baselines[motor]
-        kept = _smooth_into(captures[motor].samples, baseline.smoothing_window, smoothed[motor])
-        n = len(kept)
-        reference = baseline.reference[:n]
-        scratch = np.empty(min(_BLOCK, n))
-        blocks = (
-            _deviation_into(kept[lo : lo + _BLOCK], reference[lo : lo + _BLOCK], scratch[: n - lo])
-            for lo in range(0, n, _BLOCK)
-        )
-        return _classify_blocks(blocks, baseline, config)
+        baseline, reference = baselines[motor], references[motor]
+        window, n = baseline.smoothing_window, len(reference)
+        scratch = np.empty(_block_room(window, n))
 
-    reports = dict(zip(smoothed, _map_on_threads(judge, list(smoothed))))
-    return PrintDetectionResult(reports=reports, deviations=_Deviations(smoothed, baselines))
+        def deviations() -> Iterator[np.ndarray]:
+            lo = 0
+            for block in _smoothed_blocks(captures[motor].samples, window, n, smoothed.get(motor)):
+                hi = lo + len(block)
+                yield _deviation_into(block, reference[lo:hi], scratch[: hi - lo])
+                lo = hi
+
+        return _classify_blocks(deviations(), baseline, config)
+
+    reports = dict(zip(references, _map_on_threads(judge, list(references))))
+    deviations = _Deviations(captures, baselines, references, smoothed)
+    return PrintDetectionResult(reports=reports, deviations=deviations)
 
 
 def export_series_csv(series: np.ndarray, sample_rate: float, path: str | Path) -> None:

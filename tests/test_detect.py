@@ -166,6 +166,48 @@ class TestSmooth:
                 detect._smooth_into(buffer[offset:], window, buffer[:m])
                 assert buffer[:m].tobytes() == whole[:m].tobytes(), offset
 
+    @given(
+        case=st.integers(1, 300).flatmap(lambda n: st.tuples(
+            arrays(np.float32, n, elements=_FINITE_F32),
+            st.sampled_from([w for w in (1, 2, 5, 6) if w <= n]) | st.integers(1, n),
+            st.integers(0, n),
+        )),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    # Windows 1 and 2 (an empty left edge), odd and even ones, and windows
+    # whose edges are longer than a block, with prefixes ending in the left
+    # edge, in the blocks and in the right edge.
+    @example(case=(np.arange(40, dtype=np.float32), 1, 40), block=3)
+    @example(case=(np.arange(40, dtype=np.float32), 2, 40), block=3)
+    @example(case=(np.arange(40, dtype=np.float32), 2, 1), block=1)
+    @example(case=(np.arange(40, dtype=np.float32), 5, 39), block=3)
+    @example(case=(np.arange(40, dtype=np.float32), 6, 12), block=3)
+    @example(case=(np.arange(300, dtype=np.float32), 150, 50), block=64)
+    @example(case=(np.arange(300, dtype=np.float32), 151, 290), block=64)
+    @settings(max_examples=200, deadline=None)
+    def test_streamed_blocks_are_the_smoothed_prefix(self, case, block):
+        # The one smoothing kernel: its blocks, joined, are smooth's prefix,
+        # whether they are views of its own scratch, of a separate out, or
+        # of an out over the samples' buffer from their start or before it.
+        values, window, m = case
+        whole = smooth(_trace(values), window).samples[:m].tobytes()
+        for offset in (None, -1, 0, 1, window + 3):
+            buffer = np.full(max(offset or 0, 0) + len(values), np.nan, dtype=np.float32)
+            if offset is None or offset < 0:  # no out, or a separate one
+                samples, out = values, None if offset is None else buffer[:m]
+            else:
+                buffer[offset:] = values
+                samples, out = buffer[offset:], buffer[:m]
+            got = []
+            with mock.patch.object(detect, "_BLOCK", block):
+                for part in detect._smoothed_blocks(samples, window, m, out):
+                    assert part.dtype == np.float32
+                    assert 0 < len(part) <= max(block, window // 2), offset
+                    assert out is None or np.shares_memory(part, out)
+                    got.append(part.tobytes())
+            assert b"".join(got) == whole, offset
+            assert out is None or out.tobytes() == whole
+
     def test_smoothing_over_a_later_part_of_its_buffer_rejected(self):
         # Outputs written ahead of the reads would overwrite samples not yet
         # read.
@@ -617,10 +659,12 @@ class TestDetectPrint:
         assert report == classify(expected_dev, baseline, config)
         assert report.threshold == baseline.peak_sd + config.margin
 
-    @pytest.mark.parametrize("window", [1, 5, 20])
+    @pytest.mark.parametrize("window", [1, 2, 5, 20])
     def test_smooths_at_the_baseline_window(self, window):
         # Whatever DetectionConfig's window: it is the one new baselines
         # are smoothed with, and a capture is judged at its baseline's.
+        # Windows 1 and 2 leave the left edge empty, which a streamed
+        # smoothing must not yield as an empty block to the classifier.
         rng = np.random.default_rng(window)
         baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 200)) for _ in range(3)], window)
         capture = _trace(rng.normal(0.0, 0.3, 200))
@@ -792,13 +836,13 @@ class TestDetectPrint:
         with pytest.raises(ValueError, match="float32 row of at least 500"):
             detect_print(copies, baselines, out={m: b[:499] for m, b in buffers.items()})
 
-    def test_peak_memory_is_the_smoothed_captures(self):
-        # Each motor is smoothed into the float32 array the result keeps (4
-        # bytes per baseline sample per motor), and its float64 deviation
-        # lives only in block scratch, so detect_print holds those arrays and
-        # each thread's block scratch: measured 16.64 bytes per sample on two
-        # threads (keeping float64 deviations instead would add 16; a
-        # whole-series copy and mask, 5).  Taken after one untraced call, so that
+    def test_peak_memory_is_block_scratch(self):
+        # Each motor is smoothed, compared and classified block by block, so
+        # detect_print holds only each thread's block scratch: measured 1.10
+        # bytes per sample on two threads (16.64 when it smoothed each motor
+        # into a float32 array its result kept).  The result keeps the
+        # captures, not a copy of them, so about nothing stays held after
+        # the call (measured 0.004).  Taken after one untraced call, so that
         # one-time imports do not count, with a 100,000-sample attack run.
         n, baselines, reference = _benchmark_baselines()
         samples = reference + np.random.default_rng(5).normal(0.0, 0.05, n).astype(np.float32)
@@ -809,18 +853,53 @@ class TestDetectPrint:
             tracemalloc.start()
             try:
                 result = detect_print(captures, baselines)
-                _, peak = tracemalloc.get_traced_memory()
+                held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert result.overall is Verdict.MALICIOUS
-        assert peak / n <= 17.5
+        assert peak / n <= 2.0
+        assert held / n <= 0.05
+
+    def test_deviations_smooth_each_capture_at_its_first_read(self):
+        # Without out, a result holds no smoothed capture until a motor's
+        # deviation is read: that read smooths the capture once into a
+        # float32 array, and later reads of the motor, whole or sliced,
+        # reuse it.  Every read equals the deviation of a call given out.
+        rng = np.random.default_rng(8)
+        n = 50_000
+        baselines = {m: _flat_baseline(n=n, motor=m) for m in MOTORS}
+        captures = {m: _trace(rng.normal(0.0, 0.05, n + 10), motor=m) for m in MOTORS}
+        buffers = {m: np.empty(n, dtype=np.float32) for m in MOTORS}
+        into = detect_print(captures, baselines, out=buffers)
+        tracemalloc.start()
+        try:
+            result = detect_print(captures, baselines)
+            unread = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert unread / n <= 0.5
+        assert result.reports == into.reports
+        kernel = mock.Mock(wraps=detect._smoothed_blocks)
+        with mock.patch.object(detect, "_smoothed_blocks", kernel):
+            first = result.deviations[Motor.Y]
+            assert kernel.call_count == 1
+            assert first.tobytes() == into.deviations[Motor.Y].tobytes()
+            again = result.deviations[Motor.Y]
+            part = result.deviations[Motor.Y, 7:900:3]
+            assert kernel.call_count == 1
+            assert again.tobytes() == first.tobytes()
+            assert part.tobytes() == first[7:900:3].tobytes()
+            assert result.deviations[Motor.X].tobytes() == into.deviations[Motor.X].tobytes()
+            assert kernel.call_count == 2
 
     def test_screen_holds_one_result_while_judging_the_next(self):
         # A screening loop loads print k+1's captures while print k's
         # captures and result are still bound, then judges them while print
-        # k's result is: three sets of four captures or smoothed captures at
-        # 4 bytes per sample, 48, plus block scratch, measured 48.65 on two
-        # threads (80.8 when each result held four float64 deviations).
+        # k's result is.  A result keeps its captures and no smoothed copy,
+        # so that is two sets of four captures at 4 bytes per sample, 32,
+        # plus block scratch: measured 33.10 on two threads, bound with 2
+        # bytes per sample of headroom (48.65 when each result kept four
+        # float32 smoothed captures, 80.8 four float64 deviations).
         n, baselines, reference = _benchmark_baselines()
 
         def load(seed):
@@ -848,7 +927,7 @@ class TestDetectPrint:
             finally:
                 tracemalloc.stop()
         assert verdicts == [Verdict.BENIGN, Verdict.MALICIOUS, Verdict.BENIGN]
-        assert peak / n <= 50.0
+        assert peak / n <= 35.0
 
     def test_never_calls_the_public_smooth(self):
         # Benchmark trace mode wraps detect.smooth and keeps one span stack,
