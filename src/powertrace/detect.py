@@ -24,10 +24,12 @@ cells it cannot print exactly.
 smoothing kernel, ``_smoothed_blocks``, yields the smoothed capture in
 fixed-size blocks, and each block's float64 deviation is made in one block
 of scratch and counted against the threshold while the block is in cache,
-the run still open at a block's end carrying into the next.  No
-full-length array is made unless the caller passes ``out``; a
-``deviations`` read smooths its motor's capture through the same kernel
-on first use.  One kernel, ``_deviation_into``, makes every deviation: for
+the run still open at a block's end carrying into the next.  The pass
+stops asking for blocks once it has the baseline's length, so no block
+past the baseline is summed.  No full-length array is made unless the
+caller passes ``out``; a ``deviations`` read smooths its motor's whole
+capture with :func:`smooth`, which drains the same kernel, on first use.
+One kernel, ``_deviation_into``, makes every deviation: for
 :func:`deviation`, for those blocks and for each ``deviations`` read, so
 all three agree byte for byte.  Motors are independent, so they are judged
 on parallel threads, with the same bytes for any number of threads.
@@ -130,8 +132,8 @@ class GoldenBaseline:
 
     def __post_init__(self) -> None:
         for name in ("pointwise_sd", "reference"):
-            column = np.asarray(getattr(self, name), dtype=np.float32)
-            column.setflags(write=False)
+            column = np.asarray(getattr(self, name), dtype=np.float32).view()
+            column.setflags(write=False)  # on a view: the caller's array stays writable
             object.__setattr__(self, name, column)
         sd = self.pointwise_sd
         if self.source_count < 2:
@@ -189,12 +191,13 @@ class PrintDetectionResult:
     made on those samples alone.  Each read makes a new, writable array,
     so a caller that changes a read in place changes no later read.  It is
     made from the motor's smoothed capture: the view of ``out`` that
-    :func:`detect_print` smoothed it into, when given, else a float32 array
-    that the motor's first read smooths the capture into and later reads
-    reuse.  So without ``out`` a result holds no array of its own until a
-    deviation is read, then 4 bytes per sample per motor read; it keeps the
-    captures, so a caller that overwrites a capture's buffer before reading
-    ``deviations`` must pass ``out``.
+    :func:`detect_print` smoothed it into, when given, else the float32
+    array that the motor's first read smooths the whole capture into with
+    :func:`smooth` and later reads reuse.  So without ``out`` a result holds
+    no array of its own until a deviation is read, then 4 bytes per capture
+    sample per motor read; it keeps the captures, so a caller that
+    overwrites a capture's buffer before reading ``deviations`` must pass
+    ``out``.
     """
 
     reports: dict[Motor, DetectionReport]
@@ -211,8 +214,8 @@ class PrintDetectionResult:
 class _Deviations(Mapping):
     """Each motor's deviation, or a slice of it, made when read from its
     smoothed capture: the view of ``out`` that :func:`detect_print` smoothed
-    it into, else a float32 array that the motor's first read smooths its
-    capture into and later reads reuse."""
+    it into, else the trace :func:`smooth` makes of the capture on the
+    motor's first read, which later reads reuse."""
 
     def __init__(
         self,
@@ -221,7 +224,7 @@ class _Deviations(Mapping):
         references: dict[Motor, np.ndarray],
         smoothed: dict[Motor, np.ndarray],
     ):
-        self._sources = {m: (captures[m].samples, baselines[m].smoothing_window) for m in references}
+        self._sources = {m: (captures[m], baselines[m].smoothing_window) for m in references}
         self._references = references
         self._smoothed = smoothed
 
@@ -230,10 +233,8 @@ class _Deviations(Mapping):
         reference = self._references[motor]
         smoothed = self._smoothed.get(motor)
         if smoothed is None:
-            samples, window = self._sources[motor]
-            smoothed = np.empty(len(reference), dtype=np.float32)
-            self._smoothed[motor] = _smooth_into(samples, window, smoothed)
-        smoothed = smoothed[part]
+            smoothed = self._smoothed[motor] = smooth(*self._sources[motor]).samples
+        smoothed = smoothed[: len(reference)][part]
         return _deviation_into(smoothed, reference[part], np.empty(len(smoothed)))
 
     def __iter__(self) -> Iterator[Motor]:
@@ -276,36 +277,28 @@ def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> Mot
     if window == 1 and out is None:
         return trace
     out = np.empty(n, dtype=np.float32) if out is None else _buffer_prefix(out, n)
-    samples = _smooth_into(trace.samples, window, out)
-    return replace(trace, samples=samples, smoothing_window=max(window, trace.smoothing_window))
-
-
-def _smooth_into(samples: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
-    """Write :func:`smooth`'s float32 samples ``0:len(out)`` into ``out``
-    and return it: :func:`_smoothed_blocks` run to its end, with the rules
-    on ``window`` and ``out`` given there."""
-    for _ in _smoothed_blocks(samples, window, len(out), out):
+    for _ in _smoothed_blocks(trace.samples, window, out):
         pass
-    return out
+    return replace(trace, samples=out, smoothing_window=max(window, trace.smoothing_window))
 
 
-def _block_room(window: int, m: int) -> int:
-    """The most samples one block of :func:`_smoothed_blocks` holds: up to
-    ``_BLOCK`` window sums, or an edge of up to ``window // 2`` samples."""
-    return min(m, max(_BLOCK, window // 2))
+def _block_room(window: int, n: int) -> int:
+    """The most samples one block of :func:`_smoothed_blocks` holds in ``n``:
+    up to ``_BLOCK`` window sums, or an edge of up to ``window // 2``."""
+    return min(n, max(_BLOCK, window // 2))
 
 
 def _smoothed_blocks(
-    samples: np.ndarray, window: int, m: int, out: np.ndarray | None = None
+    samples: np.ndarray, window: int, out: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
-    """Yield :func:`smooth`'s float32 samples ``0:m`` in order, as
-    consecutive non-empty blocks: the one smoothing kernel.
+    """Yield :func:`smooth`'s float32 samples in order, as consecutive
+    non-empty blocks: the one smoothing kernel.  A consumer that needs only
+    a prefix stops asking: no block is summed before it is asked for.
 
-    Each block is a view of ``out``'s samples, when given (of length ``m``),
+    Each block is a view of ``out``, when given (as long as ``samples``),
     else of one float32 scratch that the next block overwrites, so a
     consumer reads each block before it asks for the next.  ``window`` must
-    be between 1 and ``len(samples)``, and ``m`` at most ``len(samples)``;
-    no block past ``m`` is summed.  ``out`` may overlay the buffer
+    be between 1 and ``len(samples)``.  ``out`` may overlay the buffer
     ``samples`` views if both are contiguous and ``out`` starts no later, so
     a capture can be smoothed over the buffer it was rendered into: a block
     reads only the samples the block before did not (it takes the rest from
@@ -322,36 +315,26 @@ def _smoothed_blocks(
             "out may overlay the samples only if both are contiguous and it starts no later"
         )
     if out is None:
-        scratch = np.empty(_block_room(window, m), dtype=np.float32)
+        scratch = np.empty(_block_room(window, n), dtype=np.float32)
 
     def block(lo: int, hi: int) -> np.ndarray:
         """Where smoothed samples ``lo:hi`` are written and yielded."""
         return scratch[: hi - lo] if out is None else out[lo:hi]
 
     if window == 1:
-        for lo in range(0, m, _BLOCK):
-            part = block(lo, min(lo + _BLOCK, m))
+        for lo in range(0, n, _BLOCK):
+            part = block(lo, min(lo + _BLOCK, n))
             part[...] = samples[lo : lo + len(part)]
             yield part
         return
     left, right = (window - 1) // 2, window // 2
-    edge = min(left, m)  # the left edge's shrunken windows
-    # inf - inf is NaN, which _classify_blocks rejects; numpy need not warn
-    # first.  No yield runs in this state, which is the consumer's.
-    with np.errstate(invalid="ignore"):
-        head = np.cumsum(samples[: right + edge], dtype=np.float64)[right:]
-    head_counts = np.arange(right + 1, right + 1 + edge)
-    if m <= left:  # no whole window starts in the prefix
-        if m:
-            yield np.divide(head, head_counts, out=block(0, m))
-        return
     csum = np.empty(min(_BLOCK + window, n + 1))
     # The block's samples as float64, summed into the separate csum (numpy
     # holds the GIL in a cumsum that casts or works in place), then the
     # window sums.  A block's last window - 1 samples stay in values, past
     # its window sums, and become the next block's first ones.
     values = np.empty(len(csum))
-    for lo in range(0, min(n - window + 1, m - left), _BLOCK):
+    for lo in range(0, n - window + 1, _BLOCK):
         hi = min(lo + _BLOCK + window - 1, n)
         part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
         count = hi - lo - window + 1
@@ -365,17 +348,18 @@ def _smoothed_blocks(
             first = 0
             values[1:window] = values[_BLOCK + 1 : _BLOCK + window]
             values[window : len(part)] = samples[lo + window - 1 : hi]
+        # inf - inf is NaN, which _classify_blocks rejects; numpy need not
+        # warn first.  No yield runs in this state, which is the consumer's.
         with np.errstate(invalid="ignore"):
             np.cumsum(values[first : len(part)], out=part[first:])
             np.subtract(part[window:], part[:count], out=values[:count])
-        if lo == 0 and edge:  # block 0 has read what the edge may overlay
-            yield np.divide(head, head_counts, out=block(0, edge))
-        count = min(count, m - left - lo)
+        if lo == 0 and left:  # the left edge, once block 0 has read what it may overlay
+            edge = csum[right + 1 : window]  # sample i < left sums csum[i + right + 1]
+            yield np.divide(edge, np.arange(right + 1, window), out=block(0, left))
         yield np.divide(values[:count], window, out=block(lo + left, lo + left + count))
-    if m > n - right:  # the right edge, after the last block's csum
-        with np.errstate(invalid="ignore"):
-            tail = part[-1] - part[n - window + 1 - lo : m - left - lo]
-        yield np.divide(tail, np.arange(window - 1, n - m + left, -1), out=block(n - right, m))
+    with np.errstate(invalid="ignore"):  # the right edge, after the last block's csum
+        tail = part[-1] - part[n - window + 1 - lo : n - left - lo]
+    yield np.divide(tail, np.arange(window - 1, left, -1), out=block(n - right, n))
 
 
 def build_baseline(
@@ -525,17 +509,20 @@ def detect_print(
     Captures must already be trigger-aligned; smoothing, at each baseline's
     ``smoothing_window`` (never ``config.smoothing_window``), and windowing
     to the baseline length happen here.  At least one motor must be given,
-    and each needs a capture and a baseline of that motor: a missing or
-    mismatched one raises :class:`DetectionError` naming the motor.  The
-    print is malicious iff any motor is.
-    Each motor is judged in one pass over ``_BLOCK``-sample (32,768) blocks,
-    only as far as the baseline reaches: a block is smoothed, its float64
-    deviation made in the thread's scratch and classified before the next
-    block is smoothed, the motors on up to ``tracesim._WORKERS`` threads;
-    reports and deviations are the same for any thread count.  Without
-    ``out`` the smoothed blocks live in that scratch, so the call makes no
-    full-length array.  With ``out``, each motor is smoothed into a view of
-    its reused buffer there, which may be the buffer the capture views,
+    and each needs a raw capture (``smoothing_window`` 1) and a baseline of
+    that motor: a missing, mismatched or smoothed one raises
+    :class:`DetectionError` naming the motor.  The print is malicious iff
+    any motor is.
+    Each motor is judged in one pass over ``_BLOCK``-sample (32,768) blocks:
+    a block is smoothed, its float64 deviation made in the thread's scratch
+    and classified before the next block is smoothed, the motors on up to
+    ``tracesim._WORKERS`` threads; reports and deviations are the same for
+    any thread count.  The pass cuts the block that holds the baseline's
+    last sample there and asks for no more, so a longer capture is smoothed
+    only that far.  Without ``out`` the smoothed blocks live in that
+    scratch, so the call makes no full-length array.  With ``out``, each
+    motor is smoothed into a view of its reused buffer there, which must
+    hold the whole capture and may be the buffer the capture views,
     starting no later (see :func:`_smoothed_blocks`), and the result's
     ``deviations`` read that view.  A block whose largest deviation is clear
     of the threshold skips the run search, so a benign block costs the
@@ -559,6 +546,10 @@ def detect_print(
                 raise DetectionError(f"the {kind} under motor {motor.name} is of motor {given.motor.name}")
         if capture.sample_rate != baseline.sample_rate:
             raise DetectionError("capture/baseline sample rate mismatch")
+        if capture.smoothing_window != 1:
+            raise DetectionError(
+                f"{motor.name} capture is already smoothed with window {capture.smoothing_window}"
+            )
         if len(capture.samples) < baseline.smoothing_window:
             raise DetectionError(
                 f"{motor.name} capture has {len(capture.samples)} samples, shorter "
@@ -569,7 +560,7 @@ def detect_print(
         length = min(len(capture.samples), baseline.sample_count)
         references[motor] = baseline.reference[:length]
         if out is not None:
-            smoothed[motor] = _buffer_prefix(out[motor], length)
+            smoothed[motor] = _buffer_prefix(out[motor], len(capture.samples))
 
     def judge(motor: Motor) -> DetectionReport:
         baseline, reference = baselines[motor], references[motor]
@@ -578,9 +569,11 @@ def detect_print(
 
         def deviations() -> Iterator[np.ndarray]:
             lo = 0
-            for block in _smoothed_blocks(captures[motor].samples, window, n, smoothed.get(motor)):
-                hi = lo + len(block)
-                yield _deviation_into(block, reference[lo:hi], scratch[: hi - lo])
+            for block in _smoothed_blocks(captures[motor].samples, window, smoothed.get(motor)):
+                hi = min(lo + len(block), n)
+                yield _deviation_into(block[: hi - lo], reference[lo:hi], scratch[: hi - lo])
+                if hi == n:  # the rest of the capture is past the baseline
+                    return
                 lo = hi
 
         return _classify_blocks(deviations(), baseline, config)

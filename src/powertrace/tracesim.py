@@ -156,8 +156,8 @@ class MotorTrace:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise TraceSimError("sample_rate must be finite and > 0")
-        samples = np.asarray(self.samples, dtype=np.float32)
-        samples.setflags(write=False)
+        samples = np.asarray(self.samples, dtype=np.float32).view()
+        samples.setflags(write=False)  # on a view: the caller's array stays writable
         object.__setattr__(self, "samples", samples)
         if not (0 <= self.trigger_index < len(samples)):
             raise TraceSimError(
@@ -439,9 +439,8 @@ def _map_on_threads(fn: Callable, items: list) -> list:
 
 
 def _buffer_prefix(out: np.ndarray, length: int) -> np.ndarray:
-    """The first ``length`` samples of a caller's reused float32 buffer, as a
-    new view, so that marking a trace's samples read-only leaves the buffer
-    writable.  A buffer that cannot hold them is the caller's error."""
+    """The first ``length`` samples of a caller's reused float32 buffer.  A
+    buffer that cannot hold them is the caller's error."""
     if out.dtype != np.float32 or out.ndim != 1 or len(out) < length:
         raise ValueError(
             f"out must be a float32 row of at least {length} samples, "

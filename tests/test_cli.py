@@ -239,6 +239,17 @@ class TestBaseline:
         assert not (tmp_path / "X.ptrb").exists()
 
 
+    def test_pattern_matching_no_file_exits_2_naming_it(self, gcode_file, tmp_path, capsys):
+        # A pattern that matches nothing is taken as a path.
+        _simulate(gcode_file, tmp_path / "caps", prefix="run0")
+        pattern = str(tmp_path / "caps" / "run*_Q.ptrc")
+        capture = str(tmp_path / "caps" / "run0_X.ptrc")
+        code = main(["baseline", capture, pattern, "--output", "X.ptrb", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {pattern}: " in capsys.readouterr().err
+        assert not (tmp_path / "X.ptrb").exists()
+
+
 def _build_pipeline(gcode_file, tmp_path):
     """Golden baselines for all four motors plus one benign capture set."""
     for seed in range(3):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powertrace.config import read_kv_file
+from powertrace.config import parse_payload, read_kv_file
 from powertrace.detect import DetectionConfig, build_baseline, detect_print
 from powertrace.gcode import Command, CommandKind, read_gcode, serialize
 from powertrace.harness import (
@@ -123,6 +123,24 @@ def test_byte_order_mark_is_skipped(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("\ufeffgolden_count = 2\n", encoding="utf-8")
     assert read_kv_file(path) == {"golden_count": (1, "2")}
+
+
+def test_comment_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("# a comment\n\n  ; another = 3\ngolden_count = 2\n   \n")
+    assert read_kv_file(path) == {"golden_count": (4, "2")}
+
+
+def test_a_fan_off_payload_dumps_as_canonical_text(tmp_path):
+    # A payload keeps no line of its own, so it is dumped as the canonical
+    # text of the command it parses to: M107 is the fan at speed 0.
+    insert = dataclasses.replace(DEFAULT_ATTACKS["insert"][0], payload=parse_payload("M107"))
+    config = ExperimentConfig(attacks={**DEFAULT_ATTACKS, "insert": (insert,)})
+    text = dump_experiment_config(config)
+    assert "attack.insert.payload = M106 S0\n" in text
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    assert load_experiment_config(path, ExperimentConfig()) == config
 
 
 def test_each_field_has_one_key():

@@ -61,6 +61,17 @@ def gather_smooth(values, window):
     return ((csum[hi] - csum[lo]) / (hi - lo)).astype(np.float32)
 
 
+def _read_prefix(samples, window, m, out=None):
+    """The smoothing kernel read as detect_print reads a capture: block by
+    block, the last block cut, and no block asked for once ``m`` samples
+    are in."""
+    got = np.empty(0, dtype=np.float32)
+    blocks = detect._smoothed_blocks(samples, window, out)
+    while len(got) < m:
+        got = np.concatenate((got, next(blocks)[: m - len(got)]))
+    return got
+
+
 def longest_run(indices):
     """Longest stretch of consecutive values in the increasing ``indices``."""
     if len(indices) == 0:
@@ -151,19 +162,19 @@ class TestSmooth:
     @example(case=(np.arange(40, dtype=np.float32), 20, 35), block=64)
     @settings(max_examples=200, deadline=None)
     def test_prefix_equals_the_whole_smoothed_trace(self, case, block):
-        # detect_print smooths a capture longer than its baseline only as
-        # far as the baseline reaches, and the experiment smooths each
-        # capture over the buffer it was rendered into, from the buffer's
-        # start: 0 or more samples before the capture's trigger.
+        # detect_print reads a capture longer than its baseline only as far
+        # as the baseline reaches, and the experiment smooths each capture
+        # over the buffer it was rendered into, from the buffer's start: 0
+        # or more samples before the capture's trigger.
         values, window, m = case
         with mock.patch.object(detect, "_BLOCK", block):
-            got = detect._smooth_into(values, window, np.empty(m, dtype=np.float32))
             whole = smooth(_trace(values), window).samples
+            got = _read_prefix(values, window, m, np.empty(len(values), dtype=np.float32))
             assert got.tobytes() == whole[:m].tobytes()
             for offset in (0, 1, window // 2, window + 3):
                 buffer = np.full(offset + len(values), np.nan, dtype=np.float32)
                 buffer[offset:] = values
-                detect._smooth_into(buffer[offset:], window, buffer[:m])
+                _read_prefix(buffer[offset:], window, m, buffer[: len(values)])
                 assert buffer[:m].tobytes() == whole[:m].tobytes(), offset
 
     @given(
@@ -186,36 +197,44 @@ class TestSmooth:
     @example(case=(np.arange(300, dtype=np.float32), 151, 290), block=64)
     @settings(max_examples=200, deadline=None)
     def test_streamed_blocks_are_the_smoothed_prefix(self, case, block):
-        # The one smoothing kernel: its blocks, joined, are smooth's prefix,
-        # whether they are views of its own scratch, of a separate out, or
-        # of an out over the samples' buffer from their start or before it.
+        # The one smoothing kernel: its blocks, read until they hold m
+        # samples, are smooth's prefix, whether they are views of its own
+        # scratch, of a separate out, or of an out over the samples' buffer
+        # from their start or before it.  Read to the end, they are all of
+        # smooth's samples.
         values, window, m = case
-        whole = smooth(_trace(values), window).samples[:m].tobytes()
+        n = len(values)
+        whole = smooth(_trace(values), window).samples
         for offset in (None, -1, 0, 1, window + 3):
-            buffer = np.full(max(offset or 0, 0) + len(values), np.nan, dtype=np.float32)
+            buffer = np.full(max(offset or 0, 0) + n, np.nan, dtype=np.float32)
             if offset is None or offset < 0:  # no out, or a separate one
-                samples, out = values, None if offset is None else buffer[:m]
+                samples, out = values, None if offset is None else buffer[:n]
             else:
                 buffer[offset:] = values
-                samples, out = buffer[offset:], buffer[:m]
+                samples, out = buffer[offset:], buffer[:n]
             got = []
             with mock.patch.object(detect, "_BLOCK", block):
-                for part in detect._smoothed_blocks(samples, window, m, out):
+                blocks = detect._smoothed_blocks(samples, window, out)
+                while sum(map(len, got)) < m:
+                    part = next(blocks)
                     assert part.dtype == np.float32
                     assert 0 < len(part) <= max(block, window // 2), offset
                     assert out is None or np.shares_memory(part, out)
-                    got.append(part.tobytes())
-            assert b"".join(got) == whole, offset
-            assert out is None or out.tobytes() == whole
+                    got.append(part.copy())
+                if m == n:
+                    assert next(blocks, None) is None, offset
+            joined = np.concatenate(got + [np.empty(0, dtype=np.float32)])
+            assert joined.tobytes() == whole[: len(joined)].tobytes(), offset
+            assert out is None or out[:m].tobytes() == whole[:m].tobytes()
 
     def test_smoothing_over_a_later_part_of_its_buffer_rejected(self):
         # Outputs written ahead of the reads would overwrite samples not yet
         # read.
         buffer = np.arange(60, dtype=np.float32)
         with pytest.raises(ValueError, match="starts no later"):
-            detect._smooth_into(buffer[:50], 5, buffer[1:41])
+            next(detect._smoothed_blocks(buffer[:50], 5, buffer[1:51]))
         with pytest.raises(ValueError, match="contiguous"):
-            detect._smooth_into(buffer[::2], 5, buffer[:20])
+            next(detect._smoothed_blocks(buffer[::2], 5, buffer[:30]))
 
     def test_constant_trace_unchanged(self):
         trace = _trace([2.5] * 50)
@@ -344,6 +363,15 @@ class TestBaseline:
         assert not baseline.reference.flags.writeable
         with pytest.raises(DetectionError, match="sd/reference length mismatch"):
             GoldenBaseline(Motor.X, SAMPLE_RATE, sd, np.zeros(4, dtype=np.float32), 2, 0.5, 1)
+
+    def test_the_callers_float32_columns_stay_writable(self):
+        sd, reference = np.full(3, 0.5, dtype=np.float32), np.zeros(3, dtype=np.float32)
+        baseline = GoldenBaseline(Motor.X, SAMPLE_RATE, sd, reference, 2, 0.5, 1)
+        assert np.shares_memory(baseline.pointwise_sd, sd)
+        assert np.shares_memory(baseline.reference, reference)
+        assert not baseline.pointwise_sd.flags.writeable
+        assert not baseline.reference.flags.writeable
+        assert sd.flags.writeable and reference.flags.writeable
 
     @pytest.mark.parametrize("window", [1, 5])
     def test_records_the_golden_smoothing_window(self, window):
@@ -702,6 +730,15 @@ class TestDetectPrint:
             with pytest.raises(DetectionError, match="Z deviation is nan: samples must be finite"):
                 detect_print(captures, baselines)
 
+    def test_smoothed_capture_names_the_motor(self):
+        # A deviations read smooths a capture at its baseline's window, so
+        # a capture smoothed before would be smoothed twice.
+        baselines = {m: _flat_baseline(motor=m) for m in Motor}
+        captures = {m: _trace(np.zeros(500), motor=m) for m in Motor}
+        captures[Motor.Z] = smooth(_trace(np.zeros(500), motor=Motor.Z), 5)
+        with pytest.raises(DetectionError, match="Z capture is already smoothed with window 5"):
+            detect_print(captures, baselines)
+
     def test_capture_shorter_than_window_names_the_motor(self):
         baselines = {m: _flat_baseline(motor=m) for m in Motor}
         captures = {m: _trace(np.zeros(500), motor=m) for m in Motor}
@@ -814,7 +851,9 @@ class TestDetectPrint:
         # into one buffer, after a pre-trigger part, and passes the buffers
         # back: each capture is smoothed over its buffer from the buffer's
         # start, as far as the baseline reaches, and reports and deviations
-        # equal those of a fresh call on copies.
+        # equal those of a fresh call on copies.  The one block holds all
+        # window sums, but the reader stops before the right edge, so the
+        # buffer past the baseline keeps the raw samples it overlays.
         rng = np.random.default_rng(3)
         baselines = {m: _flat_baseline(motor=m) for m in MOTORS}
         buffers = {m: np.full(530, np.nan, dtype=np.float32) for m in MOTORS}
@@ -833,8 +872,10 @@ class TestDetectPrint:
             for m in MOTORS:
                 assert into.deviations[m].tobytes() == fresh.deviations[m].tobytes()
                 assert buffers[m][:500].tobytes() == smooth(copies[m], 20).samples[:500].tobytes()
-        with pytest.raises(ValueError, match="float32 row of at least 500"):
-            detect_print(copies, baselines, out={m: b[:499] for m, b in buffers.items()})
+                assert buffers[m][500:525].tobytes() == copies[m].samples[485:].tobytes()
+        # out holds the capture, not just the baseline's length of it.
+        with pytest.raises(ValueError, match="float32 row of at least 510"):
+            detect_print(copies, baselines, out={m: b[:509] for m, b in buffers.items()})
 
     def test_peak_memory_is_block_scratch(self):
         # Each motor is smoothed, compared and classified block by block, so
@@ -869,7 +910,7 @@ class TestDetectPrint:
         n = 50_000
         baselines = {m: _flat_baseline(n=n, motor=m) for m in MOTORS}
         captures = {m: _trace(rng.normal(0.0, 0.05, n + 10), motor=m) for m in MOTORS}
-        buffers = {m: np.empty(n, dtype=np.float32) for m in MOTORS}
+        buffers = {m: np.empty(n + 10, dtype=np.float32) for m in MOTORS}
         into = detect_print(captures, baselines, out=buffers)
         tracemalloc.start()
         try:

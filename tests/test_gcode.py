@@ -7,6 +7,7 @@ from powertrace.gcode import (
     Command,
     CommandKind,
     GCodeError,
+    command_text,
     make_program,
     parse_gcode,
     parse_line,
@@ -139,6 +140,11 @@ class TestSerialize:
         cmd = Command(kind=CommandKind.RAPID_MOVE, x=34.0, feed=1200.0)
         program = make_program([cmd])
         assert serialize(program) == "G0 X34 F1200\n"
+
+    def test_a_tiny_negative_coordinate_prints_as_zero(self):
+        # Rounded to 6 decimals it is -0, which would read as a signed zero.
+        cmd = Command(kind=CommandKind.LINEAR_MOVE, x=-4e-7, y=-1.25)
+        assert command_text(cmd) == "G1 X0 Y-1.25"
 
 
 _coord = st.one_of(

@@ -837,6 +837,29 @@ def test_fan_command_insert_disturbs_no_motor(tmp_path):
         assert cell.excess_ratio is None, motor
 
 
+def test_zero_benign_excess_reads_visible_at_inf(tmp_path):
+    # Without noise every benign print equals the golden reference, so its
+    # excess is 0 in every span.  An attacked motor with excess there but
+    # no verdict reads visible at an infinite ratio; a span with no excess
+    # on either side has no ratio at all.
+    import csv
+    import math
+
+    from powertrace import harness
+
+    quiet = NoiseModel(idle_noise_sd=0.0, phase_jitter_sd=0.0, amplitude_noise_sd=0.0)
+    config = dataclasses.replace(SMALL, golden_count=2, noise=quiet)
+    matrix = run_experiment(config, tmp_path)
+    cell = matrix.cell("insert", Motor.Z)
+    assert (cell.outcome, cell.detected_runs) == (CellOutcome.VISIBLE, 0)
+    assert cell.excess_ratio == math.inf
+    with (tmp_path / "matrix.csv").open(newline="") as handle:
+        rows = {(r["attack"], r["motor"]): r for r in csv.DictReader(handle)}
+    assert [rows["insert", "Z"][k] for k in ("outcome", "excess_ratio")] == ["visible", "inf"]
+    assert harness._ratio(0.0, 0.0) is None
+    assert harness._ratio(0.25, 0.0) == math.inf
+
+
 def test_grid_times_print_as_their_sample_times():
     # The row writes its grid at rate / stride, so grid row k is timed
     # k / (rate / stride), where sample k * stride is timed k * stride / rate.

@@ -111,6 +111,13 @@ class TestWaveform:
         with pytest.raises(ValueError):
             trace.samples[0] = 1.0
 
+    def test_the_callers_float32_array_stays_writable(self):
+        samples = np.zeros(10, dtype=np.float32)
+        trace = MotorTrace(Motor.X, 25_000.0, samples, 0)
+        assert np.shares_memory(trace.samples, samples)
+        assert not trace.samples.flags.writeable
+        assert samples.flags.writeable
+
 
 class TestReproducibility:
     def test_same_seed_is_bit_identical(self, tiny_program):
