@@ -115,16 +115,19 @@ class GoldenBaseline:
     measured against it, per the protocol of comparing a capture to a
     known-good trace rather than to the pointwise mean.  ``pointwise_sd`` is the float32
     rounding of the sample standard deviation, read only for the excess
-    series.  ``peak_sd``, the largest sd before rounding, sets the verdict
-    threshold: it must be finite, >= 0 and round to the column's max, which
-    rounding (monotonic) makes an exact check.  ``smoothing_window``, >= 1,
-    is the window the golden traces were smoothed with, and so the window
-    every capture compared with this baseline is smoothed with.
+    series; it is ``None`` in a baseline ``traceio.load_baseline`` read,
+    which checks the column in the file but keeps only the reference (the
+    experiment reads it with ``traceio.load_sd``).  ``peak_sd``, the
+    largest sd before rounding, sets the verdict threshold: it must be
+    finite, >= 0 and round to the column's max, which rounding (monotonic)
+    makes an exact check.  ``smoothing_window``, >= 1, is the window the
+    golden traces were smoothed with, and so the window every capture
+    compared with this baseline is smoothed with.
     """
 
     motor: Motor
     sample_rate: float
-    pointwise_sd: np.ndarray  # float32, read-only
+    pointwise_sd: np.ndarray | None  # float32, read-only
     reference: np.ndarray  # float32, read-only
     source_count: int
     peak_sd: float
@@ -132,28 +135,41 @@ class GoldenBaseline:
 
     def __post_init__(self) -> None:
         for name in ("pointwise_sd", "reference"):
-            column = np.asarray(getattr(self, name), dtype=np.float32).view()
-            column.setflags(write=False)  # on a view: the caller's array stays writable
-            object.__setattr__(self, name, column)
+            if getattr(self, name) is not None:
+                column = np.asarray(getattr(self, name), dtype=np.float32).view()
+                column.setflags(write=False)  # on a view: the caller's array stays writable
+                object.__setattr__(self, name, column)
         sd = self.pointwise_sd
-        if self.source_count < 2:
-            raise DetectionError("a baseline needs at least 2 golden traces")
-        if len(sd) != len(self.reference):
+        if sd is not None and len(sd) != len(self.reference):
             raise DetectionError("sd/reference length mismatch")
-        if self.smoothing_window < 1:
-            raise DetectionError(f"smoothing window is {self.smoothing_window}, must be >= 1")
-        peak_sd = float(self.peak_sd)
-        if not math.isfinite(peak_sd):
-            raise DetectionError(f"peak sd is {peak_sd}: golden traces must be finite")
-        if peak_sd < 0:
-            raise DetectionError(f"peak sd is {peak_sd}, must be >= 0")
-        if np.float32(peak_sd) != sd.max():
-            raise DetectionError(f"peak sd {peak_sd} is not the sd column's max {sd.max()}")
+        peak_sd = _checked_fields(
+            self.source_count, self.smoothing_window, self.peak_sd, None if sd is None else sd.max()
+        )
         object.__setattr__(self, "peak_sd", peak_sd)
 
     @property
     def sample_count(self) -> int:
-        return len(self.pointwise_sd)
+        return len(self.reference)
+
+
+def _checked_fields(
+    source_count: int, smoothing_window: int, peak_sd: float, sd_max: np.float32 | None
+) -> float:
+    """Check a baseline's header fields, and that its peak sd rounds to
+    ``sd_max``, its sd column's max, unless that is ``None``; return the
+    peak as a float."""
+    if source_count < 2:
+        raise DetectionError("a baseline needs at least 2 golden traces")
+    if smoothing_window < 1:
+        raise DetectionError(f"smoothing window is {smoothing_window}, must be >= 1")
+    peak_sd = float(peak_sd)
+    if not math.isfinite(peak_sd):
+        raise DetectionError(f"peak sd is {peak_sd}: golden traces must be finite")
+    if peak_sd < 0:
+        raise DetectionError(f"peak sd is {peak_sd}, must be >= 0")
+    if sd_max is not None and np.float32(peak_sd) != sd_max:
+        raise DetectionError(f"peak sd {peak_sd} is not the sd column's max {sd_max}")
+    return peak_sd
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
 from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PlanError, PrinterProfile, plan_motion
 # Not called here, nor smooth and common_window: perfbench's trace mode wraps them.
 from .planner import command_start_times
-from .traceio import align_to_trigger, common_window, load_baseline, save_baseline, save_trace
+from .traceio import align_to_trigger, common_window, load_baseline, load_sd, save_baseline, save_trace
 from . import tracesim
 from .tracesim import DEFAULT_NOISE, NoiseModel, simulate_print
 
@@ -459,7 +459,8 @@ def _build_baselines(
 ) -> dict[Motor, GoldenBaseline]:
     """Build and save each motor's baseline in turn from the program's plan,
     then read all four back from ``out/baselines``: the experiment judges
-    with the files an operator would load, through the same checks.
+    with the files an operator would load, through the same checks, and
+    attaches each file's sd column, which its excess series read.
 
     Each golden trace is rendered and aligned in its row of one buffer, and
     :func:`build_baseline` smooths it over that row; the rows are reused from
@@ -482,7 +483,10 @@ def _build_baselines(
         paths[motor] = out / "baselines" / f"{motor.name}.ptrb"
         save_baseline(build_baseline(golden, config.detection.smoothing_window, rows), paths[motor])
     del rows, row, trace, golden  # each views the buffer, freed before the baselines are read
-    return {motor: load_baseline(path) for motor, path in paths.items()}
+    return {
+        motor: dataclasses.replace(load_baseline(path), pointwise_sd=load_sd(path))
+        for motor, path in paths.items()
+    }
 
 
 def _print_buffers(capacity: int) -> dict[Motor, np.ndarray]:

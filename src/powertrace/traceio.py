@@ -6,7 +6,10 @@ length is ``detect.build_baseline``'s, after smoothing, so no module here
 calls ``common_window``.  The baseline container (magic ``PTRB``)
 starts with the same header prefix and holds what the verdict and the
 excess series read: the smoothing window of its golden traces, the peak
-golden sd, the golden sd column and the reference trace.
+golden sd, the golden sd column and the reference trace.  The verdict
+reads no sd column, so ``load_baseline`` checks it a block at a time and
+keeps only the reference; ``load_sd`` reads the column for the excess
+series.
 
 All integers and floats are little-endian; samples are float32.
 """
@@ -16,13 +19,14 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Callable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .detect import DetectionError, GoldenBaseline
+from .detect import _BLOCK, DetectionError, GoldenBaseline, _checked_fields
 from .planner import MOTORS, Motor
 from .tracesim import MotorTrace, TraceSimError
 
@@ -35,6 +39,7 @@ __all__ = [
     "common_window",
     "save_baseline",
     "load_baseline",
+    "load_sd",
 ]
 
 _UNITS_AMPS = 0
@@ -86,7 +91,7 @@ def save_trace(trace: MotorTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> MotorTrace:
-    motor, rate, (trigger, _), (samples,) = _read(path, _TRACE)
+    motor, rate, (trigger, _), samples = _read(path, _TRACE, "sample")
     with _as_format_error(path):
         return MotorTrace(motor=motor, sample_rate=rate, samples=samples, trigger_index=trigger)
 
@@ -116,7 +121,11 @@ def common_window(traces: list[MotorTrace]) -> list[MotorTrace]:
 
 
 def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
-    """Persist a baseline: header (window, peak sd as f64), sd (f32), reference (f32)."""
+    """Persist a baseline: header (window, peak sd as f64), sd (f32), reference (f32).
+    A baseline without its sd column, as ``load_baseline`` returns one, is
+    refused before the file is opened."""
+    if baseline.pointwise_sd is None:
+        raise DetectionError(f"the {baseline.motor.name} baseline holds no sd column to save")
     fields = (
         baseline.source_count, baseline.smoothing_window, baseline.peak_sd, baseline.sample_count
     )
@@ -125,25 +134,61 @@ def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
 
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
-    """Read a baseline; an empty body, a window of 0, a negative sd cell or
-    a stored peak that is not the column's max is rejected, since it would
-    corrupt the verdict."""
-    motor, rate, (source_count, window, peak_sd, count), (sd, reference) = _read(path, _BASELINE)
-    if count == 0:
-        raise CaptureFormatError(f"{path}: empty baseline")
-    bad = np.flatnonzero(sd < 0)
-    if len(bad):
-        raise CaptureFormatError(f"{path}: sd cell {bad[0]} is {sd[bad[0]]}, must be >= 0")
+    """Read a baseline and keep only what the verdict reads: its
+    ``pointwise_sd`` is ``None``.  The file is checked as a whole (see
+    :func:`_read_baseline`), its sd column ``_BLOCK`` cells at a time
+    through one reused block, so the call holds the reference and that
+    block."""
+    motor, rate, (source_count, window, peak_sd, _), reference = _read_baseline(
+        path, "reference sample"
+    )
     with _as_format_error(path):
         return GoldenBaseline(
             motor=motor,
             sample_rate=rate,
-            pointwise_sd=sd,
+            pointwise_sd=None,
             reference=reference,
             source_count=source_count,
             peak_sd=peak_sd,
             smoothing_window=window,
         )
+
+
+def load_sd(path: str | Path) -> np.ndarray:
+    """A baseline's float32 sd column, read-only, for the excess series.
+    The header and the column are checked as :func:`load_baseline` checks
+    them, with the same errors; the reference column is not read."""
+    *_, sd = _read_baseline(path, "sd cell")
+    sd.setflags(write=False)
+    return sd
+
+
+def _read_baseline(path: str | Path, keep: str) -> tuple[Motor, float, tuple, np.ndarray]:
+    """Read and check a baseline file, keeping its column named ``keep``:
+    motor, sample rate, header fields and that column.
+
+    An empty body, a negative sd cell, a header field ``GoldenBaseline``
+    rejects or a stored peak that is not the sd column's max is rejected,
+    since it would corrupt the verdict.  The sd column's max is taken a
+    block at a time, as the column is read."""
+    sd_max = None
+
+    def check_sd(lo: int, block: np.ndarray) -> None:
+        nonlocal sd_max
+        bad = np.flatnonzero(block < 0)
+        if len(bad):
+            cell = lo + int(bad[0])
+            raise CaptureFormatError(f"{path}: sd cell {cell} is {block[bad[0]]}, must be >= 0")
+        top = block.max()
+        sd_max = top if sd_max is None else max(sd_max, top)
+
+    motor, rate, fields, column = _read(path, _BASELINE, keep, {"sd cell": check_sd})
+    source_count, window, peak_sd, count = fields
+    if count == 0:
+        raise CaptureFormatError(f"{path}: empty baseline")
+    with _as_format_error(path):
+        _checked_fields(source_count, window, peak_sd, sd_max)
+    return motor, rate, fields, column
 
 
 def _write(
@@ -166,12 +211,22 @@ def _write(
         raise CaptureIOError(f"{path}: {exc}") from exc
 
 
-def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[np.ndarray]]:
-    """Read and validate a container: motor, sample rate, header fields, arrays.
-    Samples enter the package here, so every cell must be finite.
+def _read(
+    path: str | Path,
+    layout: _Layout,
+    keep: str,
+    checks: Mapping[str, Callable[[int, np.ndarray], None]] | None = None,
+) -> tuple[Motor, float, tuple, np.ndarray]:
+    """Read and validate a container: motor, sample rate, header fields and
+    the column named ``keep``.  Samples enter the package here, so every
+    cell read must be finite.
 
-    The body's length is checked against the file's size before any of it is
-    read, and each column is read straight into its own (writable) array.
+    The body's length is checked against the file's size before any of it
+    is read.  The kept column is read straight into its own (writable)
+    array, a column named in ``checks`` through one reused block of
+    scratch, and any other column not at all.  Each column read is read
+    and checked ``_BLOCK`` cells at a time: each block must be finite, and
+    is then passed to the column's check with the index of its first cell.
     """
     path = Path(path)
     try:
@@ -201,17 +256,31 @@ def _read(path: str | Path, layout: _Layout) -> tuple[Motor, float, tuple, list[
                 raise CaptureFormatError(f"{path}: unexpected end of samples")
             if size > expected:
                 raise CaptureFormatError(f"{path}: trailing bytes after samples")
-            arrays = []
+            checks = checks or {}
             for name, dtype in columns:
-                column = np.empty(count, dtype=dtype)
-                # The file may have shrunk since it was measured.
-                if handle.readinto(column) != column.nbytes:
-                    raise CaptureFormatError(f"{path}: unexpected end of samples")
-                if not np.isfinite(column).all():
-                    cell = np.flatnonzero(~np.isfinite(column))[0]
-                    raise CaptureFormatError(f"{path}: {name} {cell} is {column[cell]}, must be finite")
-                arrays.append(column)
-            return MOTORS[motor_code], rate, fields, arrays
+                check = checks.get(name)
+                if name != keep and check is None:
+                    handle.seek(count * dtype.itemsize, os.SEEK_CUR)
+                    continue
+                kept = name == keep
+                array = np.empty(count if kept else min(count, _BLOCK), dtype=dtype)
+                for lo in range(0, count, _BLOCK):
+                    hi = min(lo + _BLOCK, count)
+                    block = array[lo:hi] if kept else array[: hi - lo]
+                    # The file may have shrunk since it was measured.
+                    if handle.readinto(block) != block.nbytes:
+                        raise CaptureFormatError(f"{path}: unexpected end of samples")
+                    finite = np.isfinite(block)
+                    if not finite.all():
+                        cell = int(finite.argmin())
+                        raise CaptureFormatError(
+                            f"{path}: {name} {lo + cell} is {block[cell]}, must be finite"
+                        )
+                    if check is not None:
+                        check(lo, block)
+                if kept:
+                    column = array
+            return MOTORS[motor_code], rate, fields, column
     except OSError as exc:
         raise CaptureIOError(f"{path}: {exc}") from exc
 

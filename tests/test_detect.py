@@ -364,6 +364,16 @@ class TestBaseline:
         with pytest.raises(DetectionError, match="sd/reference length mismatch"):
             GoldenBaseline(Motor.X, SAMPLE_RATE, sd, np.zeros(4, dtype=np.float32), 2, 0.5, 1)
 
+    def test_without_an_sd_column_the_header_fields_are_still_checked(self):
+        # A loaded baseline keeps no sd column: its length is the
+        # reference's, and its peak has no column max to round to.
+        reference = np.zeros(3, dtype=np.float32)
+        baseline = GoldenBaseline(Motor.X, SAMPLE_RATE, None, reference, 2, 0.5, 1)
+        assert baseline.pointwise_sd is None
+        assert baseline.sample_count == 3
+        with pytest.raises(DetectionError, match="peak sd is -0.5, must be >= 0"):
+            GoldenBaseline(Motor.X, SAMPLE_RATE, None, reference, 2, -0.5, 1)
+
     def test_the_callers_float32_columns_stay_writable(self):
         sd, reference = np.full(3, 0.5, dtype=np.float32), np.zeros(3, dtype=np.float32)
         baseline = GoldenBaseline(Motor.X, SAMPLE_RATE, sd, reference, 2, 0.5, 1)

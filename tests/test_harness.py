@@ -26,10 +26,10 @@ from powertrace.tracesim import SAMPLE_RATE, NoiseModel
 SMALL = ExperimentConfig(golden_count=3, malicious_count=1, seed=0)
 
 
-def excess(deviation, baseline):
-    """A deviation, no longer than ``baseline``, less its leading sd cells,
-    clamped at zero: the whole excess series."""
-    return _excess_over(deviation, baseline.pointwise_sd[: len(deviation)])
+def excess(deviation, sd):
+    """A deviation, no longer than the sd column ``sd``, less its leading
+    cells, clamped at zero: the whole excess series."""
+    return _excess_over(deviation, sd[: len(deviation)])
 
 
 def row_programs(program, attacks):
@@ -256,11 +256,13 @@ class TestRunExperiment:
 
         from powertrace import harness
         from powertrace.detect import detect_print
-        from powertrace.traceio import align_to_trigger, load_baseline
+        from powertrace.traceio import align_to_trigger, load_baseline, load_sd
         from powertrace.tracesim import simulate_print
 
         matrix, out = small_run
-        baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
+        paths = {m: out / "baselines" / f"{m.name}.ptrb" for m in MOTORS}
+        baselines = {m: load_baseline(path) for m, path in paths.items()}
+        sds = {m: load_sd(path) for m, path in paths.items()}
         program = benchmark_object()
         attacks = default_attacks(program)
         programs = row_programs(program, attacks)
@@ -278,7 +280,7 @@ class TestRunExperiment:
             lo, hi = window
             values = []
             for result in results:
-                series = excess(result.deviations[motor], baselines[motor])
+                series = excess(result.deviations[motor], sds[motor])
                 hi_eff = min(hi, len(series))
                 if hi_eff > lo:
                     values.append(float(np.mean(series[lo:hi_eff])))
@@ -304,7 +306,7 @@ class TestRunExperiment:
         # sd cells.
         from powertrace import harness
         from powertrace.detect import detect_print
-        from powertrace.traceio import align_to_trigger, load_baseline
+        from powertrace.traceio import align_to_trigger, load_baseline, load_sd
         from powertrace.tracesim import simulate_print
 
         def grid_csv(series, rate, stride):
@@ -312,7 +314,8 @@ class TestRunExperiment:
             return ("time_s,amps\r\n" + "".join(rows)).encode()
 
         _, out = small_run
-        baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
+        paths = {m: out / "baselines" / f"{m.name}.ptrb" for m in MOTORS}
+        baselines = {m: load_baseline(path) for m, path in paths.items()}
         program = benchmark_object()
         for spec in default_attacks(program)[row]:
             program = apply_attack(program, spec)
@@ -328,7 +331,7 @@ class TestRunExperiment:
             rate, stride = baselines[motor].sample_rate, harness._SERIES_STRIDE
             expected = {
                 "deviation": grid_csv(dev, rate, stride),
-                "excess": grid_csv(excess(dev, baselines[motor]), rate, stride),
+                "excess": grid_csv(excess(dev, load_sd(paths[motor])), rate, stride),
             }
             for kind, text in expected.items():
                 path = out / harness._series_path(row, 0, motor, kind)
@@ -532,7 +535,7 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
     import numpy as np
 
     from powertrace import harness
-    from powertrace.traceio import load_baseline
+    from powertrace.traceio import load_baseline, load_sd
 
     built = {}
     save = harness.save_baseline
@@ -545,13 +548,14 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
     run_experiment(dataclasses.replace(SMALL, golden_count=2), tmp_path)
     rng = np.random.default_rng(7)
     for motor in MOTORS:
-        loaded = load_baseline(tmp_path / "baselines" / f"{motor.name}.ptrb")
+        path = tmp_path / "baselines" / f"{motor.name}.ptrb"
+        loaded, sd = load_baseline(path), load_sd(path)
         assert loaded.peak_sd == built[motor].peak_sd
         assert loaded.smoothing_window == built[motor].smoothing_window == 20
-        assert loaded.pointwise_sd.dtype == built[motor].pointwise_sd.dtype == np.float32
-        assert loaded.pointwise_sd.tobytes() == built[motor].pointwise_sd.tobytes()
+        assert sd.dtype == built[motor].pointwise_sd.dtype == np.float32
+        assert sd.tobytes() == built[motor].pointwise_sd.tobytes()
         dev = np.abs(rng.normal(0.0, 2 * loaded.peak_sd, loaded.sample_count))
-        assert excess(dev, loaded).tobytes() == excess(dev, built[motor]).tobytes()
+        assert excess(dev, sd).tobytes() == excess(dev, built[motor].pointwise_sd).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -886,16 +890,15 @@ class TestPhenomenology:
     """Trace-level behaviours the detector's verdict pattern rests on."""
 
     def test_extruder_baseline_sd_visibly_larger_than_xy(self, small_run):
-        from powertrace.traceio import load_baseline
+        from powertrace.traceio import load_baseline, load_sd
 
         _, out = small_run
-        loaded = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
+        paths = {m: out / "baselines" / f"{m.name}.ptrb" for m in MOTORS}
+        loaded = {m: load_baseline(path) for m, path in paths.items()}
+        sds = {m: load_sd(path) for m, path in paths.items()}
         for quiet_motor in (Motor.X, Motor.Y):
             assert loaded[Motor.E].peak_sd > 1.3 * loaded[quiet_motor].peak_sd
-            assert (
-                loaded[Motor.E].pointwise_sd.mean()
-                > 1.3 * loaded[quiet_motor].pointwise_sd.mean()
-            )
+            assert sds[Motor.E].mean() > 1.3 * sds[quiet_motor].mean()
 
     def test_reorder_aftereffect_elevates_post_swap_excess(self, small_run):
         # Swapping move targets changes path lengths, so the timeline stays
@@ -903,11 +906,12 @@ class TestPhenomenology:
         # remains elevated well past the swapped region.
         from powertrace.detect import detect_print
         from powertrace.planner import command_start_times
-        from powertrace.traceio import align_to_trigger, load_baseline
+        from powertrace.traceio import align_to_trigger, load_baseline, load_sd
         from powertrace.tracesim import simulate_print
 
         _, out = small_run
         baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
+        sd = load_sd(out / "baselines" / "X.ptrb")
         program = benchmark_object()
         specs = default_attacks(program)["reorder"]
         mutated = program
@@ -934,8 +938,8 @@ class TestPhenomenology:
             baselines,
             config,
         )
-        attacked_excess = excess(attacked.deviations[Motor.X], baselines[Motor.X])
-        benign_excess = excess(benign.deviations[Motor.X], baselines[Motor.X])
+        attacked_excess = excess(attacked.deviations[Motor.X], sd)
+        benign_excess = excess(benign.deviations[Motor.X], sd)
         attacked_mean = float(attacked_excess[start:].mean())
         benign_mean = float(benign_excess[start : len(attacked_excess)].mean())
         assert attacked_mean > benign_mean

@@ -13,11 +13,12 @@ from powertrace.traceio import (
     align_to_trigger,
     common_window,
     load_baseline,
+    load_sd,
     load_trace,
     save_baseline,
     save_trace,
 )
-from powertrace.detect import build_baseline, smooth
+from powertrace.detect import _BLOCK, DetectionError, GoldenBaseline, build_baseline, smooth
 
 
 def _trace(values, rate=25_000.0, trigger=0, motor=Motor.X):
@@ -185,19 +186,26 @@ class TestBaselinePersistence:
         assert loaded.source_count == 3
         assert loaded.smoothing_window == baseline.smoothing_window == 5
         assert loaded.peak_sd == baseline.peak_sd
-        assert np.array_equal(loaded.pointwise_sd, baseline.pointwise_sd)
+        assert loaded.pointwise_sd is None  # the verdict reads no sd column
+        assert np.array_equal(load_sd(path), baseline.pointwise_sd)
         assert np.array_equal(loaded.reference, baseline.reference)
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         save_trace(_trace([0.5, -0.25, 1.0]), tmp_path / "t.ptrc")
         save_baseline(build_baseline([_trace([0.5, 1.0]), _trace([0.0, 1.5])]), tmp_path / "b.ptrb")
-        baseline = load_baseline(tmp_path / "b.ptrb")
         arrays = (
             load_trace(tmp_path / "t.ptrc").samples,
-            baseline.pointwise_sd,
-            baseline.reference,
+            load_sd(tmp_path / "b.ptrb"),
+            load_baseline(tmp_path / "b.ptrb").reference,
         )
         assert [array.flags.writeable for array in arrays] == [False, False, False]
+
+    def test_a_baseline_without_its_sd_column_is_not_saved(self, tmp_path):
+        save_baseline(build_baseline([_trace([0.5, 1.0]), _trace([0.0, 1.5])]), tmp_path / "b.ptrb")
+        loaded = load_baseline(tmp_path / "b.ptrb")
+        with pytest.raises(DetectionError, match="the X baseline holds no sd column to save"):
+            save_baseline(loaded, tmp_path / "again.ptrb")
+        assert not (tmp_path / "again.ptrb").exists()
 
     @pytest.mark.parametrize("n", [1, 3, 1000])
     def test_file_is_48_header_bytes_and_8_per_sample(self, tmp_path, n):
@@ -328,16 +336,102 @@ _BASELINE_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
-def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
+def _damaged_baseline(tmp_path, damage):
+    """A saved three-sample baseline, rewritten by ``damage``: its path, its
+    bytes before the damage and the error text that must follow the path."""
     path = tmp_path / "x.ptrb"
     save_baseline(build_baseline([_trace([0.5, 1.0, 2.0]), _trace([0.0, 1.5, 2.5])]), path)
     blob = path.read_bytes()
     assert len(blob) == 48 + 3 * 8
     rewrite, message = _BASELINE_DAMAGE[damage]
     path.write_bytes(rewrite(blob))
+    return path, blob, message
+
+
+@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
+def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
+    path, _, message = _damaged_baseline(tmp_path, damage)
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
         load_baseline(path)
+
+
+@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
+def test_load_sd_rejects_each_damaged_baseline_as_load_baseline_does(tmp_path, damage):
+    path, blob, message = _damaged_baseline(tmp_path, damage)
+    if damage == "nan reference sample":
+        # load_sd reads only the sd column, which this damage leaves whole.
+        assert load_sd(path).tobytes() == blob[48:60]
+        return
+    with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
+        load_sd(path)
+
+
+# A baseline of three blocks, the last of 3 cells, whose sd is 0.25 but for
+# one 0.5 in its first block: its stored peak is 0.5.
+_LONG = 2 * _BLOCK + 3
+
+
+def _long_baseline(path):
+    sd = np.full(_LONG, 0.25, dtype=np.float32)
+    sd[7] = 0.5
+    reference = np.linspace(-1.0, 1.0, _LONG, dtype=np.float32)
+    save_baseline(GoldenBaseline(Motor.X, 25_000.0, sd, reference, 2, 0.5, 20), path)
+    return sd
+
+
+@pytest.mark.parametrize("load", [load_baseline, load_sd], ids=["load_baseline", "load_sd"])
+@pytest.mark.parametrize("cell", [_BLOCK + 5, 2 * _BLOCK + 1], ids=["second block", "last block"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (float("nan"), "sd cell {cell} is nan, must be finite"),
+        (-1.0, "sd cell {cell} is -1.0, must be >= 0"),
+        (3.0, "peak sd 0.5 is not the sd column's max 3.0"),
+    ],
+    ids=["nan", "negative", "max past the first block"],
+)
+def test_damaged_sd_cell_past_the_first_block_named_by_its_index(tmp_path, load, cell, value, message):
+    # The column is checked a block at a time: an error names the cell's
+    # index in the column, and the max is carried across blocks.
+    path = tmp_path / "x.ptrb"
+    _long_baseline(path)
+    blob = bytearray(path.read_bytes())
+    offset = 48 + 4 * cell  # past the header
+    blob[offset : offset + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+    expected = f"{path}: " + message.format(cell=cell)
+    with pytest.raises(CaptureFormatError, match=re.escape(expected) + "$"):
+        load(path)
+
+
+def test_load_sd_returns_the_saved_column(tmp_path):
+    path = tmp_path / "x.ptrb"
+    sd = _long_baseline(path)
+    loaded = load_sd(path)
+    assert loaded.dtype == np.float32
+    assert loaded.tobytes() == sd.tobytes() == path.read_bytes()[48 : 48 + 4 * _LONG]
+    assert not loaded.flags.writeable
+    assert load_baseline(path).reference.tobytes() == path.read_bytes()[48 + 4 * _LONG :]
+
+
+def test_load_baseline_holds_the_reference_and_one_block_of_scratch(tmp_path):
+    # The sd column is checked through one reused block, and only the
+    # reference is kept: about 4 bytes per sample, not both columns and a
+    # whole-column mask.
+    n = 1 << 20
+    path = tmp_path / "x.ptrb"
+    sd = np.full(n, 0.5, dtype=np.float32)
+    save_baseline(GoldenBaseline(Motor.X, 25_000.0, sd, np.zeros(n, np.float32), 2, 0.5, 20), path)
+    del sd
+    tracemalloc.start()
+    try:
+        baseline = load_baseline(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert baseline.sample_count == n
+    assert peak <= 4.25 * n
+    assert held <= 4 * n + 64 * 1024
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
