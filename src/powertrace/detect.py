@@ -116,8 +116,10 @@ class GoldenBaseline:
     known-good trace rather than to the pointwise mean.  ``pointwise_sd`` is the float32
     rounding of the sample standard deviation, read only for the excess
     series; it is ``None`` in a baseline ``traceio.load_baseline`` read,
-    which checks the column in the file but keeps only the reference (the
-    experiment reads it with ``traceio.load_sd``).  ``peak_sd``, the
+    which checks the column in the file but keeps only the reference.  The
+    experiment reads the column from the file: its cells on the series
+    grid (every 250th) once, with ``traceio.load_sd``, and each attack
+    span's cells a block at a time, with ``traceio.load_sd_blocks``.  ``peak_sd``, the
     largest sd before rounding, sets the verdict threshold: it must be
     finite, >= 0 and round to the column's max, which rounding (monotonic)
     makes an exact check.  ``smoothing_window``, >= 1, is the window the

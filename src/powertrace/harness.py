@@ -55,7 +55,8 @@ from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
 from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PlanError, PrinterProfile, plan_motion
 # Not called here, nor smooth and common_window: perfbench's trace mode wraps them.
 from .planner import command_start_times
-from .traceio import align_to_trigger, common_window, load_baseline, load_sd, save_baseline, save_trace
+from .traceio import align_to_trigger, common_window, load_baseline, load_sd, load_sd_blocks
+from .traceio import save_baseline, save_trace
 from . import tracesim
 from .tracesim import DEFAULT_NOISE, NoiseModel, simulate_print
 
@@ -401,7 +402,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(dump_experiment_config(config))
 
-    baselines = _build_baselines(plans["normal"], config, out)
+    baselines, grids = _build_baselines(plans["normal"], config, out)
     # Made once the golden phase has freed its buffer, so the two never coexist.
     buffers = _print_buffers(max(tracesim.trace_length(p) for p in plans.values()))
 
@@ -416,7 +417,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
         seeds = [first_seed + r for r in range(config.malicious_count)]
         row_truths = truth.values() if benign else [truth[row]]
         spans = {motor: sorted({t[motor] for t in row_truths if t.get(motor)}) for motor in MOTORS}
-        flagged, span_excess = _run_row(row, plans[row], config, baselines, seeds, out, spans, buffers)
+        flagged, span_excess = _run_row(
+            row, plans[row], config, baselines, grids, seeds, out, spans, buffers
+        )
         if benign:
             benign_excess = span_excess
         for motor in MOTORS:
@@ -456,11 +459,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 
 def _build_baselines(
     plan: MotionPlan, config: ExperimentConfig, out: Path
-) -> dict[Motor, GoldenBaseline]:
+) -> tuple[dict[Motor, GoldenBaseline], dict[Motor, np.ndarray]]:
     """Build and save each motor's baseline in turn from the program's plan,
     then read all four back from ``out/baselines``: the experiment judges
-    with the files an operator would load, through the same checks, and
-    attaches each file's sd column, which its excess series read.
+    with the files an operator would load, through the same checks, so no
+    baseline holds its sd column.  Returns the baselines and each motor's
+    sd grid: every ``_SERIES_STRIDE``-th cell of the file's sd column, which
+    the excess series on the stride grid read.  One column is read at a
+    time, for its grid, and dropped; the spans read theirs from the files
+    (see :func:`_run_row`).
 
     Each golden trace is rendered and aligned in its row of one buffer, and
     :func:`build_baseline` smooths it over that row; the rows are reused from
@@ -480,13 +487,18 @@ def _build_baselines(
             if config.save_traces:
                 save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
             golden.append(align_to_trigger(trace))
-        paths[motor] = out / "baselines" / f"{motor.name}.ptrb"
+        paths[motor] = _baseline_path(out, motor)
         save_baseline(build_baseline(golden, config.detection.smoothing_window, rows), paths[motor])
     del rows, row, trace, golden  # each views the buffer, freed before the baselines are read
-    return {
-        motor: dataclasses.replace(load_baseline(path), pointwise_sd=load_sd(path))
-        for motor, path in paths.items()
-    }
+    # A copy: a strided view would keep the whole column.  The columns are
+    # read and dropped before the references, which then take their place.
+    grids = {motor: load_sd(path)[::_SERIES_STRIDE].copy() for motor, path in paths.items()}
+    baselines = {motor: load_baseline(path) for motor, path in paths.items()}
+    return baselines, grids
+
+
+def _baseline_path(out: Path, motor: Motor) -> Path:
+    return out / "baselines" / f"{motor.name}.ptrb"
 
 
 def _print_buffers(capacity: int) -> dict[Motor, np.ndarray]:
@@ -501,6 +513,7 @@ def _run_row(
     plan: MotionPlan,
     config: ExperimentConfig,
     baselines: dict[Motor, GoldenBaseline],
+    grids: dict[Motor, np.ndarray],
     seeds: list[int],
     out: Path,
     spans: dict[Motor, list[tuple[int, int]]],
@@ -517,8 +530,11 @@ def _run_row(
     reductions are kept.  The raw traces are saved (with ``save_traces``)
     before they are smoothed over.  Each motor's deviation is then made only where the row
     reads it: on every ``_SERIES_STRIDE``-th sample, which is written, turned
-    into its excess in place and written again, and inside each span, whose
-    excess is averaged.  No full-length series is made.
+    into its excess over the motor's sd grid in ``grids`` in place and
+    written again, and inside each span, whose excess is averaged.  A
+    span's sd cells are read from the motor's baseline file in
+    ``out/baselines`` a block at a time, and its excess is made block by
+    block.  No full-length series is made, and no sd column is held.
     Returns the number of flagged prints per motor, and per motor and span
     the mean of those per-print means.
     """
@@ -534,16 +550,18 @@ def _run_row(
         aligned = {motor: align_to_trigger(traces[motor]) for motor in MOTORS}
         result = detect_print(aligned, baselines, config.detection, buffers)
         for motor in MOTORS:
-            sd = baselines[motor].pointwise_sd
             rate = baselines[motor].sample_rate / _SERIES_STRIDE
             grid = result.deviations[motor, ::_SERIES_STRIDE]
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "deviation"))
-            _excess_over(grid, sd[::_SERIES_STRIDE][: len(grid)], out=grid)
+            _excess_over(grid, grids[motor][: len(grid)], out=grid)
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "excess"))
             for lo, hi in print_means[motor]:
                 part = result.deviations[motor, lo:hi]
                 if len(part):
-                    _excess_over(part, sd[lo : lo + len(part)], out=part)
+                    at = 0
+                    for sd in load_sd_blocks(_baseline_path(out, motor), lo, lo + len(part)):
+                        _excess_over(part[at : at + len(sd)], sd, out=part[at : at + len(sd)])
+                        at += len(sd)
                     print_means[motor][lo, hi].append(float(np.mean(part)))
                 del part  # before the next span's part is made
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS

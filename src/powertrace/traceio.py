@@ -8,8 +8,9 @@ starts with the same header prefix and holds what the verdict and the
 excess series read: the smoothing window of its golden traces, the peak
 golden sd, the golden sd column and the reference trace.  The verdict
 reads no sd column, so ``load_baseline`` checks it a block at a time and
-keeps only the reference; ``load_sd`` reads the column for the excess
-series.
+keeps only the reference.  The excess series read the column: ``load_sd``
+returns it whole, and ``load_sd_blocks`` reads a range of its cells a
+block at a time.
 
 All integers and floats are little-endian; samples are float32.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,6 +41,7 @@ __all__ = [
     "save_baseline",
     "load_baseline",
     "load_sd",
+    "load_sd_blocks",
 ]
 
 _UNITS_AMPS = 0
@@ -163,6 +165,31 @@ def load_sd(path: str | Path) -> np.ndarray:
     return sd
 
 
+def load_sd_blocks(path: str | Path, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Yield a baseline's sd cells ``start:stop`` in order, as float32
+    blocks of at most ``_BLOCK`` cells read into one reused buffer, so each
+    block holds only until the next is asked for.
+
+    The header is checked as :func:`load_sd` checks it, and each cell read
+    as it checks it, with the same errors and the cell's index in the
+    column; no cell outside the range is read, so the stored peak is not
+    compared with the column's max (:func:`load_baseline` does that).  A
+    range outside ``0..count`` raises ``ValueError``.  Nothing is read or
+    raised before the first block is asked for."""
+    path = Path(path)
+    with _opened(path, _BASELINE) as (handle, _, _, fields):
+        _check_baseline_fields(path, fields)
+        count = fields[-1]
+        if not 0 <= start <= stop <= count:
+            raise ValueError(f"{path}: sd cells {start}:{stop} are outside 0:{count}")
+        dtype = np.dtype(dict(_BASELINE.body)["sd cell"])
+        handle.seek(start * dtype.itemsize, os.SEEK_CUR)  # the sd column comes first
+        scratch = np.empty(min(stop - start, _BLOCK), dtype=dtype)
+        for lo, block in _checked_blocks(handle, path, "sd cell", start, stop, scratch):
+            _check_sd_cells(path, lo, block)
+            yield block
+
+
 def _read_baseline(path: str | Path, keep: str) -> tuple[Motor, float, tuple, np.ndarray]:
     """Read and check a baseline file, keeping its column named ``keep``:
     motor, sample rate, header fields and that column.
@@ -171,24 +198,36 @@ def _read_baseline(path: str | Path, keep: str) -> tuple[Motor, float, tuple, np
     rejects or a stored peak that is not the sd column's max is rejected,
     since it would corrupt the verdict.  The sd column's max is taken a
     block at a time, as the column is read."""
+    path = Path(path)
     sd_max = None
 
     def check_sd(lo: int, block: np.ndarray) -> None:
         nonlocal sd_max
-        bad = np.flatnonzero(block < 0)
-        if len(bad):
-            cell = lo + int(bad[0])
-            raise CaptureFormatError(f"{path}: sd cell {cell} is {block[bad[0]]}, must be >= 0")
+        _check_sd_cells(path, lo, block)
         top = block.max()
         sd_max = top if sd_max is None else max(sd_max, top)
 
     motor, rate, fields, column = _read(path, _BASELINE, keep, {"sd cell": check_sd})
+    _check_baseline_fields(path, fields, sd_max)
+    return motor, rate, fields, column
+
+
+def _check_sd_cells(path: Path, lo: int, block: np.ndarray) -> None:
+    """Reject a negative cell of a block of sd cells whose first is cell ``lo``."""
+    bad = np.flatnonzero(block < 0)
+    if len(bad):
+        cell = lo + int(bad[0])
+        raise CaptureFormatError(f"{path}: sd cell {cell} is {block[bad[0]]}, must be >= 0")
+
+
+def _check_baseline_fields(path: Path, fields: tuple, sd_max: np.float32 | None = None) -> None:
+    """Reject an empty baseline and a header field ``GoldenBaseline``
+    rejects, and, given the sd column's max, a stored peak that is not it."""
     source_count, window, peak_sd, count = fields
     if count == 0:
         raise CaptureFormatError(f"{path}: empty baseline")
     with _as_format_error(path):
         _checked_fields(source_count, window, peak_sd, sd_max)
-    return motor, rate, fields, column
 
 
 def _write(
@@ -218,17 +257,38 @@ def _read(
     checks: Mapping[str, Callable[[int, np.ndarray], None]] | None = None,
 ) -> tuple[Motor, float, tuple, np.ndarray]:
     """Read and validate a container: motor, sample rate, header fields and
-    the column named ``keep``.  Samples enter the package here, so every
-    cell read must be finite.
+    the column named ``keep``.
 
-    The body's length is checked against the file's size before any of it
-    is read.  The kept column is read straight into its own (writable)
-    array, a column named in ``checks`` through one reused block of
-    scratch, and any other column not at all.  Each column read is read
-    and checked ``_BLOCK`` cells at a time: each block must be finite, and
-    is then passed to the column's check with the index of its first cell.
+    The kept column is read straight into its own (writable) array, a
+    column named in ``checks`` through one reused block of scratch, and any
+    other column not at all.  Each column read is read and checked by
+    :func:`_checked_blocks`, and each of its blocks is then passed to the
+    column's check with the index of its first cell.
     """
     path = Path(path)
+    checks = checks or {}
+    with _opened(path, layout) as (handle, motor, rate, fields):
+        count = fields[-1]
+        for name, dtype in layout.body:
+            check = checks.get(name)
+            if name != keep and check is None:
+                handle.seek(count * np.dtype(dtype).itemsize, os.SEEK_CUR)
+                continue
+            array = np.empty(count if name == keep else min(count, _BLOCK), dtype=dtype)
+            for lo, block in _checked_blocks(handle, path, name, 0, count, array):
+                if check is not None:
+                    check(lo, block)
+            if name == keep:
+                column = array
+        return motor, rate, fields, column
+
+
+@contextmanager
+def _opened(path: Path, layout: _Layout):
+    """Open a container and check its header: yield the file, positioned at
+    its body, and its motor, sample rate and header fields.  The body's
+    length is checked against the file's size before any of it is read.
+    An ``OSError`` while the file is open is a ``CaptureIOError``."""
     try:
         with path.open("rb") as handle:
             size = os.fstat(handle.fileno()).st_size
@@ -250,39 +310,36 @@ def _read(
                 raise CaptureFormatError(f"{path}: sample rate must be finite and > 0, got {rate}")
             fields = layout.fields.unpack_from(header, _PREFIX.size)
             count = fields[-1]
-            columns = [(name, np.dtype(dtype)) for name, dtype in layout.body]
-            expected = offset + count * sum(dtype.itemsize for _, dtype in columns)
+            expected = offset + count * sum(np.dtype(dtype).itemsize for _, dtype in layout.body)
             if size < expected:
                 raise CaptureFormatError(f"{path}: unexpected end of samples")
             if size > expected:
                 raise CaptureFormatError(f"{path}: trailing bytes after samples")
-            checks = checks or {}
-            for name, dtype in columns:
-                check = checks.get(name)
-                if name != keep and check is None:
-                    handle.seek(count * dtype.itemsize, os.SEEK_CUR)
-                    continue
-                kept = name == keep
-                array = np.empty(count if kept else min(count, _BLOCK), dtype=dtype)
-                for lo in range(0, count, _BLOCK):
-                    hi = min(lo + _BLOCK, count)
-                    block = array[lo:hi] if kept else array[: hi - lo]
-                    # The file may have shrunk since it was measured.
-                    if handle.readinto(block) != block.nbytes:
-                        raise CaptureFormatError(f"{path}: unexpected end of samples")
-                    finite = np.isfinite(block)
-                    if not finite.all():
-                        cell = int(finite.argmin())
-                        raise CaptureFormatError(
-                            f"{path}: {name} {lo + cell} is {block[cell]}, must be finite"
-                        )
-                    if check is not None:
-                        check(lo, block)
-                if kept:
-                    column = array
-            return MOTORS[motor_code], rate, fields, column
+            yield handle, MOTORS[motor_code], rate, fields
     except OSError as exc:
         raise CaptureIOError(f"{path}: {exc}") from exc
+
+
+def _checked_blocks(
+    handle, path: Path, name: str, start: int, stop: int, array: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Read cells ``start:stop`` of the column named ``name``, the file at
+    cell ``start``, ``_BLOCK`` cells at a time: into consecutive blocks of
+    ``array`` when it holds them all, else each into its first cells.
+    Samples enter the package here, so each block must be finite; yield it
+    with the index of its first cell."""
+    whole = len(array) >= stop - start
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        block = array[lo - start : hi - start] if whole else array[: hi - lo]
+        # The file may have shrunk since it was measured.
+        if handle.readinto(block) != block.nbytes:
+            raise CaptureFormatError(f"{path}: unexpected end of samples")
+        finite = np.isfinite(block)
+        if not finite.all():
+            cell = int(finite.argmin())
+            raise CaptureFormatError(f"{path}: {name} {lo + cell} is {block[cell]}, must be finite")
+        yield lo, block
 
 
 @contextmanager

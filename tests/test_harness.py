@@ -452,10 +452,12 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
     # block, and holding every motor's smoothed traces until the last
     # baseline is built would cost 16.  Each baseline is saved and dropped
     # before the next motor's golden traces are made, and the four are read
-    # back once the reused buffer is freed (32 bytes per baseline sample:
-    # float32 sd and reference): measured 33.0 at 6 golden prints.  Holding
-    # the X, Y and Z baselines while E's six smoothed golden traces are made
-    # read 57.1.
+    # back once the reused buffer is freed: measured 29.2 at 6 golden
+    # prints.  Holding the X, Y and Z baselines while E's six smoothed golden
+    # traces are made read 57.1.  What the phase returns holds no sd column:
+    # the four float32 references (16 bytes per baseline sample) and each
+    # motor's sd grid, one cell in 250, measured 16.07; attaching each
+    # file's sd column held 32.
     import tracemalloc
 
     from powertrace import harness
@@ -466,13 +468,15 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
         config = dataclasses.replace(SMALL, golden_count=count)
         tracemalloc.start()
         try:
-            baselines = harness._build_baselines(plan, config, tmp_path / str(count))
-            peaks[count] = tracemalloc.get_traced_memory()[1]
+            baselines, grids = harness._build_baselines(plan, config, tmp_path / str(count))
+            held, peaks[count] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     samples = baselines[Motor.X].sample_count
     assert (peaks[6] - peaks[3]) / 3 / samples <= 5.0
     assert peaks[6] / samples < 40.0
+    assert all(baseline.pointwise_sd is None for baseline in baselines.values())
+    assert held / samples <= 16.1
 
 
 @pytest.mark.parametrize("window", [1, 20])
@@ -483,14 +487,14 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
     # copies the raw samples.
     from powertrace import harness, tracesim
     from powertrace.detect import build_baseline
-    from powertrace.traceio import align_to_trigger
+    from powertrace.traceio import align_to_trigger, load_sd
 
     config = dataclasses.replace(SMALL, golden_count=2)
     config = dataclasses.replace(
         config, detection=dataclasses.replace(config.detection, smoothing_window=window)
     )
     plan = plan_motion(benchmark_object(), config.profile)
-    baselines = harness._build_baselines(plan, config, tmp_path)
+    baselines, grids = harness._build_baselines(plan, config, tmp_path)
     for motor in (Motor.X, Motor.E):
         golden = []
         for i in range(config.golden_count):
@@ -498,7 +502,9 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
             trace = tracesim.synthesize_trace(plan, motor, config.profile, noise)
             golden.append(align_to_trigger(trace))
         fresh = build_baseline(golden, window)
-        assert baselines[motor].pointwise_sd.tobytes() == fresh.pointwise_sd.tobytes()
+        saved_sd = load_sd(tmp_path / "baselines" / f"{motor.name}.ptrb")
+        assert saved_sd.tobytes() == fresh.pointwise_sd.tobytes()
+        assert grids[motor].tobytes() == fresh.pointwise_sd[:: harness._SERIES_STRIDE].tobytes()
         assert baselines[motor].reference.tobytes() == fresh.reference.tobytes()
         assert baselines[motor].peak_sd == fresh.peak_sd > 0.0
         # The two facts the ground truth derives from the config and the plan.
@@ -560,20 +566,26 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def row_baselines(tmp_path_factory):
+    """The golden phase's baselines and sd grids, and the directory whose
+    ``baselines/`` holds its files."""
     from powertrace import harness
 
     plan = plan_motion(benchmark_object(), SMALL.profile)
-    return harness._build_baselines(plan, SMALL, tmp_path_factory.mktemp("golden"))
+    golden = tmp_path_factory.mktemp("golden")
+    return (*harness._build_baselines(plan, SMALL, golden), golden)
 
 
-def _run_normal_row(baselines, seeds, out, spans):
-    """Run the ``normal`` row of ``seeds`` with its own print buffers,
-    reading each motor's ``spans``."""
+def _run_normal_row(row_baselines, seeds, out, spans):
+    """Run the ``normal`` row of ``seeds`` into ``out`` with its own print
+    buffers, reading each motor's ``spans`` from the golden phase's files."""
     from powertrace import harness, tracesim
 
+    baselines, grids, golden = row_baselines
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "baselines").symlink_to(golden / "baselines", target_is_directory=True)
     plan = plan_motion(benchmark_object(), SMALL.profile)
     buffers = harness._print_buffers(tracesim.trace_length(plan))
-    return harness._run_row("normal", plan, SMALL, baselines, seeds, out, spans, buffers)
+    return harness._run_row("normal", plan, SMALL, baselines, grids, seeds, out, spans, buffers)
 
 
 def _run_row_peak(baselines, seed_count, out):
@@ -595,7 +607,7 @@ def test_row_holds_one_print_at_a_time(row_baselines, tmp_path):
     # so more prints per row do not raise the peak; keeping the last print's
     # series would add tens of bytes per sample.
     peaks = {count: _run_row_peak(row_baselines, count, tmp_path / str(count)) for count in (1, 3)}
-    assert (peaks[3] - peaks[1]) / row_baselines[Motor.X].sample_count <= 1.0
+    assert (peaks[3] - peaks[1]) / row_baselines[0][Motor.X].sample_count <= 1.0
 
 
 def test_row_print_peak_per_sample(row_baselines, tmp_path):
@@ -603,11 +615,11 @@ def test_row_print_peak_per_sample(row_baselines, tmp_path):
     # per baseline sample), and each capture is smoothed over its raw trace,
     # so the smoothed captures a result reads take no more; on top come
     # detect_print's block scratch and the row's stride grid and window
-    # parts (see the next test): measured 16.8.  Smoothing into four more
+    # parts (see the next test): measured 17.0.  Smoothing into four more
     # float32 arrays read 33.1, and a result holding four float64
     # deviations 48.9.
     peak = _run_row_peak(row_baselines, 1, tmp_path)
-    assert peak / row_baselines[Motor.X].sample_count <= 20.0
+    assert peak / row_baselines[0][Motor.X].sample_count <= 20.0
 
 
 def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypatch):
@@ -615,8 +627,9 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     # deviation only on its stride grid (8 bytes per grid sample) and in
     # one span at a time (8 per span sample; the longest, X's insert span,
     # is the last 28% of the print), so its reads and exports add at most
-    # 3 bytes per baseline sample.  Reading one whole float64 deviation adds
-    # 8.  The peak is reset at that first read, so it counts only what the
+    # 3 bytes per baseline sample: measured 2.46.  A span's sd cells are read
+    # from the baseline file a block at a time; reading them as one array
+    # read 3.44.  Reading one whole float64 deviation adds 8.  The peak is reset at that first read, so it counts only what the
     # reads and exports make.  A void row that holds the delete has the
     # delete row's spans, so a normal print reads three span parts per
     # motor, not four.
@@ -630,7 +643,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     assert truth["void"] == truth["delete"]
     spans = {motor: sorted({t[motor] for t in truth.values()}) for motor in MOTORS}
     longest = max(hi - lo for motor_spans in spans.values() for lo, hi in motor_spans)
-    assert longest > 0.25 * row_baselines[Motor.X].sample_count
+    assert longest > 0.25 * row_baselines[0][Motor.X].sample_count
     starts = []
     window_parts = dict.fromkeys(MOTORS, 0)
 
@@ -659,7 +672,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
         tracemalloc.stop()
     assert len(starts) == 1
     assert window_parts == dict.fromkeys(MOTORS, 3)
-    assert (peak - starts[0]) / row_baselines[Motor.X].sample_count <= 3.0
+    assert (peak - starts[0]) / row_baselines[0][Motor.X].sample_count <= 3.0
 
 
 def test_append_window_starts_at_the_injection_point():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powertrace.planner import Motor
 from powertrace.tracesim import MotorTrace, NoiseModel, simulate_print
@@ -14,6 +14,7 @@ from powertrace.traceio import (
     common_window,
     load_baseline,
     load_sd,
+    load_sd_blocks,
     load_trace,
     save_baseline,
     save_trace,
@@ -402,6 +403,82 @@ def test_damaged_sd_cell_past_the_first_block_named_by_its_index(tmp_path, load,
     expected = f"{path}: " + message.format(cell=cell)
     with pytest.raises(CaptureFormatError, match=re.escape(expected) + "$"):
         load(path)
+
+
+def _sd_range(path, start, stop):
+    """The bytes of ``load_sd_blocks(path, start, stop)``, each block copied
+    as it is yielded, and the blocks' lengths and buffer addresses."""
+    data, lengths, addresses = [], [], set()
+    for block in load_sd_blocks(path, start, stop):
+        assert block.dtype == np.float32
+        data.append(block.tobytes())
+        lengths.append(len(block))
+        addresses.add(block.__array_interface__["data"][0])
+    return b"".join(data), lengths, addresses
+
+
+_RANGES = st.integers(0, _LONG).flatmap(
+    lambda start: st.tuples(st.just(start), st.integers(start, _LONG))
+)
+
+
+@example(span=(0, 0), cell=0, value=-1.0)  # empty
+@example(span=(_LONG - 1, _LONG), cell=_LONG - 1, value=float("nan"))  # one cell, the last
+@example(span=(_BLOCK - 2, 2 * _BLOCK + 1), cell=_BLOCK, value=-1.0)  # straddles two block edges
+@example(span=(_BLOCK + 7, _LONG), cell=_BLOCK + 6, value=float("nan"))  # to the end
+@settings(max_examples=40, deadline=None)
+@given(
+    span=_RANGES, cell=st.integers(0, _LONG - 1), value=st.sampled_from([float("nan"), -1.0])
+)
+def test_sd_blocks_read_and_check_only_their_range(tmp_path_factory, span, cell, value):
+    # The blocks of any range are that range of load_sd's column, byte for
+    # byte, read _BLOCK cells at a time from their own first cell into one
+    # reused buffer.  A damaged cell inside the range fails as load_sd
+    # fails, naming the cell's index in the column; one outside it is not read.
+    start, stop = span
+    path = tmp_path_factory.mktemp("sd") / "x.ptrb"
+    _long_baseline(path)
+    data, lengths, addresses = _sd_range(path, start, stop)
+    assert data == load_sd(path)[start:stop].tobytes()
+    edges = [min(lo + _BLOCK, stop) - lo for lo in range(start, stop, _BLOCK)]
+    assert lengths == edges
+    assert len(addresses) <= 1
+    blob = bytearray(path.read_bytes())
+    blob[48 + 4 * cell : 52 + 4 * cell] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+    if not start <= cell < stop:
+        assert _sd_range(path, start, stop)[0] == data
+        return
+    with pytest.raises(CaptureFormatError) as whole:
+        load_sd(path)
+    assert f" sd cell {cell} is {value}, must be " in str(whole.value)
+    with pytest.raises(CaptureFormatError, match=re.escape(str(whole.value)) + "$"):
+        _sd_range(path, start, stop)
+
+
+@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
+def test_sd_blocks_reject_each_damaged_baseline_as_load_sd_does(tmp_path, damage):
+    path, blob, message = _damaged_baseline(tmp_path, damage)
+    if damage == "nan reference sample":
+        # Neither reader reads the reference.
+        assert _sd_range(path, 0, 3)[0] == load_sd(path).tobytes() == blob[48:60]
+        return
+    if damage == "peak sd not the column max":
+        # Only a reader of the whole column can take its max; load_baseline
+        # checks it, and the experiment loads every baseline it reads.
+        assert _sd_range(path, 0, 3)[0] == blob[48:60]
+        return
+    with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}") + "$"):
+        _sd_range(path, 0, 3)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, _LONG + 1), (_LONG + 1, _LONG + 1)])
+def test_sd_blocks_refuse_a_range_outside_the_column(tmp_path, start, stop):
+    path = tmp_path / "x.ptrb"
+    _long_baseline(path)
+    message = f"{path}: sd cells {start}:{stop} are outside 0:{_LONG}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        _sd_range(path, start, stop)
 
 
 def test_load_sd_returns_the_saved_column(tmp_path):
