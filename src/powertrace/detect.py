@@ -117,9 +117,9 @@ class GoldenBaseline:
     rounding of the sample standard deviation, read only for the excess
     series; it is ``None`` in a baseline ``traceio.load_baseline`` read,
     which checks the column in the file but keeps only the reference.  The
-    experiment reads the column from the file: its cells on the series
-    grid (every 250th) once, with ``traceio.load_sd``, and each attack
-    span's cells a block at a time, with ``traceio.load_sd_blocks``.  ``peak_sd``, the
+    experiment keeps the column's cells on the series grid (every 250th)
+    from the baseline it builds, and reads each attack span's cells from
+    the file a block at a time, with ``traceio.load_sd_blocks``.  ``peak_sd``, the
     largest sd before rounding, sets the verdict threshold: it must be
     finite, >= 0 and round to the column's max, which rounding (monotonic)
     makes an exact check.  ``smoothing_window``, >= 1, is the window the

@@ -55,7 +55,7 @@ from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
 from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PlanError, PrinterProfile, plan_motion
 # Not called here, nor smooth and common_window: perfbench's trace mode wraps them.
 from .planner import command_start_times
-from .traceio import align_to_trigger, common_window, load_baseline, load_sd, load_sd_blocks
+from .traceio import align_to_trigger, common_window, load_baseline, load_sd_blocks
 from .traceio import save_baseline, save_trace
 from . import tracesim
 from .tracesim import DEFAULT_NOISE, NoiseModel, simulate_print
@@ -464,10 +464,10 @@ def _build_baselines(
     then read all four back from ``out/baselines``: the experiment judges
     with the files an operator would load, through the same checks, so no
     baseline holds its sd column.  Returns the baselines and each motor's
-    sd grid: every ``_SERIES_STRIDE``-th cell of the file's sd column, which
-    the excess series on the stride grid read.  One column is read at a
-    time, for its grid, and dropped; the spans read theirs from the files
-    (see :func:`_run_row`).
+    sd grid: every ``_SERIES_STRIDE``-th cell of the sd column of the
+    baseline just built, which the excess series on the stride grid read.
+    Each built baseline is dropped before the next motor's is built; the
+    spans read their sd cells from the files (see :func:`_run_row`).
 
     Each golden trace is rendered and aligned in its row of one buffer, and
     :func:`build_baseline` smooths it over that row; the rows are reused from
@@ -478,7 +478,7 @@ def _build_baselines(
     ``perfbench`` trace mode wraps it.
     """
     rows = np.empty((config.golden_count, tracesim.trace_length(plan)), dtype=np.float32)
-    paths = {}
+    paths, grids = {}, {}
     for motor in MOTORS:
         golden = []
         for i, row in enumerate(rows):
@@ -488,11 +488,12 @@ def _build_baselines(
                 save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
             golden.append(align_to_trigger(trace))
         paths[motor] = _baseline_path(out, motor)
-        save_baseline(build_baseline(golden, config.detection.smoothing_window, rows), paths[motor])
+        baseline = build_baseline(golden, config.detection.smoothing_window, rows)
+        save_baseline(baseline, paths[motor])
+        # A copy: a strided view would keep the whole column.
+        grids[motor] = baseline.pointwise_sd[::_SERIES_STRIDE].copy()
+        del baseline  # its sd column, before the next motor's is made
     del rows, row, trace, golden  # each views the buffer, freed before the baselines are read
-    # A copy: a strided view would keep the whole column.  The columns are
-    # read and dropped before the references, which then take their place.
-    grids = {motor: load_sd(path)[::_SERIES_STRIDE].copy() for motor, path in paths.items()}
     baselines = {motor: load_baseline(path) for motor, path in paths.items()}
     return baselines, grids
 

@@ -8,9 +8,9 @@ starts with the same header prefix and holds what the verdict and the
 excess series read: the smoothing window of its golden traces, the peak
 golden sd, the golden sd column and the reference trace.  The verdict
 reads no sd column, so ``load_baseline`` checks it a block at a time and
-keeps only the reference.  The excess series read the column: ``load_sd``
-returns it whole, and ``load_sd_blocks`` reads a range of its cells a
-block at a time.
+keeps only the reference.  The excess series read the column's cells a
+range at a time, with ``load_sd_blocks``; both read it through one
+checked block reader.
 
 All integers and floats are little-endian; samples are float32.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,7 +40,6 @@ __all__ = [
     "common_window",
     "save_baseline",
     "load_baseline",
-    "load_sd",
     "load_sd_blocks",
 ]
 
@@ -93,7 +92,9 @@ def save_trace(trace: MotorTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> MotorTrace:
-    motor, rate, (trigger, _), samples = _read(path, _TRACE, "sample")
+    path = Path(path)
+    with _opened(path, _TRACE) as (handle, motor, rate, (trigger, count)):
+        samples = _column(handle, path, _TRACE, "sample", count)
     with _as_format_error(path):
         return MotorTrace(motor=motor, sample_rate=rate, samples=samples, trigger_index=trigger)
 
@@ -137,13 +138,19 @@ def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
     """Read a baseline and keep only what the verdict reads: its
-    ``pointwise_sd`` is ``None``.  The file is checked as a whole (see
-    :func:`_read_baseline`), its sd column ``_BLOCK`` cells at a time
-    through one reused block, so the call holds the reference and that
-    block."""
-    motor, rate, (source_count, window, peak_sd, _), reference = _read_baseline(
-        path, "reference sample"
-    )
+    ``pointwise_sd`` is ``None``.  The whole file is checked: its sd column
+    as :func:`load_sd_blocks` checks it, through one reused block, so the
+    call holds the reference and that block; then the reference, the header
+    fields and the stored peak, which must be the column's max.  An empty
+    body, a negative sd cell or a header field ``GoldenBaseline`` rejects
+    would corrupt the verdict, and is rejected."""
+    path = Path(path)
+    with _opened(path, _BASELINE) as (handle, motor, rate, fields):
+        count = fields[-1]
+        sd_max = max((block.max() for block in _sd_blocks(handle, path, 0, count)), default=None)
+        reference = _column(handle, path, _BASELINE, "reference sample", count)
+    _check_baseline_fields(path, fields, sd_max)
+    source_count, window, peak_sd, _ = fields
     with _as_format_error(path):
         return GoldenBaseline(
             motor=motor,
@@ -156,22 +163,13 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
         )
 
 
-def load_sd(path: str | Path) -> np.ndarray:
-    """A baseline's float32 sd column, read-only, for the excess series.
-    The header and the column are checked as :func:`load_baseline` checks
-    them, with the same errors; the reference column is not read."""
-    *_, sd = _read_baseline(path, "sd cell")
-    sd.setflags(write=False)
-    return sd
-
-
 def load_sd_blocks(path: str | Path, start: int, stop: int) -> Iterator[np.ndarray]:
     """Yield a baseline's sd cells ``start:stop`` in order, as float32
     blocks of at most ``_BLOCK`` cells read into one reused buffer, so each
     block holds only until the next is asked for.
 
-    The header is checked as :func:`load_sd` checks it, and each cell read
-    as it checks it, with the same errors and the cell's index in the
+    The header is checked as :func:`load_baseline` checks it, and each cell
+    read as it checks it, with the same errors and the cell's index in the
     column; no cell outside the range is read, so the stored peak is not
     compared with the column's max (:func:`load_baseline` does that).  A
     range outside ``0..count`` raises ``ValueError``.  Nothing is read or
@@ -182,42 +180,22 @@ def load_sd_blocks(path: str | Path, start: int, stop: int) -> Iterator[np.ndarr
         count = fields[-1]
         if not 0 <= start <= stop <= count:
             raise ValueError(f"{path}: sd cells {start}:{stop} are outside 0:{count}")
-        dtype = np.dtype(dict(_BASELINE.body)["sd cell"])
-        handle.seek(start * dtype.itemsize, os.SEEK_CUR)  # the sd column comes first
-        scratch = np.empty(min(stop - start, _BLOCK), dtype=dtype)
-        for lo, block in _checked_blocks(handle, path, "sd cell", start, stop, scratch):
-            _check_sd_cells(path, lo, block)
-            yield block
+        yield from _sd_blocks(handle, path, start, stop)
 
 
-def _read_baseline(path: str | Path, keep: str) -> tuple[Motor, float, tuple, np.ndarray]:
-    """Read and check a baseline file, keeping its column named ``keep``:
-    motor, sample rate, header fields and that column.
-
-    An empty body, a negative sd cell, a header field ``GoldenBaseline``
-    rejects or a stored peak that is not the sd column's max is rejected,
-    since it would corrupt the verdict.  The sd column's max is taken a
-    block at a time, as the column is read."""
-    path = Path(path)
-    sd_max = None
-
-    def check_sd(lo: int, block: np.ndarray) -> None:
-        nonlocal sd_max
-        _check_sd_cells(path, lo, block)
-        top = block.max()
-        sd_max = top if sd_max is None else max(sd_max, top)
-
-    motor, rate, fields, column = _read(path, _BASELINE, keep, {"sd cell": check_sd})
-    _check_baseline_fields(path, fields, sd_max)
-    return motor, rate, fields, column
-
-
-def _check_sd_cells(path: Path, lo: int, block: np.ndarray) -> None:
-    """Reject a negative cell of a block of sd cells whose first is cell ``lo``."""
-    bad = np.flatnonzero(block < 0)
-    if len(bad):
-        cell = lo + int(bad[0])
-        raise CaptureFormatError(f"{path}: sd cell {cell} is {block[bad[0]]}, must be >= 0")
+def _sd_blocks(handle, path: Path, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Yield a baseline's sd cells ``start:stop``, the file at its body, as
+    blocks of one reused buffer.  Each cell must be finite and >= 0; an
+    error names its index in the column."""
+    dtype = np.dtype(dict(_BASELINE.body)["sd cell"])
+    handle.seek(start * dtype.itemsize, os.SEEK_CUR)  # the sd column comes first
+    scratch = np.empty(min(stop - start, _BLOCK), dtype=dtype)
+    for lo, block in _checked_blocks(handle, path, "sd cell", start, stop, scratch):
+        bad = np.flatnonzero(block < 0)
+        if len(bad):
+            cell = lo + int(bad[0])
+            raise CaptureFormatError(f"{path}: sd cell {cell} is {block[bad[0]]}, must be >= 0")
+        yield block
 
 
 def _check_baseline_fields(path: Path, fields: tuple, sd_max: np.float32 | None = None) -> None:
@@ -250,37 +228,14 @@ def _write(
         raise CaptureIOError(f"{path}: {exc}") from exc
 
 
-def _read(
-    path: str | Path,
-    layout: _Layout,
-    keep: str,
-    checks: Mapping[str, Callable[[int, np.ndarray], None]] | None = None,
-) -> tuple[Motor, float, tuple, np.ndarray]:
-    """Read and validate a container: motor, sample rate, header fields and
-    the column named ``keep``.
-
-    The kept column is read straight into its own (writable) array, a
-    column named in ``checks`` through one reused block of scratch, and any
-    other column not at all.  Each column read is read and checked by
-    :func:`_checked_blocks`, and each of its blocks is then passed to the
-    column's check with the index of its first cell.
-    """
-    path = Path(path)
-    checks = checks or {}
-    with _opened(path, layout) as (handle, motor, rate, fields):
-        count = fields[-1]
-        for name, dtype in layout.body:
-            check = checks.get(name)
-            if name != keep and check is None:
-                handle.seek(count * np.dtype(dtype).itemsize, os.SEEK_CUR)
-                continue
-            array = np.empty(count if name == keep else min(count, _BLOCK), dtype=dtype)
-            for lo, block in _checked_blocks(handle, path, name, 0, count, array):
-                if check is not None:
-                    check(lo, block)
-            if name == keep:
-                column = array
-        return motor, rate, fields, column
+def _column(handle, path: Path, layout: _Layout, name: str, count: int) -> np.ndarray:
+    """Read the ``count`` cells of ``layout``'s column named ``name``, the
+    file at its first, straight into their own (writable) array, each block
+    checked by :func:`_checked_blocks`."""
+    array = np.empty(count, dtype=dict(layout.body)[name])
+    for _ in _checked_blocks(handle, path, name, 0, count, array):
+        pass
+    return array
 
 
 @contextmanager

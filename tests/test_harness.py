@@ -32,6 +32,15 @@ def excess(deviation, sd):
     return _excess_over(deviation, sd[: len(deviation)])
 
 
+def sd_column(path, count):
+    """The ``count``-cell sd column of the baseline at ``path``, drained from
+    ``load_sd_blocks``.  Each block is copied as it is yielded: every block
+    is a view of one reused buffer."""
+    from powertrace.traceio import load_sd_blocks
+
+    return np.concatenate([block.copy() for block in load_sd_blocks(path, 0, count)])
+
+
 def row_programs(program, attacks):
     """Each attack row's program: its specs applied to ``program`` in turn."""
     programs = {}
@@ -256,13 +265,13 @@ class TestRunExperiment:
 
         from powertrace import harness
         from powertrace.detect import detect_print
-        from powertrace.traceio import align_to_trigger, load_baseline, load_sd
+        from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
 
         matrix, out = small_run
         paths = {m: out / "baselines" / f"{m.name}.ptrb" for m in MOTORS}
         baselines = {m: load_baseline(path) for m, path in paths.items()}
-        sds = {m: load_sd(path) for m, path in paths.items()}
+        sds = {m: sd_column(path, baselines[m].sample_count) for m, path in paths.items()}
         program = benchmark_object()
         attacks = default_attacks(program)
         programs = row_programs(program, attacks)
@@ -306,7 +315,7 @@ class TestRunExperiment:
         # sd cells.
         from powertrace import harness
         from powertrace.detect import detect_print
-        from powertrace.traceio import align_to_trigger, load_baseline, load_sd
+        from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
 
         def grid_csv(series, rate, stride):
@@ -331,7 +340,7 @@ class TestRunExperiment:
             rate, stride = baselines[motor].sample_rate, harness._SERIES_STRIDE
             expected = {
                 "deviation": grid_csv(dev, rate, stride),
-                "excess": grid_csv(excess(dev, load_sd(paths[motor])), rate, stride),
+                "excess": grid_csv(excess(dev, sd_column(paths[motor], len(dev))), rate, stride),
             }
             for kind, text in expected.items():
                 path = out / harness._series_path(row, 0, motor, kind)
@@ -454,7 +463,9 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
     # before the next motor's golden traces are made, and the four are read
     # back once the reused buffer is freed: measured 29.2 at 6 golden
     # prints.  Holding the X, Y and Z baselines while E's six smoothed golden
-    # traces are made read 57.1.  What the phase returns holds no sd column:
+    # traces are made read 57.1; keeping each built baseline, whose
+    # reference views the buffer, until the next motor's replaces it read
+    # 44.2.  What the phase returns holds no sd column:
     # the four float32 references (16 bytes per baseline sample) and each
     # motor's sd grid, one cell in 250, measured 16.07; attaching each
     # file's sd column held 32.
@@ -487,7 +498,7 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
     # copies the raw samples.
     from powertrace import harness, tracesim
     from powertrace.detect import build_baseline
-    from powertrace.traceio import align_to_trigger, load_sd
+    from powertrace.traceio import align_to_trigger
 
     config = dataclasses.replace(SMALL, golden_count=2)
     config = dataclasses.replace(
@@ -502,8 +513,8 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
             trace = tracesim.synthesize_trace(plan, motor, config.profile, noise)
             golden.append(align_to_trigger(trace))
         fresh = build_baseline(golden, window)
-        saved_sd = load_sd(tmp_path / "baselines" / f"{motor.name}.ptrb")
-        assert saved_sd.tobytes() == fresh.pointwise_sd.tobytes()
+        saved = (tmp_path / "baselines" / f"{motor.name}.ptrb").read_bytes()
+        assert saved[48 : 48 + 4 * fresh.sample_count] == fresh.pointwise_sd.tobytes()
         assert grids[motor].tobytes() == fresh.pointwise_sd[:: harness._SERIES_STRIDE].tobytes()
         assert baselines[motor].reference.tobytes() == fresh.reference.tobytes()
         assert baselines[motor].peak_sd == fresh.peak_sd > 0.0
@@ -541,7 +552,7 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
     import numpy as np
 
     from powertrace import harness
-    from powertrace.traceio import load_baseline, load_sd
+    from powertrace.traceio import load_baseline
 
     built = {}
     save = harness.save_baseline
@@ -555,7 +566,8 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     for motor in MOTORS:
         path = tmp_path / "baselines" / f"{motor.name}.ptrb"
-        loaded, sd = load_baseline(path), load_sd(path)
+        loaded = load_baseline(path)
+        sd = sd_column(path, loaded.sample_count)
         assert loaded.peak_sd == built[motor].peak_sd
         assert loaded.smoothing_window == built[motor].smoothing_window == 20
         assert sd.dtype == built[motor].pointwise_sd.dtype == np.float32
@@ -903,12 +915,12 @@ class TestPhenomenology:
     """Trace-level behaviours the detector's verdict pattern rests on."""
 
     def test_extruder_baseline_sd_visibly_larger_than_xy(self, small_run):
-        from powertrace.traceio import load_baseline, load_sd
+        from powertrace.traceio import load_baseline
 
         _, out = small_run
         paths = {m: out / "baselines" / f"{m.name}.ptrb" for m in MOTORS}
         loaded = {m: load_baseline(path) for m, path in paths.items()}
-        sds = {m: load_sd(path) for m, path in paths.items()}
+        sds = {m: sd_column(path, loaded[m].sample_count) for m, path in paths.items()}
         for quiet_motor in (Motor.X, Motor.Y):
             assert loaded[Motor.E].peak_sd > 1.3 * loaded[quiet_motor].peak_sd
             assert sds[Motor.E].mean() > 1.3 * sds[quiet_motor].mean()
@@ -919,12 +931,12 @@ class TestPhenomenology:
         # remains elevated well past the swapped region.
         from powertrace.detect import detect_print
         from powertrace.planner import command_start_times
-        from powertrace.traceio import align_to_trigger, load_baseline, load_sd
+        from powertrace.traceio import align_to_trigger, load_baseline
         from powertrace.tracesim import simulate_print
 
         _, out = small_run
         baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
-        sd = load_sd(out / "baselines" / "X.ptrb")
+        sd = sd_column(out / "baselines" / "X.ptrb", baselines[Motor.X].sample_count)
         program = benchmark_object()
         specs = default_attacks(program)["reorder"]
         mutated = program

@@ -13,7 +13,6 @@ from powertrace.traceio import (
     align_to_trigger,
     common_window,
     load_baseline,
-    load_sd,
     load_sd_blocks,
     load_trace,
     save_baseline,
@@ -188,7 +187,7 @@ class TestBaselinePersistence:
         assert loaded.smoothing_window == baseline.smoothing_window == 5
         assert loaded.peak_sd == baseline.peak_sd
         assert loaded.pointwise_sd is None  # the verdict reads no sd column
-        assert np.array_equal(load_sd(path), baseline.pointwise_sd)
+        assert path.read_bytes()[48 : 48 + 4 * 200] == baseline.pointwise_sd.tobytes()
         assert np.array_equal(loaded.reference, baseline.reference)
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
@@ -196,10 +195,9 @@ class TestBaselinePersistence:
         save_baseline(build_baseline([_trace([0.5, 1.0]), _trace([0.0, 1.5])]), tmp_path / "b.ptrb")
         arrays = (
             load_trace(tmp_path / "t.ptrc").samples,
-            load_sd(tmp_path / "b.ptrb"),
             load_baseline(tmp_path / "b.ptrb").reference,
         )
-        assert [array.flags.writeable for array in arrays] == [False, False, False]
+        assert [array.flags.writeable for array in arrays] == [False, False]
 
     def test_a_baseline_without_its_sd_column_is_not_saved(self, tmp_path):
         save_baseline(build_baseline([_trace([0.5, 1.0]), _trace([0.0, 1.5])]), tmp_path / "b.ptrb")
@@ -356,15 +354,25 @@ def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
         load_baseline(path)
 
 
-@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
+def _load_sd(path):
+    """A baseline's whole sd column, drained from ``load_sd_blocks``.  Each
+    block is copied as it is yielded: every block is a view of one reused
+    buffer."""
+    count = struct.unpack_from("<Q", path.read_bytes(), 40)[0]
+    return np.concatenate([block.copy() for block in load_sd_blocks(path, 0, count)])
+
+
+# A reader of the sd column alone does not compare the stored peak with the
+# column's max; load_baseline does.
+@pytest.mark.parametrize("damage", sorted(set(_BASELINE_DAMAGE) - {"peak sd not the column max"}))
 def test_load_sd_rejects_each_damaged_baseline_as_load_baseline_does(tmp_path, damage):
     path, blob, message = _damaged_baseline(tmp_path, damage)
     if damage == "nan reference sample":
-        # load_sd reads only the sd column, which this damage leaves whole.
-        assert load_sd(path).tobytes() == blob[48:60]
+        # The sd column is read alone, and this damage leaves it whole.
+        assert _load_sd(path).tobytes() == blob[48:60]
         return
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
-        load_sd(path)
+        _load_sd(path)
 
 
 # A baseline of three blocks, the last of 3 cells, whose sd is 0.25 but for
@@ -380,16 +388,23 @@ def _long_baseline(path):
     return sd
 
 
-@pytest.mark.parametrize("load", [load_baseline, load_sd], ids=["load_baseline", "load_sd"])
-@pytest.mark.parametrize("cell", [_BLOCK + 5, 2 * _BLOCK + 1], ids=["second block", "last block"])
+_CELL_DAMAGE = {
+    "nan": (float("nan"), "sd cell {cell} is nan, must be finite"),
+    "negative": (-1.0, "sd cell {cell} is -1.0, must be >= 0"),
+    "max past the first block": (3.0, "peak sd 0.5 is not the sd column's max 3.0"),
+}
+
+
 @pytest.mark.parametrize(
-    "value, message",
+    "load, cell, value, message",
     [
-        (float("nan"), "sd cell {cell} is nan, must be finite"),
-        (-1.0, "sd cell {cell} is -1.0, must be >= 0"),
-        (3.0, "peak sd 0.5 is not the sd column's max 3.0"),
+        pytest.param(load, cell, *_CELL_DAMAGE[damage], id=f"{damage}-{where}-{load_id}")
+        for load_id, load in [("load_baseline", load_baseline), ("load_sd", _load_sd)]
+        for where, cell in [("second block", _BLOCK + 5), ("last block", 2 * _BLOCK + 1)]
+        for damage in _CELL_DAMAGE
+        # Only load_baseline compares the stored peak with the column's max.
+        if load is load_baseline or damage != "max past the first block"
     ],
-    ids=["nan", "negative", "max past the first block"],
 )
 def test_damaged_sd_cell_past_the_first_block_named_by_its_index(tmp_path, load, cell, value, message):
     # The column is checked a block at a time: an error names the cell's
@@ -431,15 +446,16 @@ _RANGES = st.integers(0, _LONG).flatmap(
     span=_RANGES, cell=st.integers(0, _LONG - 1), value=st.sampled_from([float("nan"), -1.0])
 )
 def test_sd_blocks_read_and_check_only_their_range(tmp_path_factory, span, cell, value):
-    # The blocks of any range are that range of load_sd's column, byte for
-    # byte, read _BLOCK cells at a time from their own first cell into one
-    # reused buffer.  A damaged cell inside the range fails as load_sd
-    # fails, naming the cell's index in the column; one outside it is not read.
+    # The blocks of any range are that range of the file's sd column, byte
+    # for byte, read _BLOCK cells at a time from their own first cell into
+    # one reused buffer.  A damaged cell inside the range fails as
+    # load_baseline fails, naming the cell's index in the column; one
+    # outside it is not read.
     start, stop = span
     path = tmp_path_factory.mktemp("sd") / "x.ptrb"
     _long_baseline(path)
     data, lengths, addresses = _sd_range(path, start, stop)
-    assert data == load_sd(path)[start:stop].tobytes()
+    assert data == path.read_bytes()[48 + 4 * start : 48 + 4 * stop]
     edges = [min(lo + _BLOCK, stop) - lo for lo in range(start, stop, _BLOCK)]
     assert lengths == edges
     assert len(addresses) <= 1
@@ -450,7 +466,7 @@ def test_sd_blocks_read_and_check_only_their_range(tmp_path_factory, span, cell,
         assert _sd_range(path, start, stop)[0] == data
         return
     with pytest.raises(CaptureFormatError) as whole:
-        load_sd(path)
+        load_baseline(path)
     assert f" sd cell {cell} is {value}, must be " in str(whole.value)
     with pytest.raises(CaptureFormatError, match=re.escape(str(whole.value)) + "$"):
         _sd_range(path, start, stop)
@@ -461,7 +477,7 @@ def test_sd_blocks_reject_each_damaged_baseline_as_load_sd_does(tmp_path, damage
     path, blob, message = _damaged_baseline(tmp_path, damage)
     if damage == "nan reference sample":
         # Neither reader reads the reference.
-        assert _sd_range(path, 0, 3)[0] == load_sd(path).tobytes() == blob[48:60]
+        assert _sd_range(path, 0, 3)[0] == blob[48:60]
         return
     if damage == "peak sd not the column max":
         # Only a reader of the whole column can take its max; load_baseline
@@ -470,6 +486,52 @@ def test_sd_blocks_reject_each_damaged_baseline_as_load_sd_does(tmp_path, damage
         return
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}") + "$"):
         _sd_range(path, 0, 3)
+
+
+_REFERENCE = 48 + 4 * _LONG  # the first reference sample's offset in _long_baseline's file
+
+
+@pytest.mark.parametrize(
+    "load, edits, message",
+    [
+        pytest.param(
+            load_baseline,
+            [(48 + 4, _NAN_F32), (24, struct.pack("<Q", 0))],
+            "sd cell 1 is nan, must be finite",
+            id="load_baseline-nan sd cell, zero window",
+        ),
+        pytest.param(
+            load_baseline,
+            [(_REFERENCE + 8, _NAN_F32), (32, struct.pack("<d", 0.75))],
+            "reference sample 2 is nan, must be finite",
+            id="load_baseline-nan reference sample, peak not the max",
+        ),
+        pytest.param(
+            load_baseline,
+            [(48 + 4 * (_BLOCK + 5), struct.pack("<f", -1.0)), (_REFERENCE, _NAN_F32)],
+            f"sd cell {_BLOCK + 5} is -1.0, must be >= 0",
+            id="load_baseline-negative sd cell in block 2, nan reference sample",
+        ),
+        pytest.param(
+            lambda path: _sd_range(path, 0, 10),
+            [(24, struct.pack("<Q", 0)), (48 + 12, _NAN_F32)],
+            "smoothing window is 0, must be >= 1",
+            id="load_sd_blocks-zero window, nan sd cell in range",
+        ),
+    ],
+)
+def test_of_two_faults_the_first_checked_is_reported(tmp_path, load, edits, message):
+    # load_baseline checks the sd column, then the reference, then the
+    # header fields and the stored peak; load_sd_blocks checks the header
+    # fields before it reads a cell.
+    path = tmp_path / "x.ptrb"
+    _long_baseline(path)
+    blob = bytearray(path.read_bytes())
+    for offset, value in edits:
+        blob[offset : offset + len(value)] = value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}") + "$"):
+        load(path)
 
 
 @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, _LONG + 1), (_LONG + 1, _LONG + 1)])
@@ -482,12 +544,12 @@ def test_sd_blocks_refuse_a_range_outside_the_column(tmp_path, start, stop):
 
 
 def test_load_sd_returns_the_saved_column(tmp_path):
+    # Drained whole, the blocks are the saved column.
     path = tmp_path / "x.ptrb"
     sd = _long_baseline(path)
-    loaded = load_sd(path)
+    loaded = _load_sd(path)
     assert loaded.dtype == np.float32
     assert loaded.tobytes() == sd.tobytes() == path.read_bytes()[48 : 48 + 4 * _LONG]
-    assert not loaded.flags.writeable
     assert load_baseline(path).reference.tobytes() == path.read_bytes()[48 + 4 * _LONG :]
 
 
