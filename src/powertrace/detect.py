@@ -26,19 +26,24 @@ fixed-size blocks, and each block's float64 deviation is made in one block
 of scratch and counted against the threshold while the block is in cache,
 the run still open at a block's end carrying into the next.  The pass
 stops asking for blocks once it has the baseline's length, so no block
-past the baseline is summed.  No full-length array is made unless the
-caller passes ``out``; a ``deviations`` read smooths its motor's whole
-capture with :func:`smooth`, which drains the same kernel, on first use.
-One kernel, ``_deviation_into``, makes every deviation: for
-:func:`deviation`, for those blocks and for each ``deviations`` read, so
-all three agree byte for byte.  Motors are independent, so they are judged
-on parallel threads, with the same bytes for any number of threads.
+past the baseline is summed.  The reference is read a block at a time
+too, through the baseline (see :class:`GoldenBaseline`), so a baseline
+read from a file is read from it while the print is judged.  No
+full-length array is made unless the caller passes ``out``; a
+``deviations`` read smooths its motor's whole capture with :func:`smooth`,
+which drains the same kernel, on first use, and reads only the reference
+cells its slice spans.  One kernel, ``_deviation_into``, makes every
+deviation: for :func:`deviation`, for those blocks and for each
+``deviations`` read, so all three agree byte for byte.  Motors are
+independent, so they are judged on parallel threads, with the same bytes
+for any number of threads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Sized
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -68,11 +73,11 @@ _EXPORT_CHUNK_ROWS = 1 << 16
 # Samples per block in smooth, build_baseline and detect_print:
 # their scratch is fixed-size.  Each block costs a handful of numpy calls,
 # each releasing and re-taking the GIL, so detect_print's threads overlap
-# better with fewer, larger blocks; but each thread holds about 31 bytes of
+# better with fewer, larger blocks; but each thread holds about 35 bytes of
 # scratch per block sample (tracemalloc): smoothing's float64 running sum and
-# values and its float32 block, one float64 deviation block and the
-# classifier's masks.  2**15 keeps two threads' scratch near 1.1 bytes per
-# sample of the benchmark print (1.10 measured).
+# values and its float32 block, the float32 block of reference it reads, one
+# float64 deviation block and the classifier's masks.  2**15 keeps two
+# threads' scratch near 1.2 bytes per sample of the benchmark print.
 _BLOCK = 1 << 15
 
 
@@ -115,11 +120,15 @@ class GoldenBaseline:
     measured against it, per the protocol of comparing a capture to a
     known-good trace rather than to the pointwise mean.  ``pointwise_sd`` is the float32
     rounding of the sample standard deviation, read only for the excess
-    series; it is ``None`` in a baseline ``traceio.load_baseline`` read,
-    which checks the column in the file but keeps only the reference.  The
-    experiment keeps the column's cells on the series grid (every 250th)
-    from the baseline it builds, and reads each attack span's cells from
-    the file a block at a time, with ``traceio.load_sd_blocks``.  ``peak_sd``, the
+    series.  A baseline ``traceio.load_baseline`` read holds neither
+    column (both are ``None``): its ``reader`` reads the reference back from
+    the file while a print is judged.  A reader has ``len()``, the sample
+    count, and ``reference(start)``, a context manager giving ``read``:
+    ``read(out)`` fills the float32 ``out`` with the next ``len(out)``
+    reference samples from ``start`` on and returns it.  A baseline holds
+    its reference or a reader, not both.  The experiment keeps both columns'
+    cells on the series grid (every 250th) from the baseline it builds, and
+    reads each attack span's cells from the file.  ``peak_sd``, the
     largest sd before rounding, sets the verdict threshold: it must be
     finite, >= 0 and round to the column's max, which rounding (monotonic)
     makes an exact check.  ``smoothing_window``, >= 1, is the window the
@@ -130,10 +139,11 @@ class GoldenBaseline:
     motor: Motor
     sample_rate: float
     pointwise_sd: np.ndarray | None  # float32, read-only
-    reference: np.ndarray  # float32, read-only
+    reference: np.ndarray | None  # float32, read-only
     source_count: int
     peak_sd: float
     smoothing_window: int
+    reader: Sized | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("pointwise_sd", "reference"):
@@ -141,8 +151,10 @@ class GoldenBaseline:
                 column = np.asarray(getattr(self, name), dtype=np.float32).view()
                 column.setflags(write=False)  # on a view: the caller's array stays writable
                 object.__setattr__(self, name, column)
+        if (self.reference is None) == (self.reader is None):
+            raise DetectionError("a baseline holds its reference or a reader of it, not both")
         sd = self.pointwise_sd
-        if sd is not None and len(sd) != len(self.reference):
+        if sd is not None and len(sd) != self.sample_count:
             raise DetectionError("sd/reference length mismatch")
         peak_sd = _checked_fields(
             self.source_count, self.smoothing_window, self.peak_sd, None if sd is None else sd.max()
@@ -151,7 +163,24 @@ class GoldenBaseline:
 
     @property
     def sample_count(self) -> int:
-        return len(self.reference)
+        return len(self.reference if self.reader is None else self.reader)
+
+    @contextmanager
+    def _reference_cells(self, start: int) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+        """Yield ``read``, as a reader's ``reference(start)`` does: from the
+        reader, or as views of ``reference``, which ignore ``out``."""
+        if self.reader is not None:
+            with self.reader.reference(start) as read:
+                yield read
+            return
+        at = start
+
+        def read(out: np.ndarray) -> np.ndarray:
+            nonlocal at
+            at += len(out)
+            return self.reference[at - len(out) : at]
+
+        yield read
 
 
 def _checked_fields(
@@ -211,11 +240,14 @@ class PrintDetectionResult:
     made from the motor's smoothed capture: the view of ``out`` that
     :func:`detect_print` smoothed it into, when given, else the float32
     array that the motor's first read smooths the whole capture into with
-    :func:`smooth` and later reads reuse.  So without ``out`` a result holds
-    no array of its own until a deviation is read, then 4 bytes per capture
-    sample per motor read; it keeps the captures, so a caller that
-    overwrites a capture's buffer before reading ``deviations`` must pass
-    ``out``.
+    :func:`smooth` and later reads reuse; and from the reference cells from
+    the part's first sample to its last, read a block at a time.  So
+    without ``out`` a result holds no array of its own until a deviation is
+    read, then 4 bytes per capture sample per motor read; it keeps the
+    captures, so a caller that overwrites a capture's buffer before reading
+    ``deviations`` must pass ``out``.  A read of a loaded baseline's
+    reference rereads its file, so a file changed since it was loaded
+    raises the reader's error, and no series.
     """
 
     reports: dict[Motor, DetectionReport]
@@ -230,36 +262,37 @@ class PrintDetectionResult:
 
 
 class _Deviations(Mapping):
-    """Each motor's deviation, or a slice of it, made when read from its
-    smoothed capture: the view of ``out`` that :func:`detect_print` smoothed
-    it into, else the trace :func:`smooth` makes of the capture on the
-    motor's first read, which later reads reuse."""
+    """Each motor's deviation, or a slice of it, made when read (see
+    :func:`_deviation_part`) from its smoothed capture: the view of ``out``
+    that :func:`detect_print` smoothed it into, else the trace
+    :func:`smooth` makes of the capture on the motor's first read, which
+    later reads reuse."""
 
     def __init__(
         self,
         captures: dict[Motor, MotorTrace],
         baselines: dict[Motor, GoldenBaseline],
-        references: dict[Motor, np.ndarray],
+        lengths: dict[Motor, int],
         smoothed: dict[Motor, np.ndarray],
     ):
-        self._sources = {m: (captures[m], baselines[m].smoothing_window) for m in references}
-        self._references = references
+        self._sources = {m: (captures[m], baselines[m]) for m in lengths}
+        self._lengths = lengths
         self._smoothed = smoothed
 
     def __getitem__(self, key: Motor | tuple[Motor, slice]) -> np.ndarray:
         motor, part = key if isinstance(key, tuple) else (key, slice(None))
-        reference = self._references[motor]
+        length = self._lengths[motor]
+        capture, baseline = self._sources[motor]
         smoothed = self._smoothed.get(motor)
         if smoothed is None:
-            smoothed = self._smoothed[motor] = smooth(*self._sources[motor]).samples
-        smoothed = smoothed[: len(reference)][part]
-        return _deviation_into(smoothed, reference[part], np.empty(len(smoothed)))
+            smoothed = self._smoothed[motor] = smooth(capture, baseline.smoothing_window).samples
+        return _deviation_part(smoothed[:length], baseline, part)
 
     def __iter__(self) -> Iterator[Motor]:
-        return iter(self._references)
+        return iter(self._lengths)
 
     def __len__(self) -> int:
-        return len(self._references)
+        return len(self._lengths)
 
 
 def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> MotorTrace:
@@ -454,7 +487,7 @@ def deviation(captured: MotorTrace, baseline: GoldenBaseline) -> np.ndarray:
             f"capture has {len(captured.samples)} samples, baseline "
             f"{baseline.sample_count}"
         )
-    return _deviation_into(captured.samples, baseline.reference, np.empty(baseline.sample_count))
+    return _deviation_part(captured.samples, baseline, slice(None))
 
 
 def _deviation_into(smoothed: np.ndarray, reference: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -465,6 +498,42 @@ def _deviation_into(smoothed: np.ndarray, reference: np.ndarray, out: np.ndarray
     out[...] = smoothed
     np.subtract(out, reference, out=out)
     return np.abs(out, out=out)
+
+
+def _read_blocks(
+    read: Callable[[np.ndarray], np.ndarray], start: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Cells ``start:stop`` from ``read``, which gives the cells from
+    ``start`` on, as consecutive blocks of at most ``_BLOCK`` cells read
+    into one reused float32 buffer; each is yielded with its first cell's
+    index and holds until the next is asked for."""
+    scratch = np.empty(min(stop - start, _BLOCK), dtype=np.float32)
+    for lo in range(start, stop, _BLOCK):
+        yield lo, read(scratch[: min(_BLOCK, stop - lo)])
+
+
+def _deviation_part(smoothed: np.ndarray, baseline: GoldenBaseline, part: slice) -> np.ndarray:
+    """``_deviation_into`` of ``smoothed``, no longer than the baseline, on
+    the samples the basic slice ``part`` picks, as a new float64 array.  The
+    reference is read from the part's first sample to its last, a block at
+    a time, and no further."""
+    cells = range(len(smoothed))[part]
+    out = np.empty(len(cells))
+    ascending = out if cells.step > 0 else out[::-1]
+    cells = cells if cells.step > 0 else cells[::-1]
+    if not cells:
+        return out
+    first, stop, step = cells[0], cells[-1] + 1, cells.step
+    at = 0
+    with baseline._reference_cells(first) as read:
+        for lo, block in _read_blocks(read, first, stop):
+            skip = -(lo - first) % step  # the block's first cell of the part
+            reference = block[skip::step]
+            hi = at + len(reference)
+            samples = smoothed[lo + skip : lo + len(block) : step]
+            _deviation_into(samples, reference, ascending[at:hi])
+            at = hi
+    return out
 
 
 def _classify_blocks(
@@ -532,17 +601,21 @@ def detect_print(
     :class:`DetectionError` naming the motor.  The print is malicious iff
     any motor is.
     Each motor is judged in one pass over ``_BLOCK``-sample (32,768) blocks:
-    a block is smoothed, its float64 deviation made in the thread's scratch
+    a block is smoothed, the baseline's reference cells for it are read
+    into a reused block (from the file, for a baseline
+    ``traceio.load_baseline`` read, which raises ``CaptureFormatError``
+    naming the path if the file changed since it was loaded or a cell is
+    not finite), and its float64 deviation is made in the thread's scratch
     and classified before the next block is smoothed, the motors on up to
     ``tracesim._WORKERS`` threads; reports and deviations are the same for
     any thread count.  The pass cuts the block that holds the baseline's
     last sample there and asks for no more, so a longer capture is smoothed
     only that far.  Without ``out`` the smoothed blocks live in that
     scratch, so the call makes no full-length array.  With ``out``, each
-    motor is smoothed into a view of its reused buffer there, which must
-    hold the whole capture and may be the buffer the capture views,
-    starting no later (see :func:`_smoothed_blocks`), and the result's
-    ``deviations`` read that view.  A block whose largest deviation is clear
+    motor is smoothed into the first samples of its reused buffer there,
+    which must hold the whole capture and may be the buffer the capture
+    views, starting no later (see :func:`_smoothed_blocks`), and the
+    result's ``deviations`` read them.  A block whose largest deviation is clear
     of the threshold skips the run search, so a benign block costs the
     comparison and one ``max``.  Smoothing goes through the private kernel,
     never :func:`smooth`, which the benchmark's trace mode wraps with one
@@ -553,7 +626,7 @@ def detect_print(
         raise DetectionError(f"no baseline for motor(s) {unpaired}")
     if not baselines:
         raise DetectionError("no motor to judge: no capture or baseline given")
-    references: dict[Motor, np.ndarray] = {}
+    lengths: dict[Motor, int] = {}
     smoothed: dict[Motor, np.ndarray] = {}
     for motor, baseline in baselines.items():
         capture = captures.get(motor)
@@ -575,29 +648,31 @@ def detect_print(
             )
         # The threshold comes from the full baseline's peak_sd, so a
         # shorter capture never weakens it.
-        length = min(len(capture.samples), baseline.sample_count)
-        references[motor] = baseline.reference[:length]
+        lengths[motor] = min(len(capture.samples), baseline.sample_count)
         if out is not None:
             smoothed[motor] = _buffer_prefix(out[motor], len(capture.samples))
 
     def judge(motor: Motor) -> DetectionReport:
-        baseline, reference = baselines[motor], references[motor]
-        window, n = baseline.smoothing_window, len(reference)
+        baseline, n = baselines[motor], lengths[motor]
+        window = baseline.smoothing_window
         scratch = np.empty(_block_room(window, n))
+        cells = np.empty(len(scratch), dtype=np.float32)
 
-        def deviations() -> Iterator[np.ndarray]:
+        def deviations(read: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
             lo = 0
             for block in _smoothed_blocks(captures[motor].samples, window, smoothed.get(motor)):
                 hi = min(lo + len(block), n)
-                yield _deviation_into(block[: hi - lo], reference[lo:hi], scratch[: hi - lo])
+                reference = read(cells[: hi - lo])
+                yield _deviation_into(block[: hi - lo], reference, scratch[: hi - lo])
                 if hi == n:  # the rest of the capture is past the baseline
                     return
                 lo = hi
 
-        return _classify_blocks(deviations(), baseline, config)
+        with baseline._reference_cells(0) as read:
+            return _classify_blocks(deviations(read), baseline, config)
 
-    reports = dict(zip(references, _map_on_threads(judge, list(references))))
-    deviations = _Deviations(captures, baselines, references, smoothed)
+    reports = dict(zip(lengths, _map_on_threads(judge, list(lengths))))
+    deviations = _Deviations(captures, baselines, lengths, smoothed)
     return PrintDetectionResult(reports=reports, deviations=deviations)
 
 

@@ -47,6 +47,7 @@ from .detect import (
     PrintDetectionResult,
     Verdict,
     build_baseline,
+    _deviation_into,
     detect_print,
     export_series_csv,
     smooth,
@@ -459,15 +460,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 
 def _build_baselines(
     plan: MotionPlan, config: ExperimentConfig, out: Path
-) -> tuple[dict[Motor, GoldenBaseline], dict[Motor, np.ndarray]]:
+) -> tuple[dict[Motor, GoldenBaseline], dict[Motor, tuple[np.ndarray, np.ndarray]]]:
     """Build and save each motor's baseline in turn from the program's plan,
     then read all four back from ``out/baselines``: the experiment judges
     with the files an operator would load, through the same checks, so no
-    baseline holds its sd column.  Returns the baselines and each motor's
-    sd grid: every ``_SERIES_STRIDE``-th cell of the sd column of the
-    baseline just built, which the excess series on the stride grid read.
+    baseline holds a column.  Returns the baselines and each motor's grids:
+    every ``_SERIES_STRIDE``-th cell of the sd column and of the reference
+    of the baseline just built, which the series on the stride grid read.
     Each built baseline is dropped before the next motor's is built; the
-    spans read their sd cells from the files (see :func:`_run_row`).
+    spans read their cells from the files (see :func:`_run_row`).
 
     Each golden trace is rendered and aligned in its row of one buffer, and
     :func:`build_baseline` smooths it over that row; the rows are reused from
@@ -490,8 +491,11 @@ def _build_baselines(
         paths[motor] = _baseline_path(out, motor)
         baseline = build_baseline(golden, config.detection.smoothing_window, rows)
         save_baseline(baseline, paths[motor])
-        # A copy: a strided view would keep the whole column.
-        grids[motor] = baseline.pointwise_sd[::_SERIES_STRIDE].copy()
+        # Copies: a strided view would keep the whole column.
+        grids[motor] = (
+            baseline.pointwise_sd[::_SERIES_STRIDE].copy(),
+            baseline.reference[::_SERIES_STRIDE].copy(),
+        )
         del baseline  # its sd column, before the next motor's is made
     del rows, row, trace, golden  # each views the buffer, freed before the baselines are read
     baselines = {motor: load_baseline(path) for motor, path in paths.items()}
@@ -514,7 +518,7 @@ def _run_row(
     plan: MotionPlan,
     config: ExperimentConfig,
     baselines: dict[Motor, GoldenBaseline],
-    grids: dict[Motor, np.ndarray],
+    grids: dict[Motor, tuple[np.ndarray, np.ndarray]],
     seeds: list[int],
     out: Path,
     spans: dict[Motor, list[tuple[int, int]]],
@@ -530,12 +534,13 @@ def _run_row(
     of a motor's ``spans`` as soon as its series are written; only those
     reductions are kept.  The raw traces are saved (with ``save_traces``)
     before they are smoothed over.  Each motor's deviation is then made only where the row
-    reads it: on every ``_SERIES_STRIDE``-th sample, which is written, turned
-    into its excess over the motor's sd grid in ``grids`` in place and
-    written again, and inside each span, whose excess is averaged.  A
-    span's sd cells are read from the motor's baseline file in
+    reads it: on every ``_SERIES_STRIDE``-th sample, from the smoothed
+    capture in its buffer and the reference grid in ``grids``, which is
+    written, turned into its excess over the sd grid there in place and
+    written again; and inside each span, whose excess is averaged.  A span's
+    reference and sd cells are read from the motor's baseline file in
     ``out/baselines`` a block at a time, and its excess is made block by
-    block.  No full-length series is made, and no sd column is held.
+    block.  No full-length series is made, and no column is held.
     Returns the number of flagged prints per motor, and per motor and span
     the mean of those per-print means.
     """
@@ -552,9 +557,14 @@ def _run_row(
         result = detect_print(aligned, baselines, config.detection, buffers)
         for motor in MOTORS:
             rate = baselines[motor].sample_rate / _SERIES_STRIDE
-            grid = result.deviations[motor, ::_SERIES_STRIDE]
+            sd_grid, reference_grid = grids[motor]
+            # detect_print smoothed the capture into the buffer's first samples.
+            length = min(len(aligned[motor].samples), baselines[motor].sample_count)
+            smoothed = buffers[motor][:length:_SERIES_STRIDE]
+            grid = np.empty(len(smoothed))
+            _deviation_into(smoothed, reference_grid[: len(grid)], grid)
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "deviation"))
-            _excess_over(grid, grids[motor][: len(grid)], out=grid)
+            _excess_over(grid, sd_grid[: len(grid)], out=grid)
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "excess"))
             for lo, hi in print_means[motor]:
                 part = result.deviations[motor, lo:hi]

@@ -6,11 +6,13 @@ length is ``detect.build_baseline``'s, after smoothing, so no module here
 calls ``common_window``.  The baseline container (magic ``PTRB``)
 starts with the same header prefix and holds what the verdict and the
 excess series read: the smoothing window of its golden traces, the peak
-golden sd, the golden sd column and the reference trace.  The verdict
-reads no sd column, so ``load_baseline`` checks it a block at a time and
-keeps only the reference.  The excess series read the column's cells a
-range at a time, with ``load_sd_blocks``; both read it through one
-checked block reader.
+golden sd, the golden sd column and the reference trace.
+``load_baseline`` checks both columns a block at a time and keeps neither:
+the baseline it returns reads its reference back from the file, a checked
+block at a time, while a print is judged, and the excess series read the
+sd cells a range at a time, with ``load_sd_blocks``.  Every column is read
+through one checked column reader, ``_cells``, and every read after the
+load first checks that the file is still the one loaded.
 
 All integers and floats are little-endian; samples are float32.
 """
@@ -20,14 +22,14 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .detect import _BLOCK, DetectionError, GoldenBaseline, _checked_fields
+from .detect import _BLOCK, DetectionError, GoldenBaseline, _checked_fields, _read_blocks
 from .planner import MOTORS, Motor
 from .tracesim import MotorTrace, TraceSimError
 
@@ -93,7 +95,7 @@ def save_trace(trace: MotorTrace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> MotorTrace:
     path = Path(path)
-    with _opened(path, _TRACE) as (handle, motor, rate, (trigger, count)):
+    with _opened(path, _TRACE) as (handle, motor, rate, (trigger, count), _):
         samples = _column(handle, path, _TRACE, "sample", count)
     with _as_format_error(path):
         return MotorTrace(motor=motor, sample_rate=rate, samples=samples, trigger_index=trigger)
@@ -137,18 +139,22 @@ def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
 
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
-    """Read a baseline and keep only what the verdict reads: its
-    ``pointwise_sd`` is ``None``.  The whole file is checked: its sd column
-    as :func:`load_sd_blocks` checks it, through one reused block, so the
-    call holds the reference and that block; then the reference, the header
-    fields and the stored peak, which must be the column's max.  An empty
-    body, a negative sd cell or a header field ``GoldenBaseline`` rejects
-    would corrupt the verdict, and is rejected."""
+    """Read a baseline and keep none of its columns: its ``pointwise_sd``
+    and ``reference`` are ``None``, and its ``reader`` reads the reference
+    back from the file (:class:`_ReferenceFile`).  The whole file is
+    checked first, through one reused block: its sd column as
+    :func:`load_sd_blocks` checks it, then the reference, the header fields
+    and the stored peak, which must be the column's max.  An empty body, a
+    negative sd cell or a header field ``GoldenBaseline`` rejects would
+    corrupt the verdict, and is rejected."""
     path = Path(path)
-    with _opened(path, _BASELINE) as (handle, motor, rate, fields):
+    with _opened(path, _BASELINE) as (handle, motor, rate, fields, identity):
         count = fields[-1]
-        sd_max = max((block.max() for block in _sd_blocks(handle, path, 0, count)), default=None)
-        reference = _column(handle, path, _BASELINE, "reference sample", count)
+        sd_blocks = _sd_blocks(handle, path, count, 0, count)
+        sd_max = max((block.max() for block in sd_blocks), default=None)
+        reference = _cells(handle, path, _BASELINE, "reference sample", count, 0)
+        for _ in _read_blocks(reference, 0, count):
+            pass
     _check_baseline_fields(path, fields, sd_max)
     source_count, window, peak_sd, _ = fields
     with _as_format_error(path):
@@ -156,11 +162,33 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
             motor=motor,
             sample_rate=rate,
             pointwise_sd=None,
-            reference=reference,
+            reference=None,
             source_count=source_count,
             peak_sd=peak_sd,
             smoothing_window=window,
+            reader=_ReferenceFile(path, count, identity),
         )
+
+
+@dataclass(frozen=True)
+class _ReferenceFile:
+    """The ``reader`` of a baseline :func:`load_baseline` returns: ``len()``
+    is its sample count, and :meth:`reference` reads its reference back from
+    ``path``, which must still be the file loaded, of ``identity``."""
+
+    path: Path
+    count: int
+    identity: tuple
+
+    def __len__(self) -> int:
+        return self.count
+
+    @contextmanager
+    def reference(self, start: int) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+        """Reopen the file, refuse it if it changed since the load, and
+        yield :func:`_cells`' ``read`` of the reference from ``start`` on."""
+        with _opened(self.path, _BASELINE, self.identity) as (handle, *_):
+            yield _cells(handle, self.path, _BASELINE, "reference sample", self.count, start)
 
 
 def load_sd_blocks(path: str | Path, start: int, stop: int) -> Iterator[np.ndarray]:
@@ -175,22 +203,20 @@ def load_sd_blocks(path: str | Path, start: int, stop: int) -> Iterator[np.ndarr
     range outside ``0..count`` raises ``ValueError``.  Nothing is read or
     raised before the first block is asked for."""
     path = Path(path)
-    with _opened(path, _BASELINE) as (handle, _, _, fields):
+    with _opened(path, _BASELINE) as (handle, _, _, fields, _):
         _check_baseline_fields(path, fields)
         count = fields[-1]
         if not 0 <= start <= stop <= count:
             raise ValueError(f"{path}: sd cells {start}:{stop} are outside 0:{count}")
-        yield from _sd_blocks(handle, path, start, stop)
+        yield from _sd_blocks(handle, path, count, start, stop)
 
 
-def _sd_blocks(handle, path: Path, start: int, stop: int) -> Iterator[np.ndarray]:
-    """Yield a baseline's sd cells ``start:stop``, the file at its body, as
-    blocks of one reused buffer.  Each cell must be finite and >= 0; an
-    error names its index in the column."""
-    dtype = np.dtype(dict(_BASELINE.body)["sd cell"])
-    handle.seek(start * dtype.itemsize, os.SEEK_CUR)  # the sd column comes first
-    scratch = np.empty(min(stop - start, _BLOCK), dtype=dtype)
-    for lo, block in _checked_blocks(handle, path, "sd cell", start, stop, scratch):
+def _sd_blocks(handle, path: Path, count: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Yield the sd cells ``start:stop`` of the open baseline of ``count``
+    samples as blocks of one reused buffer, each checked by :func:`_cells`
+    and then >= 0; an error names the cell's index in the column."""
+    read = _cells(handle, path, _BASELINE, "sd cell", count, start)
+    for lo, block in _read_blocks(read, start, stop):
         bad = np.flatnonzero(block < 0)
         if len(bad):
             cell = lo + int(bad[0])
@@ -230,25 +256,32 @@ def _write(
 
 def _column(handle, path: Path, layout: _Layout, name: str, count: int) -> np.ndarray:
     """Read the ``count`` cells of ``layout``'s column named ``name``, the
-    file at its first, straight into their own (writable) array, each block
-    checked by :func:`_checked_blocks`."""
+    file at its first, straight into their own (writable) array, a block at
+    a time through :func:`_cells`."""
     array = np.empty(count, dtype=dict(layout.body)[name])
-    for _ in _checked_blocks(handle, path, name, 0, count, array):
-        pass
+    read = _cells(handle, path, layout, name, count, 0)
+    for lo in range(0, count, _BLOCK):
+        read(array[lo : lo + _BLOCK])
     return array
 
 
 @contextmanager
-def _opened(path: Path, layout: _Layout):
+def _opened(path: Path, layout: _Layout, loaded: tuple | None = None):
     """Open a container and check its header: yield the file, positioned at
-    its body, and its motor, sample rate and header fields.  The body's
-    length is checked against the file's size before any of it is read.
-    An ``OSError`` while the file is open is a ``CaptureIOError``."""
+    its body, its motor, sample rate and header fields, and its identity:
+    device, inode, size and modification time in ns, and header bytes.  The
+    body's length is checked against the file's size before any of it is
+    read.  Given the ``loaded`` identity, a file that no longer has it is
+    rejected first.  An ``OSError`` while the file is open is a
+    ``CaptureIOError``."""
     try:
         with path.open("rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
+            stat = os.fstat(handle.fileno())
             offset = _PREFIX.size + layout.fields.size
             header = handle.read(offset)
+            identity = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, header)
+            if loaded is not None and identity != loaded:
+                raise CaptureFormatError(f"{path}: changed since it was loaded")
             if len(header) < offset:
                 raise CaptureFormatError(f"{path}: truncated header")
             magic, version, motor_code, units, rate = _PREFIX.unpack_from(header)
@@ -266,35 +299,43 @@ def _opened(path: Path, layout: _Layout):
             fields = layout.fields.unpack_from(header, _PREFIX.size)
             count = fields[-1]
             expected = offset + count * sum(np.dtype(dtype).itemsize for _, dtype in layout.body)
-            if size < expected:
+            if stat.st_size < expected:
                 raise CaptureFormatError(f"{path}: unexpected end of samples")
-            if size > expected:
+            if stat.st_size > expected:
                 raise CaptureFormatError(f"{path}: trailing bytes after samples")
-            yield handle, MOTORS[motor_code], rate, fields
+            yield handle, MOTORS[motor_code], rate, fields, identity
     except OSError as exc:
         raise CaptureIOError(f"{path}: {exc}") from exc
 
 
-def _checked_blocks(
-    handle, path: Path, name: str, start: int, stop: int, array: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Read cells ``start:stop`` of the column named ``name``, the file at
-    cell ``start``, ``_BLOCK`` cells at a time: into consecutive blocks of
-    ``array`` when it holds them all, else each into its first cells.
-    Samples enter the package here, so each block must be finite; yield it
-    with the index of its first cell."""
-    whole = len(array) >= stop - start
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        block = array[lo - start : hi - start] if whole else array[: hi - lo]
+def _cells(
+    handle, path: Path, layout: _Layout, name: str, count: int, start: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The checked column reader.  Seek ``handle``, open on a ``layout``
+    container of ``count`` cells per column, to cell ``start`` of the column
+    named ``name``, and return ``read``: ``read(out)`` reads the next
+    ``len(out)`` cells into ``out`` and returns it.  Samples enter the
+    package here, so every cell read must be finite; an error names the
+    path and the cell's index in the column."""
+    columns = [column for column, _ in layout.body]
+    widths = [np.dtype(dtype).itemsize for _, dtype in layout.body]
+    at = columns.index(name)
+    handle.seek(_PREFIX.size + layout.fields.size + count * sum(widths[:at]) + start * widths[at])
+    position = start
+
+    def read(out: np.ndarray) -> np.ndarray:
+        nonlocal position
         # The file may have shrunk since it was measured.
-        if handle.readinto(block) != block.nbytes:
+        if handle.readinto(out) != out.nbytes:
             raise CaptureFormatError(f"{path}: unexpected end of samples")
-        finite = np.isfinite(block)
+        finite = np.isfinite(out)
         if not finite.all():
             cell = int(finite.argmin())
-            raise CaptureFormatError(f"{path}: {name} {lo + cell} is {block[cell]}, must be finite")
-        yield lo, block
+            raise CaptureFormatError(f"{path}: {name} {position + cell} is {out[cell]}, must be finite")
+        position += len(out)
+        return out
+
+    return read
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import struct
 import subprocess
 import sys
@@ -401,6 +402,44 @@ class TestDetect:
         assert main(argv) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
+    # A baseline changed between its load and the verdict: the NaN is
+    # written with the file's timestamps put back, so only the read of the
+    # cell can see it; the cut changes the file's size.
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ("nan, same stamp", "reference sample 100 is nan, must be finite"),
+            ("truncated", "changed since it was loaded"),
+        ],
+    )
+    def test_baseline_changed_after_loading_exits_2(
+        self, gcode_file, tmp_path, capsys, monkeypatch, change, message
+    ):
+        _build_pipeline(gcode_file, tmp_path)
+        capture, baseline = tmp_path / "probe" / "part_X.ptrc", tmp_path / "X.ptrb"
+
+        def load_then_change(path):
+            loaded = load_baseline(path)
+            stat = os.stat(path)
+            blob = bytearray(path.read_bytes())
+            if change == "truncated":
+                del blob[-4:]
+            else:
+                offset = 48 + 4 * loaded.sample_count + 4 * 100
+                blob[offset : offset + 4] = struct.pack("<f", float("nan"))
+            path.write_bytes(bytes(blob))
+            if change != "truncated":
+                os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            return loaded
+
+        monkeypatch.setattr("powertrace.cli.load_baseline", load_then_change)
+        capsys.readouterr()
+        argv = ["detect", "--capture", str(capture), "--baseline", str(baseline)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {baseline}: {message}" in captured.err
+        assert "report" not in captured.out
+
     def test_nan_margin_exits_2(self, gcode_file, tmp_path, capsys):
         _build_pipeline(gcode_file, tmp_path)
         argv = ["detect", "--margin", "nan"]
@@ -452,7 +491,10 @@ class TestDetect:
         assert main(argv) == 0
         smoothed = smooth(align_to_trigger(load_trace(probe)), 5).samples
         n = min(len(smoothed), baseline.sample_count)
-        peak = np.abs(smoothed[:n].astype(np.float64) - baseline.reference[:n]).max()
+        # The reference is the file's last column.
+        cells = np.frombuffer((tmp_path / "X.ptrb").read_bytes(), "<f4")
+        reference = cells[-baseline.sample_count :]
+        peak = np.abs(smoothed[:n].astype(np.float64) - reference[:n]).max()
         threshold = baseline.peak_sd + DetectionConfig().margin
         assert f"peak_excess_amps={peak - threshold:.6f}" in capsys.readouterr().out
 

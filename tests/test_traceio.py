@@ -1,11 +1,14 @@
+import os
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from powertrace import tracesim
 from powertrace.planner import Motor
 from powertrace.tracesim import MotorTrace, NoiseModel, simulate_print
 from powertrace.traceio import (
@@ -18,7 +21,23 @@ from powertrace.traceio import (
     save_baseline,
     save_trace,
 )
-from powertrace.detect import _BLOCK, DetectionError, GoldenBaseline, build_baseline, smooth
+from powertrace.detect import (
+    _BLOCK,
+    DetectionError,
+    GoldenBaseline,
+    Verdict,
+    build_baseline,
+    detect_print,
+    smooth,
+)
+
+
+def _reference(baseline):
+    """A loaded baseline's whole reference, read back through its reader."""
+    out = np.empty(baseline.sample_count, dtype=np.float32)
+    with baseline.reader.reference(0) as read:
+        read(out)
+    return out
 
 
 def _trace(values, rate=25_000.0, trigger=0, motor=Motor.X):
@@ -187,17 +206,18 @@ class TestBaselinePersistence:
         assert loaded.smoothing_window == baseline.smoothing_window == 5
         assert loaded.peak_sd == baseline.peak_sd
         assert loaded.pointwise_sd is None  # the verdict reads no sd column
+        assert loaded.reference is None  # it reads the reference back from the file
+        assert loaded.sample_count == 200
         assert path.read_bytes()[48 : 48 + 4 * 200] == baseline.pointwise_sd.tobytes()
-        assert np.array_equal(loaded.reference, baseline.reference)
+        assert _reference(loaded).tobytes() == baseline.reference.tobytes()
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
+        # A loaded baseline holds no array at all.
         save_trace(_trace([0.5, -0.25, 1.0]), tmp_path / "t.ptrc")
         save_baseline(build_baseline([_trace([0.5, 1.0]), _trace([0.0, 1.5])]), tmp_path / "b.ptrb")
-        arrays = (
-            load_trace(tmp_path / "t.ptrc").samples,
-            load_baseline(tmp_path / "b.ptrb").reference,
-        )
-        assert [array.flags.writeable for array in arrays] == [False, False]
+        assert not load_trace(tmp_path / "t.ptrc").samples.flags.writeable
+        loaded = load_baseline(tmp_path / "b.ptrb")
+        assert loaded.pointwise_sd is None and loaded.reference is None
 
     def test_a_baseline_without_its_sd_column_is_not_saved(self, tmp_path):
         save_baseline(build_baseline([_trace([0.5, 1.0]), _trace([0.0, 1.5])]), tmp_path / "b.ptrb")
@@ -550,13 +570,14 @@ def test_load_sd_returns_the_saved_column(tmp_path):
     loaded = _load_sd(path)
     assert loaded.dtype == np.float32
     assert loaded.tobytes() == sd.tobytes() == path.read_bytes()[48 : 48 + 4 * _LONG]
-    assert load_baseline(path).reference.tobytes() == path.read_bytes()[48 + 4 * _LONG :]
+    assert _reference(load_baseline(path)).tobytes() == path.read_bytes()[48 + 4 * _LONG :]
 
 
-def test_load_baseline_holds_the_reference_and_one_block_of_scratch(tmp_path):
-    # The sd column is checked through one reused block, and only the
-    # reference is kept: about 4 bytes per sample, not both columns and a
-    # whole-column mask.
+def test_load_baseline_holds_no_column_and_one_block_of_scratch(tmp_path):
+    # Both columns are checked through one reused block, and neither is
+    # kept: the call holds about nothing (measured 1.4 KiB at 2**20
+    # samples, where the reference alone held 4 MiB) and peaks at about one
+    # block and its masks (measured 173 KiB, 1.3 blocks).
     n = 1 << 20
     path = tmp_path / "x.ptrb"
     sd = np.full(n, 0.5, dtype=np.float32)
@@ -568,9 +589,182 @@ def test_load_baseline_holds_the_reference_and_one_block_of_scratch(tmp_path):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    block = 4 * _BLOCK  # bytes of one float32 block
     assert baseline.sample_count == n
-    assert peak <= 4.25 * n
-    assert held <= 4 * n + 64 * 1024
+    assert peak <= 2 * block
+    assert held <= block
+
+
+def test_detect_print_with_loaded_baselines_makes_no_reference_length_array(tmp_path):
+    # detect_print reads each loaded baseline's reference a block at a time
+    # on its motor's thread: on two threads it peaks at their block scratch,
+    # measured 2.23 bytes per sample at 2**20 samples, where one float32
+    # reference-length array would add 4.  What stays held after the call is
+    # the result, which keeps no reference either.
+    n = 1 << 20
+    reference = np.sin(np.arange(n) * (2 * np.pi / 2000)).astype(np.float32)
+    for motor in Motor:
+        sd = np.full(n, 0.01, dtype=np.float32)
+        baseline = GoldenBaseline(motor, 25_000.0, sd, reference, 2, 0.01, 20)
+        save_baseline(baseline, tmp_path / motor.name)
+    baselines = {motor: load_baseline(tmp_path / motor.name) for motor in Motor}
+    samples = reference + np.random.default_rng(5).normal(0.0, 0.05, n).astype(np.float32)
+    samples[500_000:600_000] += 0.5
+    captures = {motor: MotorTrace(motor, 25_000.0, samples, 0) for motor in Motor}
+    with mock.patch.object(tracesim, "_WORKERS", 2):
+        detect_print(captures, baselines)  # one-time imports and thread start-up
+        tracemalloc.start()
+        try:
+            result = detect_print(captures, baselines)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result.overall is Verdict.MALICIOUS
+    assert peak / n <= 3.0
+    assert held / n <= 0.05
+
+
+def _length(kind, window):
+    """Baseline lengths around the block edges: one short of a block, one
+    block, one past it, and two blocks and the window."""
+    return [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + window][kind]
+
+
+@example(window=1, kind=0, change=-1, lo=0, hi=10, step=250, seed=0)
+@example(window=20, kind=1, change=0, lo=_BLOCK - 5, hi=_BLOCK + 5, step=1, seed=1)
+@example(window=2, kind=2, change=1, lo=-3, hi=None, step=_BLOCK, seed=2)
+@example(window=50, kind=3, change=_BLOCK, lo=_BLOCK + 7, hi=2 * _BLOCK + 60, step=7, seed=3)
+@example(window=37, kind=3, change=-_BLOCK, lo=None, hi=-1, step=250, seed=4)
+@settings(max_examples=30, deadline=None)
+@given(
+    window=st.integers(1, 50),
+    kind=st.integers(0, 3),
+    change=st.one_of(st.integers(-_BLOCK, -1), st.just(0), st.integers(1, _BLOCK)),
+    lo=st.none() | st.integers(-2 * _BLOCK - 60, 3 * _BLOCK),
+    hi=st.none() | st.integers(-2 * _BLOCK - 60, 3 * _BLOCK),
+    step=st.integers(1, 400) | st.sampled_from([250, _BLOCK]),
+    seed=st.integers(0, 2**16),
+)
+def test_loaded_baselines_judge_and_read_as_the_saved_ones(
+    tmp_path_factory, window, kind, change, lo, hi, step, seed
+):
+    # A baseline read back by load_baseline, which reads its reference from
+    # the file as the print is judged, gives the reports and every
+    # deviation read of the in-memory baseline it was saved from, byte for
+    # byte, for captures shorter and longer than the baseline: whole reads,
+    # [lo:hi] and [::step] reads, with and without out.
+    n = _length(kind, window)
+    rng = np.random.default_rng(seed)
+    reference = rng.normal(0.0, 0.3, n).astype(np.float32)
+    sd = np.abs(rng.normal(0.0, 0.05, n)).astype(np.float32)
+    built = GoldenBaseline(Motor.X, 25_000.0, sd, reference, 2, float(sd.max()), window)
+    path = tmp_path_factory.mktemp("judged") / "x.ptrb"
+    save_baseline(built, path)
+    loaded = load_baseline(path)
+    length = max(window, n + change)
+    samples = np.resize(reference, length) + rng.normal(0.0, 0.02, length).astype(np.float32)
+    start = int(rng.integers(0, length))
+    samples[start : start + 200] += 0.5
+    capture = _trace(samples)
+    judged = min(length, n)
+    smoothed = smooth(capture, window).samples[:judged]
+    expected = np.abs(smoothed.astype(np.float64) - reference[:judged])
+    results = {
+        "built": detect_print({Motor.X: capture}, {Motor.X: built}),
+        "loaded": detect_print({Motor.X: capture}, {Motor.X: loaded}),
+        "loaded, out": detect_print(
+            {Motor.X: capture}, {Motor.X: loaded}, out={Motor.X: np.empty(length, np.float32)}
+        ),
+    }
+    for name, result in results.items():
+        assert result.reports == results["built"].reports, name
+        assert result.deviations[Motor.X].tobytes() == expected.tobytes(), name
+        for part in (slice(lo, hi), slice(None, None, step), slice(lo, hi, step)):
+            got = result.deviations[Motor.X, part]
+            assert got.tobytes() == expected[part].tobytes(), (name, part)
+
+
+def _stamped_rewrite(path, offset, value):
+    """Write ``value`` at ``offset`` in place, then put the file's
+    timestamps back: a change its size, inode and mtime do not show."""
+    stat = os.stat(path)
+    with path.open("r+b") as handle:
+        handle.seek(offset)
+        handle.write(value)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+def _replace_with_another(path):
+    """Put another valid baseline of the same length at ``path``, as a new file."""
+    other = path.with_name("other.ptrb")
+    sd = np.full(_LONG, 0.5, dtype=np.float32)
+    reference = np.zeros(_LONG, dtype=np.float32)
+    save_baseline(GoldenBaseline(Motor.X, 25_000.0, sd, reference, 2, 0.5, 20), other)
+    other.replace(path)
+
+
+# Each change to a loaded baseline's file: how it is made, and the error
+# text that must follow the path.
+_CHANGES = {
+    "nan reference cell past the first block, same stamp": (
+        lambda path: _stamped_rewrite(path, _REFERENCE + 4 * (_BLOCK + 5), _NAN_F32),
+        f"reference sample {_BLOCK + 5} is nan, must be finite",
+    ),
+    "header field, same stamp": (
+        lambda path: _stamped_rewrite(path, 24, struct.pack("<Q", 21)),
+        "changed since it was loaded",
+    ),
+    "truncated": (
+        lambda path: path.write_bytes(path.read_bytes()[:-4]),
+        "changed since it was loaded",
+    ),
+    "replaced by another valid baseline": (_replace_with_another, "changed since it was loaded"),
+}
+_READS = {
+    "detect_print": lambda result, judge: judge(),
+    "whole deviation": lambda result, judge: result.deviations[Motor.X],
+    "strided deviation": lambda result, judge: result.deviations[Motor.X, ::250],
+    "span deviation": lambda result, judge: result.deviations[Motor.X, _BLOCK : _BLOCK + 10],
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+def test_a_baseline_changed_after_loading_is_refused(tmp_path, change, read):
+    # Every read of a loaded baseline's reference reopens its file, checks
+    # that it is still the file loaded (device, inode, size, mtime and
+    # header bytes), and checks each block it reads: no verdict and no
+    # series comes from a changed file.
+    path = tmp_path / "x.ptrb"
+    _long_baseline(path)
+    loaded = load_baseline(path)
+    capture = _trace(np.linspace(-1.0, 1.0, _LONG))
+
+    def judge():
+        return detect_print({Motor.X: capture}, {Motor.X: loaded})
+
+    result = judge()
+    make, message = _CHANGES[change]
+    make(path)
+    with pytest.raises(CaptureFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        _READS[read](result, judge)
+
+
+def test_a_deviation_read_reads_the_reference_of_its_range_only(tmp_path):
+    # A read checks every reference cell from its first sample to its last,
+    # those a step skips too; a damaged cell outside them is not read.
+    path = tmp_path / "x.ptrb"
+    _long_baseline(path)
+    loaded = load_baseline(path)
+    result = detect_print({Motor.X: _trace(np.linspace(-1.0, 1.0, _LONG))}, {Motor.X: loaded})
+    before = result.deviations[Motor.X]
+    cell = _BLOCK + 5
+    _stamped_rewrite(path, _REFERENCE + 4 * cell, _NAN_F32)
+    for part in (slice(None, cell), slice(cell + 1, None), slice(cell + 1, None, 2)):
+        assert result.deviations[Motor.X, part].tobytes() == before[part].tobytes()
+    message = f"{path}: reference sample {cell} is nan, must be finite"
+    with pytest.raises(CaptureFormatError, match="^" + re.escape(message) + "$"):
+        result.deviations[Motor.X, cell - 2 :: 7]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
