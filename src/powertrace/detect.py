@@ -70,10 +70,11 @@ __all__ = [
 # Rows formatted per write, so a long series never sits in memory as text.
 _EXPORT_CHUNK_ROWS = 1 << 16
 
-# Samples per block in smooth, build_baseline and detect_print:
-# their scratch is fixed-size.  Each block costs a handful of numpy calls,
-# each releasing and re-taking the GIL, so detect_print's threads overlap
-# better with fewer, larger blocks; but each thread holds about 35 bytes of
+# Samples per block in smooth and detect_print, and float64 cells per block
+# of build_baseline's stack over all golden traces: their scratch is
+# fixed-size.  Each block costs a handful of numpy calls, each releasing
+# and re-taking the GIL, so detect_print's threads overlap better with
+# fewer, larger blocks; but each thread holds about 35 bytes of
 # scratch per block sample (tracemalloc): smoothing's float64 running sum and
 # values and its float32 block, the float32 block of reference it reads, one
 # float64 deviation block and the classifier's masks.  2**15 keeps two
@@ -423,13 +424,28 @@ def build_baseline(
     which it may view), then all are cut to the shortest; the first is the
     reference.  At window 1, captures already smoothed are taken as they
     are, and the baseline records their window, which they must share.
-    The sd is computed ``_BLOCK`` samples at a time in reused float64
-    blocks, the same operations in the same order as, and bit-identical to,
+    The sd is computed in blocks of about ``_BLOCK`` float64 cells over all
+    captures (``_BLOCK // len(captures)`` samples, at least 2) in one reused
+    stack, the same operations in the same order as, and bit-identical to,
     ``np.stack(...).std(axis=0, ddof=1)`` on the cut traces.  The running
     max of those float64 blocks is ``peak_sd``; each block is then rounded
-    into the float32 column, so no full-length float64 sd exists.
+    into the float32 column, so no full-length float64 sd exists.  With
+    ``rows`` that column is written over ``rows[1]``: every capture is
+    smoothed into its row first, and a block's samples are copied into the
+    stack before its sd is written.  The baseline then views ``rows[0]``
+    (its reference) and ``rows[1]`` (its sd), so the caller keeps both rows
+    unchanged while it reads the baseline.  Rows 0 and 1 that may share
+    memory, or fewer rows than captures, are a ``ValueError``.
     """
-    golden = [smooth(c, window, None if rows is None else rows[i]) for i, c in enumerate(captures)]
+    if rows is not None and len(rows) >= 2 and np.may_share_memory(rows[0], rows[1]):
+        raise ValueError("rows 0 and 1 may share memory: the sd would overwrite the reference")
+    golden = []
+    captures = iter(captures)
+    for i, capture in enumerate(captures):
+        if rows is not None and i == len(rows):
+            count = i + 1 + sum(1 for _ in captures)
+            raise ValueError(f"{len(rows)} rows for {count} captures")
+        golden.append(smooth(capture, window, None if rows is None else rows[i]))
     if len(golden) < 2:
         raise DetectionError("a baseline needs at least 2 golden traces")
     motor = golden[0].motor
@@ -445,11 +461,13 @@ def build_baseline(
     length = min(len(trace.samples) for trace in golden)
 
     # Blocks are at least 2 wide, a last single column joining the block
-    # before: numpy sums a one-column block's rows in partial sums, not in order.
-    width = max(_BLOCK, 2)
+    # before: numpy sums a one-column block's rows in partial sums, not in
+    # order.  Each column is reduced on its own, so any such width gives the
+    # same bits.
+    width = max(_BLOCK // len(golden), 2)
     stack = np.empty((len(golden), min(width + 1, length)))
     block_sd = np.empty(stack.shape[1])
-    sd = np.empty(length, dtype=np.float32)
+    sd = np.empty(length, dtype=np.float32) if rows is None else _buffer_prefix(rows[1], length)
     peak = -math.inf
     lo = 0
     # inf - inf is NaN, which GoldenBaseline rejects; numpy need not warn first.

@@ -368,9 +368,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 
     Every program is built, checked and planned, and the ground truth
     (:func:`_ground_truth`) rendered from the plans, before anything is
-    written.  The golden phase then holds one motor's golden traces and no
-    finished baseline; every print is judged with the baselines read back
-    from ``baselines/`` and rendered and smoothed in one buffer per motor.
+    written.  The golden phase then holds one motor's golden traces, whose
+    rows also hold its baseline's sd, and no other full-length array; every
+    print is judged with the baselines read back from ``baselines/`` and
+    rendered and smoothed in one buffer per motor.
 
     Raises, before writing anything, :class:`AttackError` or
     :class:`PlanError` naming the row whose specs do not apply or whose
@@ -471,10 +472,11 @@ def _build_baselines(
     spans read their cells from the files (see :func:`_run_row`).
 
     Each golden trace is rendered and aligned in its row of one buffer, and
-    :func:`build_baseline` smooths it over that row; the rows are reused from
-    motor to motor, so the phase holds one motor's golden traces and no
-    finished baseline, and makes its large array once.  A baseline's
-    reference is a view of the first row, so it is saved before the next motor's renders.
+    :func:`build_baseline` smooths it over that row and writes the sd over
+    the second; the rows are reused from motor to motor, so the phase holds
+    one motor's golden traces and no finished baseline, and makes its one
+    large array.  A baseline's reference and sd view the first two rows, so
+    it is saved, and its grids copied, before the next motor's renders.
     Synthesis is reached through the ``tracesim`` module, where
     ``perfbench`` trace mode wraps it.
     """
@@ -491,13 +493,12 @@ def _build_baselines(
         paths[motor] = _baseline_path(out, motor)
         baseline = build_baseline(golden, config.detection.smoothing_window, rows)
         save_baseline(baseline, paths[motor])
-        # Copies: a strided view would keep the whole column.
+        # Copies: a strided view would keep the buffer and see the next motor's renders.
         grids[motor] = (
             baseline.pointwise_sd[::_SERIES_STRIDE].copy(),
             baseline.reference[::_SERIES_STRIDE].copy(),
         )
-        del baseline  # its sd column, before the next motor's is made
-    del rows, row, trace, golden  # each views the buffer, freed before the baselines are read
+    del rows, row, trace, golden, baseline  # each views the buffer, freed before the reads
     baselines = {motor: load_baseline(path) for motor, path in paths.items()}
     return baselines, grids
 

@@ -447,22 +447,118 @@ class TestBaseline:
             build_baseline(golden)
 
     @given(
-        columns=st.tuples(st.integers(2, 12), st.integers(1, 500)).flatmap(lambda shape: st.lists(
-            arrays(np.float32, shape[1], elements=_FINITE_F32),
-            min_size=shape[0], max_size=shape[0],
-        )),
+        columns=st.lists(
+            st.integers(1, 300).flatmap(lambda n: arrays(np.float32, n, elements=_FINITE_F32)),
+            min_size=2, max_size=12,
+        ),
         block=_BLOCKS,
+        window=st.integers(1, 40),
+        offset=st.integers(0, 3),
     )
     # numpy adds the rows of a one-column block, from 8 rows on, in eight
     # interleaved partial sums rather than in order: no block may be that thin.
-    @example(columns=[np.full(2, v, dtype=np.float32) for v in [1.0] + [2.0**-24] * 7], block=1)
+    @example(
+        columns=[np.full(2, v, dtype=np.float32) for v in [1.0] + [2.0**-24] * 7],
+        block=1, window=1, offset=0,
+    )
     @settings(max_examples=100, deadline=None)
-    def test_sd_bit_identical_to_numpy_std(self, columns, block):
+    def test_sd_bit_identical_to_numpy_std(self, columns, block, window, offset):
+        # Built over rows or not, the sd is the float32 rounding of numpy's
+        # over the smoothed captures cut to the shortest, and peak_sd its
+        # float64 max, at any block size: from 2 captures on, a small block
+        # makes the stack the 2-sample floor wide.  Over rows, each capture
+        # views its row past the row's start, as an aligned golden trace
+        # does, and the cells past each capture are NaN, which no build reads.
+        window = min(window, *map(len, columns))
+        smoothed = [smooth(_trace(c), window).samples for c in columns]
+        length = min(map(len, smoothed))
+        expected = np.stack([s[:length] for s in smoothed], dtype=np.float64).std(axis=0, ddof=1)
+        rows = np.full((len(columns), offset + max(map(len, columns)) + 2), np.nan, np.float32)
+        for row, c in zip(rows, columns):
+            row[offset : offset + len(c)] = c
         with mock.patch.object(detect, "_BLOCK", block):
-            baseline = build_baseline([_trace(c) for c in columns])
-        expected = np.stack(columns, dtype=np.float64).std(axis=0, ddof=1)
-        assert baseline.pointwise_sd.tobytes() == expected.astype(np.float32).tobytes()
-        assert baseline.peak_sd == expected.max()
+            fresh = build_baseline([_trace(c) for c in columns], window)
+            over_rows = build_baseline(
+                [_trace(row[offset : offset + len(c)]) for row, c in zip(rows, columns)],
+                window,
+                rows,
+            )
+        for baseline in (fresh, over_rows):
+            assert baseline.pointwise_sd.tobytes() == expected.astype(np.float32).tobytes()
+            assert baseline.reference.tobytes() == smoothed[0][:length].tobytes()
+            assert baseline.peak_sd == expected.max()
+
+    def test_over_rows_the_baseline_views_rows_0_and_1(self):
+        # Every capture is smoothed into its row before the sd is written
+        # over row 1, so a build over rows makes no column.
+        rows = np.random.default_rng(3).normal(0.0, 1.0, (3, 80)).astype(np.float32)
+        fresh = build_baseline([_trace(row.copy()) for row in rows], 5)
+        baseline = build_baseline([_trace(row) for row in rows], 5, rows)
+        assert np.shares_memory(baseline.pointwise_sd, rows[1])
+        assert np.shares_memory(baseline.reference, rows[0])
+        assert rows[1].tobytes() == fresh.pointwise_sd.tobytes()
+        assert rows[0].tobytes() == fresh.reference.tobytes()
+        assert baseline.peak_sd == fresh.peak_sd
+
+    def test_rows_0_and_1_that_may_share_memory_are_refused(self):
+        # The sd written over row 1 would overwrite the reference in row 0;
+        # the build refuses before it writes anything.
+        buffer = np.arange(60, dtype=np.float32)
+        captures = [_trace(np.ones(50)), _trace(np.zeros(50))]
+        with pytest.raises(ValueError, match="rows 0 and 1 may share memory"):
+            build_baseline(captures, 1, [buffer[:50], buffer[10:]])
+        assert buffer.tobytes() == np.arange(60, dtype=np.float32).tobytes()
+
+    def test_fewer_rows_than_captures_are_refused(self):
+        # The message counts every capture, past the first without a row too.
+        rows = np.zeros((2, 20), dtype=np.float32)
+        captures = (_trace(np.full(20, float(i))) for i in range(4))
+        with pytest.raises(ValueError, match="^2 rows for 4 captures$"):
+            build_baseline(captures, 1, rows)
+
+    @pytest.mark.parametrize("window", [1, 20])
+    def test_a_build_over_rows_allocates_only_block_scratch(self, window):
+        # Over rows, the sd is written into row 1, so the build allocates
+        # only fixed scratch, which is freed before the next is made: first
+        # smoothing's float64 running sum and values, _BLOCK cells each,
+        # then the sd's stack of about _BLOCK cells.  Measured 9.9 (window
+        # 1) and 18.2 (window 20) times _BLOCK bytes at 10 captures, or
+        # 0.55 bytes per sample beyond the two smoothing blocks; a float32
+        # sd column beside the stack read 25.9, and a stack of _BLOCK
+        # samples per capture 112.
+        n = 4 * detect._BLOCK + 7
+        rows = np.random.default_rng(window).normal(0.0, 1.0, (10, n)).astype(np.float32)
+        captures = [_trace(row) for row in rows]
+        build_baseline(captures[:2], window)  # one-time allocations, untraced
+        tracemalloc.start()
+        try:
+            baseline = build_baseline(captures, window, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert baseline.sample_count == n
+        assert (peak - 2 * 8 * detect._BLOCK) / n < 1.0
+
+    @pytest.mark.parametrize("into_rows", [False, True])
+    def test_the_sd_stack_holds_about_one_block_of_cells(self, into_rows):
+        # Over 12 captures the stack is _BLOCK // 12 samples wide, about
+        # 8 * _BLOCK bytes, not 12 * 8 * _BLOCK.  At window 1 the captures
+        # are taken as they are, or copied into their rows, so beyond a
+        # build's float32 sd column without rows the peak is the stack and
+        # numpy's temporaries for one block: measured 12.9 times _BLOCK
+        # bytes either way, 120 with a stack of _BLOCK samples per capture.
+        n = 2 * detect._BLOCK + 5
+        rows = np.random.default_rng(4).normal(0.0, 1.0, (12, n)).astype(np.float32)
+        captures = [_trace(row) for row in rows]
+        build_baseline(captures[:2])  # one-time allocations, untraced
+        tracemalloc.start()
+        try:
+            build_baseline(captures, 1, rows if into_rows else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column = 0 if into_rows else 4 * n
+        assert peak - column <= 2 * 8 * detect._BLOCK
 
 
 class TestDeviationAndExcess:
