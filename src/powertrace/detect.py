@@ -122,14 +122,15 @@ class GoldenBaseline:
     known-good trace rather than to the pointwise mean.  ``pointwise_sd`` is the float32
     rounding of the sample standard deviation, read only for the excess
     series.  A baseline ``traceio.load_baseline`` read holds neither
-    column (both are ``None``): its ``reader`` reads the reference back from
-    the file while a print is judged.  A reader has ``len()``, the sample
-    count, and ``reference(start)``, a context manager giving ``read``:
-    ``read(out)`` fills the float32 ``out`` with the next ``len(out)``
-    reference samples from ``start`` on and returns it.  A baseline holds
+    column (both are ``None``): its ``reader`` reads either back from the
+    file, the reference while a print is judged.  A reader has ``len()``,
+    the sample count, and ``column(name, start)``, a context manager giving
+    ``read``: ``read(out)`` fills the float32 ``out`` with the next
+    ``len(out)`` cells of the column held as ``name``, ``"pointwise_sd"``
+    or ``"reference"``, from ``start`` on and returns it.  A baseline holds
     its reference or a reader, not both.  The experiment keeps both columns'
     cells on the series grid (every 250th) from the baseline it builds, and
-    reads each attack span's cells from the file.  ``peak_sd``, the
+    reads each attack span's cells through the reader.  ``peak_sd``, the
     largest sd before rounding, sets the verdict threshold: it must be
     finite, >= 0 and round to the column's max, which rounding (monotonic)
     makes an exact check.  ``smoothing_window``, >= 1, is the window the
@@ -167,19 +168,20 @@ class GoldenBaseline:
         return len(self.reference if self.reader is None else self.reader)
 
     @contextmanager
-    def _reference_cells(self, start: int) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
-        """Yield ``read``, as a reader's ``reference(start)`` does: from the
-        reader, or as views of ``reference``, which ignore ``out``."""
+    def _column_cells(self, name: str, start: int) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+        """Yield ``read`` of the column ``name``, as a reader's
+        ``column(name, start)`` does: from the reader, or as views of the
+        column held, which ignore ``out``."""
         if self.reader is not None:
-            with self.reader.reference(start) as read:
+            with self.reader.column(name, start) as read:
                 yield read
             return
-        at = start
+        column, at = getattr(self, name), start
 
         def read(out: np.ndarray) -> np.ndarray:
             nonlocal at
             at += len(out)
-            return self.reference[at - len(out) : at]
+            return column[at - len(out) : at]
 
         yield read
 
@@ -543,7 +545,7 @@ def _deviation_part(smoothed: np.ndarray, baseline: GoldenBaseline, part: slice)
         return out
     first, stop, step = cells[0], cells[-1] + 1, cells.step
     at = 0
-    with baseline._reference_cells(first) as read:
+    with baseline._column_cells("reference", first) as read:
         for lo, block in _read_blocks(read, first, stop):
             skip = -(lo - first) % step  # the block's first cell of the part
             reference = block[skip::step]
@@ -686,7 +688,7 @@ def detect_print(
                     return
                 lo = hi
 
-        with baseline._reference_cells(0) as read:
+        with baseline._column_cells("reference", 0) as read:
             return _classify_blocks(deviations(read), baseline, config)
 
     reports = dict(zip(lengths, _map_on_threads(judge, list(lengths))))

@@ -48,6 +48,7 @@ from .detect import (
     Verdict,
     build_baseline,
     _deviation_into,
+    _read_blocks,
     detect_print,
     export_series_csv,
     smooth,
@@ -56,7 +57,7 @@ from .gcode import Command, CommandKind, GCodeProgram, command_text, parse_gcode
 from .planner import DEFAULT_PROFILE, MOTORS, MotionPlan, Motor, PlanError, PrinterProfile, plan_motion
 # Not called here, nor smooth and common_window: perfbench's trace mode wraps them.
 from .planner import command_start_times
-from .traceio import align_to_trigger, common_window, load_baseline, load_sd_blocks
+from .traceio import align_to_trigger, common_window, load_baseline
 from .traceio import save_baseline, save_trace
 from . import tracesim
 from .tracesim import DEFAULT_NOISE, NoiseModel, simulate_print
@@ -469,7 +470,8 @@ def _build_baselines(
     every ``_SERIES_STRIDE``-th cell of the sd column and of the reference
     of the baseline just built, which the series on the stride grid read.
     Each built baseline is dropped before the next motor's is built; the
-    spans read their cells from the files (see :func:`_run_row`).
+    spans read their cells through the loaded baselines (see
+    :func:`_run_row`).
 
     Each golden trace is rendered and aligned in its row of one buffer, and
     :func:`build_baseline` smooths it over that row and writes the sd over
@@ -490,7 +492,7 @@ def _build_baselines(
             if config.save_traces:
                 save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
             golden.append(align_to_trigger(trace))
-        paths[motor] = _baseline_path(out, motor)
+        paths[motor] = out / "baselines" / f"{motor.name}.ptrb"
         baseline = build_baseline(golden, config.detection.smoothing_window, rows)
         save_baseline(baseline, paths[motor])
         # Copies: a strided view would keep the buffer and see the next motor's renders.
@@ -501,10 +503,6 @@ def _build_baselines(
     del rows, row, trace, golden, baseline  # each views the buffer, freed before the reads
     baselines = {motor: load_baseline(path) for motor, path in paths.items()}
     return baselines, grids
-
-
-def _baseline_path(out: Path, motor: Motor) -> Path:
-    return out / "baselines" / f"{motor.name}.ptrb"
 
 
 def _print_buffers(capacity: int) -> dict[Motor, np.ndarray]:
@@ -539,9 +537,10 @@ def _run_row(
     capture in its buffer and the reference grid in ``grids``, which is
     written, turned into its excess over the sd grid there in place and
     written again; and inside each span, whose excess is averaged.  A span's
-    reference and sd cells are read from the motor's baseline file in
-    ``out/baselines`` a block at a time, and its excess is made block by
-    block.  No full-length series is made, and no column is held.
+    reference and sd cells are read through the motor's baseline in
+    ``baselines``, from its file for a loaded one, a block at a time, and
+    its excess is made block by block.  No full-length series is made, and
+    no column is held.
     Returns the number of flagged prints per motor, and per motor and span
     the mean of those per-print means.
     """
@@ -570,10 +569,10 @@ def _run_row(
             for lo, hi in print_means[motor]:
                 part = result.deviations[motor, lo:hi]
                 if len(part):
-                    at = 0
-                    for sd in load_sd_blocks(_baseline_path(out, motor), lo, lo + len(part)):
-                        _excess_over(part[at : at + len(sd)], sd, out=part[at : at + len(sd)])
-                        at += len(sd)
+                    with baselines[motor]._column_cells("pointwise_sd", lo) as read:
+                        for at, sd in _read_blocks(read, lo, lo + len(part)):
+                            cells = slice(at - lo, at - lo + len(sd))
+                            _excess_over(part[cells], sd, out=part[cells])
                     print_means[motor][lo, hi].append(float(np.mean(part)))
                 del part  # before the next span's part is made
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS

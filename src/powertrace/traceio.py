@@ -8,10 +8,11 @@ starts with the same header prefix and holds what the verdict and the
 excess series read: the smoothing window of its golden traces, the peak
 golden sd, the golden sd column and the reference trace.
 ``load_baseline`` checks both columns a block at a time and keeps neither:
-the baseline it returns reads its reference back from the file, a checked
-block at a time, while a print is judged, and the excess series read the
-sd cells a range at a time, with ``load_sd_blocks``.  Every column is read
-through one checked column reader, ``_cells``, and every read after the
+the baseline it returns reads either column back from the file, a checked
+block at a time: the reference while a print is judged, and the sd cells
+of the excess series a range at a time.  Every column is read through one
+checked column reader, ``_cells``, which refuses a cell outside the column,
+a cell that is not finite and a negative sd cell, and every read after the
 load first checks that the file is still the one loaded.
 
 All integers and floats are little-endian; samples are float32.
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import _BLOCK, DetectionError, GoldenBaseline, _checked_fields, _read_blocks
+from .detect import _BLOCK, DetectionError, GoldenBaseline, _checked_fields
 from .planner import MOTORS, Motor
 from .tracesim import MotorTrace, TraceSimError
 
@@ -42,7 +43,6 @@ __all__ = [
     "common_window",
     "save_baseline",
     "load_baseline",
-    "load_sd_blocks",
 ]
 
 _UNITS_AMPS = 0
@@ -62,6 +62,7 @@ class _Layout:
     fields: struct.Struct
     body: tuple[tuple[str, str], ...]  # (cell name, dtype) per array, in file order
     stale: str = ""  # how to replace a file of an older version
+    nonnegative: tuple[str, ...] = ()  # the cells that must also be >= 0
 
 
 # fields: trigger_index, sample_count; body: samples
@@ -76,6 +77,7 @@ _BASELINE = _Layout(
     struct.Struct("<QQdQ"),
     (("sd cell", "<f4"), ("reference sample", "<f4")),
     "rebuild it from its captures with 'powertrace baseline'",
+    ("sd cell",),
 )
 
 
@@ -140,24 +142,28 @@ def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
 
 def load_baseline(path: str | Path) -> GoldenBaseline:
     """Read a baseline and keep none of its columns: its ``pointwise_sd``
-    and ``reference`` are ``None``, and its ``reader`` reads the reference
-    back from the file (:class:`_ReferenceFile`).  The whole file is
-    checked first, through one reused block: its sd column as
-    :func:`load_sd_blocks` checks it, then the reference, the header fields
-    and the stored peak, which must be the column's max.  An empty body, a
-    negative sd cell or a header field ``GoldenBaseline`` rejects would
-    corrupt the verdict, and is rejected."""
+    and ``reference`` are ``None``, and its ``reader`` reads both back from
+    the file (:class:`_BaselineFile`).  The whole file is checked first,
+    through one reused block: its sd column, each cell finite and >= 0, then
+    its reference, each sample finite, then the header fields and the stored
+    peak, which must be the sd column's max; an error names the cell's index
+    in its column.  An empty body, a negative sd cell or a header field
+    ``GoldenBaseline`` rejects would corrupt the verdict, and is rejected."""
     path = Path(path)
     with _opened(path, _BASELINE) as (handle, motor, rate, fields, identity):
-        count = fields[-1]
-        sd_blocks = _sd_blocks(handle, path, count, 0, count)
-        sd_max = max((block.max() for block in sd_blocks), default=None)
+        source_count, window, peak_sd, count = fields
+        scratch = np.empty(min(count, _BLOCK), dtype=np.float32)  # for both columns
+        sd_max = np.float32(0)
+        sd = _cells(handle, path, _BASELINE, "sd cell", count, 0)
+        for lo in range(0, count, _BLOCK):
+            sd_max = max(sd_max, sd(scratch[: count - lo]).max())
         reference = _cells(handle, path, _BASELINE, "reference sample", count, 0)
-        for _ in _read_blocks(reference, 0, count):
-            pass
-    _check_baseline_fields(path, fields, sd_max)
-    source_count, window, peak_sd, _ = fields
+        for lo in range(0, count, _BLOCK):
+            reference(scratch[: count - lo])
+    if count == 0:
+        raise CaptureFormatError(f"{path}: empty baseline")
     with _as_format_error(path):
+        _checked_fields(source_count, window, peak_sd, sd_max)
         return GoldenBaseline(
             motor=motor,
             sample_rate=rate,
@@ -166,14 +172,19 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
             source_count=source_count,
             peak_sd=peak_sd,
             smoothing_window=window,
-            reader=_ReferenceFile(path, count, identity),
+            reader=_BaselineFile(path, count, identity),
         )
 
 
+# Each baseline column's cell name, by the ``GoldenBaseline`` field that
+# holds the column in memory.
+_BASELINE_CELLS = {"pointwise_sd": "sd cell", "reference": "reference sample"}
+
+
 @dataclass(frozen=True)
-class _ReferenceFile:
+class _BaselineFile:
     """The ``reader`` of a baseline :func:`load_baseline` returns: ``len()``
-    is its sample count, and :meth:`reference` reads its reference back from
+    is its sample count, and :meth:`column` reads either column back from
     ``path``, which must still be the file loaded, of ``identity``."""
 
     path: Path
@@ -184,54 +195,12 @@ class _ReferenceFile:
         return self.count
 
     @contextmanager
-    def reference(self, start: int) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+    def column(self, name: str, start: int) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
         """Reopen the file, refuse it if it changed since the load, and
-        yield :func:`_cells`' ``read`` of the reference from ``start`` on."""
+        yield :func:`_cells`' ``read`` of the column held in memory as
+        ``name`` (``"pointwise_sd"`` or ``"reference"``) from ``start`` on."""
         with _opened(self.path, _BASELINE, self.identity) as (handle, *_):
-            yield _cells(handle, self.path, _BASELINE, "reference sample", self.count, start)
-
-
-def load_sd_blocks(path: str | Path, start: int, stop: int) -> Iterator[np.ndarray]:
-    """Yield a baseline's sd cells ``start:stop`` in order, as float32
-    blocks of at most ``_BLOCK`` cells read into one reused buffer, so each
-    block holds only until the next is asked for.
-
-    The header is checked as :func:`load_baseline` checks it, and each cell
-    read as it checks it, with the same errors and the cell's index in the
-    column; no cell outside the range is read, so the stored peak is not
-    compared with the column's max (:func:`load_baseline` does that).  A
-    range outside ``0..count`` raises ``ValueError``.  Nothing is read or
-    raised before the first block is asked for."""
-    path = Path(path)
-    with _opened(path, _BASELINE) as (handle, _, _, fields, _):
-        _check_baseline_fields(path, fields)
-        count = fields[-1]
-        if not 0 <= start <= stop <= count:
-            raise ValueError(f"{path}: sd cells {start}:{stop} are outside 0:{count}")
-        yield from _sd_blocks(handle, path, count, start, stop)
-
-
-def _sd_blocks(handle, path: Path, count: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    """Yield the sd cells ``start:stop`` of the open baseline of ``count``
-    samples as blocks of one reused buffer, each checked by :func:`_cells`
-    and then >= 0; an error names the cell's index in the column."""
-    read = _cells(handle, path, _BASELINE, "sd cell", count, start)
-    for lo, block in _read_blocks(read, start, stop):
-        bad = np.flatnonzero(block < 0)
-        if len(bad):
-            cell = lo + int(bad[0])
-            raise CaptureFormatError(f"{path}: sd cell {cell} is {block[bad[0]]}, must be >= 0")
-        yield block
-
-
-def _check_baseline_fields(path: Path, fields: tuple, sd_max: np.float32 | None = None) -> None:
-    """Reject an empty baseline and a header field ``GoldenBaseline``
-    rejects, and, given the sd column's max, a stored peak that is not it."""
-    source_count, window, peak_sd, count = fields
-    if count == 0:
-        raise CaptureFormatError(f"{path}: empty baseline")
-    with _as_format_error(path):
-        _checked_fields(source_count, window, peak_sd, sd_max)
+            yield _cells(handle, self.path, _BASELINE, _BASELINE_CELLS[name], self.count, start)
 
 
 def _write(
@@ -311,20 +280,27 @@ def _opened(path: Path, layout: _Layout, loaded: tuple | None = None):
 def _cells(
     handle, path: Path, layout: _Layout, name: str, count: int, start: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The checked column reader.  Seek ``handle``, open on a ``layout``
-    container of ``count`` cells per column, to cell ``start`` of the column
-    named ``name``, and return ``read``: ``read(out)`` reads the next
-    ``len(out)`` cells into ``out`` and returns it.  Samples enter the
-    package here, so every cell read must be finite; an error names the
-    path and the cell's index in the column."""
+    """The checked column reader.  Given ``handle``, open on a ``layout``
+    container of ``count`` cells per column, return ``read`` of the column
+    named ``name`` from cell ``start`` on: ``read(out)`` reads the next
+    ``len(out)`` cells into ``out`` and returns it.  A read of any cell
+    outside ``0:count`` is refused with ``ValueError``.  Samples enter the
+    package here, so every cell read must be finite, and >= 0 in a column
+    ``layout.nonnegative`` names; an error names the path and the cell's
+    index in the column."""
     columns = [column for column, _ in layout.body]
     widths = [np.dtype(dtype).itemsize for _, dtype in layout.body]
     at = columns.index(name)
-    handle.seek(_PREFIX.size + layout.fields.size + count * sum(widths[:at]) + start * widths[at])
+    first = _PREFIX.size + layout.fields.size + count * sum(widths[:at])
     position = start
 
     def read(out: np.ndarray) -> np.ndarray:
         nonlocal position
+        stop = position + len(out)
+        if position < 0 or stop > count:
+            raise ValueError(f"{path}: {name}s {position}:{stop} are outside 0:{count}")
+        if position == start:  # the first read: seek once the range is known good
+            handle.seek(first + start * widths[at])
         # The file may have shrunk since it was measured.
         if handle.readinto(out) != out.nbytes:
             raise CaptureFormatError(f"{path}: unexpected end of samples")
@@ -332,7 +308,10 @@ def _cells(
         if not finite.all():
             cell = int(finite.argmin())
             raise CaptureFormatError(f"{path}: {name} {position + cell} is {out[cell]}, must be finite")
-        position += len(out)
+        if name in layout.nonnegative and (out < 0).any():
+            cell = int((out < 0).argmax())
+            raise CaptureFormatError(f"{path}: {name} {position + cell} is {out[cell]}, must be >= 0")
+        position = stop
         return out
 
     return read

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -32,13 +33,11 @@ def excess(deviation, sd):
     return _excess_over(deviation, sd[: len(deviation)])
 
 
-def sd_column(path, count):
-    """The ``count``-cell sd column of the baseline at ``path``, drained from
-    ``load_sd_blocks``.  Each block is copied as it is yielded: every block
-    is a view of one reused buffer."""
-    from powertrace.traceio import load_sd_blocks
-
-    return np.concatenate([block.copy() for block in load_sd_blocks(path, 0, count)])
+def sd_column(baseline):
+    """The whole sd column of ``baseline``, read in one read through its
+    reader (from its file, for a loaded one)."""
+    with baseline._column_cells("pointwise_sd", 0) as read:
+        return read(np.empty(baseline.sample_count, dtype=np.float32)).copy()
 
 
 def row_programs(program, attacks):
@@ -271,7 +270,7 @@ class TestRunExperiment:
         matrix, out = small_run
         paths = {m: out / "baselines" / f"{m.name}.ptrb" for m in MOTORS}
         baselines = {m: load_baseline(path) for m, path in paths.items()}
-        sds = {m: sd_column(path, baselines[m].sample_count) for m, path in paths.items()}
+        sds = {m: sd_column(baseline) for m, baseline in baselines.items()}
         program = benchmark_object()
         attacks = default_attacks(program)
         programs = row_programs(program, attacks)
@@ -340,7 +339,7 @@ class TestRunExperiment:
             rate, stride = baselines[motor].sample_rate, harness._SERIES_STRIDE
             expected = {
                 "deviation": grid_csv(dev, rate, stride),
-                "excess": grid_csv(excess(dev, sd_column(paths[motor], len(dev))), rate, stride),
+                "excess": grid_csv(excess(dev, sd_column(baselines[motor])), rate, stride),
             }
             for kind, text in expected.items():
                 path = out / harness._series_path(row, 0, motor, kind)
@@ -571,7 +570,7 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
         saved.append(baseline.motor)
         assert path == tmp_path / "baselines" / f"{baseline.motor.name}.ptrb"
         loaded = load_baseline(path)
-        sd = sd_column(path, loaded.sample_count)
+        sd = sd_column(loaded)
         assert loaded.peak_sd == baseline.peak_sd
         assert loaded.smoothing_window == baseline.smoothing_window == 20
         assert sd.dtype == baseline.pointwise_sd.dtype == np.float32
@@ -586,23 +585,20 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def row_baselines(tmp_path_factory):
-    """The golden phase's baselines and sd grids, and the directory whose
-    ``baselines/`` holds its files."""
+    """The golden phase's loaded baselines and sd grids."""
     from powertrace import harness
 
     plan = plan_motion(benchmark_object(), SMALL.profile)
-    golden = tmp_path_factory.mktemp("golden")
-    return (*harness._build_baselines(plan, SMALL, golden), golden)
+    return harness._build_baselines(plan, SMALL, tmp_path_factory.mktemp("golden"))
 
 
 def _run_normal_row(row_baselines, seeds, out, spans):
     """Run the ``normal`` row of ``seeds`` into ``out`` with its own print
-    buffers, reading each motor's ``spans`` from the golden phase's files."""
+    buffers, reading each motor's ``spans`` through the golden phase's
+    loaded baselines."""
     from powertrace import harness, tracesim
 
-    baselines, grids, golden = row_baselines
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "baselines").symlink_to(golden / "baselines", target_is_directory=True)
+    baselines, grids = row_baselines
     plan = plan_motion(benchmark_object(), SMALL.profile)
     buffers = harness._print_buffers(tracesim.trace_length(plan))
     return harness._run_row("normal", plan, SMALL, baselines, grids, seeds, out, spans, buffers)
@@ -647,7 +643,7 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     # deviation only on its stride grid (8 bytes per grid sample) and in
     # one span at a time (8 per span sample; the longest, X's insert span,
     # is the last 28% of the print), so its reads and exports add at most
-    # 3 bytes per baseline sample: measured 2.46.  A span's sd cells are read
+    # 3 bytes per baseline sample: measured 2.43.  A span's sd cells are read
     # from the baseline file a block at a time; reading them as one array
     # read 3.44.  Reading one whole float64 deviation adds 8.  The peak is reset at that first read, so it counts only what the
     # reads and exports make.  A void row that holds the delete has the
@@ -693,6 +689,52 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     assert len(starts) == 1
     assert window_parts == dict.fromkeys(MOTORS, 3)
     assert (peak - starts[0]) / row_baselines[0][Motor.X].sample_count <= 3.0
+
+
+def test_row_span_sd_reads_refuse_a_baseline_replaced_after_loading(
+    row_baselines, tmp_path, monkeypatch
+):
+    # A span's sd cells are read through its motor's loaded baseline, which
+    # checks that the file is still the one loaded: a .ptrb replaced by
+    # another valid baseline once the span's deviation has been read fails
+    # the span's sd read, and no excess is made from the new file.
+    import shutil
+
+    from powertrace import harness, tracesim
+    from powertrace.traceio import CaptureFormatError, load_baseline
+
+    copies = tmp_path / "baselines"
+    copies.mkdir()
+    baselines = {}
+    for motor, built in row_baselines[0].items():
+        shutil.copyfile(built.reader.path, copies / f"{motor.name}.ptrb")
+        baselines[motor] = load_baseline(copies / f"{motor.name}.ptrb")
+    path = copies / "X.ptrb"
+    replaced = []
+
+    class ReplaceAfterRead:
+        def __init__(self, deviations):
+            self.deviations = deviations
+
+        def __getitem__(self, key):
+            part = self.deviations[key]
+            shutil.copyfile(copies / "Y.ptrb", copies / "new.ptrb")
+            (copies / "new.ptrb").replace(path)
+            replaced.append(key)
+            return part
+
+    def detect_then_replace(*args, detect_print=harness.detect_print):
+        result = detect_print(*args)
+        return dataclasses.replace(result, deviations=ReplaceAfterRead(result.deviations))
+
+    plan = plan_motion(benchmark_object(), SMALL.profile)
+    buffers = harness._print_buffers(tracesim.trace_length(plan))
+    spans = {Motor.X: [(1_000, 2_000)]}
+    args = ("normal", plan, SMALL, baselines, row_baselines[1], [100], tmp_path, spans, buffers)
+    monkeypatch.setattr(harness, "detect_print", detect_then_replace)
+    with pytest.raises(CaptureFormatError, match=f"^{re.escape(str(path))}: changed since it was loaded$"):
+        harness._run_row(*args)
+    assert replaced == [(Motor.X, slice(1_000, 2_000))]
 
 
 def test_append_window_starts_at_the_injection_point():
@@ -928,7 +970,7 @@ class TestPhenomenology:
         _, out = small_run
         paths = {m: out / "baselines" / f"{m.name}.ptrb" for m in MOTORS}
         loaded = {m: load_baseline(path) for m, path in paths.items()}
-        sds = {m: sd_column(path, loaded[m].sample_count) for m, path in paths.items()}
+        sds = {m: sd_column(baseline) for m, baseline in loaded.items()}
         for quiet_motor in (Motor.X, Motor.Y):
             assert loaded[Motor.E].peak_sd > 1.3 * loaded[quiet_motor].peak_sd
             assert sds[Motor.E].mean() > 1.3 * sds[quiet_motor].mean()
@@ -944,7 +986,7 @@ class TestPhenomenology:
 
         _, out = small_run
         baselines = {m: load_baseline(out / "baselines" / f"{m.name}.ptrb") for m in MOTORS}
-        sd = sd_column(out / "baselines" / "X.ptrb", baselines[Motor.X].sample_count)
+        sd = sd_column(baselines[Motor.X])
         program = benchmark_object()
         specs = default_attacks(program)["reorder"]
         mutated = program

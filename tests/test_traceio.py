@@ -16,7 +16,6 @@ from powertrace.traceio import (
     align_to_trigger,
     common_window,
     load_baseline,
-    load_sd_blocks,
     load_trace,
     save_baseline,
     save_trace,
@@ -26,18 +25,20 @@ from powertrace.detect import (
     DetectionError,
     GoldenBaseline,
     Verdict,
+    _read_blocks,
     build_baseline,
     detect_print,
     smooth,
 )
 
 
-def _reference(baseline):
-    """A loaded baseline's whole reference, read back through its reader."""
-    out = np.empty(baseline.sample_count, dtype=np.float32)
-    with baseline.reader.reference(0) as read:
-        read(out)
-    return out
+def _cells(baseline, name, start=0, stop=None):
+    """Cells ``start:stop`` (to the end by default) of the column ``name``
+    (``"pointwise_sd"`` or ``"reference"``) of ``baseline``, read in one
+    read through its reader."""
+    stop = baseline.sample_count if stop is None else stop
+    with baseline._column_cells(name, start) as read:
+        return read(np.empty(stop - start, dtype=np.float32)).copy()
 
 
 def _trace(values, rate=25_000.0, trigger=0, motor=Motor.X):
@@ -209,7 +210,8 @@ class TestBaselinePersistence:
         assert loaded.reference is None  # it reads the reference back from the file
         assert loaded.sample_count == 200
         assert path.read_bytes()[48 : 48 + 4 * 200] == baseline.pointwise_sd.tobytes()
-        assert _reference(loaded).tobytes() == baseline.reference.tobytes()
+        assert _cells(loaded, "pointwise_sd").tobytes() == baseline.pointwise_sd.tobytes()
+        assert _cells(loaded, "reference").tobytes() == baseline.reference.tobytes()
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         # A loaded baseline holds no array at all.
@@ -374,30 +376,12 @@ def test_damaged_baseline_body_rejected_naming_the_path(tmp_path, damage):
         load_baseline(path)
 
 
-def _load_sd(path):
-    """A baseline's whole sd column, drained from ``load_sd_blocks``.  Each
-    block is copied as it is yielded: every block is a view of one reused
-    buffer."""
-    count = struct.unpack_from("<Q", path.read_bytes(), 40)[0]
-    return np.concatenate([block.copy() for block in load_sd_blocks(path, 0, count)])
-
-
-# A reader of the sd column alone does not compare the stored peak with the
-# column's max; load_baseline does.
-@pytest.mark.parametrize("damage", sorted(set(_BASELINE_DAMAGE) - {"peak sd not the column max"}))
-def test_load_sd_rejects_each_damaged_baseline_as_load_baseline_does(tmp_path, damage):
-    path, blob, message = _damaged_baseline(tmp_path, damage)
-    if damage == "nan reference sample":
-        # The sd column is read alone, and this damage leaves it whole.
-        assert _load_sd(path).tobytes() == blob[48:60]
-        return
-    with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}")):
-        _load_sd(path)
-
-
 # A baseline of three blocks, the last of 3 cells, whose sd is 0.25 but for
 # one 0.5 in its first block: its stored peak is 0.5.
 _LONG = 2 * _BLOCK + 3
+_REFERENCE = 48 + 4 * _LONG  # the first reference sample's offset in _long_baseline's file
+# Each column's first cell's offset in _long_baseline's file, and its cell name.
+_COLUMNS = {"pointwise_sd": (48, "sd cell"), "reference": (_REFERENCE, "reference sample")}
 
 
 def _long_baseline(path):
@@ -416,39 +400,72 @@ _CELL_DAMAGE = {
 
 
 @pytest.mark.parametrize(
-    "load, cell, value, message",
+    "read, cell, value, message",
     [
-        pytest.param(load, cell, *_CELL_DAMAGE[damage], id=f"{damage}-{where}-{load_id}")
-        for load_id, load in [("load_baseline", load_baseline), ("load_sd", _load_sd)]
+        pytest.param(read, cell, *_CELL_DAMAGE[damage], id=f"{damage}-{where}-{read}")
+        for read in ("load_baseline", "span sd read")
         for where, cell in [("second block", _BLOCK + 5), ("last block", 2 * _BLOCK + 1)]
         for damage in _CELL_DAMAGE
         # Only load_baseline compares the stored peak with the column's max.
-        if load is load_baseline or damage != "max past the first block"
+        if read == "load_baseline" or damage != "max past the first block"
     ],
 )
-def test_damaged_sd_cell_past_the_first_block_named_by_its_index(tmp_path, load, cell, value, message):
+def test_damaged_sd_cell_past_the_first_block_named_by_its_index(tmp_path, read, cell, value, message):
     # The column is checked a block at a time: an error names the cell's
-    # index in the column, and the max is carried across blocks.
+    # index in the column, and the max is carried across blocks.  A span's
+    # sd cells, read through a baseline loaded before the damage, are
+    # checked as load_baseline checks them.
     path = tmp_path / "x.ptrb"
     _long_baseline(path)
-    blob = bytearray(path.read_bytes())
-    offset = 48 + 4 * cell  # past the header
-    blob[offset : offset + 4] = struct.pack("<f", value)
-    path.write_bytes(bytes(blob))
+    loaded = load_baseline(path)
+    _stamped_rewrite(path, 48 + 4 * cell, struct.pack("<f", value))  # past the header
     expected = f"{path}: " + message.format(cell=cell)
     with pytest.raises(CaptureFormatError, match=re.escape(expected) + "$"):
-        load(path)
+        if read == "span sd read":
+            _blocks(loaded, "pointwise_sd", _BLOCK, _LONG)
+        else:
+            load_baseline(path)
 
 
-def _sd_range(path, start, stop):
-    """The bytes of ``load_sd_blocks(path, start, stop)``, each block copied
-    as it is yielded, and the blocks' lengths and buffer addresses."""
+@pytest.mark.parametrize("name", sorted(_COLUMNS))
+@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
+def test_column_reads_refuse_each_damaged_baseline_as_load_baseline_does(tmp_path, damage, name):
+    # A damaged file written over a loaded baseline, its stamp put back, is
+    # refused by a read of either column: a damaged header as changed since
+    # the load, since the header is compared with the load's before any cell
+    # is read, and a damaged cell of the column read as load_baseline
+    # refuses it.  A damaged cell of the other column is not read.
+    path, blob, message = _damaged_baseline(tmp_path, damage)
+    damaged = path.read_bytes()
+    path.write_bytes(blob)
+    loaded = load_baseline(path)
+    stat = os.stat(path)
+    path.write_bytes(damaged)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    cell_name = _COLUMNS[name][1]
+    if message.startswith(cell_name):
+        expected = message
+    elif message.startswith(tuple(cell for _, cell in _COLUMNS.values())):
+        first = 48 if name == "pointwise_sd" else 60
+        assert _cells(loaded, name).tobytes() == blob[first : first + 12]
+        return
+    else:
+        expected = "changed since it was loaded"
+    with pytest.raises(CaptureFormatError, match="^" + re.escape(f"{path}: {expected}") + "$"):
+        _cells(loaded, name)
+
+
+def _blocks(baseline, name, start, stop):
+    """The bytes of cells ``start:stop`` of the column ``name``, read through
+    ``baseline``'s reader by ``_read_blocks``, each block copied as it is
+    yielded, and the blocks' lengths and buffer addresses."""
     data, lengths, addresses = [], [], set()
-    for block in load_sd_blocks(path, start, stop):
-        assert block.dtype == np.float32
-        data.append(block.tobytes())
-        lengths.append(len(block))
-        addresses.add(block.__array_interface__["data"][0])
+    with baseline._column_cells(name, start) as read:
+        for _, block in _read_blocks(read, start, stop):
+            assert block.dtype == np.float32
+            data.append(block.tobytes())
+            lengths.append(len(block))
+            addresses.add(block.__array_interface__["data"][0])
     return b"".join(data), lengths, addresses
 
 
@@ -457,93 +474,70 @@ _RANGES = st.integers(0, _LONG).flatmap(
 )
 
 
-@example(span=(0, 0), cell=0, value=-1.0)  # empty
-@example(span=(_LONG - 1, _LONG), cell=_LONG - 1, value=float("nan"))  # one cell, the last
-@example(span=(_BLOCK - 2, 2 * _BLOCK + 1), cell=_BLOCK, value=-1.0)  # straddles two block edges
-@example(span=(_BLOCK + 7, _LONG), cell=_BLOCK + 6, value=float("nan"))  # to the end
+@example(span=(0, 0), cell=0, value=float("nan"), name="pointwise_sd")  # empty
+@example(span=(_LONG - 1, _LONG), cell=_LONG - 1, value=float("nan"), name="reference")  # the last
+@example(span=(_BLOCK - 2, 2 * _BLOCK + 1), cell=_BLOCK, value=float("-inf"), name="pointwise_sd")
+@example(span=(_BLOCK + 7, _LONG), cell=_BLOCK + 6, value=float("nan"), name="reference")  # to the end
+@example(span=(2 * _BLOCK, _LONG), cell=2 * _BLOCK + 1, value=float("nan"), name="pointwise_sd")
 @settings(max_examples=40, deadline=None)
 @given(
-    span=_RANGES, cell=st.integers(0, _LONG - 1), value=st.sampled_from([float("nan"), -1.0])
+    span=_RANGES,
+    cell=st.integers(0, _LONG - 1),
+    value=st.sampled_from([float("nan"), float("-inf")]),
+    name=st.sampled_from(sorted(_COLUMNS)),
 )
-def test_sd_blocks_read_and_check_only_their_range(tmp_path_factory, span, cell, value):
-    # The blocks of any range are that range of the file's sd column, byte
-    # for byte, read _BLOCK cells at a time from their own first cell into
-    # one reused buffer.  A damaged cell inside the range fails as
-    # load_baseline fails, naming the cell's index in the column; one
-    # outside it is not read.
+def test_column_reads_read_and_check_only_their_range(tmp_path_factory, span, cell, value, name):
+    # The blocks of any range of either column of a loaded baseline are
+    # that range of the file's column, byte for byte, read _BLOCK cells at a
+    # time from their own first cell into one reused buffer (the third
+    # example straddles two block edges, the last reads the last block).  A
+    # non-finite cell written into the range after the load, the file's
+    # stamp put back, fails as load_baseline fails on it, naming the cell's
+    # index in the column; one outside the range is not read.
     start, stop = span
-    path = tmp_path_factory.mktemp("sd") / "x.ptrb"
+    path = tmp_path_factory.mktemp("cells") / "x.ptrb"
     _long_baseline(path)
-    data, lengths, addresses = _sd_range(path, start, stop)
-    assert data == path.read_bytes()[48 + 4 * start : 48 + 4 * stop]
+    loaded = load_baseline(path)
+    first, cell_name = _COLUMNS[name]
+    data, lengths, addresses = _blocks(loaded, name, start, stop)
+    assert data == path.read_bytes()[first + 4 * start : first + 4 * stop]
     edges = [min(lo + _BLOCK, stop) - lo for lo in range(start, stop, _BLOCK)]
     assert lengths == edges
     assert len(addresses) <= 1
-    blob = bytearray(path.read_bytes())
-    blob[48 + 4 * cell : 52 + 4 * cell] = struct.pack("<f", value)
-    path.write_bytes(bytes(blob))
+    _stamped_rewrite(path, first + 4 * cell, struct.pack("<f", value))
     if not start <= cell < stop:
-        assert _sd_range(path, start, stop)[0] == data
+        assert _blocks(loaded, name, start, stop)[0] == data
         return
-    with pytest.raises(CaptureFormatError) as whole:
+    message = f"{path}: {cell_name} {cell} is {value}, must be finite"
+    with pytest.raises(CaptureFormatError, match=re.escape(message) + "$"):
+        _blocks(loaded, name, start, stop)
+    with pytest.raises(CaptureFormatError, match=re.escape(message) + "$"):
         load_baseline(path)
-    assert f" sd cell {cell} is {value}, must be " in str(whole.value)
-    with pytest.raises(CaptureFormatError, match=re.escape(str(whole.value)) + "$"):
-        _sd_range(path, start, stop)
-
-
-@pytest.mark.parametrize("damage", sorted(_BASELINE_DAMAGE))
-def test_sd_blocks_reject_each_damaged_baseline_as_load_sd_does(tmp_path, damage):
-    path, blob, message = _damaged_baseline(tmp_path, damage)
-    if damage == "nan reference sample":
-        # Neither reader reads the reference.
-        assert _sd_range(path, 0, 3)[0] == blob[48:60]
-        return
-    if damage == "peak sd not the column max":
-        # Only a reader of the whole column can take its max; load_baseline
-        # checks it, and the experiment loads every baseline it reads.
-        assert _sd_range(path, 0, 3)[0] == blob[48:60]
-        return
-    with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}") + "$"):
-        _sd_range(path, 0, 3)
-
-
-_REFERENCE = 48 + 4 * _LONG  # the first reference sample's offset in _long_baseline's file
 
 
 @pytest.mark.parametrize(
-    "load, edits, message",
+    "edits, message",
     [
         pytest.param(
-            load_baseline,
             [(48 + 4, _NAN_F32), (24, struct.pack("<Q", 0))],
             "sd cell 1 is nan, must be finite",
             id="load_baseline-nan sd cell, zero window",
         ),
         pytest.param(
-            load_baseline,
             [(_REFERENCE + 8, _NAN_F32), (32, struct.pack("<d", 0.75))],
             "reference sample 2 is nan, must be finite",
             id="load_baseline-nan reference sample, peak not the max",
         ),
         pytest.param(
-            load_baseline,
             [(48 + 4 * (_BLOCK + 5), struct.pack("<f", -1.0)), (_REFERENCE, _NAN_F32)],
             f"sd cell {_BLOCK + 5} is -1.0, must be >= 0",
             id="load_baseline-negative sd cell in block 2, nan reference sample",
         ),
-        pytest.param(
-            lambda path: _sd_range(path, 0, 10),
-            [(24, struct.pack("<Q", 0)), (48 + 12, _NAN_F32)],
-            "smoothing window is 0, must be >= 1",
-            id="load_sd_blocks-zero window, nan sd cell in range",
-        ),
     ],
 )
-def test_of_two_faults_the_first_checked_is_reported(tmp_path, load, edits, message):
+def test_of_two_faults_the_first_checked_is_reported(tmp_path, edits, message):
     # load_baseline checks the sd column, then the reference, then the
-    # header fields and the stored peak; load_sd_blocks checks the header
-    # fields before it reads a cell.
+    # header fields and the stored peak.
     path = tmp_path / "x.ptrb"
     _long_baseline(path)
     blob = bytearray(path.read_bytes())
@@ -551,26 +545,26 @@ def test_of_two_faults_the_first_checked_is_reported(tmp_path, load, edits, mess
         blob[offset : offset + len(value)] = value
     path.write_bytes(bytes(blob))
     with pytest.raises(CaptureFormatError, match=re.escape(f"{path}: {message}") + "$"):
-        load(path)
+        load_baseline(path)
 
 
+@pytest.mark.parametrize("name", sorted(_COLUMNS))
 @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, _LONG + 1), (_LONG + 1, _LONG + 1)])
-def test_sd_blocks_refuse_a_range_outside_the_column(tmp_path, start, stop):
+def test_column_reads_refuse_a_range_outside_the_column(tmp_path, start, stop, name):
+    # A read that would take any cell outside the column is refused before
+    # it reads: an sd read does not run on into the reference, nor a
+    # reference read into the end of the file.  A reversed range makes no
+    # read: _read_blocks refuses it (numpy refuses its negative scratch).
     path = tmp_path / "x.ptrb"
     _long_baseline(path)
-    message = f"{path}: sd cells {start}:{stop} are outside 0:{_LONG}"
+    loaded = load_baseline(path)
+    if stop < start:
+        with pytest.raises(ValueError):
+            _blocks(loaded, name, start, stop)
+        return
+    message = f"{path}: {_COLUMNS[name][1]}s {start}:{stop} are outside 0:{_LONG}"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        _sd_range(path, start, stop)
-
-
-def test_load_sd_returns_the_saved_column(tmp_path):
-    # Drained whole, the blocks are the saved column.
-    path = tmp_path / "x.ptrb"
-    sd = _long_baseline(path)
-    loaded = _load_sd(path)
-    assert loaded.dtype == np.float32
-    assert loaded.tobytes() == sd.tobytes() == path.read_bytes()[48 : 48 + 4 * _LONG]
-    assert _reference(load_baseline(path)).tobytes() == path.read_bytes()[48 + 4 * _LONG :]
+        _cells(loaded, name, start, stop)
 
 
 def test_load_baseline_holds_no_column_and_one_block_of_scratch(tmp_path):
@@ -682,6 +676,13 @@ def test_loaded_baselines_judge_and_read_as_the_saved_ones(
         for part in (slice(lo, hi), slice(None, None, step), slice(lo, hi, step)):
             got = result.deviations[Motor.X, part]
             assert got.tobytes() == expected[part].tobytes(), (name, part)
+    # Either column, read back through the reader whole and over [lo:hi], a
+    # block at a time, is the saved column's cells.
+    cells = range(n)[lo:hi]
+    for name, column in (("pointwise_sd", sd), ("reference", reference)):
+        for first, stop in ((0, n), (cells.start, max(cells.start, cells.stop))):
+            got = _blocks(loaded, name, first, stop)[0]
+            assert got == column[first:stop].tobytes(), (name, first, stop)
 
 
 def _stamped_rewrite(path, offset, value):
@@ -703,38 +704,52 @@ def _replace_with_another(path):
     other.replace(path)
 
 
-# Each change to a loaded baseline's file: how it is made, and the error
-# text that must follow the path.
+# Each change to a loaded baseline's file, given the column that is read
+# next: how it is made, and the error text that must follow the path.
 _CHANGES = {
-    "nan reference cell past the first block, same stamp": (
-        lambda path: _stamped_rewrite(path, _REFERENCE + 4 * (_BLOCK + 5), _NAN_F32),
-        f"reference sample {_BLOCK + 5} is nan, must be finite",
+    "nan cell of the column read past the first block, same stamp": (
+        lambda path, name: _stamped_rewrite(path, _COLUMNS[name][0] + 4 * (_BLOCK + 5), _NAN_F32),
+        "{cell} %d is nan, must be finite" % (_BLOCK + 5),
     ),
     "header field, same stamp": (
-        lambda path: _stamped_rewrite(path, 24, struct.pack("<Q", 21)),
+        lambda path, name: _stamped_rewrite(path, 24, struct.pack("<Q", 21)),
         "changed since it was loaded",
     ),
     "truncated": (
-        lambda path: path.write_bytes(path.read_bytes()[:-4]),
+        lambda path, name: path.write_bytes(path.read_bytes()[:-4]),
         "changed since it was loaded",
     ),
-    "replaced by another valid baseline": (_replace_with_another, "changed since it was loaded"),
+    "replaced by another valid baseline": (
+        lambda path, name: _replace_with_another(path),
+        "changed since it was loaded",
+    ),
 }
+# Each read after the change: the column it reads, and how.
 _READS = {
-    "detect_print": lambda result, judge: judge(),
-    "whole deviation": lambda result, judge: result.deviations[Motor.X],
-    "strided deviation": lambda result, judge: result.deviations[Motor.X, ::250],
-    "span deviation": lambda result, judge: result.deviations[Motor.X, _BLOCK : _BLOCK + 10],
+    "detect_print": ("reference", lambda loaded, result, judge: judge()),
+    "whole deviation": ("reference", lambda loaded, result, judge: result.deviations[Motor.X]),
+    "strided deviation": (
+        "reference",
+        lambda loaded, result, judge: result.deviations[Motor.X, ::250],
+    ),
+    "span deviation": (
+        "reference",
+        lambda loaded, result, judge: result.deviations[Motor.X, _BLOCK : _BLOCK + 10],
+    ),
+    "span sd cells": (
+        "pointwise_sd",
+        lambda loaded, result, judge: _cells(loaded, "pointwise_sd", _BLOCK, _BLOCK + 10),
+    ),
 }
 
 
 @pytest.mark.parametrize("read", sorted(_READS))
 @pytest.mark.parametrize("change", sorted(_CHANGES))
 def test_a_baseline_changed_after_loading_is_refused(tmp_path, change, read):
-    # Every read of a loaded baseline's reference reopens its file, checks
-    # that it is still the file loaded (device, inode, size, mtime and
-    # header bytes), and checks each block it reads: no verdict and no
-    # series comes from a changed file.
+    # Every read of either column of a loaded baseline reopens its file,
+    # checks that it is still the file loaded (device, inode, size, mtime
+    # and header bytes), and checks each block it reads: no verdict, no
+    # series and no excess comes from a changed file.
     path = tmp_path / "x.ptrb"
     _long_baseline(path)
     loaded = load_baseline(path)
@@ -744,10 +759,12 @@ def test_a_baseline_changed_after_loading_is_refused(tmp_path, change, read):
         return detect_print({Motor.X: capture}, {Motor.X: loaded})
 
     result = judge()
+    name, do_read = _READS[read]
     make, message = _CHANGES[change]
-    make(path)
+    make(path, name)
+    message = message.format(cell=_COLUMNS[name][1])
     with pytest.raises(CaptureFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
-        _READS[read](result, judge)
+        do_read(loaded, result, judge)
 
 
 def test_a_deviation_read_reads_the_reference_of_its_range_only(tmp_path):
