@@ -22,9 +22,10 @@ cells it cannot print exactly.
 
 :func:`detect_print` judges each motor in one streamed pass: the one
 smoothing kernel, ``_smoothed_blocks``, yields the smoothed capture in
-fixed-size blocks, and each block's float64 deviation is made in one block
-of scratch and counted against the threshold while the block is in cache,
-the run still open at a block's end carrying into the next.  The pass
+fixed-size blocks, and each block's float64 deviation is made in spent
+float64 cells the kernel lends with the block and counted against the
+threshold while the block is in cache, the run still open at a block's
+end carrying into the next.  The pass
 stops asking for blocks once it has the baseline's length, so no block
 past the baseline is summed.  The reference is read a block at a time
 too, through the baseline (see :class:`GoldenBaseline`), so a baseline
@@ -72,14 +73,18 @@ _EXPORT_CHUNK_ROWS = 1 << 16
 
 # Samples per block in smooth and detect_print, and float64 cells per block
 # of build_baseline's stack over all golden traces: their scratch is
-# fixed-size.  Each block costs a handful of numpy calls, each releasing
-# and re-taking the GIL, so detect_print's threads overlap better with
-# fewer, larger blocks; but each thread holds about 35 bytes of
-# scratch per block sample (tracemalloc): smoothing's float64 running sum and
-# values and its float32 block, the float32 block of reference it reads, one
-# float64 deviation block and the classifier's masks.  2**15 keeps two
-# threads' scratch near 1.2 bytes per sample of the benchmark print.
-_BLOCK = 1 << 15
+# fixed-size.  On two threads a screen print's detect_print measured about
+# 7% faster at 3 << 14 than at 1 << 15, while its captures read no faster;
+# why larger blocks help is not established.  Each thread holds about 27
+# bytes of scratch per block sample (tracemalloc): smoothing's float64
+# running sum and values (whose spent cells hold the block's deviation,
+# which is all the lending is for) and its float32 block, the float32
+# block of reference it reads and the classifier's masks.  On two threads
+# 3 << 14 reads 1.40 bytes per sample of the benchmark print (gate 2.0) and
+# 2.51 of a 2**20-sample print judged with loaded baselines (gate 3.0);
+# 1 << 16 would read 3.29 there, so 49,152 is the largest multiple of
+# 16,384 inside both gates.
+_BLOCK = 3 << 14
 
 
 class DetectionError(ValueError):
@@ -344,7 +349,7 @@ def _block_room(window: int, n: int) -> int:
 
 def _smoothed_blocks(
     samples: np.ndarray, window: int, out: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield :func:`smooth`'s float32 samples in order, as consecutive
     non-empty blocks: the one smoothing kernel.  A consumer that needs only
     a prefix stops asking: no block is summed before it is asked for.
@@ -358,6 +363,14 @@ def _smoothed_blocks(
     reads only the samples the block before did not (it takes the rest from
     that block's float64 copy), and writes outputs that end behind those
     reads, and the left edge is written once block 0 has read its samples.
+
+    Each block comes as ``(block, spare)``: ``spare`` is a float64 view as
+    long as the block, lent to the consumer until it asks for the next
+    block, which may fill it (``detect_print`` makes the block's deviation
+    there).  It is kernel scratch the block has spent, its float64 window
+    sums once they are divided into it, and the kernel writes it before it
+    reads it again; the left edge lends cells past those any block uses,
+    and at window 1 the kernel owns one float64 block to lend.
     """
     n = len(samples)
     if out is not None and np.may_share_memory(samples, out) and not (
@@ -376,18 +389,20 @@ def _smoothed_blocks(
         return scratch[: hi - lo] if out is None else out[lo:hi]
 
     if window == 1:
+        spare = np.empty(min(_BLOCK, n))
         for lo in range(0, n, _BLOCK):
             part = block(lo, min(lo + _BLOCK, n))
             part[...] = samples[lo : lo + len(part)]
-            yield part
+            yield part, spare[: len(part)]
         return
     left, right = (window - 1) // 2, window // 2
     csum = np.empty(min(_BLOCK + window, n + 1))
     # The block's samples as float64, summed into the separate csum (numpy
     # holds the GIL in a cumsum that casts or works in place), then the
     # window sums.  A block's last window - 1 samples stay in values, past
-    # its window sums, and become the next block's first ones.
-    values = np.empty(len(csum))
+    # its window sums, and become the next block's first ones.  The left
+    # edge's spare is the last left cells, which no block uses.
+    values = np.empty(len(csum) + left)
     for lo in range(0, n - window + 1, _BLOCK):
         hi = min(lo + _BLOCK + window - 1, n)
         part = csum[: hi - lo + 1]  # csum[lo:hi + 1]
@@ -406,14 +421,16 @@ def _smoothed_blocks(
         # warn first.  No yield runs in this state, which is the consumer's.
         with np.errstate(invalid="ignore"):
             np.cumsum(values[first : len(part)], out=part[first:])
-            np.subtract(part[window:], part[:count], out=values[:count])
         if lo == 0 and left:  # the left edge, once block 0 has read what it may overlay
             edge = csum[right + 1 : window]  # sample i < left sums csum[i + right + 1]
-            yield np.divide(edge, np.arange(right + 1, window), out=block(0, left))
-        yield np.divide(values[:count], window, out=block(lo + left, lo + left + count))
+            divided = np.divide(edge, np.arange(right + 1, window), out=block(0, left))
+            yield divided, values[len(csum) :]
+        with np.errstate(invalid="ignore"):
+            sums = np.subtract(part[window:], part[:count], out=values[:count])
+        yield np.divide(sums, window, out=block(lo + left, lo + left + count)), sums
     with np.errstate(invalid="ignore"):  # the right edge, after the last block's csum
-        tail = part[-1] - part[n - window + 1 - lo : n - left - lo]
-    yield np.divide(tail, np.arange(window - 1, left, -1), out=block(n - right, n))
+        tail = np.subtract(part[-1], part[n - window + 1 - lo : n - left - lo], out=values[:right])
+    yield np.divide(tail, np.arange(window - 1, left, -1), out=block(n - right, n)), tail
 
 
 def build_baseline(
@@ -620,18 +637,19 @@ def detect_print(
     that motor: a missing, mismatched or smoothed one raises
     :class:`DetectionError` naming the motor.  The print is malicious iff
     any motor is.
-    Each motor is judged in one pass over ``_BLOCK``-sample (32,768) blocks:
+    Each motor is judged in one pass over ``_BLOCK``-sample (49,152) blocks:
     a block is smoothed, the baseline's reference cells for it are read
     into a reused block (from the file, for a baseline
     ``traceio.load_baseline`` read, which raises ``CaptureFormatError``
     naming the path if the file changed since it was loaded or a cell is
-    not finite), and its float64 deviation is made in the thread's scratch
-    and classified before the next block is smoothed, the motors on up to
-    ``tracesim._WORKERS`` threads; reports and deviations are the same for
-    any thread count.  The pass cuts the block that holds the baseline's
-    last sample there and asks for no more, so a longer capture is smoothed
-    only that far.  Without ``out`` the smoothed blocks live in that
-    scratch, so the call makes no full-length array.  With ``out``, each
+    not finite), and its float64 deviation is made in the spent float64
+    cells the kernel lends with the block and classified before the next
+    block is smoothed, the motors on up to ``tracesim._WORKERS`` threads;
+    reports and deviations are the same for any thread count.  The pass
+    cuts the block that holds the baseline's last sample there and asks
+    for no more, so a longer capture is smoothed only that far.  Without
+    ``out`` the smoothed blocks live in the kernel's scratch, so the call
+    makes no full-length array.  With ``out``, each
     motor is smoothed into the first samples of its reused buffer there,
     which must hold the whole capture and may be the buffer the capture
     views, starting no later (see :func:`_smoothed_blocks`), and the
@@ -675,15 +693,15 @@ def detect_print(
     def judge(motor: Motor) -> DetectionReport:
         baseline, n = baselines[motor], lengths[motor]
         window = baseline.smoothing_window
-        scratch = np.empty(_block_room(window, n))
-        cells = np.empty(len(scratch), dtype=np.float32)
+        cells = np.empty(_block_room(window, n), dtype=np.float32)
 
         def deviations(read: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
             lo = 0
-            for block in _smoothed_blocks(captures[motor].samples, window, smoothed.get(motor)):
+            blocks = _smoothed_blocks(captures[motor].samples, window, smoothed.get(motor))
+            for block, spare in blocks:
                 hi = min(lo + len(block), n)
                 reference = read(cells[: hi - lo])
-                yield _deviation_into(block[: hi - lo], reference, scratch[: hi - lo])
+                yield _deviation_into(block[: hi - lo], reference, spare[: hi - lo])
                 if hi == n:  # the rest of the capture is past the baseline
                     return
                 lo = hi
