@@ -73,17 +73,17 @@ _EXPORT_CHUNK_ROWS = 1 << 16
 
 # Samples per block in smooth and detect_print, and float64 cells per block
 # of build_baseline's stack over all golden traces: their scratch is
-# fixed-size.  On two threads a screen print's detect_print measured about
-# 7% faster at 3 << 14 than at 1 << 15, while its captures read no faster;
-# why larger blocks help is not established.  Each thread holds about 27
-# bytes of scratch per block sample (tracemalloc): smoothing's float64
-# running sum and values (whose spent cells hold the block's deviation,
-# which is all the lending is for) and its float32 block, the float32
-# block of reference it reads and the classifier's masks.  On two threads
-# 3 << 14 reads 1.40 bytes per sample of the benchmark print (gate 2.0) and
-# 2.51 of a 2**20-sample print judged with loaded baselines (gate 3.0);
-# 1 << 16 would read 3.29 there, so 49,152 is the largest multiple of
-# 16,384 inside both gates.
+# fixed-size.  Two threads gain only at long blocks (a 4-motor detect_print
+# took 47 / 487 us per motor-block at 1,024 / 49,152 samples on one thread,
+# 99 / 377 on two), so 3 << 14 beats 1 << 15 on two threads only; a GIL
+# handoff per numpy call would fit, but is not established.  Each thread
+# holds about 27 bytes of scratch per block sample (tracemalloc): smoothing's
+# float64 running sum and values (whose spent cells hold the deviation:
+# lending saves memory only) and float32 block, the float32 reference block
+# and the classifier's masks.  On two threads 3 << 14 reads 1.40 bytes per
+# sample of the benchmark print (gate 2.0) and 2.51 of a 2**20-sample print
+# judged with loaded baselines (gate 3.0); 1 << 16 would read 3.29 there, so
+# 49,152 is the largest multiple of 16,384 inside both.
 _BLOCK = 3 << 14
 
 
@@ -133,10 +133,10 @@ class GoldenBaseline:
     ``read``: ``read(out)`` fills the float32 ``out`` with the next
     ``len(out)`` cells of the column held as ``name``, ``"pointwise_sd"``
     or ``"reference"``, from ``start`` on and returns it.  A baseline holds
-    its reference or a reader, not both.  The experiment keeps both columns'
-    cells on the series grid (every 250th) from the baseline it builds, and
-    reads each attack span's cells through the reader.  ``peak_sd``, the
-    largest sd before rounding, sets the verdict threshold: it must be
+    its reference or a reader, not both.  The experiment reads both columns'
+    cells on the series grid (every 250th) once, and each attack span's
+    cells, through the reader.  ``peak_sd``, the largest sd before
+    rounding, sets the verdict threshold: it must be
     finite, >= 0 and round to the column's max, which rounding (monotonic)
     makes an exact check.  ``smoothing_window``, >= 1, is the window the
     golden traces were smoothed with, and so the window every capture

@@ -371,8 +371,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     (:func:`_ground_truth`) rendered from the plans, before anything is
     written.  The golden phase then holds one motor's golden traces, whose
     rows also hold its baseline's sd, and no other full-length array; every
-    print is judged with the baselines read back from ``baselines/`` and
-    rendered and smoothed in one buffer per motor.
+    print is judged with the baselines read back from ``baselines/``, which
+    give its series grids, and rendered and smoothed in one buffer per motor.
 
     Raises, before writing anything, :class:`AttackError` or
     :class:`PlanError` naming the row whose specs do not apply or whose
@@ -405,7 +405,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(dump_experiment_config(config))
 
-    baselines, grids = _build_baselines(plans["normal"], config, out)
+    baselines = _build_baselines(plans["normal"], config, out)
+    grids = {motor: _series_grids(baseline) for motor, baseline in baselines.items()}
     # Made once the golden phase has freed its buffer, so the two never coexist.
     buffers = _print_buffers(max(tracesim.trace_length(p) for p in plans.values()))
 
@@ -462,28 +463,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Detectabili
 
 def _build_baselines(
     plan: MotionPlan, config: ExperimentConfig, out: Path
-) -> tuple[dict[Motor, GoldenBaseline], dict[Motor, tuple[np.ndarray, np.ndarray]]]:
+) -> dict[Motor, GoldenBaseline]:
     """Build and save each motor's baseline in turn from the program's plan,
-    then read all four back from ``out/baselines``: the experiment judges
-    with the files an operator would load, through the same checks, so no
-    baseline holds a column.  Returns the baselines and each motor's grids:
-    every ``_SERIES_STRIDE``-th cell of the sd column and of the reference
-    of the baseline just built, which the series on the stride grid read.
-    Each built baseline is dropped before the next motor's is built; the
-    spans read their cells through the loaded baselines (see
-    :func:`_run_row`).
+    then read all four back from ``out/baselines`` and return them: the
+    experiment judges with the files an operator would load, through the
+    same checks, so no baseline holds a column.
 
     Each golden trace is rendered and aligned in its row of one buffer, and
     :func:`build_baseline` smooths it over that row and writes the sd over
     the second; the rows are reused from motor to motor, so the phase holds
     one motor's golden traces and no finished baseline, and makes its one
     large array.  A baseline's reference and sd view the first two rows, so
-    it is saved, and its grids copied, before the next motor's renders.
-    Synthesis is reached through the ``tracesim`` module, where
-    ``perfbench`` trace mode wraps it.
+    it is saved before the next motor's renders.  Synthesis is reached
+    through the ``tracesim`` module, where ``perfbench`` trace mode wraps it.
     """
     rows = np.empty((config.golden_count, tracesim.trace_length(plan)), dtype=np.float32)
-    paths, grids = {}, {}
+    paths = {}
     for motor in MOTORS:
         golden = []
         for i, row in enumerate(rows):
@@ -493,16 +488,23 @@ def _build_baselines(
                 save_trace(trace, out / "traces" / f"golden_{i:02d}_{motor.name}.ptrc")
             golden.append(align_to_trigger(trace))
         paths[motor] = out / "baselines" / f"{motor.name}.ptrb"
-        baseline = build_baseline(golden, config.detection.smoothing_window, rows)
-        save_baseline(baseline, paths[motor])
-        # Copies: a strided view would keep the buffer and see the next motor's renders.
-        grids[motor] = (
-            baseline.pointwise_sd[::_SERIES_STRIDE].copy(),
-            baseline.reference[::_SERIES_STRIDE].copy(),
-        )
-    del rows, row, trace, golden, baseline  # each views the buffer, freed before the reads
-    baselines = {motor: load_baseline(path) for motor, path in paths.items()}
-    return baselines, grids
+        save_baseline(build_baseline(golden, config.detection.smoothing_window, rows), paths[motor])
+    return {motor: load_baseline(path) for motor, path in paths.items()}
+
+
+def _series_grids(baseline: GoldenBaseline) -> np.ndarray:
+    """Every ``_SERIES_STRIDE``-th cell of ``baseline``'s sd column and of
+    its reference, in two float32 rows, read a block at a time through its
+    reader and copied out of each block's reused scratch."""
+    n = baseline.sample_count
+    grids = np.empty((2, -(-n // _SERIES_STRIDE)), dtype=np.float32)
+    for name, grid in zip(("pointwise_sd", "reference"), grids):
+        with baseline._column_cells(name, 0) as read:
+            for lo, block in _read_blocks(read, 0, n):
+                at = -(-lo // _SERIES_STRIDE)  # the block's first grid cell
+                cells = block[at * _SERIES_STRIDE - lo :: _SERIES_STRIDE]
+                grid[at : at + len(cells)] = cells
+    return grids
 
 
 def _print_buffers(capacity: int) -> dict[Motor, np.ndarray]:
@@ -532,15 +534,15 @@ def _run_row(
     Each print is reduced to its verdicts and its mean excess inside each
     of a motor's ``spans`` as soon as its series are written; only those
     reductions are kept.  The raw traces are saved (with ``save_traces``)
-    before they are smoothed over.  Each motor's deviation is then made only where the row
-    reads it: on every ``_SERIES_STRIDE``-th sample, from the smoothed
-    capture in its buffer and the reference grid in ``grids``, which is
-    written, turned into its excess over the sd grid there in place and
-    written again; and inside each span, whose excess is averaged.  A span's
-    reference and sd cells are read through the motor's baseline in
-    ``baselines``, from its file for a loaded one, a block at a time, and
-    its excess is made block by block.  No full-length series is made, and
-    no column is held.
+    before they are smoothed over.  Each motor's deviation is then made
+    only where the row reads it: on every ``_SERIES_STRIDE``-th sample,
+    from the smoothed capture in its buffer and the reference grid in
+    ``grids`` (:func:`_series_grids`), which is written, turned into its
+    excess over the sd grid there in place and written again; and inside
+    each span, whose excess is averaged.  A span's reference and sd cells
+    are read through the motor's baseline in ``baselines``, from its file
+    for a loaded one, a block at a time, and its excess is made block by
+    block.  No full-length series is made, and no column is held.
     Returns the number of flagged prints per motor, and per motor and span
     the mean of those per-print means.
     """

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import _BLOCK, DetectionError, GoldenBaseline, _checked_fields
+from .detect import _BLOCK, DetectionError, GoldenBaseline, _checked_fields, _read_blocks
 from .planner import MOTORS, Motor
 from .tracesim import MotorTrace, TraceSimError
 
@@ -143,8 +143,8 @@ def save_baseline(baseline: GoldenBaseline, path: str | Path) -> None:
 def load_baseline(path: str | Path) -> GoldenBaseline:
     """Read a baseline and keep none of its columns: its ``pointwise_sd``
     and ``reference`` are ``None``, and its ``reader`` reads both back from
-    the file (:class:`_BaselineFile`).  The whole file is checked first,
-    through one reused block: its sd column, each cell finite and >= 0, then
+    the file (:class:`_BaselineFile`).  The whole file is checked first, a
+    reused block at a time: its sd column, each cell finite and >= 0, then
     its reference, each sample finite, then the header fields and the stored
     peak, which must be the sd column's max; an error names the cell's index
     in its column.  An empty body, a negative sd cell or a header field
@@ -152,14 +152,11 @@ def load_baseline(path: str | Path) -> GoldenBaseline:
     path = Path(path)
     with _opened(path, _BASELINE) as (handle, motor, rate, fields, identity):
         source_count, window, peak_sd, count = fields
-        scratch = np.empty(min(count, _BLOCK), dtype=np.float32)  # for both columns
-        sd_max = np.float32(0)
         sd = _cells(handle, path, _BASELINE, "sd cell", count, 0)
-        for lo in range(0, count, _BLOCK):
-            sd_max = max(sd_max, sd(scratch[: count - lo]).max())
+        sd_max = max((block.max() for _, block in _read_blocks(sd, 0, count)), default=np.float32(0))
         reference = _cells(handle, path, _BASELINE, "reference sample", count, 0)
-        for lo in range(0, count, _BLOCK):
-            reference(scratch[: count - lo])
+        for _ in _read_blocks(reference, 0, count):  # each block is checked as it is read
+            pass
     if count == 0:
         raise CaptureFormatError(f"{path}: empty baseline")
     with _as_format_error(path):

@@ -460,16 +460,17 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
     # row 1 and its float64 scratch is a fixed block of about _BLOCK cells,
     # and holding every motor's smoothed traces until the last baseline is
     # built would cost 16.  Each baseline is saved and dropped before the
-    # next motor's golden traces are made, and the four are read back once
-    # the reused buffer is freed: measured 24.78 at 6 golden prints, 25.27
-    # with a stack of _BLOCK samples per golden print, and 29.28 with that
-    # and a fresh sd column too.  Holding the X, Y and Z baselines while
+    # next motor's golden traces are made, and the four are read back one
+    # block at a time: measured 24.75 at 6 golden prints, 25.27 with a
+    # stack of _BLOCK samples per golden print, and 29.28 with that and a
+    # fresh sd column too.  Holding the X, Y and Z baselines while
     # E's six smoothed golden traces are made read 57.1; keeping each built
     # baseline, whose reference views the buffer, until the next motor's
     # replaces it read 44.2, and keeping only its sd column until then 33.3.
-    # What the phase returns holds no column, only each motor's sd and
-    # reference grids, one cell in 250: measured 0.14-0.16.  Holding the
-    # four float32 references held 16.07, and also each file's sd column 32.
+    # What the phase returns is the four loaded baselines, which hold no
+    # column: measured 0.013-0.015.  Also returning each motor's sd and
+    # reference grids, one cell in 250, held 0.14-0.16; holding the four
+    # float32 references held 16.07, and also each file's sd column 32.
     import tracemalloc
 
     from powertrace import harness
@@ -480,7 +481,7 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
         config = dataclasses.replace(SMALL, golden_count=count)
         tracemalloc.start()
         try:
-            baselines, grids = harness._build_baselines(plan, config, tmp_path / str(count))
+            baselines = harness._build_baselines(plan, config, tmp_path / str(count))
             held, peaks[count] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -488,7 +489,7 @@ def test_golden_phase_holds_one_motor_at_a_time(tmp_path):
     assert (peaks[6] - peaks[3]) / 3 / samples <= 5.0
     assert peaks[6] / samples < 26.5
     assert all(b.pointwise_sd is None and b.reference is None for b in baselines.values())
-    assert held / samples <= 0.2
+    assert held / samples <= 0.03
 
 
 @pytest.mark.parametrize("window", [1, 20])
@@ -496,7 +497,8 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
     # The golden phase renders each golden trace into a row reused from
     # motor to motor and smooths it over that row; each baseline must be
     # the one built from fresh arrays, at window 1 too, where smoothing
-    # copies the raw samples.
+    # copies the raw samples, and so must the series grids read from the
+    # loaded files.
     from powertrace import harness, tracesim
     from powertrace.detect import build_baseline
     from powertrace.traceio import align_to_trigger
@@ -506,7 +508,7 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
         config, detection=dataclasses.replace(config.detection, smoothing_window=window)
     )
     plan = plan_motion(benchmark_object(), config.profile)
-    baselines, grids = harness._build_baselines(plan, config, tmp_path)
+    baselines = harness._build_baselines(plan, config, tmp_path)
     for motor in (Motor.X, Motor.E):
         golden = []
         for i in range(config.golden_count):
@@ -518,7 +520,7 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
         n = fresh.sample_count
         assert saved[48 : 48 + 4 * n] == fresh.pointwise_sd.tobytes()
         assert saved[48 + 4 * n :] == fresh.reference.tobytes()
-        sd_grid, reference_grid = grids[motor]
+        sd_grid, reference_grid = harness._series_grids(baselines[motor])
         assert sd_grid.tobytes() == fresh.pointwise_sd[:: harness._SERIES_STRIDE].tobytes()
         assert reference_grid.tobytes() == fresh.reference[:: harness._SERIES_STRIDE].tobytes()
         assert baselines[motor].reference is None
@@ -526,6 +528,32 @@ def test_golden_buffers_give_the_baselines_of_fresh_arrays(tmp_path, window):
         # The two facts the ground truth derives from the config and the plan.
         assert baselines[motor].smoothing_window == config.detection.smoothing_window
         assert baselines[motor].sample_count == aligned_length(plan)
+
+
+@pytest.mark.parametrize("block", [3, 64, 251])
+def test_series_grids_copy_every_250th_cell_out_of_the_read_blocks(tmp_path, monkeypatch, block):
+    # A series grid is read from the loaded file through one reused block
+    # scratch, so each block's grid cells must be copied out of it before
+    # the next block is read: a grid that kept views of the scratch would
+    # repeat the last block's cells.  The blocks here divide neither the
+    # stride nor the column's length, so their first grid cell moves from
+    # block to block.
+    from powertrace import detect, harness
+    from powertrace.detect import GoldenBaseline
+    from powertrace.traceio import load_baseline, save_baseline
+
+    n = 7 * harness._SERIES_STRIDE + 13
+    rng = np.random.default_rng(block)
+    sd = rng.uniform(0.0, 1.0, n).astype(np.float32)
+    reference = rng.normal(0.0, 1.0, n).astype(np.float32)
+    built = GoldenBaseline(Motor.X, SAMPLE_RATE, sd, reference, 2, float(sd.max()), 20)
+    save_baseline(built, tmp_path / "X.ptrb")
+    loaded = load_baseline(tmp_path / "X.ptrb")
+    monkeypatch.setattr(detect, "_BLOCK", block)
+    sd_grid, reference_grid = harness._series_grids(loaded)
+    assert sd_grid.dtype == reference_grid.dtype == np.float32
+    assert sd_grid.tobytes() == sd[:: harness._SERIES_STRIDE].tobytes()
+    assert reference_grid.tobytes() == reference[:: harness._SERIES_STRIDE].tobytes()
 
 
 def test_each_row_program_is_planned_once(tmp_path, monkeypatch):
@@ -585,17 +613,19 @@ def test_built_and_reloaded_baselines_agree(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def row_baselines(tmp_path_factory):
-    """The golden phase's loaded baselines and sd grids."""
+    """The golden phase's loaded baselines, and each motor's series grids
+    read from them, as ``run_experiment`` passes both to ``_run_row``."""
     from powertrace import harness
 
     plan = plan_motion(benchmark_object(), SMALL.profile)
-    return harness._build_baselines(plan, SMALL, tmp_path_factory.mktemp("golden"))
+    baselines = harness._build_baselines(plan, SMALL, tmp_path_factory.mktemp("golden"))
+    return baselines, {motor: harness._series_grids(b) for motor, b in baselines.items()}
 
 
 def _run_normal_row(row_baselines, seeds, out, spans):
     """Run the ``normal`` row of ``seeds`` into ``out`` with its own print
     buffers, reading each motor's ``spans`` through the golden phase's
-    loaded baselines."""
+    loaded baselines and its series from the grids read from them."""
     from powertrace import harness, tracesim
 
     baselines, grids = row_baselines

@@ -568,7 +568,7 @@ def test_column_reads_refuse_a_range_outside_the_column(tmp_path, start, stop, n
 
 
 def test_load_baseline_holds_no_column_and_one_block_of_scratch(tmp_path):
-    # Both columns are checked through one reused block, and neither is
+    # Each column is checked through one reused block in turn, and neither is
     # kept: the call holds about nothing (measured 1.4 KiB at 2**20
     # samples, where the reference alone held 4 MiB) and peaks at about one
     # block and its masks (measured 173 KiB, 1.3 blocks).
