@@ -22,10 +22,11 @@ cells it cannot print exactly.
 
 :func:`detect_print` judges each motor in one streamed pass: the one
 smoothing kernel, ``_smoothed_blocks``, yields the smoothed capture in
-fixed-size blocks, and each block's float64 deviation is made in spent
-float64 cells the kernel lends with the block and counted against the
-threshold while the block is in cache, the run still open at a block's
-end carrying into the next.  The pass
+fixed-size blocks, the block's reference cells are read into spent
+float32 cells the kernel lends with it, and its float64 deviation is made
+in spent float64 cells it lends too and counted against the threshold
+while the block is in cache, the run still open at a block's end carrying
+into the next.  The pass
 stops asking for blocks once it has the baseline's length, so no block
 past the baseline is summed.  The reference is read a block at a time
 too, through the baseline (see :class:`GoldenBaseline`), so a baseline
@@ -75,16 +76,18 @@ _EXPORT_CHUNK_ROWS = 1 << 16
 # of build_baseline's stack over all golden traces: their scratch is
 # fixed-size.  Two threads gain only at long blocks (a 4-motor detect_print
 # took 47 / 487 us per motor-block at 1,024 / 49,152 samples on one thread,
-# 99 / 377 on two), so 3 << 14 beats 1 << 15 on two threads only; a GIL
-# handoff per numpy call would fit, but is not established.  Each thread
-# holds about 27 bytes of scratch per block sample (tracemalloc): smoothing's
-# float64 running sum and values (whose spent cells hold the deviation:
-# lending saves memory only) and float32 block, the float32 reference block
-# and the classifier's masks.  On two threads 3 << 14 reads 1.40 bytes per
-# sample of the benchmark print (gate 2.0) and 2.51 of a 2**20-sample print
-# judged with loaded baselines (gate 3.0); 1 << 16 would read 3.29 there, so
-# 49,152 is the largest multiple of 16,384 inside both.
-_BLOCK = 3 << 14
+# 99 / 377 on two): each numpy call takes the GIL, so the short calls of a
+# block (max, abs, the deviation) that scale 1.5-1.8x in two processes scale
+# less on two threads of one (max 0.6x at 49,152), and fewer, longer blocks
+# win.  Each thread holds about 18 bytes of scratch per block sample
+# (tracemalloc): smoothing's float64 running sum, whose spent cells hold the
+# float32 block and reference cells, and values, whose spent cells hold the
+# deviation, and the classifier's masks.  On two threads 5 << 14
+# reads 1.58 bytes per sample of the benchmark print (gate 2.0), 33.59 of a
+# screened print stream (gate 35.0) and 2.84 of a 2**20-sample print judged
+# with loaded baselines (gate 3.0); 3 << 15 would read 3.41 there, so
+# 81,920 is the largest multiple of 16,384 inside all three.
+_BLOCK = 5 << 14
 
 
 class DetectionError(ValueError):
@@ -341,36 +344,37 @@ def smooth(trace: MotorTrace, window: int, out: np.ndarray | None = None) -> Mot
     return replace(trace, samples=out, smoothing_window=max(window, trace.smoothing_window))
 
 
-def _block_room(window: int, n: int) -> int:
-    """The most samples one block of :func:`_smoothed_blocks` holds in ``n``:
-    up to ``_BLOCK`` window sums, or an edge of up to ``window // 2``."""
-    return min(n, max(_BLOCK, window // 2))
-
-
 def _smoothed_blocks(
     samples: np.ndarray, window: int, out: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield :func:`smooth`'s float32 samples in order, as consecutive
     non-empty blocks: the one smoothing kernel.  A consumer that needs only
     a prefix stops asking: no block is summed before it is asked for.
 
     Each block is a view of ``out``, when given (as long as ``samples``),
-    else of one float32 scratch that the next block overwrites, so a
-    consumer reads each block before it asks for the next.  ``window`` must
-    be between 1 and ``len(samples)``.  ``out`` may overlay the buffer
+    else of kernel scratch that the next block overwrites, so a consumer
+    reads each block before it asks for the next.  ``window`` must be
+    between 1 and ``len(samples)``.  ``out`` may overlay the buffer
     ``samples`` views if both are contiguous and ``out`` starts no later, so
     a capture can be smoothed over the buffer it was rendered into: a block
     reads only the samples the block before did not (it takes the rest from
     that block's float64 copy), and writes outputs that end behind those
     reads, and the left edge is written once block 0 has read its samples.
 
-    Each block comes as ``(block, spare)``: ``spare`` is a float64 view as
-    long as the block, lent to the consumer until it asks for the next
-    block, which may fill it (``detect_print`` makes the block's deviation
-    there).  It is kernel scratch the block has spent, its float64 window
-    sums once they are divided into it, and the kernel writes it before it
-    reads it again; the left edge lends cells past those any block uses,
-    and at window 1 the kernel owns one float64 block to lend.
+    Each block comes as ``(block, spare, room)``, the last two lent to the
+    consumer until it asks for the next block, which may fill them
+    (``detect_print`` reads the block's reference cells into ``room`` and
+    makes its deviation in ``spare``); the kernel writes both before it
+    reads them again.  ``spare`` is a float64 view as long as the block:
+    its float64 window sums once they are divided into it (the left edge
+    lends cells past those any block uses).  ``room`` is a float32 view as
+    long as the block: the second half of the float32 view of the block's
+    spent float64 running sum, whose first half holds the block when there
+    is no ``out``.  So the kernel keeps the next block's first sum as a
+    float and takes the window sums and the right edge's sums before it
+    lends a block.  At window 1, which sums nothing, the kernel owns the
+    float64 spare, the float32 room and, when there is no ``out``, a float32
+    block.
     """
     n = len(samples)
     if out is not None and np.may_share_memory(samples, out) and not (
@@ -381,27 +385,29 @@ def _smoothed_blocks(
         raise ValueError(
             "out may overlay the samples only if both are contiguous and it starts no later"
         )
-    if out is None:
-        scratch = np.empty(_block_room(window, n), dtype=np.float32)
 
     def block(lo: int, hi: int) -> np.ndarray:
         """Where smoothed samples ``lo:hi`` are written and yielded."""
-        return scratch[: hi - lo] if out is None else out[lo:hi]
+        return own[: hi - lo] if out is None else out[lo:hi]
 
     if window == 1:
         spare = np.empty(min(_BLOCK, n))
+        room = np.empty(len(spare), dtype=np.float32)
+        own = np.empty(len(spare) if out is None else 0, dtype=np.float32)
         for lo in range(0, n, _BLOCK):
             part = block(lo, min(lo + _BLOCK, n))
             part[...] = samples[lo : lo + len(part)]
-            yield part, spare[: len(part)]
+            yield part, spare[: len(part)], room[: len(part)]
         return
-    left, right = (window - 1) // 2, window // 2
     csum = np.empty(min(_BLOCK + window, n + 1))
+    own, room = np.split(csum.view(np.float32), 2)
+    left, right = (window - 1) // 2, window // 2
     # The block's samples as float64, summed into the separate csum (numpy
     # holds the GIL in a cumsum that casts or works in place), then the
     # window sums.  A block's last window - 1 samples stay in values, past
-    # its window sums, and become the next block's first ones.  The left
-    # edge's spare is the last left cells, which no block uses.
+    # its window sums, and become the next block's first ones; the last
+    # block's right-edge sums follow its window sums.  The left edge's spare
+    # is the last left cells, which no block uses.
     values = np.empty(len(csum) + left)
     for lo in range(0, n - window + 1, _BLOCK):
         hi = min(lo + _BLOCK + window - 1, n)
@@ -413,7 +419,7 @@ def _smoothed_blocks(
             first = 1
             values[1 : len(part)] = samples[lo:hi]
         else:
-            values[0] = csum[_BLOCK]  # csum[lo], from the block before
+            values[0] = carry  # csum[lo], from the block before
             first = 0
             values[1:window] = values[_BLOCK + 1 : _BLOCK + window]
             values[window : len(part)] = samples[lo + window - 1 : hi]
@@ -421,16 +427,22 @@ def _smoothed_blocks(
         # warn first.  No yield runs in this state, which is the consumer's.
         with np.errstate(invalid="ignore"):
             np.cumsum(values[first : len(part)], out=part[first:])
-        if lo == 0 and left:  # the left edge, once block 0 has read what it may overlay
-            edge = csum[right + 1 : window]  # sample i < left sums csum[i + right + 1]
-            divided = np.divide(edge, np.arange(right + 1, window), out=block(0, left))
-            yield divided, values[len(csum) :]
-        with np.errstate(invalid="ignore"):
             sums = np.subtract(part[window:], part[:count], out=values[:count])
-        yield np.divide(sums, window, out=block(lo + left, lo + left + count)), sums
-    with np.errstate(invalid="ignore"):  # the right edge, after the last block's csum
-        tail = np.subtract(part[-1], part[n - window + 1 - lo : n - left - lo], out=values[:right])
-    yield np.divide(tail, np.arange(window - 1, left, -1), out=block(n - right, n)), tail
+            if hi < n:
+                carry = float(part[_BLOCK])
+            else:  # the right edge: sample i >= n - right sums csum[n] - csum[i - left]
+                tail = values[count : count + right]
+                np.subtract(part[-1], part[count : count + right], out=tail)
+        if lo == 0 and left:  # the left edge, once block 0 has read what it may overlay
+            # Sample i < left sums csum[i + right + 1]: past the float32 cells
+            # the edge is written into when there is no out.
+            edge = csum[right + 1 : window]
+            divided = np.divide(edge, np.arange(right + 1, window), out=block(0, left))
+            yield divided, values[len(csum) :], room[:left]
+        divided = np.divide(sums, window, out=block(lo + left, lo + left + count))
+        yield divided, sums, room[:count]
+    divided = np.divide(tail, np.arange(window - 1, left, -1), out=block(n - right, n))
+    yield divided, tail, room[:right]
 
 
 def build_baseline(
@@ -637,13 +649,13 @@ def detect_print(
     that motor: a missing, mismatched or smoothed one raises
     :class:`DetectionError` naming the motor.  The print is malicious iff
     any motor is.
-    Each motor is judged in one pass over ``_BLOCK``-sample (49,152) blocks:
+    Each motor is judged in one pass over ``_BLOCK``-sample (81,920) blocks:
     a block is smoothed, the baseline's reference cells for it are read
-    into a reused block (from the file, for a baseline
-    ``traceio.load_baseline`` read, which raises ``CaptureFormatError``
-    naming the path if the file changed since it was loaded or a cell is
-    not finite), and its float64 deviation is made in the spent float64
-    cells the kernel lends with the block and classified before the next
+    into the spent float32 room the kernel lends with the block (from the
+    file, for a baseline ``traceio.load_baseline`` read, which raises
+    ``CaptureFormatError`` naming the path if the file changed since it
+    was loaded or a cell is not finite), and its float64 deviation is made
+    in the spent float64 cells it lends too and classified before the next
     block is smoothed, the motors on up to ``tracesim._WORKERS`` threads;
     reports and deviations are the same for any thread count.  The pass
     cuts the block that holds the baseline's last sample there and asks
@@ -693,14 +705,13 @@ def detect_print(
     def judge(motor: Motor) -> DetectionReport:
         baseline, n = baselines[motor], lengths[motor]
         window = baseline.smoothing_window
-        cells = np.empty(_block_room(window, n), dtype=np.float32)
 
         def deviations(read: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
             lo = 0
             blocks = _smoothed_blocks(captures[motor].samples, window, smoothed.get(motor))
-            for block, spare in blocks:
+            for block, spare, room in blocks:
                 hi = min(lo + len(block), n)
-                reference = read(cells[: hi - lo])
+                reference = read(room[: hi - lo])
                 yield _deviation_into(block[: hi - lo], reference, spare[: hi - lo])
                 if hi == n:  # the rest of the capture is past the baseline
                     return

@@ -188,12 +188,16 @@ class TestSmooth:
     )
     # Windows 1 and 2 (an empty left edge), odd and even ones, and windows
     # whose edges are longer than a block, with prefixes ending in the left
-    # edge, in the blocks and in the right edge.
+    # edge, in the blocks and in the right edge; one block that holds both
+    # edges, and a full last block before the right edge, whose sums the
+    # kernel takes before it lends that block's running sum.
     @example(case=(np.arange(40, dtype=np.float32), 1, 40), block=3, scribble=True)
     @example(case=(np.arange(40, dtype=np.float32), 2, 40), block=3, scribble=True)
     @example(case=(np.arange(40, dtype=np.float32), 2, 1), block=1, scribble=False)
     @example(case=(np.arange(40, dtype=np.float32), 5, 39), block=3, scribble=True)
     @example(case=(np.arange(40, dtype=np.float32), 6, 12), block=3, scribble=False)
+    @example(case=(np.arange(40, dtype=np.float32), 5, 40), block=64, scribble=True)
+    @example(case=(np.arange(40, dtype=np.float32), 5, 40), block=3, scribble=True)
     @example(case=(np.arange(300, dtype=np.float32), 150, 50), block=64, scribble=True)
     @example(case=(np.arange(300, dtype=np.float32), 151, 290), block=64, scribble=True)
     @example(case=(np.arange(300, dtype=np.float32), 151, 300), block=1, scribble=True)
@@ -204,10 +208,11 @@ class TestSmooth:
         # samples, are smooth's prefix, whether they are views of its own
         # scratch, of a separate out, or of an out over the samples' buffer
         # from their start or before it.  Read to the end, they are all of
-        # smooth's samples.  Each block lends a float64 view as long as it,
-        # which the consumer may fill (detect_print makes its deviation
-        # there): scribbled with NaN after every block, the blocks and out
-        # keep smooth's bytes.
+        # smooth's samples.  Each block lends a float64 spare and a float32
+        # room as long as it, which the consumer may fill (detect_print makes
+        # its deviation in the spare and reads its reference cells into the
+        # room): both scribbled with NaN after every block, the blocks and
+        # out keep smooth's bytes.
         values, window, m = case
         n = len(values)
         whole = smooth(_trace(values), window).samples
@@ -222,15 +227,18 @@ class TestSmooth:
             with mock.patch.object(detect, "_BLOCK", block):
                 blocks = detect._smoothed_blocks(samples, window, out)
                 while sum(map(len, got)) < m:
-                    part, spare = next(blocks)
+                    part, spare, room = next(blocks)
                     assert part.dtype == np.float32
                     assert 0 < len(part) <= max(block, window // 2), offset
                     assert out is None or np.shares_memory(part, out)
                     assert spare.dtype == np.float64 and len(spare) == len(part)
                     assert not np.shares_memory(spare, buffer)
+                    assert room.dtype == np.float32 and len(room) == len(part)
+                    for other in (part, spare, buffer):
+                        assert not np.shares_memory(room, other)
                     got.append(part.copy())
                     if scribble:
-                        spare[...] = np.nan
+                        spare[...] = room[...] = np.nan
                 if m == n:
                     assert next(blocks, None) is None, offset
             joined = np.concatenate(got + [np.empty(0, dtype=np.float32)])
@@ -995,14 +1003,16 @@ class TestDetectPrint:
 
     def test_peak_memory_is_block_scratch(self):
         # Each motor is smoothed, compared and classified block by block, so
-        # detect_print holds only each thread's block scratch: measured 1.40
-        # bytes per sample on two threads at 49,152-sample blocks, whose
-        # deviation is made in the kernel's spent cells (1.10 at 32,768
-        # with a deviation block of its own; 16.64 when it smoothed each motor
-        # into a float32 array its result kept).  The result keeps the
-        # captures, not a copy of them, so about nothing stays held after
-        # the call (measured 0.004).  Taken after one untraced call, so that
-        # one-time imports do not count, with a 100,000-sample attack run.
+        # detect_print holds only each thread's block scratch: measured 1.58
+        # bytes per sample on two threads at 81,920-sample blocks, whose
+        # float32 block and reference cells are held in the kernel's spent
+        # running sum and whose deviation in its spent window sums (1.40 at
+        # 49,152 with a float32 block and reference block of their own;
+        # 16.64 when it smoothed each motor into a float32 array its result
+        # kept).  The result keeps the captures, not a copy of them, so
+        # about nothing stays held after the call (measured 0.004).  Taken
+        # after one untraced call, so that one-time imports do not count,
+        # with a 100,000-sample attack run.
         n, baselines, reference = _benchmark_baselines()
         samples = reference + np.random.default_rng(5).normal(0.0, 0.05, n).astype(np.float32)
         samples[500_000:600_000] += 0.5
@@ -1056,8 +1066,10 @@ class TestDetectPrint:
         # captures and result are still bound, then judges them while print
         # k's result is.  A result keeps its captures and no smoothed copy,
         # so that is two sets of four captures at 4 bytes per sample, 32,
-        # plus block scratch: measured 33.10 on two threads, bound with 2
-        # bytes per sample of headroom (48.65 when each result kept four
+        # plus block scratch: measured 33.59 on two threads at 81,920-sample
+        # blocks (33.40 at 49,152 before the kernel's spent running sum held
+        # the float32 block and reference cells), bound with 2 bytes per
+        # sample of headroom at 32,768 (48.65 when each result kept four
         # float32 smoothed captures, 80.8 four float64 deviations).
         n, baselines, reference = _benchmark_baselines()
 

@@ -591,13 +591,13 @@ def test_load_baseline_holds_no_column_and_one_block_of_scratch(tmp_path):
 
 def test_detect_print_with_loaded_baselines_makes_no_reference_length_array(tmp_path):
     # detect_print reads each loaded baseline's reference a block at a time
-    # on its motor's thread: on two threads it peaks at their block scratch,
-    # measured 2.51 bytes per sample at 2**20 samples and 49,152-sample
-    # blocks, whose deviation is made in the kernel's spent cells (2.23 at
-    # 32,768 with a deviation block of its own; 3.29 at 65,536 even with
-    # the lent cells), where one float32 reference-length array would add
-    # 4.  What stays held after the call is the result, which keeps no
-    # reference either.
+    # on its motor's thread, into cells of the kernel's spent running sum:
+    # on two threads it peaks at their block scratch, measured 2.84 bytes
+    # per sample at 2**20 samples and 81,920-sample blocks (2.51 at 49,152
+    # with a reference block of its own, 4.09 at 81,920 with one; 3.41 at
+    # 98,304 even with the lent cells), where one float32 reference-length
+    # array would add 4.  What stays held after the call is the result,
+    # which keeps no reference either.
     n = 1 << 20
     reference = np.sin(np.arange(n) * (2 * np.pi / 2000)).astype(np.float32)
     for motor in Motor:
