@@ -12,8 +12,7 @@ The verdict uses the raw deviation against the peak of the golden standard
 deviation, so :func:`detect_print` keeps no deviation: it returns the
 verdicts and each motor's capture, and the float64 deviation a verdict was
 judged on is made again, byte for byte, when ``result.deviations[motor]``
-is read, or only a slice of it when ``result.deviations[motor, part]`` is.
-A baseline keeps that peak as one
+is read.  A baseline keeps that peak as one
 float64, taken before the pointwise sd is rounded to the float32 column it
 stores.  :func:`export_series_csv` writes a series as text at numpy speed,
 byte for byte as Python's ``'%.6f'`` formats each time and value: one
@@ -33,8 +32,8 @@ too, through the baseline (see :class:`GoldenBaseline`), so a baseline
 read from a file is read from it while the print is judged.  No
 full-length array is made unless the caller passes ``out``; a
 ``deviations`` read smooths its motor's whole capture with :func:`smooth`,
-which drains the same kernel, on first use, and reads only the reference
-cells its slice spans.  One kernel, ``_deviation_into``, makes every
+which drains the same kernel, on first use, and reads the reference a
+block at a time.  One kernel, ``_deviation_into``, makes every
 deviation: for :func:`deviation`, for those blocks and for each
 ``deviations`` read, so all three agree byte for byte.  Motors are
 independent, so they are judged on parallel threads, with the same bytes
@@ -209,8 +208,10 @@ def _checked_fields(
         raise DetectionError(f"peak sd is {peak_sd}: golden traces must be finite")
     if peak_sd < 0:
         raise DetectionError(f"peak sd is {peak_sd}, must be >= 0")
-    if sd_max is not None and np.float32(peak_sd) != sd_max:
-        raise DetectionError(f"peak sd {peak_sd} is not the sd column's max {sd_max}")
+    # A finite peak past float32's range rounds to inf, which no max equals.
+    with np.errstate(over="ignore"):
+        if sd_max is not None and np.float32(peak_sd) != sd_max:
+            raise DetectionError(f"peak sd {peak_sd} is not the sd column's max {sd_max}")
     return peak_sd
 
 
@@ -243,22 +244,20 @@ class DetectionReport:
 class PrintDetectionResult:
     """Per-motor reports and the print's verdict.
 
-    ``deviations[motor]`` is the float64 deviation that motor was judged
-    on, windowed to the baseline, and ``deviations[motor, part]``, for a
-    basic slice ``part`` (a step is allowed), is ``deviations[motor][part]``
-    made on those samples alone.  Each read makes a new, writable array,
-    so a caller that changes a read in place changes no later read.  It is
-    made from the motor's smoothed capture: the view of ``out`` that
-    :func:`detect_print` smoothed it into, when given, else the float32
-    array that the motor's first read smooths the whole capture into with
-    :func:`smooth` and later reads reuse; and from the reference cells from
-    the part's first sample to its last, read a block at a time.  So
-    without ``out`` a result holds no array of its own until a deviation is
-    read, then 4 bytes per capture sample per motor read; it keeps the
-    captures, so a caller that overwrites a capture's buffer before reading
-    ``deviations`` must pass ``out``.  A read of a loaded baseline's
-    reference rereads its file, so a file changed since it was loaded
-    raises the reader's error, and no series.
+    ``deviations[motor]`` is the float64 deviation that motor was judged on,
+    windowed to the baseline; a key is a motor, nothing else.  Each read
+    makes a new, writable array, so a caller that changes a read in place
+    changes no later read.  It is made from the motor's smoothed capture:
+    the view of ``out`` that :func:`detect_print` smoothed it into, when
+    given, else the float32 array that the motor's first read smooths the
+    whole capture into with :func:`smooth` and later reads reuse; and from
+    the reference, read a block at a time.  So without ``out`` a result
+    holds no array of its own until a deviation is read, then 4 bytes per
+    capture sample per motor read; it keeps the captures, so a caller that
+    overwrites a capture's buffer before reading ``deviations`` must pass
+    ``out``.  A read of a loaded baseline's reference rereads its file, so a
+    file changed since it was loaded raises the reader's error, and no
+    series.
     """
 
     reports: dict[Motor, DetectionReport]
@@ -273,8 +272,8 @@ class PrintDetectionResult:
 
 
 class _Deviations(Mapping):
-    """Each motor's deviation, or a slice of it, made when read (see
-    :func:`_deviation_part`) from its smoothed capture: the view of ``out``
+    """Each motor's whole deviation, made when read (see
+    :func:`_deviation_of`) from its smoothed capture: the view of ``out``
     that :func:`detect_print` smoothed it into, else the trace
     :func:`smooth` makes of the capture on the motor's first read, which
     later reads reuse."""
@@ -290,14 +289,13 @@ class _Deviations(Mapping):
         self._lengths = lengths
         self._smoothed = smoothed
 
-    def __getitem__(self, key: Motor | tuple[Motor, slice]) -> np.ndarray:
-        motor, part = key if isinstance(key, tuple) else (key, slice(None))
+    def __getitem__(self, motor: Motor) -> np.ndarray:
         length = self._lengths[motor]
         capture, baseline = self._sources[motor]
         smoothed = self._smoothed.get(motor)
         if smoothed is None:
             smoothed = self._smoothed[motor] = smooth(capture, baseline.smoothing_window).samples
-        return _deviation_part(smoothed[:length], baseline, part)
+        return _deviation_of(smoothed[:length], baseline)
 
     def __iter__(self) -> Iterator[Motor]:
         return iter(self._lengths)
@@ -536,7 +534,7 @@ def deviation(captured: MotorTrace, baseline: GoldenBaseline) -> np.ndarray:
             f"capture has {len(captured.samples)} samples, baseline "
             f"{baseline.sample_count}"
         )
-    return _deviation_part(captured.samples, baseline, slice(None))
+    return _deviation_of(captured.samples, baseline)
 
 
 def _deviation_into(smoothed: np.ndarray, reference: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -561,27 +559,14 @@ def _read_blocks(
         yield lo, read(scratch[: min(_BLOCK, stop - lo)])
 
 
-def _deviation_part(smoothed: np.ndarray, baseline: GoldenBaseline, part: slice) -> np.ndarray:
-    """``_deviation_into`` of ``smoothed``, no longer than the baseline, on
-    the samples the basic slice ``part`` picks, as a new float64 array.  The
-    reference is read from the part's first sample to its last, a block at
-    a time, and no further."""
-    cells = range(len(smoothed))[part]
-    out = np.empty(len(cells))
-    ascending = out if cells.step > 0 else out[::-1]
-    cells = cells if cells.step > 0 else cells[::-1]
-    if not cells:
-        return out
-    first, stop, step = cells[0], cells[-1] + 1, cells.step
-    at = 0
-    with baseline._column_cells("reference", first) as read:
-        for lo, block in _read_blocks(read, first, stop):
-            skip = -(lo - first) % step  # the block's first cell of the part
-            reference = block[skip::step]
-            hi = at + len(reference)
-            samples = smoothed[lo + skip : lo + len(block) : step]
-            _deviation_into(samples, reference, ascending[at:hi])
-            at = hi
+def _deviation_of(smoothed: np.ndarray, baseline: GoldenBaseline) -> np.ndarray:
+    """``_deviation_into`` of ``smoothed``, no longer than the baseline, as a
+    new float64 array, the reference read a block at a time."""
+    out = np.empty(len(smoothed))
+    with baseline._column_cells("reference", 0) as read:
+        for lo, reference in _read_blocks(read, 0, len(out)):
+            hi = lo + len(reference)
+            _deviation_into(smoothed[lo:hi], reference, out[lo:hi])
     return out
 
 

@@ -539,10 +539,9 @@ def _run_row(
     from the smoothed capture in its buffer and the reference grid in
     ``grids`` (:func:`_series_grids`), which is written, turned into its
     excess over the sd grid there in place and written again; and inside
-    each span, whose excess is averaged.  A span's reference and sd cells
-    are read through the motor's baseline in ``baselines``, from its file
-    for a loaded one, a block at a time, and its excess is made block by
-    block.  No full-length series is made, and no column is held.
+    each span (:func:`_span_excess`), whose cells are read once, both
+    columns together, through the motor's baseline in ``baselines``.  No
+    full-length series is made, and no column is held.
     Returns the number of flagged prints per motor, and per motor and span
     the mean of those per-print means.
     """
@@ -569,14 +568,9 @@ def _run_row(
             _excess_over(grid, sd_grid[: len(grid)], out=grid)
             export_series_csv(grid, rate, out / _series_path(row, run_index, motor, "excess"))
             for lo, hi in print_means[motor]:
-                part = result.deviations[motor, lo:hi]
-                if len(part):
-                    with baselines[motor]._column_cells("pointwise_sd", lo) as read:
-                        for at, sd in _read_blocks(read, lo, lo + len(part)):
-                            cells = slice(at - lo, at - lo + len(sd))
-                            _excess_over(part[cells], sd, out=part[cells])
-                    print_means[motor][lo, hi].append(float(np.mean(part)))
-                del part  # before the next span's part is made
+                mean = _span_excess(buffers[motor][lo : min(hi, length)], baselines[motor], lo)
+                if mean is not None:
+                    print_means[motor][lo, hi].append(mean)
             flagged[motor] += result.reports[motor].verdict is Verdict.MALICIOUS
         _write_run_report(out / "reports" / f"{row}_run{run_index}.txt", row, run_index, seed, result)
     span_excess = {
@@ -584,6 +578,26 @@ def _run_row(
         for motor, per_span in print_means.items()
     }
     return flagged, span_excess
+
+
+def _span_excess(smoothed: np.ndarray, baseline: GoldenBaseline, lo: int) -> float | None:
+    """The mean excess over ``baseline``'s sd of the smoothed capture cells
+    ``smoothed``, samples ``lo`` on, or ``None`` for none.  Both columns'
+    cells are read once, in step, a block at a time, into one float64 part:
+    numpy's mean of the whole part, not a sum of block sums, keeps its bits."""
+    if not len(smoothed):
+        return None
+    part, hi = np.empty(len(smoothed)), lo + len(smoothed)
+    with (
+        baseline._column_cells("reference", lo) as reference,
+        baseline._column_cells("pointwise_sd", lo) as sd,
+    ):
+        blocks = zip(_read_blocks(reference, lo, hi), _read_blocks(sd, lo, hi))
+        for (at, reference_cells), (_, sd_cells) in blocks:
+            block = slice(at - lo, at - lo + len(sd_cells))
+            _deviation_into(smoothed[block], reference_cells, part[block])
+            _excess_over(part[block], sd_cells, out=part[block])
+    return float(np.mean(part))
 
 
 def _excess_over(

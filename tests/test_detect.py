@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import sys
 import tracemalloc
 import warnings
@@ -391,6 +392,16 @@ class TestBaseline:
         assert baseline.sample_count == 3
         with pytest.raises(DetectionError, match="peak sd is -0.5, must be >= 0"):
             GoldenBaseline(Motor.X, SAMPLE_RATE, None, reference, 2, -0.5, 1)
+
+    @pytest.mark.parametrize("peak", [1e39, 3.5e38])
+    def test_a_finite_peak_past_float32s_range_is_not_the_max(self, peak):
+        # It rounds to inf, which no finite column max equals: the check
+        # fails as for any other peak, and numpy's overflow warning, an
+        # error in this suite, does not come first.
+        sd = np.array([0.5, 0.25], dtype=np.float32)
+        message = f"peak sd {peak} is not the sd column's max 0.5"
+        with pytest.raises(DetectionError, match=re.escape(message) + "$"):
+            GoldenBaseline(Motor.X, SAMPLE_RATE, sd, np.zeros(2, dtype=np.float32), 2, peak, 1)
 
     def test_the_callers_float32_columns_stay_writable(self):
         sd, reference = np.full(3, 0.5, dtype=np.float32), np.zeros(3, dtype=np.float32)
@@ -937,38 +948,9 @@ class TestDetectPrint:
         assert second.tobytes() == expected.tobytes()
         with pytest.raises(KeyError):
             result.deviations[Motor.Y]
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        capture_length=st.integers(5, 300),
-        parts=st.lists(
-            st.builds(
-                slice,
-                st.none() | st.integers(-320, 320),
-                st.none() | st.integers(-320, 320),
-                st.none() | st.integers(1, 40),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-    )
-    @example(capture_length=150, parts=[slice(None, None, 7), slice(120, 400), slice(90, 130)])
-    @example(capture_length=60, parts=[slice(80, 100), slice(30, 30), slice(None, None, 40)])
-    def test_a_sliced_deviation_read_is_that_slice_of_the_whole(self, capture_length, parts):
-        # Steps, empty parts, parts past the end of a shorter or longer
-        # capture, and overlapping parts each read exactly the samples of the
-        # whole read, and a part changed in place changes no later read.
-        rng = np.random.default_rng(capture_length)
-        baseline = build_baseline([_trace(rng.normal(0.0, 0.1, 200)) for _ in range(3)], 5)
-        capture = _trace(rng.normal(0.0, 0.3, capture_length))
-        result = detect_print({Motor.X: capture}, {Motor.X: baseline})
-        whole = result.deviations[Motor.X]
-        for part in parts:
-            got = result.deviations[Motor.X, part]
-            assert got.dtype == np.float64 and got.flags.writeable and got.flags.c_contiguous
-            assert got.tobytes() == whole[part].tobytes()
-            got += 1.0
-        assert result.deviations[Motor.X].tobytes() == whole.tobytes()
+        # A key is a motor: a (motor, slice) key reads no part of a deviation.
+        with pytest.raises((KeyError, TypeError)):
+            result.deviations[Motor.X, 0:10]
 
     def test_smooths_over_reused_buffers(self):
         # A caller judging print after print renders each motor's capture
@@ -1032,8 +1014,8 @@ class TestDetectPrint:
     def test_deviations_smooth_each_capture_at_its_first_read(self):
         # Without out, a result holds no smoothed capture until a motor's
         # deviation is read: that read smooths the capture once into a
-        # float32 array, and later reads of the motor, whole or sliced,
-        # reuse it.  Every read equals the deviation of a call given out.
+        # float32 array, and later reads of the motor reuse it.  Every read
+        # equals the deviation of a call given out.
         rng = np.random.default_rng(8)
         n = 50_000
         baselines = {m: _flat_baseline(n=n, motor=m) for m in MOTORS}
@@ -1054,10 +1036,8 @@ class TestDetectPrint:
             assert kernel.call_count == 1
             assert first.tobytes() == into.deviations[Motor.Y].tobytes()
             again = result.deviations[Motor.Y]
-            part = result.deviations[Motor.Y, 7:900:3]
             assert kernel.call_count == 1
             assert again.tobytes() == first.tobytes()
-            assert part.tobytes() == first[7:900:3].tobytes()
             assert result.deviations[Motor.X].tobytes() == into.deviations[Motor.X].tobytes()
             assert kernel.call_count == 2
 

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -669,16 +671,17 @@ def test_row_print_peak_per_sample(row_baselines, tmp_path):
 
 
 def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypatch):
-    # From a print's first deviation read on, the row makes each motor's
+    # From a print's first span read on, the row makes each motor's
     # deviation only on its stride grid (8 bytes per grid sample) and in
     # one span at a time (8 per span sample; the longest, X's insert span,
     # is the last 28% of the print), so its reads and exports add at most
-    # 3 bytes per baseline sample: measured 2.43.  A span's sd cells are read
-    # from the baseline file a block at a time; reading them as one array
-    # read 3.44.  Reading one whole float64 deviation adds 8.  The peak is reset at that first read, so it counts only what the
-    # reads and exports make.  A void row that holds the delete has the
-    # delete row's spans, so a normal print reads three span parts per
-    # motor, not four.
+    # 3 bytes per baseline sample: measured 2.70.  A span's reference and
+    # sd cells are read from the baseline file a block at a time, the two
+    # columns in step; reading its sd cells as one array read 3.44, and
+    # one whole float64 deviation adds 8.  The peak is reset at the first
+    # span read, so it counts only what the reads and exports make.  A void
+    # row that holds the delete has the delete row's spans, so a normal
+    # print reads three span parts per motor, not four.
     import tracemalloc
 
     from powertrace import harness
@@ -691,25 +694,16 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     longest = max(hi - lo for motor_spans in spans.values() for lo, hi in motor_spans)
     assert longest > 0.25 * row_baselines[0][Motor.X].sample_count
     starts = []
-    window_parts = dict.fromkeys(MOTORS, 0)
+    span_parts = dict.fromkeys(MOTORS, 0)
 
-    class ResetAtFirstRead:
-        def __init__(self, deviations):
-            self.deviations = deviations
+    def reset_at_first_read(smoothed, baseline, lo, span_excess=harness._span_excess):
+        if not starts:
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+        span_parts[baseline.motor] += 1
+        return span_excess(smoothed, baseline, lo)
 
-        def __getitem__(self, key):
-            if not starts:
-                tracemalloc.reset_peak()
-                starts.append(tracemalloc.get_traced_memory()[0])
-            motor, part = key
-            window_parts[motor] += part.step is None  # the stride grid has a step
-            return self.deviations[key]
-
-    def detect_then_watch(*args, detect_print=harness.detect_print):
-        result = detect_print(*args)
-        return dataclasses.replace(result, deviations=ResetAtFirstRead(result.deviations))
-
-    monkeypatch.setattr(harness, "detect_print", detect_then_watch)
+    monkeypatch.setattr(harness, "_span_excess", reset_at_first_read)
     tracemalloc.start()
     try:
         _run_normal_row(row_baselines, [100], tmp_path, spans)
@@ -717,17 +711,18 @@ def test_row_reads_make_no_full_length_series(row_baselines, tmp_path, monkeypat
     finally:
         tracemalloc.stop()
     assert len(starts) == 1
-    assert window_parts == dict.fromkeys(MOTORS, 3)
+    assert span_parts == dict.fromkeys(MOTORS, 3)
     assert (peak - starts[0]) / row_baselines[0][Motor.X].sample_count <= 3.0
 
 
-def test_row_span_sd_reads_refuse_a_baseline_replaced_after_loading(
-    row_baselines, tmp_path, monkeypatch
-):
-    # A span's sd cells are read through its motor's loaded baseline, which
-    # checks that the file is still the one loaded: a .ptrb replaced by
-    # another valid baseline once the span's deviation has been read fails
-    # the span's sd read, and no excess is made from the new file.
+def test_row_span_reads_refuse_a_baseline_replaced_after_loading(row_baselines, tmp_path):
+    # A span's cells are read through its motor's loaded baseline, which
+    # checks that the file is still the one loaded.  Both columns of a span
+    # are opened, and checked, before its first cell is read, so a .ptrb
+    # replaced by another valid baseline once the first span's reference
+    # cells are read leaves that span reading the loaded file through the
+    # handles already open; the next span's reads refuse it, and no excess
+    # is made from the new file.
     import shutil
 
     from powertrace import harness, tracesim
@@ -740,31 +735,102 @@ def test_row_span_sd_reads_refuse_a_baseline_replaced_after_loading(
         shutil.copyfile(built.reader.path, copies / f"{motor.name}.ptrb")
         baselines[motor] = load_baseline(copies / f"{motor.name}.ptrb")
     path = copies / "X.ptrb"
-    replaced = []
+    opened = []
 
-    class ReplaceAfterRead:
-        def __init__(self, deviations):
-            self.deviations = deviations
+    class ReplaceAfterSpanReference:
+        def __init__(self, reader):
+            self.reader = reader
 
-        def __getitem__(self, key):
-            part = self.deviations[key]
-            shutil.copyfile(copies / "Y.ptrb", copies / "new.ptrb")
-            (copies / "new.ptrb").replace(path)
-            replaced.append(key)
-            return part
+        def __len__(self):
+            return len(self.reader)
 
-    def detect_then_replace(*args, detect_print=harness.detect_print):
-        result = detect_print(*args)
-        return dataclasses.replace(result, deviations=ReplaceAfterRead(result.deviations))
+        @contextlib.contextmanager
+        def column(self, name, start):
+            opened.append((name, start))
+            with self.reader.column(name, start) as read:
+                if (name, start) != ("reference", 1_000):
+                    yield read
+                    return
 
+                def read_then_replace(out):
+                    cells = read(out)
+                    shutil.copyfile(copies / "Y.ptrb", copies / "new.ptrb")
+                    (copies / "new.ptrb").replace(path)
+                    return cells
+
+                yield read_then_replace
+
+    x = baselines[Motor.X]
+    baselines[Motor.X] = dataclasses.replace(x, reader=ReplaceAfterSpanReference(x.reader))
     plan = plan_motion(benchmark_object(), SMALL.profile)
     buffers = harness._print_buffers(tracesim.trace_length(plan))
-    spans = {Motor.X: [(1_000, 2_000)]}
+    spans = {Motor.X: [(1_000, 2_000), (3_000, 4_000)]}
     args = ("normal", plan, SMALL, baselines, row_baselines[1], [100], tmp_path, spans, buffers)
-    monkeypatch.setattr(harness, "detect_print", detect_then_replace)
     with pytest.raises(CaptureFormatError, match=f"^{re.escape(str(path))}: changed since it was loaded$"):
         harness._run_row(*args)
-    assert replaced == [(Motor.X, slice(1_000, 2_000))]
+    first_span = [("reference", 1_000), ("pointwise_sd", 1_000)]
+    assert opened == [("reference", 0), *first_span, ("reference", 3_000)]
+
+
+@pytest.mark.parametrize("block", [3, 64, 251])
+@example(n=40, window=5, length=40, span=(7, 7), loaded=False, seed=0)  # empty
+@example(n=40, window=5, length=40, span=(39, 40), loaded=True, seed=1)  # one cell, the last
+@example(n=600, window=20, length=600, span=(2, 599), loaded=True, seed=2)  # many blocks
+@example(n=600, window=3, length=300, span=(250, 600), loaded=True, seed=3)  # past the capture
+@example(n=600, window=3, length=300, span=(300, 600), loaded=False, seed=4)  # all past it
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    window=st.integers(1, 20),
+    length=st.integers(1, 700),
+    span=st.tuples(st.integers(0, 600), st.integers(0, 600)).map(sorted),
+    loaded=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_row_span_excess_is_numpys_mean_over_the_whole_span(
+    tmp_path_factory, block, n, window, length, span, loaded, seed
+):
+    # The row's span excess, made block by block from the smoothed capture
+    # detect_print left in its buffer, is the mean numpy takes of the
+    # span's slice of the whole excess series, bit for bit: the mean is
+    # taken over the whole span, never summed block by block.  A span past
+    # the end of a shorter capture stops at its end; one with no cells
+    # there has no mean.  Blocks of 3, 64 and 251 cells put block edges
+    # inside most spans.  The cells spread over twelve decades, so float64
+    # partial sums round and a sum of block sums shows in the last bits;
+    # over a decade or so every partial sum of float32-made cells is
+    # exact, and any order of summation gives the same bits.
+    from powertrace import detect, harness
+    from powertrace.detect import GoldenBaseline, detect_print
+    from powertrace.traceio import load_baseline, save_baseline
+    from powertrace.tracesim import MotorTrace
+
+    lo, hi = (min(v, n) for v in span)
+    window = min(window, n, length)
+    rng = np.random.default_rng(seed)
+
+    def cells(count):
+        return (rng.normal(0.0, 1.0, count) * 10.0 ** rng.uniform(-12, 0, count)).astype(np.float32)
+
+    reference, sd = cells(n), np.abs(cells(n))
+    baseline = GoldenBaseline(Motor.X, SAMPLE_RATE, sd, reference, 2, float(sd.max()), window)
+    if loaded:
+        path = tmp_path_factory.mktemp("span") / "x.ptrb"
+        save_baseline(baseline, path)
+        baseline = load_baseline(path)
+    samples = np.resize(reference, length) + cells(length)
+    capture = MotorTrace(Motor.X, SAMPLE_RATE, samples, 0)
+    buffer = np.empty(length, dtype=np.float32)
+    with mock.patch.object(detect, "_BLOCK", block):
+        result = detect_print({Motor.X: capture}, {Motor.X: baseline}, out={Motor.X: buffer})
+        judged = min(length, n)
+        got = harness._span_excess(buffer[lo : min(hi, judged)], baseline, lo)
+    series = excess(result.deviations[Motor.X], sd)[lo:hi]
+    if not len(series):
+        assert got is None
+    else:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.mean(series).tobytes()
 
 
 def test_append_window_starts_at_the_injection_point():

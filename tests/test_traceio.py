@@ -354,6 +354,11 @@ _BASELINE_DAMAGE = {
         lambda blob: blob[:32] + struct.pack("<d", 0.5) + blob[40:],
         "peak sd 0.5 is not the sd column's max 0.3535",
     ),
+    # Finite, but inf in float32: no numpy overflow warning comes first.
+    "peak sd past float32's range": (
+        lambda blob: blob[:32] + struct.pack("<d", 1e39) + blob[40:],
+        "peak sd 1e+39 is not the sd column's max 0.3535",
+    ),
 }
 
 
@@ -627,11 +632,11 @@ def _length(kind, window):
     return [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + window][kind]
 
 
-@example(window=1, kind=0, change=-1, lo=0, hi=10, step=250, seed=0)
-@example(window=20, kind=1, change=0, lo=_BLOCK - 5, hi=_BLOCK + 5, step=1, seed=1)
-@example(window=2, kind=2, change=1, lo=-3, hi=None, step=_BLOCK, seed=2)
-@example(window=50, kind=3, change=_BLOCK, lo=_BLOCK + 7, hi=2 * _BLOCK + 60, step=7, seed=3)
-@example(window=37, kind=3, change=-_BLOCK, lo=None, hi=-1, step=250, seed=4)
+@example(window=1, kind=0, change=-1, lo=0, hi=10, seed=0)
+@example(window=20, kind=1, change=0, lo=_BLOCK - 5, hi=_BLOCK + 5, seed=1)
+@example(window=2, kind=2, change=1, lo=-3, hi=None, seed=2)
+@example(window=50, kind=3, change=_BLOCK, lo=_BLOCK + 7, hi=2 * _BLOCK + 60, seed=3)
+@example(window=37, kind=3, change=-_BLOCK, lo=None, hi=-1, seed=4)
 @settings(max_examples=30, deadline=None)
 @given(
     window=st.integers(1, 50),
@@ -639,17 +644,15 @@ def _length(kind, window):
     change=st.one_of(st.integers(-_BLOCK, -1), st.just(0), st.integers(1, _BLOCK)),
     lo=st.none() | st.integers(-2 * _BLOCK - 60, 3 * _BLOCK),
     hi=st.none() | st.integers(-2 * _BLOCK - 60, 3 * _BLOCK),
-    step=st.integers(1, 400) | st.sampled_from([250, _BLOCK]),
     seed=st.integers(0, 2**16),
 )
 def test_loaded_baselines_judge_and_read_as_the_saved_ones(
-    tmp_path_factory, window, kind, change, lo, hi, step, seed
+    tmp_path_factory, window, kind, change, lo, hi, seed
 ):
     # A baseline read back by load_baseline, which reads its reference from
-    # the file as the print is judged, gives the reports and every
-    # deviation read of the in-memory baseline it was saved from, byte for
-    # byte, for captures shorter and longer than the baseline: whole reads,
-    # [lo:hi] and [::step] reads, with and without out.
+    # the file as the print is judged, gives the reports and the deviation
+    # of the in-memory baseline it was saved from, byte for byte, for
+    # captures shorter and longer than the baseline, with and without out.
     n = _length(kind, window)
     rng = np.random.default_rng(seed)
     reference = rng.normal(0.0, 0.3, n).astype(np.float32)
@@ -676,9 +679,6 @@ def test_loaded_baselines_judge_and_read_as_the_saved_ones(
     for name, result in results.items():
         assert result.reports == results["built"].reports, name
         assert result.deviations[Motor.X].tobytes() == expected.tobytes(), name
-        for part in (slice(lo, hi), slice(None, None, step), slice(lo, hi, step)):
-            got = result.deviations[Motor.X, part]
-            assert got.tobytes() == expected[part].tobytes(), (name, part)
     # Either column, read back through the reader whole and over [lo:hi], a
     # block at a time, is the saved column's cells.
     cells = range(n)[lo:hi]
@@ -731,13 +731,9 @@ _CHANGES = {
 _READS = {
     "detect_print": ("reference", lambda loaded, result, judge: judge()),
     "whole deviation": ("reference", lambda loaded, result, judge: result.deviations[Motor.X]),
-    "strided deviation": (
+    "span reference cells": (
         "reference",
-        lambda loaded, result, judge: result.deviations[Motor.X, ::250],
-    ),
-    "span deviation": (
-        "reference",
-        lambda loaded, result, judge: result.deviations[Motor.X, _BLOCK : _BLOCK + 10],
+        lambda loaded, result, judge: _cells(loaded, "reference", _BLOCK, _BLOCK + 10),
     ),
     "span sd cells": (
         "pointwise_sd",
@@ -768,23 +764,6 @@ def test_a_baseline_changed_after_loading_is_refused(tmp_path, change, read):
     message = message.format(cell=_COLUMNS[name][1])
     with pytest.raises(CaptureFormatError, match="^" + re.escape(f"{path}: {message}") + "$"):
         do_read(loaded, result, judge)
-
-
-def test_a_deviation_read_reads_the_reference_of_its_range_only(tmp_path):
-    # A read checks every reference cell from its first sample to its last,
-    # those a step skips too; a damaged cell outside them is not read.
-    path = tmp_path / "x.ptrb"
-    _long_baseline(path)
-    loaded = load_baseline(path)
-    result = detect_print({Motor.X: _trace(np.linspace(-1.0, 1.0, _LONG))}, {Motor.X: loaded})
-    before = result.deviations[Motor.X]
-    cell = _BLOCK + 5
-    _stamped_rewrite(path, _REFERENCE + 4 * cell, _NAN_F32)
-    for part in (slice(None, cell), slice(cell + 1, None), slice(cell + 1, None, 2)):
-        assert result.deviations[Motor.X, part].tobytes() == before[part].tobytes()
-    message = f"{path}: reference sample {cell} is nan, must be finite"
-    with pytest.raises(CaptureFormatError, match="^" + re.escape(message) + "$"):
-        result.deviations[Motor.X, cell - 2 :: 7]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
